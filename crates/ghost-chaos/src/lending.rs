@@ -344,7 +344,7 @@ pub fn run_lending_live(combo: &LendingLiveCombo) -> LendingLiveReport {
 
     let lease_stats = rt.lease_stats();
     let leases = rt.leases();
-    let records = sink.snapshot();
+    let (records, dropped) = sink.with_records(|r, dropped| (r.to_vec(), dropped));
     let metrics = TraceMetrics::from_records(&records);
     let reclaim_spans: Vec<u64> = metrics
         .lease_reclaim_spans
@@ -353,10 +353,10 @@ pub fn run_lending_live(combo: &LendingLiveCombo) -> LendingLiveReport {
         .collect();
     let rm_restarts = rt.rm_stats().map(|r| r.restarts).unwrap_or_default();
 
-    if sink.dropped() > 0 {
+    if dropped > 0 {
         failures.push(Failure {
             oracle: "trace-lossless",
-            detail: format!("trace ring dropped {} records", sink.dropped()),
+            detail: format!("trace ring dropped {dropped} records"),
         });
     }
     for v in check::check_with_grace(&records, LIVE_GRACE_NS) {

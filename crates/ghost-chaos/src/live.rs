@@ -285,16 +285,13 @@ pub fn run_live_combo(combo: &LiveCombo) -> LiveRunReport {
     }
 
     let stats = kernel.runtime().stats();
-    let records = sink.snapshot();
+    let (records, dropped) = sink.with_records(|r, dropped| (r.to_vec(), dropped));
     let recovery_wall_ns = recovery_wall(&records);
 
-    if sink.dropped() > 0 {
+    if dropped > 0 {
         failures.push(Failure {
             oracle: "trace-lossless",
-            detail: format!(
-                "trace ring dropped {} records; grow the capacity",
-                sink.dropped()
-            ),
+            detail: format!("trace ring dropped {dropped} records; grow the capacity"),
         });
     }
     for v in check::check_with_grace(&records, LIVE_GRACE_NS) {

@@ -642,8 +642,8 @@ fn write_lending_repro(out_dir: &str, index: u64, sc: &LendingScenario) {
     }
     // Deterministic simulation: re-run the scenario to capture the
     // failing run's trace.
-    let (_, records) = sc.run_traced();
-    if let Err(e) = std::fs::write(&trace_path, ghost_trace::chrome::export(&records)) {
+    let (_, sink) = sc.run_traced();
+    if let Err(e) = std::fs::write(&trace_path, ghost_trace::chrome::export(&sink.snapshot())) {
         eprintln!("cannot write {trace_path}: {e}");
     }
     println!("  wrote {repro_path} and {trace_path}");

@@ -43,8 +43,8 @@ impl fmt::Display for Failure {
 /// hot standby, `recovery_slo` carries its bound and enables the
 /// bounded-time recovery oracle.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate(
-    records: &[TraceRecord],
+pub fn evaluate<'a>(
+    records: impl IntoIterator<Item = &'a TraceRecord> + Clone,
     trace_dropped: u64,
     k: &KernelState,
     runtime: &GhostRuntime,
@@ -66,7 +66,7 @@ pub fn evaluate(
     // Safety: the full ghost-trace invariant suite (occupancy, runnable
     // switch-in, Tseq/Aseq continuity, commit pairing, wakeup liveness
     // with blackout excuses for watchdog/teardown windows).
-    for v in check::check(records) {
+    for v in check::check(records.clone()) {
         failures.push(Failure {
             oracle: "trace-invariant",
             detail: v.to_string(),
@@ -118,12 +118,13 @@ pub fn evaluate(
     // oracle above covers.
     if let Some(slo) = recovery_slo {
         let starts: Vec<Nanos> = records
-            .iter()
+            .clone()
+            .into_iter()
             .filter(|r| matches!(r.event, TraceEvent::RecoveryStart { .. }))
             .map(|r| r.ts)
             .collect();
         let dones: Vec<Nanos> = records
-            .iter()
+            .into_iter()
             .filter(|r| matches!(r.event, TraceEvent::ReconstructDone { .. }))
             .map(|r| r.ts)
             .collect();

@@ -133,20 +133,21 @@ pub struct RunReport {
 
 /// Evaluates every oracle against a finished run of `combo`.
 fn judge(combo: &Combo, run: &ghost_lab::LabRun) -> Vec<Failure> {
-    let records = run.sim.sink.snapshot();
     let recovery_slo = combo
         .plans_standby()
         .then(|| ghost_core::StandbyConfig::default().recovery_slo);
-    oracle::evaluate(
-        &records,
-        run.sim.sink.dropped(),
-        &run.sim.kernel.state,
-        &run.sim.runtime,
-        run.sim.enclave.id(),
-        &run.threads,
-        run.completions(),
-        recovery_slo,
-    )
+    run.sim.sink.with_records(|records, dropped| {
+        oracle::evaluate(
+            records,
+            dropped,
+            &run.sim.kernel.state,
+            &run.sim.runtime,
+            run.sim.enclave.id(),
+            &run.threads,
+            run.completions(),
+            recovery_slo,
+        )
+    })
 }
 
 /// Runs `combo` to its horizon and evaluates every oracle. Fully

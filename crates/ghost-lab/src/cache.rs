@@ -13,6 +13,7 @@
 //! mismatch (old format version, truncated file) is treated as a miss.
 
 use crate::engine::ExperimentResult;
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -20,30 +21,40 @@ use std::path::{Path, PathBuf};
 /// Magic first line of every cache file; bump on format changes.
 const HEADER: &str = "ghost-lab-cache v1";
 
-/// 64-bit FNV-1a. Stable across platforms and runs — the whole
-/// determinism story hangs on result hashes being reproducible, so the
-/// hash function is pinned here rather than borrowed from `std`
-/// (`DefaultHasher` is explicitly allowed to change between releases).
+/// 64-bit FNV-1a, continued from state `h`. Stable across platforms and
+/// runs — the whole determinism story hangs on result hashes being
+/// reproducible, so the hash function is pinned here rather than
+/// borrowed from `std` (`DefaultHasher` is explicitly allowed to change
+/// between releases).
+fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes`.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 /// FNV-1a over a sequence of lines, with a separator folded in so that
 /// `["ab", "c"]` and `["a", "bc"]` hash differently.
 pub fn fnv64_lines<S: AsRef<str>>(lines: &[S]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for &b in line.as_ref().as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= b'\n' as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    lines.iter().fold(FNV_OFFSET, |h, line| {
+        fnv_fold(fnv_fold(h, line.as_ref().as_bytes()), b"\n")
+    })
+}
+
+/// [`fnv64_lines`] over the `Debug` text of each item, one line per item,
+/// formatted through one reused buffer instead of a `Vec<String>`.
+pub fn fnv64_debug_lines<T: std::fmt::Debug>(items: impl IntoIterator<Item = T>) -> u64 {
+    let (mut h, mut line) = (FNV_OFFSET, String::new());
+    for item in items {
+        line.clear();
+        writeln!(line, "{item:?}").expect("writing to a String cannot fail");
+        h = fnv_fold(h, line.as_bytes());
     }
     h
 }

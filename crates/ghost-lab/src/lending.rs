@@ -22,7 +22,7 @@
 //! borrower agent crash mid-lease, lease revocation landing during
 //! §3.4 recovery, and deadline stress (short leases, constant churn).
 
-use crate::cache::fnv64_lines;
+use crate::cache::{fnv64_debug_lines, fnv64_lines};
 use crate::engine::{Experiment, ExperimentResult};
 use crate::scenario::{attach_workload, PolicyKind, WorkloadSpec};
 use crate::schema::{BenchRow, ScoreCols};
@@ -310,9 +310,9 @@ impl LendingScenario {
         self.run_traced().0
     }
 
-    /// Like [`LendingScenario::run`], but also hands back the recorded
-    /// trace (for Chrome export of failing chaos combos).
-    pub fn run_traced(&self) -> (ExperimentResult, Vec<ghost_trace::TraceRecord>) {
+    /// Like [`LendingScenario::run`], but also hands back the sink holding
+    /// the recorded trace (for Chrome export of failing chaos combos).
+    pub fn run_traced(&self) -> (ExperimentResult, TraceSink) {
         let mut run = self.launch();
         let h = self.horizon;
         match self.fault {
@@ -371,17 +371,20 @@ impl LendingScenario {
         }
 
         let mut failures = self.check_oracles(&run);
-        let records = run.sink.snapshot();
-        for v in check::check(&records) {
+        let (violations, metrics, trace_records, trace_hash) =
+            run.sink.with_records(|records, _| {
+                (
+                    check::check(records.clone()),
+                    TraceMetrics::from_records(records.clone()),
+                    records.len(),
+                    fnv64_debug_lines(records),
+                )
+            });
+        for v in violations {
             failures.push(format!("oracle-fail trace-invariant {v:?}"));
         }
-        let metrics = TraceMetrics::from_records(&records);
         let stats = run.runtime.lease_stats();
         let rm = run.runtime.rm_stats();
-        let trace_hash = {
-            let tl: Vec<String> = records.iter().map(|r| format!("{r:?}")).collect();
-            fnv64_lines(&tl)
-        };
 
         let mut lines = vec![
             format!("p-completions {}", run.p_completions()),
@@ -403,7 +406,7 @@ impl LendingScenario {
             ),
             format!("protected-alive {}", u8::from(run.protected.alive())),
             format!("donor-alive {}", u8::from(run.donor.alive())),
-            format!("trace-records {}", records.len()),
+            format!("trace-records {trace_records}"),
             format!("trace-hash {trace_hash:016x}"),
         ];
         lines.extend(failures.iter().cloned());
@@ -414,7 +417,7 @@ impl LendingScenario {
                 hash,
                 lines,
             },
-            records,
+            run.sink,
         )
     }
 
@@ -620,8 +623,7 @@ pub fn lease_reclaim_rows(policies: &[PolicyKind], seed: u64) -> Vec<BenchRow> {
             let mut run = sc.launch();
             run.kernel.run_until(horizon);
             let wall_ns = started.elapsed().as_nanos();
-            let records = run.sink.snapshot();
-            let metrics = TraceMetrics::from_records(&records);
+            let metrics = run.sink.with_records(|r, _| TraceMetrics::from_records(r));
             let pct = |q: f64| metrics.lease_reclaim_percentile_ns(q).unwrap_or(0);
             let slo = metrics
                 .lease_reclaim_spans

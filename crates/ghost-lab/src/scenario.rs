@@ -18,7 +18,7 @@
 //! chains, so every setup routes through
 //! [`GhostRuntime::launch_enclave`].
 
-use crate::cache::fnv64_lines;
+use crate::cache::{fnv64_debug_lines, fnv64_lines};
 use crate::engine::{Experiment, ExperimentResult};
 use ghost_core::enclave::EnclaveConfig;
 use ghost_core::policy::GhostPolicy;
@@ -604,11 +604,11 @@ impl LabRun {
     /// engine's serial-vs-parallel check compares exactly this.
     pub fn summary(&self) -> RunSummary {
         let stats = self.sim.runtime.stats();
-        let records = self.sim.sink.snapshot();
-        let trace_hash = {
-            let lines: Vec<String> = records.iter().map(|r| format!("{r:?}")).collect();
-            fnv64_lines(&lines)
-        };
+        // One lock: the count, the drops and the hash describe one trace.
+        let (trace_records, trace_dropped, trace_hash) = self
+            .sim
+            .sink
+            .with_records(|records, dropped| (records.len(), dropped, fnv64_debug_lines(records)));
         let lines = vec![
             format!("completions {}", self.completions()),
             format!("activations {}", stats.activations),
@@ -622,8 +622,8 @@ impl LabRun {
             format!("reconstructions {}", stats.reconstructions),
             format!("watchdog-destroys {}", stats.watchdog_destroys),
             format!("enclave-alive {}", u8::from(self.sim.enclave.alive())),
-            format!("trace-records {}", records.len()),
-            format!("trace-dropped {}", self.sim.sink.dropped()),
+            format!("trace-records {trace_records}"),
+            format!("trace-dropped {trace_dropped}"),
             format!("trace-hash {trace_hash:016x}"),
         ];
         let hash = fnv64_lines(&lines);

@@ -33,8 +33,8 @@ use ghost_metrics::table::{fmt_ns, Table};
 use ghost_sim::faults::{FaultKind, FaultPlan};
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
 use ghost_sim::topology::CpuId;
-use ghost_trace::check;
-use ghost_trace::derive::TraceMetrics;
+use ghost_trace::check::{Checker, DEFAULT_GRACE_NS};
+use ghost_trace::derive::Deriver;
 
 /// One workload column of the tournament matrix.
 #[derive(Debug, Clone)]
@@ -255,12 +255,18 @@ impl Experiment for TournamentCell {
     fn execute(&self) -> ExperimentResult {
         let mut run = self.scenario.launch();
         run.run_to_horizon();
-        let records = run.sim.sink.snapshot();
-        let metrics = TraceMetrics::from_records(&records);
+        // Derive and check in one pass over the borrowed trace; `dropped`
+        // comes from the same lock acquisition.
+        let (metrics, violations, dropped) = run.sim.sink.with_records(|records, dropped| {
+            let (mut derive, mut checker) = (Deriver::default(), Checker::new(DEFAULT_GRACE_NS));
+            for rec in records {
+                derive.observe(rec);
+                checker.observe(rec);
+            }
+            (derive.finish(), checker.finish(), dropped)
+        });
         let tail = metrics.wakeup_to_run.tail_summary();
         let slo_violations = metrics.wakeup_to_run.count_above(self.slo);
-        let violations = check::check(&records);
-        let dropped = run.sim.sink.dropped();
         let lines = vec![
             format!("policy {}", self.policy.name()),
             format!("scenario {}", self.scenario_name),

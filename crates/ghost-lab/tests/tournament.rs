@@ -50,6 +50,22 @@ fn league_table_is_byte_identical_serial_vs_parallel() {
     assert!(serial.all_passed(), "matrix cells must pass invariants");
 }
 
+/// Serial ≡ parallel only shows the two runs agree with each other; this
+/// pins the bytes they agree on, so a change to the trace path (ring,
+/// replay, derive, check) that shifts any cell's result lines is caught
+/// even when it shifts both runs alike. A deliberate change to the
+/// simulation or the cell schema re-freezes it.
+#[test]
+fn small_matrix_digest_is_frozen() {
+    let report = run_tournament(&small_opts(), 1, None);
+    assert_eq!(
+        ghost_lab::fnv64(report.digest().as_bytes()),
+        0x538c_2353_f8c8_da9d,
+        "tournament digest moved:\n{}",
+        report.digest()
+    );
+}
+
 #[test]
 fn adaptive_beats_static_shinjuku_on_p99_in_at_least_one_cell() {
     let opts = TournamentOpts {

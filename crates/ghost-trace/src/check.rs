@@ -39,7 +39,7 @@
 //! standard window the live smoke, conformance, and chaos harnesses use.
 
 use crate::{Nanos, TraceEvent, TraceRecord, NO_TID, PREV_DEAD, PREV_RUNNABLE};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Wakeups younger than this at end-of-trace are not liveness violations.
@@ -77,7 +77,7 @@ impl fmt::Display for Violation {
 }
 
 /// Checks `records` (in `seq` order) with the default grace window.
-pub fn check(records: &[TraceRecord]) -> Vec<Violation> {
+pub fn check<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Vec<Violation> {
     check_with_grace(records, DEFAULT_GRACE_NS)
 }
 
@@ -101,29 +101,106 @@ pub fn assert_clean(records: &[TraceRecord]) {
 }
 
 /// Checks with an explicit end-of-trace grace window for wakeup liveness.
-pub fn check_with_grace(records: &[TraceRecord], grace_ns: Nanos) -> Vec<Violation> {
-    let mut v = Vec::new();
-    // Rule 1 state: which thread each CPU is running, and where each
-    // thread runs.
-    let mut cpu_running: BTreeMap<u16, u32> = BTreeMap::new();
-    let mut thread_cpu: BTreeMap<u32, u16> = BTreeMap::new();
-    // Rule 2 state: threads the trace has shown non-runnable, and every
-    // tid the trace has mentioned (first sightings are presumed runnable).
-    let mut not_runnable: BTreeSet<u32> = BTreeSet::new();
-    // Rule 3 state.
-    let mut tseq: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut aseq: BTreeMap<u32, u64> = BTreeMap::new();
-    // Rule 4 state: outstanding armed transactions.
-    let mut armed: BTreeSet<(u16, u32)> = BTreeSet::new();
-    // Rule 5 state: tid -> (wakeup ts, wakeup seq), pending switch-in.
-    let mut pending_wake: BTreeMap<u32, (Nanos, u64)> = BTreeMap::new();
-    let mut blackout_at: Option<Nanos> = None;
-
+pub fn check_with_grace<'a>(
+    records: impl IntoIterator<Item = &'a TraceRecord>,
+    grace_ns: Nanos,
+) -> Vec<Violation> {
+    let mut checker = Checker::new(grace_ns);
     for rec in records {
+        checker.observe(rec);
+    }
+    checker.finish()
+}
+
+/// What the rules know about one thread. The default is "never seen".
+#[derive(Clone, Default)]
+struct Thread {
+    /// Rule 1: the CPU this thread is running on.
+    cpu: Option<u16>,
+    /// Rule 2: shown blocked or dead with no wakeup since (first
+    /// sightings are presumed runnable).
+    not_runnable: bool,
+    /// Rule 3: last Tseq / Aseq seen. Zero stands for "none yet": traced
+    /// Tseqs start at 1 and no Aseq is below 0.
+    tseq: u64,
+    aseq: u64,
+    /// Rule 5: when the wakeup still waiting for a switch-in happened.
+    woke_at: Option<Nanos>,
+}
+
+/// What the rules know about one CPU.
+#[derive(Clone, Default)]
+struct Cpu {
+    /// Rule 1: the thread this CPU is running.
+    running: Option<u32>,
+    /// Rule 4: threads with an outstanding armed transaction here.
+    armed: Vec<u32>,
+}
+
+/// Tids below this index `Checker::threads` directly. Kernels hand out
+/// small dense tids; anything larger (`NO_TID`, forged ids) goes to an
+/// ordered map, so a hostile id costs a node, not a table of its size.
+const DENSE_TIDS: u32 = 1 << 16;
+
+/// `table[i]`, grown with never-seen entries as needed.
+fn slot<T: Clone + Default>(table: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= table.len() {
+        table.resize(i + 1, T::default());
+    }
+    &mut table[i]
+}
+
+/// The checker as a fold: [`Checker::observe`] every record in `seq`
+/// order, then [`Checker::finish`]. State is indexed by tid and cpu, so
+/// a record costs a few array reads.
+#[derive(Default)]
+pub struct Checker {
+    grace_ns: Nanos,
+    v: Vec<Violation>,
+    threads: Vec<Thread>,
+    forged: BTreeMap<u32, Thread>,
+    cpus: Vec<Cpu>,
+    blackout_at: Option<Nanos>,
+    /// `(ts, seq)` of the last record seen.
+    end: (Nanos, u64),
+}
+
+impl Checker {
+    /// A checker with the given end-of-trace grace window.
+    pub fn new(grace_ns: Nanos) -> Self {
+        Checker {
+            grace_ns,
+            ..Default::default()
+        }
+    }
+
+    fn thread(&mut self, tid: u32) -> &mut Thread {
+        if tid < DENSE_TIDS {
+            slot(&mut self.threads, tid as usize)
+        } else {
+            self.forged.entry(tid).or_default()
+        }
+    }
+
+    fn fail(&mut self, rec: &TraceRecord, rule: &'static str, detail: String) {
+        let (seq, ts) = (rec.seq, rec.ts);
+        self.v.push(Violation {
+            seq,
+            ts,
+            rule,
+            detail,
+        });
+    }
+
+    /// Feeds the next record.
+    #[inline]
+    pub fn observe(&mut self, rec: &TraceRecord) {
+        self.end = (rec.ts, rec.seq);
         match rec.event {
             TraceEvent::SchedWakeup { tid, .. } => {
-                not_runnable.remove(&tid);
-                pending_wake.entry(tid).or_insert((rec.ts, rec.seq));
+                let t = self.thread(tid);
+                t.not_runnable = false;
+                t.woke_at.get_or_insert(rec.ts);
             }
             TraceEvent::SchedSwitch {
                 cpu,
@@ -132,154 +209,140 @@ pub fn check_with_grace(records: &[TraceRecord], grace_ns: Nanos) -> Vec<Violati
                 next_tid,
                 ..
             } => {
-                // Rule 1: the outgoing thread must be what this CPU runs.
-                match cpu_running.get(&cpu) {
-                    Some(&running) if prev_tid != NO_TID && running != prev_tid => {
-                        v.push(Violation {
-                            seq: rec.seq,
-                            ts: rec.ts,
-                            rule: "exclusive-occupancy",
-                            detail: format!(
-                                "cpu {cpu} switches out tid {prev_tid} but was running tid {running}"
-                            ),
-                        });
-                    }
-                    None if prev_tid != NO_TID && thread_cpu.contains_key(&prev_tid) => {
-                        v.push(Violation {
-                            seq: rec.seq,
-                            ts: rec.ts,
-                            rule: "exclusive-occupancy",
-                            detail: format!(
-                                "cpu {cpu} switches out tid {prev_tid}, which runs on cpu {}",
-                                thread_cpu[&prev_tid]
-                            ),
-                        });
-                    }
-                    _ => {}
-                }
+                let next = (next_tid != NO_TID).then_some(next_tid);
+                let running =
+                    std::mem::replace(&mut slot(&mut self.cpus, cpu as usize).running, next);
                 if prev_tid != NO_TID {
-                    if thread_cpu.get(&prev_tid) == Some(&cpu) {
-                        thread_cpu.remove(&prev_tid);
+                    let t = self.thread(prev_tid);
+                    let prev_cpu = t.cpu;
+                    if prev_cpu == Some(cpu) {
+                        t.cpu = None;
                     }
-                    cpu_running.remove(&cpu);
-                    match prev_state {
-                        PREV_RUNNABLE => {}
-                        _ => {
-                            not_runnable.insert(prev_tid);
-                            if prev_state == PREV_DEAD {
-                                pending_wake.remove(&prev_tid);
-                            }
+                    if prev_state != PREV_RUNNABLE {
+                        t.not_runnable = true;
+                        if prev_state == PREV_DEAD {
+                            t.woke_at = None;
                         }
                     }
-                } else {
-                    cpu_running.remove(&cpu);
+                    // Rule 1: the outgoing thread must be what this CPU runs.
+                    if let Some(running) = running.filter(|&r| r != prev_tid) {
+                        self.fail(
+                            rec,
+                            "exclusive-occupancy",
+                            format!("cpu {cpu} switches out tid {prev_tid} but was running tid {running}"),
+                        );
+                    } else if let (None, Some(other)) = (running, prev_cpu) {
+                        self.fail(
+                            rec,
+                            "exclusive-occupancy",
+                            format!(
+                                "cpu {cpu} switches out tid {prev_tid}, which runs on cpu {other}"
+                            ),
+                        );
+                    }
                 }
                 if next_tid != NO_TID {
+                    let t = self.thread(next_tid);
+                    let (elsewhere, not_runnable) = (t.cpu.filter(|&c| c != cpu), t.not_runnable);
+                    t.cpu = Some(cpu);
+                    t.woke_at = None;
                     // Rule 1: the incoming thread must not run elsewhere.
-                    if let Some(&other) = thread_cpu.get(&next_tid) {
-                        if other != cpu {
-                            v.push(Violation {
-                                seq: rec.seq,
-                                ts: rec.ts,
-                                rule: "exclusive-occupancy",
-                                detail: format!(
-                                    "tid {next_tid} switched in on cpu {cpu} while running on cpu {other}"
-                                ),
-                            });
-                        }
+                    if let Some(other) = elsewhere {
+                        self.fail(
+                            rec,
+                            "exclusive-occupancy",
+                            format!("tid {next_tid} switched in on cpu {cpu} while running on cpu {other}"),
+                        );
                     }
                     // Rule 2: must be runnable (unless unseen so far).
-                    if not_runnable.contains(&next_tid) {
-                        v.push(Violation {
-                            seq: rec.seq,
-                            ts: rec.ts,
-                            rule: "runnable-switch-in",
-                            detail: format!(
-                                "cpu {cpu} switched in tid {next_tid}, last seen non-runnable with no wakeup since"
-                            ),
-                        });
+                    if not_runnable {
+                        self.fail(
+                            rec,
+                            "runnable-switch-in",
+                            format!("cpu {cpu} switched in tid {next_tid}, last seen non-runnable with no wakeup since"),
+                        );
                     }
-                    cpu_running.insert(cpu, next_tid);
-                    thread_cpu.insert(next_tid, cpu);
-                    pending_wake.remove(&next_tid);
                 }
             }
             TraceEvent::MsgEnqueued { tid, seq, .. } if tid != NO_TID && seq != 0 => {
-                if let Some(&prev) = tseq.get(&tid) {
-                    if seq <= prev {
-                        v.push(Violation {
-                            seq: rec.seq,
-                            ts: rec.ts,
-                            rule: "tseq-monotone",
-                            detail: format!(
-                                "tid {tid} Tseq went {prev} -> {seq} (must strictly increase)"
-                            ),
-                        });
-                    }
+                let prev = std::mem::replace(&mut self.thread(tid).tseq, seq);
+                if seq <= prev {
+                    self.fail(
+                        rec,
+                        "tseq-monotone",
+                        format!("tid {tid} Tseq went {prev} -> {seq} (must strictly increase)"),
+                    );
                 }
-                tseq.insert(tid, seq);
             }
             TraceEvent::AgentActivationBegin {
                 agent_tid, aseq: a, ..
             } => {
-                if let Some(&prev) = aseq.get(&agent_tid) {
-                    if a < prev {
-                        v.push(Violation {
-                            seq: rec.seq,
-                            ts: rec.ts,
-                            rule: "aseq-monotone",
-                            detail: format!(
-                                "agent {agent_tid} Aseq went {prev} -> {a} (must not decrease)"
-                            ),
-                        });
-                    }
+                let prev = std::mem::replace(&mut self.thread(agent_tid).aseq, a);
+                if a < prev {
+                    self.fail(
+                        rec,
+                        "aseq-monotone",
+                        format!("agent {agent_tid} Aseq went {prev} -> {a} (must not decrease)"),
+                    );
                 }
-                aseq.insert(agent_tid, a);
             }
             TraceEvent::TxnArmed { cpu, tid } => {
-                armed.insert((cpu, tid));
+                let armed = &mut slot(&mut self.cpus, cpu as usize).armed;
+                if !armed.contains(&tid) {
+                    armed.push(tid);
+                }
             }
-            TraceEvent::TxnCommitOk { cpu, tid } if !armed.remove(&(cpu, tid)) => {
-                v.push(Violation {
-                    seq: rec.seq,
-                    ts: rec.ts,
-                    rule: "commit-pairing",
-                    detail: format!(
-                        "TxnCommitOk for tid {tid} on cpu {cpu} with no outstanding TxnArmed"
-                    ),
-                });
-            }
-            TraceEvent::TxnCommitEstale { cpu, tid } | TraceEvent::TxnCommitRace { cpu, tid } => {
-                // A failed commit consumes its arm, if one was traced.
-                armed.remove(&(cpu, tid));
+            TraceEvent::TxnCommitOk { cpu, tid }
+            | TraceEvent::TxnCommitEstale { cpu, tid }
+            | TraceEvent::TxnCommitRace { cpu, tid } => {
+                // Any commit outcome consumes its arm, if one was traced;
+                // a success must have had one.
+                let armed = &mut slot(&mut self.cpus, cpu as usize).armed;
+                let arm = armed.iter().position(|&t| t == tid);
+                if let Some(i) = arm {
+                    armed.swap_remove(i);
+                } else if matches!(rec.event, TraceEvent::TxnCommitOk { .. }) {
+                    self.fail(
+                        rec,
+                        "commit-pairing",
+                        format!(
+                            "TxnCommitOk for tid {tid} on cpu {cpu} with no outstanding TxnArmed"
+                        ),
+                    );
+                }
             }
             TraceEvent::WatchdogFired { .. } | TraceEvent::EnclaveDestroyed { .. } => {
-                blackout_at = Some(rec.ts);
+                self.blackout_at = Some(rec.ts);
             }
             _ => {}
         }
     }
 
-    // Rule 5: leftover wakeups must be young or explained by a blackout.
-    let end_ts = records.last().map(|r| r.ts).unwrap_or(0);
-    let end_seq = records.last().map(|r| r.seq).unwrap_or(0);
-    for (tid, (woke_ts, _)) in pending_wake {
-        let excused_by_blackout = blackout_at.is_some_and(|b| b >= woke_ts);
-        let within_grace = end_ts.saturating_sub(woke_ts) <= grace_ns;
-        if !excused_by_blackout && !within_grace {
-            v.push(Violation {
-                seq: end_seq,
-                ts: end_ts,
-                rule: "wakeup-liveness",
-                detail: format!(
-                    "tid {tid} woke at {woke_ts}ns but never ran in the remaining {}ns",
-                    end_ts.saturating_sub(woke_ts)
-                ),
-            });
+    /// Applies the end-of-trace rule and returns every violation found,
+    /// in `seq` order.
+    pub fn finish(mut self) -> Vec<Violation> {
+        // Rule 5: leftover wakeups must be young or explained by a blackout.
+        let (end_ts, end_seq) = self.end;
+        let dense = self.threads.iter().enumerate().map(|(i, t)| (i as u32, t));
+        for (tid, t) in dense.chain(self.forged.iter().map(|(&tid, t)| (tid, t))) {
+            let Some(woke_ts) = t.woke_at else { continue };
+            let excused_by_blackout = self.blackout_at.is_some_and(|b| b >= woke_ts);
+            let within_grace = end_ts.saturating_sub(woke_ts) <= self.grace_ns;
+            if !excused_by_blackout && !within_grace {
+                self.v.push(Violation {
+                    seq: end_seq,
+                    ts: end_ts,
+                    rule: "wakeup-liveness",
+                    detail: format!(
+                        "tid {tid} woke at {woke_ts}ns but never ran in the remaining {}ns",
+                        end_ts.saturating_sub(woke_ts)
+                    ),
+                });
+            }
         }
+        self.v.sort_by_key(|x| x.seq);
+        self.v
     }
-    v.sort_by_key(|x| x.seq);
-    v
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use ghost_metrics::LogHistogram;
 use std::collections::BTreeMap;
 
 /// Metrics folded out of one trace.
+#[derive(Default)]
 pub struct TraceMetrics {
     /// Latency from `sched_wakeup` to the thread's next switch-in, ns.
     pub wakeup_to_run: LogHistogram,
@@ -53,119 +54,121 @@ pub struct TraceMetrics {
     pub lease_reclaim_spans: Vec<(Nanos, Nanos)>,
 }
 
-impl TraceMetrics {
-    /// Folds `records` (in `seq` order) into metrics.
-    pub fn from_records(records: &[TraceRecord]) -> Self {
-        let mut m = TraceMetrics {
-            wakeup_to_run: LogHistogram::new(),
-            occupancy: BTreeMap::new(),
-            queue_depth: BTreeMap::new(),
-            queue_peak: BTreeMap::new(),
-            txns_ok: 0,
-            txns_estale: 0,
-            txns_race: 0,
-            msgs_dropped: 0,
-            pnt_hits: 0,
-            pnt_misses: 0,
-            abi_rejects: 0,
-            abi_rejects_by_kind: BTreeMap::new(),
-            quarantines: 0,
-            recovery_spans: Vec::new(),
-            lease_grants: 0,
-            lease_revokes_by_reason: BTreeMap::new(),
-            rm_failovers: 0,
-            lease_reclaim_spans: Vec::new(),
-        };
-        // CPUs with a forced reclaim in flight: cpu → LeaseRevoked ts.
-        let mut reclaiming: BTreeMap<u16, Nanos> = BTreeMap::new();
-        // Enclaves with a failover in flight: enclave id → RecoveryStart ts.
-        let mut recovering: BTreeMap<u32, Nanos> = BTreeMap::new();
-        // Latest un-serviced wakeup per tid.
-        let mut woken: BTreeMap<u32, Nanos> = BTreeMap::new();
-        // (class, since) currently occupying each CPU.
-        let mut running: BTreeMap<u16, (u8, Nanos)> = BTreeMap::new();
-        let mut depth: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut last_ts = 0;
+/// The derivation as a fold: [`Deriver::observe`] every record in `seq`
+/// order, then [`Deriver::finish`]. Lets a caller share one pass over a
+/// borrowed trace with [`crate::check::Checker`].
+#[derive(Default)]
+pub struct Deriver {
+    m: TraceMetrics,
+    /// CPUs with a forced reclaim in flight: cpu → LeaseRevoked ts.
+    reclaiming: BTreeMap<u16, Nanos>,
+    /// Enclaves with a failover in flight: enclave id → RecoveryStart ts.
+    recovering: BTreeMap<u32, Nanos>,
+    /// Latest un-serviced wakeup per tid.
+    woken: BTreeMap<u32, Nanos>,
+    /// (class, since) currently occupying each CPU.
+    running: BTreeMap<u16, (u8, Nanos)>,
+    depth: BTreeMap<u32, u64>,
+    last_ts: Nanos,
+}
 
-        for rec in records {
-            last_ts = last_ts.max(rec.ts);
-            match rec.event {
-                TraceEvent::SchedWakeup { tid, .. } => {
-                    woken.entry(tid).or_insert(rec.ts);
-                }
-                TraceEvent::SchedSwitch {
-                    cpu,
-                    next_tid,
-                    next_class,
-                    ..
-                } => {
-                    if let Some(revoked_at) = reclaiming.remove(&cpu) {
-                        m.lease_reclaim_spans.push((revoked_at, rec.ts));
-                    }
-                    if next_tid != NO_TID {
-                        if let Some(woke_at) = woken.remove(&next_tid) {
-                            m.wakeup_to_run
-                                .record(rec.ts.saturating_sub(woke_at).max(1));
-                        }
-                    }
-                    let (class, since) = running
-                        .insert(cpu, (next_class, rec.ts))
-                        .unwrap_or((CLASS_IDLE, rec.ts));
-                    let bucket = (class as usize).min(4);
-                    m.occupancy.entry(cpu).or_insert([0; 5])[bucket] +=
-                        rec.ts.saturating_sub(since);
-                }
-                TraceEvent::MsgEnqueued { queue, .. } => {
-                    let d = depth.entry(queue).or_insert(0);
-                    *d += 1;
-                    let peak = m.queue_peak.entry(queue).or_insert(0);
-                    *peak = (*peak).max(*d);
-                    m.queue_depth.entry(queue).or_default().push((rec.ts, *d));
-                }
-                TraceEvent::MsgDequeued { queue, .. } => {
-                    let d = depth.entry(queue).or_insert(0);
-                    *d = d.saturating_sub(1);
-                    m.queue_depth.entry(queue).or_default().push((rec.ts, *d));
-                }
-                TraceEvent::QueueOverflow { .. } => m.msgs_dropped += 1,
-                TraceEvent::TxnCommitOk { .. } => m.txns_ok += 1,
-                TraceEvent::TxnCommitEstale { .. } => m.txns_estale += 1,
-                TraceEvent::TxnCommitRace { .. } => m.txns_race += 1,
-                TraceEvent::PntHit { .. } => m.pnt_hits += 1,
-                TraceEvent::PntMiss { .. } => m.pnt_misses += 1,
-                TraceEvent::AbiReject { kind, .. } => {
-                    m.abi_rejects += 1;
-                    *m.abi_rejects_by_kind.entry(kind).or_insert(0) += 1;
-                }
-                TraceEvent::EnclaveQuarantined { .. } => m.quarantines += 1,
-                TraceEvent::RecoveryStart { enclave } => {
-                    recovering.entry(enclave).or_insert(rec.ts);
-                }
-                TraceEvent::ReconstructDone { enclave, .. } => {
-                    if let Some(start) = recovering.remove(&enclave) {
-                        m.recovery_spans.push((start, rec.ts));
-                    }
-                }
-                TraceEvent::IpiReceived { cpu } => {
-                    if let Some(revoked_at) = reclaiming.remove(&cpu) {
-                        m.lease_reclaim_spans.push((revoked_at, rec.ts));
-                    }
-                }
-                TraceEvent::LeaseGranted { .. } => m.lease_grants += 1,
-                TraceEvent::LeaseRevoked { cpu, reason, .. } => {
-                    *m.lease_revokes_by_reason.entry(reason).or_insert(0) += 1;
-                    reclaiming.insert(cpu, rec.ts);
-                }
-                TraceEvent::RmFailover { .. } => m.rm_failovers += 1,
-                _ => {}
+impl Deriver {
+    /// Feeds the next record.
+    #[inline]
+    pub fn observe(&mut self, rec: &TraceRecord) {
+        let m = &mut self.m;
+        self.last_ts = self.last_ts.max(rec.ts);
+        match rec.event {
+            TraceEvent::SchedWakeup { tid, .. } => {
+                self.woken.entry(tid).or_insert(rec.ts);
             }
+            TraceEvent::SchedSwitch {
+                cpu,
+                next_tid,
+                next_class,
+                ..
+            } => {
+                if let Some(revoked_at) = self.reclaiming.remove(&cpu) {
+                    m.lease_reclaim_spans.push((revoked_at, rec.ts));
+                }
+                if next_tid != NO_TID {
+                    if let Some(woke_at) = self.woken.remove(&next_tid) {
+                        m.wakeup_to_run
+                            .record(rec.ts.saturating_sub(woke_at).max(1));
+                    }
+                }
+                let (class, since) = self
+                    .running
+                    .insert(cpu, (next_class, rec.ts))
+                    .unwrap_or((CLASS_IDLE, rec.ts));
+                let bucket = (class as usize).min(4);
+                m.occupancy.entry(cpu).or_insert([0; 5])[bucket] += rec.ts.saturating_sub(since);
+            }
+            TraceEvent::MsgEnqueued { queue, .. } => {
+                let d = self.depth.entry(queue).or_insert(0);
+                *d += 1;
+                let peak = m.queue_peak.entry(queue).or_insert(0);
+                *peak = (*peak).max(*d);
+                m.queue_depth.entry(queue).or_default().push((rec.ts, *d));
+            }
+            TraceEvent::MsgDequeued { queue, .. } => {
+                let d = self.depth.entry(queue).or_insert(0);
+                *d = d.saturating_sub(1);
+                m.queue_depth.entry(queue).or_default().push((rec.ts, *d));
+            }
+            TraceEvent::QueueOverflow { .. } => m.msgs_dropped += 1,
+            TraceEvent::TxnCommitOk { .. } => m.txns_ok += 1,
+            TraceEvent::TxnCommitEstale { .. } => m.txns_estale += 1,
+            TraceEvent::TxnCommitRace { .. } => m.txns_race += 1,
+            TraceEvent::PntHit { .. } => m.pnt_hits += 1,
+            TraceEvent::PntMiss { .. } => m.pnt_misses += 1,
+            TraceEvent::AbiReject { kind, .. } => {
+                m.abi_rejects += 1;
+                *m.abi_rejects_by_kind.entry(kind).or_insert(0) += 1;
+            }
+            TraceEvent::EnclaveQuarantined { .. } => m.quarantines += 1,
+            TraceEvent::RecoveryStart { enclave } => {
+                self.recovering.entry(enclave).or_insert(rec.ts);
+            }
+            TraceEvent::ReconstructDone { enclave, .. } => {
+                if let Some(start) = self.recovering.remove(&enclave) {
+                    m.recovery_spans.push((start, rec.ts));
+                }
+            }
+            TraceEvent::IpiReceived { cpu } => {
+                if let Some(revoked_at) = self.reclaiming.remove(&cpu) {
+                    m.lease_reclaim_spans.push((revoked_at, rec.ts));
+                }
+            }
+            TraceEvent::LeaseGranted { .. } => m.lease_grants += 1,
+            TraceEvent::LeaseRevoked { cpu, reason, .. } => {
+                *m.lease_revokes_by_reason.entry(reason).or_insert(0) += 1;
+                self.reclaiming.insert(cpu, rec.ts);
+            }
+            TraceEvent::RmFailover { .. } => m.rm_failovers += 1,
+            _ => {}
         }
-        // Close out whatever is still on-CPU at trace end.
-        for (cpu, (class, since)) in running {
+    }
+
+    /// Closes out whatever is still on-CPU at trace end.
+    pub fn finish(self) -> TraceMetrics {
+        let mut m = self.m;
+        for (cpu, (class, since)) in self.running {
             let bucket = (class as usize).min(4);
-            m.occupancy.entry(cpu).or_insert([0; 5])[bucket] += last_ts.saturating_sub(since);
+            m.occupancy.entry(cpu).or_insert([0; 5])[bucket] += self.last_ts.saturating_sub(since);
         }
         m
+    }
+}
+
+impl TraceMetrics {
+    /// Folds `records` (in `seq` order) into metrics.
+    pub fn from_records<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> Self {
+        let mut fold = Deriver::default();
+        for rec in records {
+            fold.observe(rec);
+        }
+        fold.finish()
     }
 
     /// Fraction of commit attempts that failed the seqnum check.

@@ -7,8 +7,11 @@
 //! benches pay nothing when tracing is off. [`TraceSink::recording`] attaches
 //! a [`TraceRecorder`]: bounded per-CPU ring buffers that overwrite the
 //! oldest record when full (lossy, like a real ftrace ring) and count drops.
+//! Recording costs what is recorded: a ring's storage is committed as
+//! records arrive, up to its capacity (see [`recorder`]).
 //!
-//! A recorded stream can be:
+//! A recorded stream is read in place through [`TraceSink::with_records`]
+//! (or copied out with [`TraceSink::snapshot`]) and can be:
 //! - exported as Chrome `trace_event` JSON ([`chrome::export`]), loadable in
 //!   Perfetto or `chrome://tracing`;
 //! - folded into derived metrics ([`derive::TraceMetrics`]): wakeup-to-run
@@ -30,7 +33,7 @@ pub mod derive;
 pub mod json;
 pub mod recorder;
 
-pub use recorder::TraceRecorder;
+pub use recorder::{Replay, TraceRecorder};
 
 /// Virtual-time nanoseconds (mirrors `ghost_sim::time::Nanos`).
 pub type Nanos = u64;
@@ -393,13 +396,23 @@ impl TraceSink {
         }
     }
 
-    /// All surviving records, merged across rings in global `seq` order.
-    /// Empty for [`TraceSink::Null`].
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
+    /// Runs `f` over the surviving records, merged across rings in global
+    /// `seq` order and borrowed from the recorder, together with the drop
+    /// count of the same instant. Empty and 0 for [`TraceSink::Null`].
+    /// The recorder is locked while `f` runs, so `f` must not emit.
+    pub fn with_records<R>(&self, f: impl FnOnce(Replay<'_>, u64) -> R) -> R {
         match self {
-            TraceSink::Null => Vec::new(),
-            TraceSink::Recorder(rec) => rec.lock().unwrap().snapshot(),
+            TraceSink::Null => f(Replay::default(), 0),
+            TraceSink::Recorder(rec) => {
+                let rec = rec.lock().unwrap();
+                f(rec.replay(), rec.dropped())
+            }
         }
+    }
+
+    /// A copy of the surviving records, in global `seq` order.
+    pub fn snapshot(&self) -> Vec<TraceRecord> {
+        self.with_records(|records, _| records.to_vec())
     }
 
     /// Total records overwritten across all rings (0 for `Null`).

@@ -1,50 +1,115 @@
 //! Bounded per-CPU ring buffers for trace records, ftrace-style: each CPU
-//! gets its own preallocated ring, a full ring overwrites its oldest record
-//! (readers prefer recent history), and overwrites are counted so consumers
-//! know the stream is lossy. Nothing allocates after construction.
+//! gets its own ring, a full ring overwrites its oldest record (readers
+//! prefer recent history), and overwrites are counted so consumers know
+//! the stream is lossy.
+//!
+//! Cost follows records written, not capacity reserved: a ring starts
+//! empty and its storage grows geometrically as records arrive, up to
+//! `capacity`, where it wraps in place and never allocates again. So
+//! construction is O(rings), and a live, wall-clock trace pays for growth
+//! (reallocation and first-touch page faults, amortized O(1) per record)
+//! inside `record` until a ring reaches its high-water mark; `clear`
+//! keeps the storage. Reading is borrowed: [`Replay`] walks the survivors
+//! in `seq` order in place, and `snapshot` is a copy of that walk.
 
 use crate::{Nanos, TraceEvent, TraceRecord};
 
 #[derive(Debug)]
 struct Ring {
-    buf: Vec<Option<TraceRecord>>,
-    /// Index of the oldest record.
+    /// Surviving records. Until the ring first fills these are simply in
+    /// arrival order; once `buf.len() == cap` the ring wraps and `head`
+    /// is the slot of the oldest record.
+    buf: Vec<TraceRecord>,
+    cap: usize,
     head: usize,
-    /// Number of live records (≤ buf.len()).
-    len: usize,
     /// Records overwritten because the ring was full.
     dropped: u64,
 }
 
 impl Ring {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            buf: vec![None; capacity],
-            head: 0,
-            len: 0,
-            dropped: 0,
-        }
-    }
-
     fn push(&mut self, rec: TraceRecord) {
-        let cap = self.buf.len();
-        let tail = (self.head + self.len) % cap;
-        if self.len == cap {
-            // Overwrite the oldest record and advance the head.
-            self.buf[tail] = Some(rec);
-            self.head = (self.head + 1) % cap;
-            self.dropped += 1;
+        if self.buf.len() < self.cap {
+            self.buf.push(rec);
         } else {
-            self.buf[tail] = Some(rec);
-            self.len += 1;
+            // Overwrite the oldest record and advance the head.
+            self.buf[self.head] = rec;
+            self.head = (self.head + 1) % self.cap;
+            self.dropped += 1;
         }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &TraceRecord> + '_ {
-        let cap = self.buf.len();
-        (0..self.len).filter_map(move |i| self.buf[(self.head + i) % cap].as_ref())
     }
 }
+
+/// The surviving records of a [`TraceRecorder`] in `seq` order, borrowed
+/// from its rings. Each ring is at most two runs that are already sorted
+/// (oldest half, then the wrapped half), so one ring replays as its two
+/// slices and several rings as a k-way merge of theirs.
+#[derive(Debug, Clone, Default)]
+pub struct Replay<'a> {
+    /// The run being handed out record by record.
+    run: &'a [TraceRecord],
+    /// Unvisited, non-empty, internally sorted segments.
+    rest: Vec<&'a [TraceRecord]>,
+}
+
+impl<'a> Replay<'a> {
+    /// The next maximal run of records that are contiguous in storage and
+    /// consecutive in the merged order. A single ring yields at most two.
+    pub fn next_run(&mut self) -> Option<&'a [TraceRecord]> {
+        if !self.run.is_empty() {
+            return Some(std::mem::take(&mut self.run));
+        }
+        // The segment with the lowest first `seq` goes next, and may run
+        // on until the runner-up's first record.
+        let mut first = self.rest.first()?.first()?.seq;
+        let (mut next, mut limit) = (0, u64::MAX);
+        for (i, seg) in self.rest.iter().enumerate().skip(1) {
+            let seq = seg[0].seq;
+            if seq < first {
+                (next, limit, first) = (i, first, seq);
+            } else {
+                limit = limit.min(seq);
+            }
+        }
+        let seg = self.rest[next];
+        let (run, tail) = seg.split_at(seg.partition_point(|r| r.seq < limit));
+        if tail.is_empty() {
+            self.rest.swap_remove(next);
+        } else {
+            self.rest[next] = tail;
+        }
+        Some(run)
+    }
+
+    /// Copies the remaining records out, in order.
+    pub fn to_vec(mut self) -> Vec<TraceRecord> {
+        let mut all = Vec::with_capacity(self.len());
+        while let Some(run) = self.next_run() {
+            all.extend_from_slice(run);
+        }
+        all
+    }
+}
+
+impl<'a> Iterator for Replay<'a> {
+    type Item = &'a TraceRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a TraceRecord> {
+        if self.run.is_empty() {
+            self.run = self.next_run()?;
+        }
+        let (rec, tail) = self.run.split_first()?;
+        self.run = tail;
+        Some(rec)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.run.len() + self.rest.iter().map(|s| s.len()).sum::<usize>();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Replay<'_> {}
 
 /// Per-CPU lossy trace storage. Records are stamped with a globally
 /// monotone sequence number at record time, so the merged view is totally
@@ -56,12 +121,17 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// `num_cpus` rings of `capacity` records each, fully preallocated.
+    /// `num_cpus` rings holding up to `capacity` records each. Nothing is
+    /// reserved up front: storage is committed as records arrive.
     pub fn new(num_cpus: usize, capacity: usize) -> Self {
-        let num_cpus = num_cpus.max(1);
-        let capacity = capacity.max(1);
+        let ring = |_| Ring {
+            buf: Vec::new(),
+            cap: capacity.max(1),
+            head: 0,
+            dropped: 0,
+        };
         TraceRecorder {
-            rings: (0..num_cpus).map(|_| Ring::new(capacity)).collect(),
+            rings: (0..num_cpus.max(1)).map(ring).collect(),
             next_seq: 0,
         }
     }
@@ -80,11 +150,21 @@ impl TraceRecorder {
         });
     }
 
-    /// All surviving records merged across rings, in `seq` order.
+    /// All surviving records merged across rings in `seq` order, borrowed.
+    pub fn replay(&self) -> Replay<'_> {
+        let halves = self.rings.iter().flat_map(|r| {
+            let (young, old) = r.buf.split_at(r.head);
+            [old, young]
+        });
+        Replay {
+            run: &[],
+            rest: halves.filter(|s| !s.is_empty()).collect(),
+        }
+    }
+
+    /// A copy of [`Self::replay`].
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = self.rings.iter().flat_map(|r| r.iter().copied()).collect();
-        all.sort_by_key(|r| r.seq);
-        all
+        self.replay().to_vec()
     }
 
     /// Total records overwritten across all rings.
@@ -98,14 +178,11 @@ impl TraceRecorder {
     }
 
     /// Discards all records (drop counters and the seq stamp survive, like
-    /// `trace_pipe` consuming the buffer).
+    /// `trace_pipe` consuming the buffer). O(rings); storage is kept.
     pub fn clear(&mut self) {
         for r in &mut self.rings {
+            r.buf.clear();
             r.head = 0;
-            r.len = 0;
-            for slot in &mut r.buf {
-                *slot = None;
-            }
         }
     }
 }
