@@ -101,13 +101,11 @@ impl GhostPolicy for PntFifo {
         // message — double-tracking it here would let failed commits for
         // already-ring-run threads steal idle CPUs from real waiters.
         let node = ctx.topo().info(ctx.local_cpu()).socket as usize;
-        let backlog: Vec<_> = (0..self.0.backlog())
-            .filter_map(|_| self.0.pop_next())
-            .collect();
+        let backlog: Vec<_> = std::iter::from_fn(|| self.0.rq.pop()).collect();
         for tid in backlog {
             ctx.pnt_revoke(tid);
             if !ctx.pnt_push(node, tid) {
-                self.0.requeue(tid); // Ring full: keep agent ownership.
+                self.0.rq.push(tid); // Ring full: keep agent ownership.
                 break;
             }
         }

@@ -197,19 +197,12 @@ impl ghost_core::GhostPolicy for NoGroupFifo {
             let Some(cpu) = ctx.idle_cpus().first() else {
                 return;
             };
-            let Some(tid) = self.0.pop_next() else {
+            let Some(tid) = self.0.rq.pop() else {
                 return;
             };
             ctx.charge(self.0.decision_cost);
-            let mut txn =
-                ghost_core::Transaction::new(tid, cpu).with_thread_seq(self.0.seq_of(tid));
-            if ctx.commit_one(&mut txn).committed() {
-                self.0.commits += 1;
-                self.0.note_scheduled(tid);
-            } else {
-                self.0.failures += 1;
-                self.0.requeue(tid);
-            }
+            let txn = self.0.k.txn(tid, cpu);
+            self.0.k.commit_one(ctx, txn, &mut self.0.rq);
         }
     }
 }

@@ -10,6 +10,7 @@ use ghost_chaos::for_seeds;
 use ghost_chaos::rand::rngs::StdRng;
 use ghost_chaos::rand::Rng;
 use ghost_core::msg::{Message, MsgType};
+use ghost_core::ThreadSnapshot;
 use ghost_policies::tracker::ThreadTracker;
 use ghost_sim::thread::Tid;
 use ghost_sim::topology::CpuId;
@@ -97,10 +98,22 @@ fn tracker_rebuilds_consistent_state_after_drops() {
 
         // MSG_QUEUE_OVERFLOW noticed: rebuild from ground truth (here
         // the reference stands in for re-reading the status words).
-        lossy.resync(
-            reference
-                .iter()
-                .map(|(tid, t)| (tid, t.seq, t.runnable, t.last_cpu)),
+        let scan: Vec<ThreadSnapshot> = reference
+            .iter()
+            .map(|(tid, t)| ThreadSnapshot {
+                tid,
+                seq: t.seq,
+                runnable: t.runnable,
+                on_cpu: false,
+                last_cpu: t.last_cpu,
+                cookie: 0,
+            })
+            .collect();
+        let waiting = lossy.resync(&scan).count();
+        assert_eq!(
+            waiting,
+            scan.iter().filter(|s| s.runnable).count(),
+            "every runnable, off-CPU thread must be handed back for queueing"
         );
         assert_eq!(snapshot(&lossy), snapshot(&reference), "resync mismatch");
         assert_eq!(

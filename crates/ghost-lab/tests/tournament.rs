@@ -66,6 +66,29 @@ fn small_matrix_digest_is_frozen() {
     );
 }
 
+/// The same freeze over every registered policy. `small_opts()` leaves
+/// five policies out, and `digest_freeze`'s pulse never backs a queue
+/// up, so the overload / antagonist / flash-crowd columns here are what
+/// pins the preemption, steal and tier paths of `snap`, `search`,
+/// `core-sched`, `per-cpu` and `shinjuku-shenango`. Captured before the
+/// policies were re-expressed on the shared kernel; a policy refactor
+/// must leave it alone.
+#[test]
+fn all_policy_matrix_digest_is_frozen() {
+    let opts = TournamentOpts {
+        policies: PolicyKind::registered().collect(),
+        ..small_opts()
+    };
+    let report = run_tournament(&opts, 2, None);
+    assert!(report.all_passed(), "matrix cells must pass invariants");
+    assert_eq!(
+        ghost_lab::fnv64(report.digest().as_bytes()),
+        0x9294_b283_2973_24bf,
+        "all-policy tournament digest moved:\n{}",
+        report.digest()
+    );
+}
+
 #[test]
 fn adaptive_beats_static_shinjuku_on_p99_in_at_least_one_cell() {
     let opts = TournamentOpts {

@@ -15,7 +15,7 @@
 use crate::kv::{worker_main, KvService};
 use crate::ring::SpscConsumer;
 use crate::state::{LiveState, LiveStats, TimerEntry, WakeSignal};
-use crate::worker::{WorkerCmd, WorkerCtl};
+use crate::worker::WorkerCmd;
 use ghost_core::policy::GhostPolicy;
 use ghost_core::{EnclaveConfig, EnclaveHandle, GhostBackend, GhostRuntime};
 use ghost_sim::agent::AgentOutcome;
@@ -439,9 +439,9 @@ pub(crate) fn agent_main(
     cpu: CpuId,
     ring: SpscConsumer<WakeSignal>,
 ) {
-    let ctl: Arc<WorkerCtl> = {
+    let (ctl, clock) = {
         let st = shared.state.lock().unwrap();
-        Arc::clone(&st.threads[tid.index()].ctl)
+        (Arc::clone(&st.threads[tid.index()].ctl), st.clock)
     };
     'outer: loop {
         match ctl.wait() {
@@ -488,7 +488,19 @@ pub(crate) fn agent_main(
                 std::thread::sleep(Duration::from_nanos(stall_ns));
             }
             match outcome {
-                AgentOutcome::Block { .. } => {
+                AgentOutcome::Block { busy } => {
+                    // A commit for the agent's own CPU arms `busy so far`
+                    // after the instant it was issued — in the DES that is
+                    // exactly when the agent parks. A real agent gets here
+                    // sooner than modelled, and must not reschedule its CPU
+                    // yet: the pick would be refused as "not arrived" and
+                    // nothing retries it until the next message or tick.
+                    // Burn the modelled time first (microseconds; bounded
+                    // like the stall above so Exit stays responsive).
+                    let armed = clock.now().saturating_add(busy.min(5 * MILLIS));
+                    while clock.now() < armed {
+                        std::hint::spin_loop();
+                    }
                     let parked = {
                         let mut st = shared.state.lock().unwrap();
                         // A parking agent reschedules its own CPU: commits

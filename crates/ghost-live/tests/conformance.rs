@@ -103,7 +103,7 @@ impl GhostPolicy for StaleProbe {
 
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
         if !self.stale_seen.load(Ordering::SeqCst) {
-            if let Some(tid) = self.inner.pop_next() {
+            if let Some(tid) = self.inner.rq.pop() {
                 let probe_cpu = ctx.idle_cpus().iter().next();
                 let view = ctx.thread_view(tid);
                 if let (Some(cpu), Some(view)) = (probe_cpu, view) {
@@ -124,7 +124,7 @@ impl GhostPolicy for StaleProbe {
                         }
                     }
                 }
-                self.inner.requeue(tid);
+                self.inner.rq.push(tid);
             }
         }
         self.inner.schedule(ctx);
@@ -744,4 +744,51 @@ fn live_queue_overflow_recovers_via_watchdog_upgrade() {
     let violations = check::check_with_grace(&s.kernel.trace_snapshot(), LIVE_GRACE_NS);
     assert!(violations.is_empty(), "live violations: {violations:?}");
     s.kernel.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// 7. A fast agent must not strand its own CPU's commit (live only: the
+//    DES parks an agent exactly when its modelled activation ends).
+// ---------------------------------------------------------------------
+
+/// Regression: a per-CPU agent commits onto its own CPU, and that commit
+/// arms the activation's modelled busy time after it was issued. An agent
+/// OS thread gets through the activation in less wall-clock time than
+/// that, and used to park — and reschedule its CPU — before the commit had
+/// armed; the pick was refused as "not arrived yet" and nothing retried it
+/// until the next message or tick. One request at a time, each waited
+/// for, with ticks off, turns a stranded commit into a request that is
+/// never served. The race is a narrow one: before the fix this failed in
+/// about half of the runs (and in the open-loop benchmark it parked 1-4 %
+/// of requests for a whole inter-arrival period).
+#[test]
+fn live_fast_agent_does_not_strand_its_local_commit() {
+    // No ticks: the periodic tick re-activates parked per-CPU agents and
+    // would paper over a stranded commit a millisecond later.
+    let kernel = LiveKernel::new(LiveConfig {
+        cpus: 2,
+        tick_ns: 0,
+        ..LiveConfig::default()
+    });
+    let enclave = kernel.launch_enclave(
+        CpuSet::first_n(2),
+        EnclaveConfig::per_cpu("fast-agent"),
+        Box::new(ghost_policies::PerCpuPolicy::new()),
+    );
+    let kv = KvService::new(16, 2 * MICROS);
+    let worker = kernel.spawn_kv_worker("fast-agent-kv", Arc::clone(&kv));
+    kernel.attach(&enclave, worker);
+    for i in 0..10_000u64 {
+        assert!(kv.push(i, false, kernel.now()));
+        kernel.wake_one_blocked(&[worker]);
+        let sent = Instant::now();
+        while kv.completed_count() <= i {
+            assert!(
+                sent.elapsed() < Duration::from_secs(2),
+                "request {i} was never served: its commit is stranded"
+            );
+            std::thread::yield_now();
+        }
+    }
+    kernel.shutdown();
 }

@@ -15,14 +15,16 @@
 //! latency). Runqueues prefer NUMA-local vCPUs but spill across nodes
 //! under load, matching the paper's description.
 
-use crate::tracker::ThreadTracker;
+use crate::kernel::{PolicyKernel, RunQueue};
+use crate::tracker::{ThreadTracker, Transition};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::txn::Transaction;
+use ghost_core::slab::{CpuMap, TidMap};
+use ghost_sim::cpuset::CpuSet;
 use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MILLIS};
 use ghost_sim::topology::CpuId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 /// Core-scheduling tunables.
 #[derive(Debug, Clone)]
@@ -43,10 +45,10 @@ impl Default for CoreSchedConfig {
 }
 
 /// Per-VM scheduling state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct VmState {
     /// Runnable vCPU threads of this VM.
-    rq: VecDeque<Tid>,
+    rq: RunQueue,
     /// EDF deadline: earlier = more starved.
     deadline: Nanos,
 }
@@ -55,18 +57,65 @@ struct VmState {
 pub struct CoreSchedPolicy {
     /// Tunables.
     pub config: CoreSchedConfig,
-    tracker: ThreadTracker,
+    /// Thread view and commit counters.
+    pub k: PolicyKernel,
+    /// Keyed by VM cookie. Every walk either breaks ties on the cookie or
+    /// folds order-insensitively, so the map's iteration order never
+    /// reaches a decision.
     vms: HashMap<u64, VmState>,
-    queued: HashSet<Tid>,
-    cookie_of: HashMap<Tid, u64>,
+    cookie_of: TidMap<u64>,
     /// Which VM each core is currently dedicated to, and since when.
-    core_vm: HashMap<CpuId, (u64, Nanos)>,
+    core_vm: CpuMap<(u64, Nanos)>,
     /// Atomic group commits issued.
     pub group_commits: u64,
-    /// Commits.
-    pub commits: u64,
-    /// Failed commits.
-    pub failures: u64,
+}
+
+/// Queues `tid` on its VM; a VM first seen here gets `deadline`.
+fn enqueue(vms: &mut HashMap<u64, VmState>, tid: Tid, cookie: u64, deadline: Nanos) {
+    let fresh = || VmState {
+        rq: RunQueue::default(),
+        deadline,
+    };
+    vms.entry(cookie).or_insert_with(fresh).rq.push(tid);
+}
+
+/// True if `tid` last ran on `socket`.
+fn ran_on(tracker: &ThreadTracker, ctx: &PolicyCtx<'_>, tid: Tid, socket: u16) -> bool {
+    tracker
+        .get(tid)
+        .is_some_and(|v| ctx.topo().info(v.last_cpu).socket == socket)
+}
+
+/// True if `c` would accept a commit: no pending slot, no ghOSt thread,
+/// and truly idle, the agent's own CPU (local commit), or a CPU an agent
+/// occupies transiently.
+fn accepts_commit(ctx: &PolicyCtx<'_>, c: CpuId) -> bool {
+    !ctx.commit_pending(c)
+        && ctx.running_ghost(c).is_none()
+        && (c == ctx.local_cpu() || ctx.agent_on_cpu(c) || ctx.idle_cpus().contains(c))
+}
+
+/// The thread that has `core` claimed right now. Both running threads
+/// AND pending (committed, not yet picked) transactions count — a
+/// pending sibling commit already dedicates the core.
+fn claimant(ctx: &PolicyCtx<'_>, core: &CpuSet) -> Option<Tid> {
+    core.iter()
+        .find_map(|c| ctx.running_ghost(c).or_else(|| ctx.pending_commit_tid(c)))
+}
+
+/// The physical cores with a CPU in the enclave, once each in CPU order,
+/// with the enclave CPU that introduced them.
+fn enclave_cores(ctx: &PolicyCtx<'_>) -> Vec<(CpuId, CpuSet)> {
+    let mut seen = CpuSet::empty();
+    let mut cores = Vec::new();
+    for c in ctx.enclave_cpus().iter() {
+        if !seen.contains(c) {
+            let core = ctx.topo().core_cpus(c);
+            seen = seen.or(&core);
+            cores.push((c, core));
+        }
+    }
+    cores
 }
 
 impl CoreSchedPolicy {
@@ -74,32 +123,11 @@ impl CoreSchedPolicy {
     pub fn new(config: CoreSchedConfig) -> Self {
         Self {
             config,
-            tracker: ThreadTracker::new(),
+            k: PolicyKernel::default(),
             vms: HashMap::new(),
-            queued: HashSet::new(),
-            cookie_of: HashMap::new(),
-            core_vm: HashMap::new(),
+            cookie_of: TidMap::new(),
+            core_vm: CpuMap::new(),
             group_commits: 0,
-            commits: 0,
-            failures: 0,
-        }
-    }
-
-    fn enqueue(&mut self, tid: Tid, cookie: u64, now: Nanos, period: Nanos) {
-        if self.queued.insert(tid) {
-            let vm = self.vms.entry(cookie).or_insert_with(|| VmState {
-                rq: VecDeque::new(),
-                deadline: now + period,
-            });
-            vm.rq.push_back(tid);
-        }
-    }
-
-    fn dequeue(&mut self, tid: Tid) {
-        if self.queued.remove(&tid) {
-            for vm in self.vms.values_mut() {
-                vm.rq.retain(|&t| t != tid);
-            }
         }
     }
 
@@ -111,19 +139,15 @@ impl CoreSchedPolicy {
             .iter()
             .filter(|(_, vm)| !vm.rq.is_empty())
             .min_by_key(|(&cookie, vm)| {
-                let local = vm.rq.iter().any(|&t| {
-                    self.tracker
-                        .get(t)
-                        .is_some_and(|v| ctx.topo().info(v.last_cpu).socket == socket)
-                });
-                // Cookie tiebreak: ties must not be settled by the VM
-                // map's iteration order, or replays diverge.
+                let mut waiting = vm.rq.iter();
+                let local = waiting.any(|t| ran_on(&self.k.tracker, ctx, t, socket));
                 (vm.deadline, !local, cookie)
             })
             .map(|(&cookie, _)| cookie)
     }
 
-    /// Pops up to `n` runnable threads of VM `cookie`, NUMA-local first.
+    /// Pops up to `n` runnable threads of VM `cookie`: NUMA-local threads
+    /// first, then any, each group in queue order.
     fn take_threads(
         &mut self,
         cookie: u64,
@@ -135,123 +159,76 @@ impl CoreSchedPolicy {
         let Some(vm) = self.vms.get_mut(&cookie) else {
             return Vec::new();
         };
-        let mut picked = Vec::new();
-        // Two passes: NUMA-local threads first, then any.
-        for local_pass in [true, false] {
-            let mut i = 0;
-            while i < vm.rq.len() && picked.len() < n {
-                let tid = vm.rq[i];
-                let local = self
-                    .tracker
-                    .get(tid)
-                    .is_some_and(|v| ctx.topo().info(v.last_cpu).socket == socket);
-                if local == local_pass {
-                    vm.rq.remove(i);
-                    picked.push(tid);
-                } else {
-                    i += 1;
-                }
-            }
-        }
+        let (local, remote): (Vec<Tid>, Vec<Tid>) = vm
+            .rq
+            .iter()
+            .partition(|&t| ran_on(&self.k.tracker, ctx, t, socket));
+        let picked: Vec<Tid> = local.into_iter().chain(remote).take(n).collect();
         for &t in &picked {
-            self.queued.remove(&t);
+            vm.rq.remove(t);
         }
         picked
     }
 
-    /// Number of enclave cores with no ghOSt thread running or pending —
-    /// capacity that spreading should use before SMT-pairing (CFS and the
-    /// in-kernel core scheduler both prefer idle cores; pairing when
-    /// cores are spare costs the 0.65x SMT rate for nothing).
-    fn spare_cores(&self, ctx: &PolicyCtx<'_>) -> usize {
-        let mut seen: Vec<CpuId> = Vec::new();
-        let mut spare = 0;
-        for c in ctx.enclave_cpus().iter() {
-            let core = ctx.topo().core_cpus(c);
-            let key = core.first().expect("core has a CPU");
-            if seen.contains(&key) {
-                continue;
-            }
-            seen.push(key);
-            let free = core.iter().all(|cc| {
-                !ctx.commit_pending(cc)
-                    && ctx.running_ghost(cc).is_none()
-                    && (ctx.agent_on_cpu(cc)
-                        || ctx.idle_cpus().contains(cc)
-                        || cc == ctx.local_cpu())
-            });
-            if free {
-                spare += 1;
-            }
-        }
-        spare
+    /// Threads waiting across all VMs.
+    fn waiting(&self) -> usize {
+        self.vms.values().map(|v| v.rq.len()).sum()
     }
 
-    /// True when demand exceeds the spread capacity, so filling SMT
-    /// siblings is worth the 0.65x rate.
+    /// True when demand exceeds the spread capacity — the enclave cores
+    /// with no ghOSt thread running or pending — so filling SMT siblings
+    /// is worth the 0.65x rate (CFS and the in-kernel core scheduler both
+    /// prefer idle cores; pairing when cores are spare costs it for
+    /// nothing).
     fn should_pair(&self, ctx: &PolicyCtx<'_>) -> bool {
-        let waiting: usize = self.vms.values().map(|v| v.rq.len()).sum();
-        waiting > self.spare_cores(ctx)
+        let spare = enclave_cores(ctx)
+            .iter()
+            .filter(|(_, core)| core.iter().all(|c| accepts_commit(ctx, c)))
+            .count();
+        self.waiting() > spare
     }
 
-    fn requeue(&mut self, tid: Tid, ctx: &mut PolicyCtx<'_>) {
-        let cookie = self.cookie_of.get(&tid).copied().unwrap_or(0);
-        let now = ctx.now();
-        let period = self.config.period;
-        self.enqueue(tid, cookie, now, period);
+    /// Commits `threads` onto `cpus` pairwise — atomically when there is
+    /// more than one, so a core never runs a half-applied decision — and
+    /// requeues whatever failed. Returns how many committed.
+    fn commit_core(&mut self, ctx: &mut PolicyCtx<'_>, threads: &[Tid], cpus: &[CpuId]) -> usize {
+        for (&t, &c) in threads.iter().zip(cpus) {
+            self.k.stage(t, c);
+        }
+        let atomic = self.k.staged() > 1;
+        self.group_commits += atomic as u64;
+        let (vms, cookie_of) = (&mut self.vms, &self.cookie_of);
+        let deadline = ctx.now() + self.config.period;
+        self.k.commit(ctx, atomic, None, |_, tid, ok| {
+            if !ok {
+                let cookie = cookie_of.get(tid).copied().unwrap_or(0);
+                enqueue(vms, tid, cookie, deadline);
+            }
+        })
+    }
+
+    /// Dedicates core `key` to `vm` from `now`, restarting its period.
+    fn dedicate(&mut self, key: CpuId, vm: u64, now: Nanos) {
+        self.core_vm.insert(key, (vm, now));
+        if let Some(s) = self.vms.get_mut(&vm) {
+            s.deadline = now + self.config.period;
+        }
     }
 
     /// Schedules the activation core: both sibling CPUs of
     /// `ctx.local_cpu()`, and nothing else (per-core model).
     fn schedule_core(&mut self, ctx: &mut PolicyCtx<'_>) {
-        if std::env::var_os("GHOST_CS_DEBUG").is_some() {
-            let waiting: usize = self.vms.values().map(|v| v.rq.len()).sum();
-            if waiting > 0 {
-                eprintln!(
-                    "CSDBG t={} agent_cpu={} waiting={} idle={:?} queued={}",
-                    ctx.now(),
-                    ctx.local_cpu(),
-                    waiting,
-                    ctx.idle_cpus(),
-                    self.queued.len(),
-                );
-            }
-        }
         let now = ctx.now();
         let core = ctx.topo().core_cpus(ctx.local_cpu());
         let cpus: Vec<CpuId> = core.iter().collect();
         let key = cpus[0];
-        // What VM has the core claimed right now? Both running threads
-        // AND pending (committed, not yet picked) transactions count — a
-        // pending sibling commit already dedicates the core.
-        let running: Vec<(CpuId, Tid)> = cpus
-            .iter()
-            .filter_map(|&c| {
-                ctx.running_ghost(c)
-                    .or_else(|| ctx.pending_commit_tid(c))
-                    .map(|t| (c, t))
-            })
-            .collect();
-        let current_vm = running
-            .first()
-            .and_then(|(_, t)| self.cookie_of.get(t).copied());
-        // A core CPU accepts a commit when it has no pending slot and no
-        // ghOSt thread: truly idle, the agent's own CPU (local commit),
-        // or a CPU an agent occupies transiently.
-        let idle: Vec<CpuId> = cpus
-            .iter()
-            .copied()
-            .filter(|&c| {
-                !ctx.commit_pending(c)
-                    && ctx.running_ghost(c).is_none()
-                    && (c == ctx.local_cpu() || ctx.agent_on_cpu(c) || ctx.idle_cpus().contains(c))
-            })
-            .collect();
+        let current_vm = claimant(ctx, &core).and_then(|t| self.cookie_of.get(t).copied());
+        let idle: Vec<CpuId> = core.iter().filter(|&c| accepts_commit(ctx, c)).collect();
         match current_vm {
             Some(vm) => {
                 // Fill the idle sibling with another vCPU of the SAME VM
                 // only — never mix cookies on a core.
-                let quantum_expired = self.core_vm.get(&key).is_some_and(|&(v, since)| {
+                let quantum_expired = self.core_vm.get(key).is_some_and(|&(v, since)| {
                     v == vm && now.saturating_sub(since) >= self.config.quantum
                 });
                 let other_waiting = self.vms.iter().any(|(&c, s)| c != vm && !s.rq.is_empty());
@@ -266,18 +243,11 @@ impl CoreSchedPolicy {
                 }
                 if self.should_pair(ctx) {
                     for &c in &idle {
-                        let Some(tid) = self.take_threads(vm, 1, ctx, key).pop() else {
+                        let threads = self.take_threads(vm, 1, ctx, key);
+                        if threads.is_empty() {
                             break;
-                        };
-                        let mut txn =
-                            Transaction::new(tid, c).with_thread_seq(self.tracker.seq(tid));
-                        if ctx.commit_one(&mut txn).committed() {
-                            self.commits += 1;
-                            self.tracker.mark_scheduled(tid);
-                        } else {
-                            self.failures += 1;
-                            self.requeue(tid, ctx);
                         }
+                        self.commit_core(ctx, &threads, &[c]);
                     }
                 }
             }
@@ -292,32 +262,9 @@ impl CoreSchedPolicy {
                 };
                 let want = if self.should_pair(ctx) { idle.len() } else { 1 };
                 let threads = self.take_threads(vm, want, ctx, key);
-                if threads.is_empty() {
-                    return;
-                }
-                self.core_vm.insert(key, (vm, now));
-                if let Some(s) = self.vms.get_mut(&vm) {
-                    s.deadline = now + self.config.period;
-                }
-                let mut txns: Vec<Transaction> = threads
-                    .iter()
-                    .zip(idle.iter())
-                    .map(|(&t, &c)| Transaction::new(t, c).with_thread_seq(self.tracker.seq(t)))
-                    .collect();
-                if txns.len() > 1 {
-                    self.group_commits += 1;
-                    ctx.commit_atomic(&mut txns);
-                } else {
-                    ctx.commit(&mut txns);
-                }
-                for txn in &txns {
-                    if txn.status.committed() {
-                        self.commits += 1;
-                        self.tracker.mark_scheduled(txn.tid);
-                    } else {
-                        self.failures += 1;
-                        self.requeue(txn.tid, ctx);
-                    }
+                if !threads.is_empty() {
+                    self.dedicate(key, vm, now);
+                    self.commit_core(ctx, &threads, &idle);
                 }
             }
         }
@@ -326,7 +273,6 @@ impl CoreSchedPolicy {
     /// Preempts both siblings and installs vCPUs of `next_vm` atomically.
     fn rotate_core(&mut self, ctx: &mut PolicyCtx<'_>, cpus: &[CpuId], next_vm: u64) {
         let now = ctx.now();
-        let key = cpus[0];
         let avail: Vec<CpuId> = cpus
             .iter()
             .copied()
@@ -340,40 +286,13 @@ impl CoreSchedPolicy {
             .iter()
             .filter(|&&c| ctx.running_ghost(c).is_some())
             .count();
-        let threads = self.take_threads(next_vm, avail.len(), ctx, key);
+        let threads = self.take_threads(next_vm, avail.len(), ctx, cpus[0]);
         if threads.is_empty() || threads.len() < must_replace {
             for t in threads {
-                self.requeue(t, ctx);
+                enqueue(&mut self.vms, t, next_vm, now + self.config.period);
             }
-            return;
-        }
-        let mut txns: Vec<Transaction> = threads
-            .iter()
-            .zip(avail.iter())
-            .map(|(&t, &c)| Transaction::new(t, c).with_thread_seq(self.tracker.seq(t)))
-            .collect();
-        if txns.len() > 1 {
-            self.group_commits += 1;
-            ctx.commit_atomic(&mut txns);
-        } else {
-            ctx.commit(&mut txns);
-        }
-        let mut any = false;
-        for txn in &txns {
-            if txn.status.committed() {
-                self.commits += 1;
-                any = true;
-                self.tracker.mark_scheduled(txn.tid);
-            } else {
-                self.failures += 1;
-                self.requeue(txn.tid, ctx);
-            }
-        }
-        if any {
-            self.core_vm.insert(key, (next_vm, now));
-            if let Some(s) = self.vms.get_mut(&next_vm) {
-                s.deadline = now + self.config.period;
-            }
+        } else if self.commit_core(ctx, &threads, &avail) > 0 {
+            self.dedicate(cpus[0], next_vm, now);
         }
     }
 }
@@ -384,48 +303,41 @@ impl GhostPolicy for CoreSchedPolicy {
     }
 
     fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>) {
-        let Some(view) = self.tracker.apply(msg) else {
+        let Some(t) = self.k.tracker.apply(msg) else {
             return;
         };
-        let cookie = match self.cookie_of.get(&msg.tid) {
-            Some(&c) => c,
-            None => {
-                let c = ctx.thread_view(msg.tid).map(|v| v.cookie).unwrap_or(0);
-                self.cookie_of.insert(msg.tid, c);
-                c
-            }
-        };
-        if view.dead {
-            self.dequeue(msg.tid);
-            self.cookie_of.remove(&msg.tid);
-        } else if view.runnable {
-            let now = ctx.now();
-            let period = self.config.period;
-            self.enqueue(msg.tid, cookie, now, period);
-        } else {
-            self.dequeue(msg.tid);
+        if !self.cookie_of.contains(msg.tid) {
+            let c = ctx.thread_view(msg.tid).map_or(0, |v| v.cookie);
+            self.cookie_of.insert(msg.tid, c);
+        }
+        let cookie = self.cookie_of.get(msg.tid).copied().unwrap_or(0);
+        if t == Transition::Runnable {
+            enqueue(
+                &mut self.vms,
+                msg.tid,
+                cookie,
+                ctx.now() + self.config.period,
+            );
+        } else if let Some(vm) = self.vms.get_mut(&cookie) {
+            vm.rq.remove(msg.tid);
+        }
+        if t == Transition::Dead {
+            self.cookie_of.remove(msg.tid);
         }
     }
 
     fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        self.tracker.resync(
-            snapshot
-                .iter()
-                .map(|s| (s.tid, s.seq, s.runnable, s.last_cpu)),
-        );
         self.vms.clear();
-        self.queued.clear();
         self.cookie_of.clear();
         self.core_vm.clear();
-        // VM membership is the cookie, so the scan rebuilds the runqueues
-        // and deadlines completely; every VM restarts its period at `now`.
-        let now = ctx.now();
-        let period = self.config.period;
         for s in snapshot {
             self.cookie_of.insert(s.tid, s.cookie);
-            if s.runnable && !s.on_cpu {
-                self.enqueue(s.tid, s.cookie, now, period);
-            }
+        }
+        // VM membership is the cookie, so the scan rebuilds the runqueues
+        // and deadlines completely; every VM restarts its period at `now`.
+        let deadline = ctx.now() + self.config.period;
+        for s in self.k.tracker.resync(snapshot) {
+            enqueue(&mut self.vms, s.tid, s.cookie, deadline);
         }
     }
 
@@ -435,44 +347,21 @@ impl GhostPolicy for CoreSchedPolicy {
         // cores by waking their agents (shared runqueues, §4.5). Eligible
         // peers have spare capacity AND a compatible claim: fully idle,
         // or already dedicated to a VM that has waiting threads.
-        if !self.vms.values().any(|v| !v.rq.is_empty()) {
+        if self.waiting() == 0 {
             return;
         }
         let local_core = ctx.topo().core_cpus(ctx.local_cpu());
-        let mut pinged = 0;
-        let mut seen_cores: Vec<CpuId> = Vec::new();
-        for c in ctx.enclave_cpus().iter() {
-            if pinged >= 4 {
-                break;
-            }
-            let core = ctx.topo().core_cpus(c);
-            let key = core.first().expect("core has a CPU");
-            if local_core.contains(c) || seen_cores.contains(&key) {
-                continue;
-            }
-            seen_cores.push(key);
-            let spare = core.iter().any(|cc| {
-                !ctx.commit_pending(cc)
-                    && ctx.running_ghost(cc).is_none()
-                    && (ctx.agent_on_cpu(cc) || ctx.idle_cpus().contains(cc))
-            });
-            if !spare {
-                continue;
-            }
-            let claimed = core.iter().find_map(|cc| {
-                ctx.running_ghost(cc)
-                    .or_else(|| ctx.pending_commit_tid(cc))
-                    .and_then(|t| self.cookie_of.get(&t).copied())
-            });
-            let compatible = match claimed {
-                None => true,
-                Some(vm) => self.vms.get(&vm).is_some_and(|s| !s.rq.is_empty()),
-            };
-            if compatible {
-                ctx.charge(120);
-                ctx.ping_core_agent(c);
-                pinged += 1;
-            }
+        let eligible = |(c, core): &(CpuId, CpuSet)| {
+            let claimed = claimant(ctx, core).and_then(|t| self.cookie_of.get(t));
+            !local_core.contains(*c)
+                && core.iter().any(|cc| accepts_commit(ctx, cc))
+                && claimed.is_none_or(|vm| self.vms.get(vm).is_some_and(|s| !s.rq.is_empty()))
+        };
+        let peers = enclave_cores(ctx);
+        let peers = peers.iter().filter(|p| eligible(p)).map(|p| p.0).take(4);
+        for c in peers.collect::<Vec<CpuId>>() {
+            ctx.charge(120);
+            ctx.ping_core_agent(c);
         }
     }
 }
@@ -483,14 +372,13 @@ mod tests {
 
     #[test]
     fn vms_queue_separately() {
-        let mut p = CoreSchedPolicy::new(CoreSchedConfig::default());
-        p.enqueue(Tid(1), 100, 0, p.config.period);
-        p.enqueue(Tid(2), 200, 0, p.config.period);
-        p.enqueue(Tid(3), 100, 0, p.config.period);
-        assert_eq!(p.vms[&100].rq.len(), 2);
-        assert_eq!(p.vms[&200].rq.len(), 1);
-        p.dequeue(Tid(1));
-        assert_eq!(p.vms[&100].rq.len(), 1);
+        let mut vms = HashMap::new();
+        enqueue(&mut vms, Tid(1), 100, 12);
+        enqueue(&mut vms, Tid(2), 200, 12);
+        enqueue(&mut vms, Tid(3), 100, 99);
+        assert_eq!(vms[&100].rq.iter().collect::<Vec<_>>(), [Tid(1), Tid(3)]);
+        assert_eq!(vms[&100].deadline, 12, "only a new VM takes the deadline");
+        assert_eq!(vms[&200].rq.len(), 1);
     }
 
     #[test]

@@ -4,41 +4,27 @@
 //! as soon as CPUs become idle. The agent groups as many transactions as
 //! possible per commit.").
 
-use crate::tracker::ThreadTracker;
+use crate::kernel::{PolicyKernel, RunQueue};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::slab::TidMap;
-use ghost_core::txn::{Transaction, TxnStatus};
-use ghost_core::{CommitGovernor, StaleVerdict, ThreadSnapshot};
-use ghost_sim::thread::Tid;
-use std::collections::VecDeque;
+use ghost_core::{CommitGovernor, ThreadSnapshot};
 
 /// Centralized FIFO over all managed threads.
 #[derive(Default)]
 pub struct CentralizedFifo {
-    tracker: ThreadTracker,
-    rq: VecDeque<Tid>,
-    /// Dense membership set guarding `rq` against duplicates.
-    queued: TidMap<()>,
-    /// Reused group-commit buffer so `schedule()` never allocates in
-    /// steady state.
-    txn_buf: Vec<Transaction>,
+    /// Thread view, commit counters and the reused group-commit buffer.
+    /// Public with [`CentralizedFifo::rq`] so wrappers can drive the same
+    /// queue with a different commit strategy (the no-group-commit and
+    /// PNT ablations).
+    pub k: PolicyKernel,
+    /// Runnable threads, oldest first.
+    pub rq: RunQueue,
     /// Bounded `ESTALE` retry: persistent-overflow threads are shed to
     /// CFS instead of livelocking the agent.
     pub governor: CommitGovernor,
     /// Per-decision compute cost charged to the agent (ns); models the
     /// policy's own bookkeeping.
     pub decision_cost: u64,
-    /// Transactions committed (for harness assertions).
-    pub commits: u64,
-    /// Commit failures (requeued).
-    pub failures: u64,
-    /// Threads shed to CFS after exhausting their stale-retry budget.
-    pub sheds: u64,
-    /// Commits dropped because the target no longer exists in the enclave
-    /// (`TxnStatus::UnknownTarget`): the kernel could not find the thread
-    /// at all, so a retry can never succeed and the tid is not requeued.
-    pub unknown_drops: u64,
 }
 
 impl CentralizedFifo {
@@ -49,47 +35,6 @@ impl CentralizedFifo {
             ..Self::default()
         }
     }
-
-    fn enqueue(&mut self, tid: Tid) {
-        if self.queued.insert(tid, ()).is_none() {
-            self.rq.push_back(tid);
-        }
-    }
-
-    fn dequeue(&mut self, tid: Tid) {
-        if self.queued.remove(tid).is_some() {
-            self.rq.retain(|&t| t != tid);
-        }
-    }
-
-    /// Current runqueue length.
-    pub fn backlog(&self) -> usize {
-        self.rq.len()
-    }
-
-    /// Pops the next thread from the FIFO (for wrappers that drive the
-    /// queue with different commit strategies, e.g. the no-group-commit
-    /// ablation).
-    pub fn pop_next(&mut self) -> Option<Tid> {
-        let tid = self.rq.pop_front()?;
-        self.queued.remove(tid);
-        Some(tid)
-    }
-
-    /// Latest known sequence number of `tid`.
-    pub fn seq_of(&self, tid: Tid) -> u64 {
-        self.tracker.seq(tid)
-    }
-
-    /// Records a successful external commit of `tid`.
-    pub fn note_scheduled(&mut self, tid: Tid) {
-        self.tracker.mark_scheduled(tid);
-    }
-
-    /// Puts `tid` back on the queue after a failed external commit.
-    pub fn requeue(&mut self, tid: Tid) {
-        self.enqueue(tid);
-    }
 }
 
 impl GhostPolicy for CentralizedFifo {
@@ -98,16 +43,7 @@ impl GhostPolicy for CentralizedFifo {
     }
 
     fn on_msg(&mut self, msg: &Message, _ctx: &mut PolicyCtx<'_>) {
-        let Some(view) = self.tracker.apply(msg) else {
-            return;
-        };
-        if view.dead {
-            self.dequeue(msg.tid);
-        } else if view.runnable {
-            self.enqueue(msg.tid);
-        } else {
-            self.dequeue(msg.tid);
-        }
+        self.k.tracker.fold(msg, &mut self.rq);
     }
 
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -115,107 +51,27 @@ impl GhostPolicy for CentralizedFifo {
             return;
         }
         // Group as many transactions as possible into one commit (Fig. 4).
-        let mut txns = std::mem::take(&mut self.txn_buf);
-        txns.clear();
         for cpu in ctx.idle_cpus().iter() {
-            let Some(tid) = self.rq.pop_front() else {
+            let Some(tid) = self.rq.pop() else {
                 break;
             };
-            self.queued.remove(tid);
             ctx.charge(self.decision_cost);
-            txns.push(Transaction::new(tid, cpu).with_thread_seq(self.tracker.seq(tid)));
+            self.k.stage(tid, cpu);
         }
-        if txns.is_empty() {
-            self.txn_buf = txns;
-            return;
-        }
-        ctx.commit(&mut txns);
-        let mut next_retry: Option<u64> = None;
-        for txn in &txns {
-            if txn.status.committed() {
-                self.commits += 1;
-                self.tracker.mark_scheduled(txn.tid);
-                self.governor.on_committed(txn.tid);
-            } else if txn.status == TxnStatus::Stale {
-                self.failures += 1;
-                match self.governor.on_stale(txn.tid) {
-                    StaleVerdict::Retry { backoff } => {
-                        self.enqueue(txn.tid);
-                        let at = ctx.now() + backoff;
-                        next_retry = Some(next_retry.map_or(at, |cur| cur.min(at)));
-                    }
-                    StaleVerdict::Shed => {
-                        // Persistent overflow: this thread's state churns
-                        // faster than the agent observes it. CFS takes it
-                        // (the THREAD_DEAD from the departure cleans up
-                        // the tracker organically).
-                        self.sheds += 1;
-                        ctx.shed_to_cfs(txn.tid);
-                    }
+        let rq = &mut self.rq;
+        self.k
+            .commit(ctx, false, Some(&mut self.governor), |_, tid, ok| {
+                if !ok {
+                    rq.push(tid);
                 }
-            } else if txn.status == TxnStatus::UnknownTarget {
-                // The kernel has no such thread in this enclave (dead,
-                // foreign, or forged tid). Requeueing would retry forever;
-                // drop it and clear any stale-retry streak. A genuinely
-                // departing thread's THREAD_DEAD cleans up the tracker.
-                self.failures += 1;
-                self.unknown_drops += 1;
-                self.governor.forget(txn.tid);
-            } else {
-                self.failures += 1;
-                self.enqueue(txn.tid);
-            }
-        }
-        if let Some(at) = next_retry {
-            ctx.request_wakeup_at(at);
-        }
-        self.txn_buf = txns;
+            });
     }
 
     fn on_reconstruct(&mut self, snapshot: &[ThreadSnapshot], _ctx: &mut PolicyCtx<'_>) {
-        self.tracker.resync(
-            snapshot
-                .iter()
-                .map(|s| (s.tid, s.seq, s.runnable, s.last_cpu)),
-        );
         self.rq.clear();
-        self.queued.clear();
         self.governor.reset();
-        for s in snapshot {
-            if s.runnable && !s.on_cpu {
-                self.enqueue(s.tid);
-            }
+        for s in self.k.tracker.resync(snapshot) {
+            self.rq.push(s.tid);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ghost_core::msg::MsgType;
-    use ghost_sim::topology::CpuId;
-
-    #[test]
-    fn runqueue_is_fifo_without_duplicates() {
-        let mut p = CentralizedFifo::new();
-        for i in [1u32, 2, 3, 2, 1] {
-            let m = Message::thread(MsgType::ThreadWakeup, Tid(i), 1, CpuId(0), 0);
-            let v = p.tracker.apply(&m).unwrap();
-            if v.runnable {
-                p.enqueue(Tid(i));
-            }
-        }
-        assert_eq!(p.backlog(), 3);
-        assert_eq!(p.rq.pop_front(), Some(Tid(1)));
-        assert_eq!(p.rq.pop_front(), Some(Tid(2)));
-        assert_eq!(p.rq.pop_front(), Some(Tid(3)));
-    }
-
-    #[test]
-    fn blocked_threads_leave_the_queue() {
-        let mut p = CentralizedFifo::new();
-        p.enqueue(Tid(7));
-        p.dequeue(Tid(7));
-        assert_eq!(p.backlog(), 0);
     }
 }

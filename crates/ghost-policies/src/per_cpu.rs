@@ -6,28 +6,27 @@
 //! agent), which load-balances them across per-CPU queues with
 //! `ASSOCIATE_QUEUE()` — the thread-to-queue re-routing of §3.1.
 
-use crate::tracker::ThreadTracker;
+use crate::kernel::{PolicyKernel, RunQueue};
+use crate::tracker::Transition;
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::slab::{CpuMap, TidMap};
 use ghost_core::txn::Transaction;
 use ghost_sim::thread::Tid;
 use ghost_sim::topology::CpuId;
-use std::collections::VecDeque;
 
 /// Per-CPU FIFO scheduling with message-queue-based load distribution.
+#[derive(Default)]
 pub struct PerCpuPolicy {
-    tracker: ThreadTracker,
+    /// Thread view and commit counters (failed commits are retried on
+    /// the next activation).
+    pub k: PolicyKernel,
     /// Per-CPU runqueues, dense in the topology's CPU id space.
-    rqs: CpuMap<VecDeque<Tid>>,
+    rqs: CpuMap<RunQueue>,
     /// Thread → home CPU assignment.
     home: TidMap<CpuId>,
     /// Round-robin cursor for placing new threads.
     next_cpu: usize,
-    /// Commit statistics.
-    pub commits: u64,
-    /// Failed commits (ESTALE etc.), retried on the next activation.
-    pub failures: u64,
     /// Threads stolen from peer runqueues.
     pub steals: u64,
 }
@@ -35,19 +34,11 @@ pub struct PerCpuPolicy {
 impl PerCpuPolicy {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self {
-            tracker: ThreadTracker::new(),
-            rqs: CpuMap::new(),
-            home: TidMap::new(),
-            next_cpu: 0,
-            commits: 0,
-            failures: 0,
-            steals: 0,
-        }
+        Self::default()
     }
 
-    fn rq(&mut self, cpu: CpuId) -> &mut VecDeque<Tid> {
-        self.rqs.or_insert(cpu, VecDeque::new())
+    fn rq(&mut self, cpu: CpuId) -> &mut RunQueue {
+        self.rqs.or_insert(cpu, RunQueue::default())
     }
 
     fn place_new_thread(&mut self, tid: Tid, ctx: &mut PolicyCtx<'_>) -> CpuId {
@@ -55,17 +46,20 @@ impl PerCpuPolicy {
         let cpus: Vec<CpuId> = ctx.enclave_cpus().iter().collect();
         let cpu = cpus[self.next_cpu % cpus.len()];
         self.next_cpu += 1;
-        self.home.insert(tid, cpu);
-        // Reroute the thread's messages to that CPU's queue. If messages
-        // are pending the association fails (§3.1); the thread stays on
-        // the current queue and we retry at its next message.
-        let q = ctx.queue_of_cpu(cpu);
-        ctx.associate_queue(tid, q);
+        self.rehome(tid, cpu, ctx);
         cpu
     }
-}
 
-impl PerCpuPolicy {
+    /// Makes `cpu` the thread's home and reroutes its messages to that
+    /// CPU's queue. If messages are pending the association fails
+    /// (§3.1); the thread stays on the current queue and we retry at its
+    /// next message.
+    fn rehome(&mut self, tid: Tid, cpu: CpuId, ctx: &mut PolicyCtx<'_>) {
+        self.home.insert(tid, cpu);
+        let q = ctx.queue_of_cpu(cpu);
+        ctx.associate_queue(tid, q);
+    }
+
     /// Work stealing (§3.1: "to enable load-balancing and work-stealing
     /// between CPUs, agents can change the routing of messages from
     /// threads to queues via ASSOCIATE_QUEUE()"): an idle CPU's agent
@@ -82,23 +76,13 @@ impl PerCpuPolicy {
         else {
             return;
         };
-        let Some(tid) = self.rqs.get_mut(victim_cpu).and_then(VecDeque::pop_front) else {
+        let Some(tid) = self.rqs.get_mut(victim_cpu).and_then(RunQueue::pop) else {
             return;
         };
-        self.home.insert(tid, thief);
-        self.rq(thief).push_back(tid);
+        self.rq(thief).push(tid);
         self.steals += 1;
-        // Reroute the thread's message stream; if messages are pending
-        // the association fails (§3.1) and we retry at its next message.
-        let q = ctx.queue_of_cpu(thief);
         ctx.charge(100);
-        ctx.associate_queue(tid, q);
-    }
-}
-
-impl Default for PerCpuPolicy {
-    fn default() -> Self {
-        Self::new()
+        self.rehome(tid, thief, ctx);
     }
 }
 
@@ -108,7 +92,7 @@ impl GhostPolicy for PerCpuPolicy {
     }
 
     fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>) {
-        let Some(view) = self.tracker.apply(msg) else {
+        let Some(t) = self.k.tracker.apply(msg) else {
             return;
         };
         if msg.ty == MsgType::ThreadCreated {
@@ -116,16 +100,9 @@ impl GhostPolicy for PerCpuPolicy {
             return;
         }
         let home = *self.home.or_insert(msg.tid, ctx.local_cpu());
-        if view.dead {
-            self.rq(home).retain(|&t| t != msg.tid);
+        self.rq(home).track(msg.tid, t);
+        if t == Transition::Dead {
             self.home.remove(msg.tid);
-        } else if view.runnable {
-            let rq = self.rq(home);
-            if !rq.contains(&msg.tid) {
-                rq.push_back(msg.tid);
-            }
-        } else {
-            self.rq(home).retain(|&t| t != msg.tid);
         }
     }
 
@@ -136,42 +113,31 @@ impl GhostPolicy for PerCpuPolicy {
         if self.rq(cpu).is_empty() {
             self.steal_for(cpu, ctx);
         }
-        let Some(next) = self.rq(cpu).pop_front() else {
+        let Some(next) = self.rq(cpu).pop() else {
             return;
         };
-        let mut txn = Transaction::new(next, cpu).with_agent_seq(aseq);
-        if ctx.commit_one(&mut txn).committed() {
-            self.commits += 1;
-            self.tracker.mark_scheduled(next);
-        } else {
-            // "Txn failed. Move thread to end of runqueue."
-            self.failures += 1;
-            self.rq(cpu).push_back(next);
-        }
+        let txn = Transaction::new(next, cpu).with_agent_seq(aseq);
+        // "Txn failed. Move thread to end of runqueue."
+        let rq = self.rqs.or_insert(cpu, RunQueue::default());
+        self.k.commit_one(ctx, txn, rq);
     }
 
     fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        self.tracker.resync(
-            snapshot
-                .iter()
-                .map(|s| (s.tid, s.seq, s.runnable, s.last_cpu)),
-        );
         self.rqs.clear();
         self.home.clear();
         let cpus = ctx.enclave_cpus();
         for s in snapshot {
             // Keep locality: re-home each thread to the CPU it last ran
             // on when the enclave still owns it, else place it fresh.
-            let home = if cpus.contains(s.last_cpu) {
-                self.home.insert(s.tid, s.last_cpu);
-                let q = ctx.queue_of_cpu(s.last_cpu);
-                ctx.associate_queue(s.tid, q);
-                s.last_cpu
+            if cpus.contains(s.last_cpu) {
+                self.rehome(s.tid, s.last_cpu, ctx);
             } else {
-                self.place_new_thread(s.tid, ctx)
-            };
-            if s.runnable && !s.on_cpu {
-                self.rq(home).push_back(s.tid);
+                self.place_new_thread(s.tid, ctx);
+            }
+        }
+        for s in self.k.tracker.resync(snapshot) {
+            if let Some(&home) = self.home.get(s.tid) {
+                self.rq(home).push(s.tid);
             }
         }
     }
@@ -184,7 +150,7 @@ mod tests {
     #[test]
     fn new_policy_is_empty() {
         let p = PerCpuPolicy::new();
-        assert_eq!(p.commits, 0);
+        assert_eq!(p.k.commits, 0);
         assert!(p.rqs.is_empty());
     }
 }

@@ -17,16 +17,17 @@
 //! NUMA and CCX awareness are switchable for the ablation benches
 //! (they delivered "27% and 10% throughput improvements" in the paper).
 
-use crate::tracker::ThreadTracker;
+use crate::kernel::PolicyKernel;
+use crate::tracker::Transition;
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::txn::Transaction;
+use ghost_core::slab::TidMap;
 use ghost_sim::cpuset::CpuSet;
 use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS};
 use ghost_sim::topology::CpuId;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Search policy tunables (ablation switches included).
 #[derive(Debug, Clone)]
@@ -69,15 +70,12 @@ type HeapEntry = Reverse<(Nanos, Tid)>;
 pub struct SearchPolicy {
     /// Tunables.
     pub config: SearchConfig,
-    tracker: ThreadTracker,
+    /// Thread view and commit counters.
+    pub k: PolicyKernel,
     heap: BinaryHeap<HeapEntry>,
-    queued: HashSet<Tid>,
+    pub(crate) queued: TidMap<()>,
     /// When each queued thread started waiting for its preferred CCX.
-    pending_since: HashMap<Tid, Nanos>,
-    /// Commits.
-    pub commits: u64,
-    /// Failed commits.
-    pub failures: u64,
+    pending_since: TidMap<Nanos>,
     /// Threads placed outside their last CCX (migrations).
     pub ccx_migrations: u64,
 }
@@ -87,19 +85,46 @@ impl SearchPolicy {
     pub fn new(config: SearchConfig) -> Self {
         Self {
             config,
-            tracker: ThreadTracker::new(),
+            k: PolicyKernel::default(),
             heap: BinaryHeap::new(),
-            queued: HashSet::new(),
-            pending_since: HashMap::new(),
-            commits: 0,
-            failures: 0,
+            queued: TidMap::new(),
+            pending_since: TidMap::new(),
             ccx_migrations: 0,
         }
     }
 
     fn push(&mut self, tid: Tid, runtime: Nanos) {
-        if self.queued.insert(tid) {
+        if self.queued.insert(tid, ()).is_none() {
             self.heap.push(Reverse((runtime, tid)));
+        }
+    }
+
+    /// Queues `tid` keyed by its elapsed runtime as the kernel has it now
+    /// (it survives an agent crash, so reconstruction rebuilds the
+    /// least-runtime-first order exactly).
+    fn enqueue(&mut self, tid: Tid, ctx: &mut PolicyCtx<'_>) {
+        let runtime = ctx.thread_view(tid).map_or(0, |v| self.heap_key(&v));
+        self.push(tid, runtime);
+    }
+
+    /// The message fold: waiting threads join the heap keyed by `view`'s
+    /// runtime, the rest leave it (lazily — their heap entries go stale)
+    /// and stop pending for a CCX.
+    pub(crate) fn track(
+        &mut self,
+        msg: &Message,
+        view: impl FnOnce() -> Option<ghost_core::ThreadView>,
+    ) {
+        match self.k.tracker.apply(msg) {
+            Some(Transition::Runnable) => {
+                let runtime = view().map_or(0, |v| self.heap_key(&v));
+                self.push(msg.tid, runtime);
+            }
+            Some(_) => {
+                self.queued.remove(msg.tid);
+                self.pending_since.remove(msg.tid);
+            }
+            None => {}
         }
     }
 
@@ -173,43 +198,15 @@ impl GhostPolicy for SearchPolicy {
     }
 
     fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>) {
-        let Some(view) = self.tracker.apply(msg) else {
-            return;
-        };
-        if view.dead {
-            self.queued.remove(&msg.tid);
-            self.pending_since.remove(&msg.tid);
-        } else if view.runnable {
-            let runtime = ctx
-                .thread_view(msg.tid)
-                .map(|v| self.heap_key(&v))
-                .unwrap_or(0);
-            self.push(msg.tid, runtime);
-        } else {
-            self.queued.remove(&msg.tid);
-            self.pending_since.remove(&msg.tid);
-        }
+        self.track(msg, || ctx.thread_view(msg.tid));
     }
 
     fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        self.tracker.resync(
-            snapshot
-                .iter()
-                .map(|s| (s.tid, s.seq, s.runnable, s.last_cpu)),
-        );
         self.heap.clear();
         self.queued.clear();
         self.pending_since.clear();
-        for s in snapshot {
-            if s.runnable && !s.on_cpu {
-                // Elapsed runtime survives the crash in the kernel, so
-                // the least-runtime-first ordering is rebuilt exactly.
-                let runtime = ctx
-                    .thread_view(s.tid)
-                    .map(|v| self.heap_key(&v))
-                    .unwrap_or(0);
-                self.push(s.tid, runtime);
-            }
+        for s in self.k.tracker.resync(snapshot) {
+            self.enqueue(s.tid, ctx);
         }
     }
 
@@ -220,24 +217,18 @@ impl GhostPolicy for SearchPolicy {
             return;
         }
         let mut skipped: Vec<HeapEntry> = Vec::new();
-        let mut txns: Vec<Transaction> = Vec::new();
-        let mut placed_ccx: Vec<(Tid, bool)> = Vec::new();
         while let Some(Reverse((runtime, tid))) = self.heap.pop() {
             if idle.is_empty() {
                 self.heap.push(Reverse((runtime, tid)));
                 break;
             }
-            if !self.queued.contains(&tid) {
+            if !self.queued.contains(tid) {
                 continue; // Stale heap entry.
             }
-            let Some(view) = ctx.thread_view(tid) else {
-                self.queued.remove(&tid);
+            let Some(view) = ctx.thread_view(tid).filter(|v| v.runnable) else {
+                self.queued.remove(tid);
                 continue;
             };
-            if !view.runnable {
-                self.queued.remove(&tid);
-                continue;
-            }
             ctx.charge(self.config.decision_cost);
             let Some((cpu, same_ccx)) = self.pick_cpu(ctx, &idle, &view.affinity, view.last_cpu)
             else {
@@ -248,7 +239,7 @@ impl GhostPolicy for SearchPolicy {
             if !same_ccx {
                 // Preferred CCX busy: optionally hold the thread back.
                 if let Some(wait) = self.config.ccx_pending_wait {
-                    let since = *self.pending_since.entry(tid).or_insert(now);
+                    let since = *self.pending_since.or_insert(tid, now);
                     if now.saturating_sub(since) < wait {
                         skipped.push(Reverse((runtime, tid)));
                         // Re-check when the wait elapses, but never spin
@@ -259,34 +250,25 @@ impl GhostPolicy for SearchPolicy {
                 }
                 self.ccx_migrations += 1;
             }
-            self.pending_since.remove(&tid);
+            self.pending_since.remove(tid);
             idle.remove(cpu);
-            self.queued.remove(&tid);
-            txns.push(Transaction::new(tid, cpu).with_thread_seq(self.tracker.seq(tid)));
-            placed_ccx.push((tid, same_ccx));
+            self.queued.remove(tid);
+            self.k.stage(tid, cpu);
         }
         for entry in skipped {
             let Reverse((_, tid)) = entry;
-            if self.queued.contains(&tid) {
+            if self.queued.contains(tid) {
                 self.heap.push(entry);
             }
         }
-        if txns.is_empty() {
-            return;
-        }
-        ctx.commit(&mut txns);
-        for txn in &txns {
-            if txn.status.committed() {
-                self.commits += 1;
-                self.tracker.mark_scheduled(txn.tid);
-            } else {
-                self.failures += 1;
-                let runtime = ctx
-                    .thread_view(txn.tid)
-                    .map(|v| self.heap_key(&v))
-                    .unwrap_or(0);
-                self.push(txn.tid, runtime);
+        let mut failed = Vec::new();
+        self.k.commit(ctx, false, None, |_, tid, ok| {
+            if !ok {
+                failed.push(tid);
             }
+        });
+        for tid in failed {
+            self.enqueue(tid, ctx);
         }
     }
 }
@@ -338,13 +320,5 @@ mod tests {
         let lo = p.heap_key(&mk(10, 1_000_000));
         assert!(hi < mid && mid < lo, "{hi} < {mid} < {lo}");
         assert_eq!(mid, 1_000_000);
-    }
-
-    #[test]
-    fn duplicate_pushes_are_ignored() {
-        let mut p = SearchPolicy::new(SearchConfig::default());
-        p.push(Tid(1), 500);
-        p.push(Tid(1), 100);
-        assert_eq!(p.heap.len(), 1);
     }
 }

@@ -7,14 +7,13 @@
 //! other workers wait — the key to taming the 0.5% of 10 ms requests that
 //! would otherwise block 4 µs requests behind them.
 
-use crate::tracker::ThreadTracker;
+use crate::kernel::{PolicyKernel, RunQueue, SliceClock};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::txn::Transaction;
+use ghost_core::ThreadSnapshot;
 use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS};
 use ghost_sim::topology::CpuId;
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Shinjuku policy tunables.
 #[derive(Debug, Clone)]
@@ -35,22 +34,19 @@ impl Default for ShinjukuConfig {
     }
 }
 
-/// The centralized preemptive Shinjuku policy.
+/// The centralized preemptive Shinjuku policy. Wrappers (the Shenango
+/// batch tier, the self-tuning variant) drive the same parts and hook
+/// `on_run(tid, now)`, called for every worker a commit puts on a CPU.
 pub struct ShinjukuPolicy {
     /// Tunables.
     pub config: ShinjukuConfig,
-    pub(crate) tracker: ThreadTracker,
-    pub(crate) rq: VecDeque<Tid>,
-    pub(crate) queued: HashSet<Tid>,
+    pub(crate) k: PolicyKernel,
+    pub(crate) rq: RunQueue,
     /// When each currently-running worker was scheduled (for slice
     /// expiry checks).
-    pub(crate) running_since: HashMap<Tid, Nanos>,
+    pub(crate) clock: SliceClock,
     /// Preemptions issued.
     pub preemptions: u64,
-    /// Commits and failures.
-    pub commits: u64,
-    /// Failed commits.
-    pub failures: u64,
 }
 
 impl ShinjukuPolicy {
@@ -58,124 +54,94 @@ impl ShinjukuPolicy {
     pub fn new(config: ShinjukuConfig) -> Self {
         Self {
             config,
-            tracker: ThreadTracker::new(),
-            rq: VecDeque::new(),
-            queued: HashSet::new(),
-            running_since: HashMap::new(),
+            k: PolicyKernel::default(),
+            rq: RunQueue::default(),
+            clock: SliceClock::default(),
             preemptions: 0,
-            commits: 0,
-            failures: 0,
         }
     }
 
-    pub(crate) fn enqueue(&mut self, tid: Tid) {
-        if self.queued.insert(tid) {
-            self.rq.push_back(tid);
-        }
-    }
-
-    pub(crate) fn dequeue(&mut self, tid: Tid) {
-        if self.queued.remove(&tid) {
-            self.rq.retain(|&t| t != tid);
-        }
-    }
-
-    /// Handles the tracker side of a message. Returns true if handled.
+    /// The message fold: any fresh message about a worker also ends its
+    /// running slice (it blocked, was preempted, or died).
     pub(crate) fn track(&mut self, msg: &Message) {
-        let Some(view) = self.tracker.apply(msg) else {
-            return;
-        };
-        if view.dead {
-            self.dequeue(msg.tid);
-            self.running_since.remove(&msg.tid);
-        } else if view.runnable {
-            self.running_since.remove(&msg.tid);
-            self.enqueue(msg.tid);
-        } else {
-            // Blocked: request finished or waiting for work.
-            self.dequeue(msg.tid);
-            self.running_since.remove(&msg.tid);
+        if self.k.tracker.fold(msg, &mut self.rq).is_some() {
+            self.clock.stop(msg.tid);
         }
     }
 
-    /// Records a successful commit made by a wrapper policy.
-    pub(crate) fn note_commit(&mut self, tid: Tid, now: Nanos) {
-        self.commits += 1;
-        self.tracker.mark_scheduled(tid);
-        self.running_since.insert(tid, now);
-    }
-
-    /// Records a failed wrapper commit: the thread goes back on the FIFO.
-    pub(crate) fn note_failure(&mut self, tid: Tid) {
-        self.failures += 1;
-        self.enqueue(tid);
+    /// Group-commits whatever is staged: committed workers start a
+    /// slice, failed ones go back on the FIFO.
+    pub(crate) fn commit_staged(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        on_run: &mut impl FnMut(Tid, Nanos),
+    ) {
+        let (rq, clock) = (&mut self.rq, &mut self.clock);
+        self.k.commit(ctx, false, None, |ctx, tid, ok| {
+            if ok {
+                clock.start(tid, ctx.now());
+                on_run(tid, ctx.now());
+            } else {
+                rq.push(tid);
+            }
+        });
     }
 
     /// Fills idle CPUs from the FIFO with one group commit.
-    pub(crate) fn fill_idle(&mut self, ctx: &mut PolicyCtx<'_>) {
-        let mut txns = Vec::new();
-        let mut targets = Vec::new();
+    pub(crate) fn fill_idle(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        on_run: &mut impl FnMut(Tid, Nanos),
+    ) {
         for cpu in ctx.idle_cpus().iter() {
-            let Some(tid) = self.rq.pop_front() else {
+            let Some(tid) = self.rq.pop() else {
                 break;
             };
-            self.queued.remove(&tid);
             ctx.charge(self.config.decision_cost);
-            txns.push(Transaction::new(tid, cpu).with_thread_seq(self.tracker.seq(tid)));
-            targets.push(tid);
+            self.k.stage(tid, cpu);
         }
-        if txns.is_empty() {
-            return;
-        }
-        ctx.commit(&mut txns);
-        for txn in &txns {
-            if txn.status.committed() {
-                self.commits += 1;
-                self.tracker.mark_scheduled(txn.tid);
-                self.running_since.insert(txn.tid, ctx.now());
-            } else {
-                self.failures += 1;
-                self.enqueue(txn.tid);
+        self.commit_staged(ctx, on_run);
+    }
+
+    /// Commits the next FIFO worker onto each victim's CPU, one commit
+    /// per victim. The displaced worker comes back via THREAD_PREEMPTED.
+    /// Returns the number of preemptions that committed.
+    pub(crate) fn preempt(
+        &mut self,
+        ctx: &mut PolicyCtx<'_>,
+        victims: Vec<(Nanos, Tid, CpuId)>,
+        on_run: &mut impl FnMut(Tid, Nanos),
+    ) -> u64 {
+        let now = ctx.now();
+        let before = self.preemptions;
+        for (_, victim, cpu) in victims {
+            let Some(next) = self.rq.pop() else {
+                break;
+            };
+            ctx.charge(self.config.decision_cost);
+            let txn = self.k.txn(next, cpu);
+            if self.k.commit_one(ctx, txn, &mut self.rq) {
+                self.preemptions += 1;
+                self.clock.stop(victim);
+                self.clock.start(next, now);
+                on_run(next, now);
             }
+        }
+        self.preemptions - before
+    }
+
+    /// Preempts workers that exhausted their slice while others wait.
+    pub(crate) fn preempt_expired(&mut self, ctx: &mut PolicyCtx<'_>) {
+        if !self.rq.is_empty() {
+            let victims = self.clock.preemptible(ctx, self.config.timeslice);
+            self.preempt(ctx, victims, &mut |_, _| {});
         }
     }
 
-    /// Preempts workers that exhausted their slice while others wait:
-    /// commit the next FIFO worker onto the expired worker's CPU. The
-    /// displaced worker comes back via THREAD_PREEMPTED.
-    pub(crate) fn preempt_expired(&mut self, ctx: &mut PolicyCtx<'_>) {
-        let now = ctx.now();
-        let slice = self.config.timeslice;
-        if self.rq.is_empty() {
-            return;
-        }
-        let expired: Vec<(Tid, CpuId)> = ctx
-            .enclave_cpus()
-            .iter()
-            .filter_map(|cpu| {
-                let running = ctx.running_ghost(cpu)?;
-                let since = *self.running_since.get(&running)?;
-                (now.saturating_sub(since) >= slice && !ctx.commit_pending(cpu))
-                    .then_some((running, cpu))
-            })
-            .collect();
-        for (victim, cpu) in expired {
-            let Some(next) = self.rq.pop_front() else {
-                break;
-            };
-            self.queued.remove(&next);
-            ctx.charge(self.config.decision_cost);
-            let mut txn = Transaction::new(next, cpu).with_thread_seq(self.tracker.seq(next));
-            if ctx.commit_one(&mut txn).committed() {
-                self.commits += 1;
-                self.preemptions += 1;
-                self.tracker.mark_scheduled(next);
-                self.running_since.remove(&victim);
-                self.running_since.insert(next, now);
-            } else {
-                self.failures += 1;
-                self.enqueue(next);
-            }
+    /// Arms the slice timer while workers wait behind running ones.
+    pub(crate) fn arm_slice_timer(&self, ctx: &mut PolicyCtx<'_>) {
+        if !self.rq.is_empty() {
+            self.clock.arm(ctx, self.config.timeslice);
         }
     }
 
@@ -183,53 +149,20 @@ impl ShinjukuPolicy {
     /// resynced over the whole snapshot, then queues and slice bookkeeping
     /// are rebuilt for the threads `lc` claims for this policy (wrappers
     /// like Shinjuku+Shenango filter out their batch-tier threads).
-    pub(crate) fn reseed_from<F: Fn(&ghost_core::ThreadSnapshot) -> bool>(
+    pub(crate) fn reseed_from(
         &mut self,
-        snapshot: &[ghost_core::ThreadSnapshot],
+        snapshot: &[ThreadSnapshot],
         now: Nanos,
-        lc: F,
+        lc: impl Fn(&ThreadSnapshot) -> bool,
     ) {
-        self.tracker.resync(
-            snapshot
-                .iter()
-                .map(|s| (s.tid, s.seq, s.runnable, s.last_cpu)),
-        );
         self.rq.clear();
-        self.queued.clear();
-        self.running_since.clear();
-        for s in snapshot.iter().filter(|s| lc(s)) {
-            if s.on_cpu {
-                // Already running: give it a fresh slice from now.
-                self.running_since.insert(s.tid, now);
-            } else if s.runnable {
-                self.enqueue(s.tid);
-            }
+        self.clock.clear();
+        for s in self.k.tracker.resync(snapshot).filter(|s| lc(s)) {
+            self.rq.push(s.tid);
         }
-    }
-
-    /// Asks for a wakeup at the earliest upcoming slice expiry so
-    /// preemption happens on time even without new messages. Expiries
-    /// already in the past (a victim that could not be preempted this
-    /// round, e.g. its CPU has a commit in flight) are re-checked a
-    /// quarter-slice later rather than immediately, so the agent cannot
-    /// spin without making progress.
-    pub(crate) fn arm_slice_timer(&self, ctx: &mut PolicyCtx<'_>) {
-        if self.rq.is_empty() {
-            return;
-        }
-        let now = ctx.now();
-        let next_future = self
-            .running_since
-            .values()
-            .map(|&s| s + self.config.timeslice)
-            .filter(|&at| at > now)
-            .min();
-        match next_future {
-            Some(at) => ctx.request_wakeup_at(at),
-            None if !self.running_since.is_empty() => {
-                ctx.request_wakeup_at(now + self.config.timeslice / 4);
-            }
-            None => {}
+        // Already running: a fresh slice from now.
+        for s in snapshot.iter().filter(|s| s.on_cpu && lc(s)) {
+            self.clock.start(s.tid, now);
         }
     }
 }
@@ -244,12 +177,12 @@ impl GhostPolicy for ShinjukuPolicy {
     }
 
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
-        self.fill_idle(ctx);
+        self.fill_idle(ctx, &mut |_, _| {});
         self.preempt_expired(ctx);
         self.arm_slice_timer(ctx);
     }
 
-    fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
+    fn on_reconstruct(&mut self, snapshot: &[ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
         let now = ctx.now();
         self.reseed_from(snapshot, now, |_| true);
     }
@@ -258,50 +191,9 @@ impl GhostPolicy for ShinjukuPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ghost_core::msg::MsgType;
 
     #[test]
     fn default_slice_is_30us() {
         assert_eq!(ShinjukuConfig::default().timeslice, 30_000);
-    }
-
-    #[test]
-    fn queue_tracks_wakeups_and_blocks() {
-        let mut p = ShinjukuPolicy::new(ShinjukuConfig::default());
-        let w = Message::thread(MsgType::ThreadWakeup, Tid(1), 1, CpuId(0), 0);
-        p.track(&w);
-        assert_eq!(p.rq.len(), 1);
-        let b = Message::thread(MsgType::ThreadBlocked, Tid(1), 2, CpuId(0), 0);
-        p.track(&b);
-        assert_eq!(p.rq.len(), 0);
-    }
-
-    #[test]
-    fn preempted_worker_requeues_at_back() {
-        let mut p = ShinjukuPolicy::new(ShinjukuConfig::default());
-        p.track(&Message::thread(
-            MsgType::ThreadWakeup,
-            Tid(1),
-            1,
-            CpuId(0),
-            0,
-        ));
-        p.track(&Message::thread(
-            MsgType::ThreadWakeup,
-            Tid(2),
-            1,
-            CpuId(0),
-            0,
-        ));
-        p.track(&Message::thread(
-            MsgType::ThreadPreempted,
-            Tid(1),
-            2,
-            CpuId(0),
-            0,
-        ));
-        // Tid(1) was already queued; re-delivery keeps order without dupes.
-        assert_eq!(p.rq.len(), 2);
-        assert_eq!(p.rq[0], Tid(1));
     }
 }

@@ -24,12 +24,9 @@
 use crate::shinjuku::{ShinjukuConfig, ShinjukuPolicy};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::txn::Transaction;
+use ghost_core::slab::TidMap;
 use ghost_metrics::LogHistogram;
-use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
-use ghost_sim::topology::CpuId;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Tunables for the tuner itself (the knobs it adjusts live in the
@@ -100,14 +97,14 @@ pub type KnobProbe = Arc<Mutex<Vec<KnobSample>>>;
 
 /// The self-tuning Shinjuku policy.
 pub struct ShinjukuAdaptivePolicy {
-    inner: ShinjukuPolicy,
+    pub(crate) inner: ShinjukuPolicy,
     cfg: AdaptiveConfig,
     /// Current queue-depth steal threshold.
     steal_threshold: usize,
     /// Start of the current adaptation epoch.
     epoch_start: Nanos,
     /// Wakeup timestamp of each thread currently waiting in the FIFO.
-    waiting_since: HashMap<Tid, Nanos>,
+    waiting_since: TidMap<Nanos>,
     /// Waits observed this epoch.
     epoch_waits: LogHistogram,
     /// Every knob update so far, in order.
@@ -130,7 +127,7 @@ impl ShinjukuAdaptivePolicy {
             steal_threshold: cfg.initial_steal.max(1),
             cfg,
             epoch_start: 0,
-            waiting_since: HashMap::new(),
+            waiting_since: TidMap::new(),
             epoch_waits: LogHistogram::new(),
             trajectory: Vec::new(),
             probe: None,
@@ -152,98 +149,6 @@ impl ShinjukuAdaptivePolicy {
     /// Current steal threshold.
     pub fn steal_threshold(&self) -> usize {
         self.steal_threshold
-    }
-
-    /// Notes a successful commit of `tid`: closes its wait sample and
-    /// updates the wrapped bookkeeping.
-    fn observe_commit(&mut self, tid: Tid, now: Nanos) {
-        if let Some(woke) = self.waiting_since.remove(&tid) {
-            self.epoch_waits.record(now.saturating_sub(woke).max(1));
-        }
-        self.inner.note_commit(tid, now);
-    }
-
-    /// Fills idle CPUs from the FIFO (the static policy's group commit),
-    /// observing each successful commit's wait.
-    fn fill_idle(&mut self, ctx: &mut PolicyCtx<'_>) {
-        let mut txns = Vec::new();
-        for cpu in ctx.idle_cpus().iter() {
-            let Some(tid) = self.inner.rq.pop_front() else {
-                break;
-            };
-            self.inner.queued.remove(&tid);
-            ctx.charge(self.cfg.decision_cost);
-            txns.push(Transaction::new(tid, cpu).with_thread_seq(self.inner.tracker.seq(tid)));
-        }
-        if txns.is_empty() {
-            return;
-        }
-        ctx.commit(&mut txns);
-        let now = ctx.now();
-        for txn in &txns {
-            if txn.status.committed() {
-                self.observe_commit(txn.tid, now);
-            } else {
-                self.inner.note_failure(txn.tid);
-            }
-        }
-    }
-
-    /// Preempts running workers while waiters queue: any worker past the
-    /// current quantum, plus — when the queue is at least the steal
-    /// threshold deep — the single longest-running worker even if its
-    /// slice has time left (the "steal").
-    fn preempt(&mut self, ctx: &mut PolicyCtx<'_>) {
-        if self.inner.rq.is_empty() {
-            return;
-        }
-        let now = ctx.now();
-        let slice = self.inner.config.timeslice;
-        let mut victims: Vec<(Tid, CpuId, bool)> = ctx
-            .enclave_cpus()
-            .iter()
-            .filter_map(|cpu| {
-                let running = ctx.running_ghost(cpu)?;
-                let since = *self.inner.running_since.get(&running)?;
-                (now.saturating_sub(since) >= slice && !ctx.commit_pending(cpu))
-                    .then_some((running, cpu, false))
-            })
-            .collect();
-        if victims.is_empty() && self.inner.rq.len() >= self.steal_threshold {
-            // Queue is backed up but nobody has expired yet: steal the
-            // CPU of the longest-running worker. Ties break on CPU id
-            // so the choice is deterministic.
-            let longest = ctx
-                .enclave_cpus()
-                .iter()
-                .filter_map(|cpu| {
-                    let running = ctx.running_ghost(cpu)?;
-                    let since = *self.inner.running_since.get(&running)?;
-                    (!ctx.commit_pending(cpu)).then_some((since, cpu.0, running, cpu))
-                })
-                .min_by_key(|&(since, cpu_id, _, _)| (since, cpu_id));
-            if let Some((_, _, running, cpu)) = longest {
-                victims.push((running, cpu, true));
-            }
-        }
-        for (victim, cpu, stolen) in victims {
-            let Some(next) = self.inner.rq.pop_front() else {
-                break;
-            };
-            self.inner.queued.remove(&next);
-            ctx.charge(self.cfg.decision_cost);
-            let mut txn = Transaction::new(next, cpu).with_thread_seq(self.inner.tracker.seq(next));
-            if ctx.commit_one(&mut txn).committed() {
-                self.inner.preemptions += 1;
-                if stolen {
-                    self.steals += 1;
-                }
-                self.inner.running_since.remove(&victim);
-                self.observe_commit(next, now);
-            } else {
-                self.inner.note_failure(next);
-            }
-        }
     }
 
     /// Applies one knob update if the current epoch has elapsed.
@@ -301,20 +206,42 @@ impl GhostPolicy for ShinjukuAdaptivePolicy {
         self.inner.track(msg);
         // Mirror the queue state into wait bookkeeping: a thread sitting
         // in the FIFO is waiting; anything else is not.
-        if self.inner.queued.contains(&msg.tid) {
-            self.waiting_since
-                .entry(msg.tid)
-                .or_insert_with(|| ctx.now());
-        } else if !self.inner.running_since.contains_key(&msg.tid) {
-            self.waiting_since.remove(&msg.tid);
+        if self.inner.rq.contains(msg.tid) {
+            self.waiting_since.or_insert(msg.tid, ctx.now());
+        } else if !self.inner.clock.is_running(msg.tid) {
+            self.waiting_since.remove(msg.tid);
         }
     }
 
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
         self.maybe_adapt(ctx.now());
-        self.fill_idle(ctx);
-        self.preempt(ctx);
-        self.inner.arm_slice_timer(ctx);
+        // Every commit that puts a worker on a CPU closes its wait sample.
+        let (waiting, waits) = (&mut self.waiting_since, &mut self.epoch_waits);
+        let mut observe = |tid, now: Nanos| {
+            if let Some(woke) = waiting.remove(tid) {
+                waits.record(now.saturating_sub(woke).max(1));
+            }
+        };
+        let inner = &mut self.inner;
+        inner.fill_idle(ctx, &mut observe);
+        if !inner.rq.is_empty() {
+            // Static Shinjuku's victims: any worker past the current
+            // quantum. The steal: when nobody has expired yet but the
+            // queue is at least the threshold deep, take the CPU of the
+            // longest-running worker even though its slice has time left.
+            // Ties break on CPU id so the choice is deterministic.
+            let mut victims = inner.clock.preemptible(ctx, inner.config.timeslice);
+            let steal = victims.is_empty() && inner.rq.len() >= self.steal_threshold;
+            if steal {
+                let running = inner.clock.preemptible(ctx, 0).into_iter();
+                victims.extend(running.min_by_key(|&(since, _, cpu)| (since, cpu.0)));
+            }
+            let preempted = inner.preempt(ctx, victims, &mut observe);
+            if steal {
+                self.steals += preempted;
+            }
+        }
+        inner.arm_slice_timer(ctx);
     }
 
     fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
@@ -324,10 +251,8 @@ impl GhostPolicy for ShinjukuAdaptivePolicy {
         // agent died — but in-flight wait samples are re-based at the
         // reconstruction point.
         self.waiting_since.clear();
-        for s in snapshot {
-            if s.runnable && !s.on_cpu {
-                self.waiting_since.insert(s.tid, now);
-            }
+        for tid in self.inner.rq.iter() {
+            self.waiting_since.insert(tid, now);
         }
         self.epoch_waits.reset();
         self.epoch_start = now;
@@ -337,7 +262,6 @@ impl GhostPolicy for ShinjukuAdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ghost_core::msg::MsgType;
 
     #[test]
     fn defaults_match_static_shinjuku_start() {
@@ -397,16 +321,5 @@ mod tests {
         }
         assert_eq!(p.timeslice(), AdaptiveConfig::default().max_slice);
         assert_eq!(p.steal_threshold(), AdaptiveConfig::default().max_steal);
-    }
-
-    #[test]
-    fn queue_membership_drives_wait_bookkeeping() {
-        let mut p = ShinjukuAdaptivePolicy::new(AdaptiveConfig::default());
-        let w = Message::thread(MsgType::ThreadWakeup, Tid(1), 1, CpuId(0), 0);
-        p.inner.track(&w);
-        assert!(p.inner.queued.contains(&Tid(1)));
-        let b = Message::thread(MsgType::ThreadBlocked, Tid(1), 2, CpuId(0), 0);
-        p.inner.track(&b);
-        assert!(!p.inner.queued.contains(&Tid(1)));
     }
 }

@@ -8,22 +8,21 @@
 //! only on CPUs the LC FIFO leaves idle and are preempted the moment LC
 //! work needs the CPU.
 
+use crate::kernel::RunQueue;
 use crate::shinjuku::{ShinjukuConfig, ShinjukuPolicy};
+use crate::tracker::Transition;
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::txn::Transaction;
-use ghost_sim::thread::Tid;
-use std::collections::{HashSet, VecDeque};
+use ghost_core::slab::TidMap;
 
 /// Cookie value marking batch (best-effort) threads.
 pub const BATCH_COOKIE: u64 = 0xBA7C4;
 
 /// Shinjuku for LC work + Shenango-style batch filling.
 pub struct ShinjukuShenangoPolicy {
-    lc: ShinjukuPolicy,
-    batch_rq: VecDeque<Tid>,
-    batch_queued: HashSet<Tid>,
-    batch_threads: HashSet<Tid>,
+    pub(crate) lc: ShinjukuPolicy,
+    batch_rq: RunQueue,
+    batch_threads: TidMap<()>,
     /// Batch commits (for CPU-share accounting assertions).
     pub batch_commits: u64,
 }
@@ -33,9 +32,8 @@ impl ShinjukuShenangoPolicy {
     pub fn new(config: ShinjukuConfig) -> Self {
         Self {
             lc: ShinjukuPolicy::new(config),
-            batch_rq: VecDeque::new(),
-            batch_queued: HashSet::new(),
-            batch_threads: HashSet::new(),
+            batch_rq: RunQueue::default(),
+            batch_threads: TidMap::new(),
             batch_commits: 0,
         }
     }
@@ -48,33 +46,18 @@ impl GhostPolicy for ShinjukuShenangoPolicy {
 
     fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>) {
         // Classify new threads by cookie.
-        if msg.ty == MsgType::ThreadCreated {
-            if let Some(view) = ctx.thread_view(msg.tid) {
-                if view.cookie == BATCH_COOKIE {
-                    self.batch_threads.insert(msg.tid);
-                }
-            }
+        if msg.ty == MsgType::ThreadCreated
+            && ctx.thread_view(msg.tid).map(|v| v.cookie) == Some(BATCH_COOKIE)
+        {
+            self.batch_threads.insert(msg.tid, ());
         }
-        if self.batch_threads.contains(&msg.tid) {
-            // Batch bookkeeping mirrors the LC tracker, one queue.
-            let Some(view) = self.lc.tracker.apply(msg) else {
-                return;
-            };
-            if view.dead {
-                self.batch_queued.remove(&msg.tid);
-                self.batch_rq.retain(|&t| t != msg.tid);
-                self.batch_threads.remove(&msg.tid);
-            } else if view.runnable {
-                if self.batch_queued.insert(msg.tid) {
-                    self.batch_rq.push_back(msg.tid);
-                }
-            } else {
-                self.batch_queued.remove(&msg.tid);
-                self.batch_rq.retain(|&t| t != msg.tid);
-            }
-            return;
+        if !self.batch_threads.contains(msg.tid) {
+            return self.lc.track(msg);
         }
-        self.lc.track(msg);
+        // Batch bookkeeping shares the LC tracker, with its own queue.
+        if self.lc.k.tracker.fold(msg, &mut self.batch_rq) == Some(Transition::Dead) {
+            self.batch_threads.remove(msg.tid);
+        }
     }
 
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
@@ -83,36 +66,20 @@ impl GhostPolicy for ShinjukuShenangoPolicy {
         // for all evictions (the batch IPI amortization matters exactly
         // here, at high load).
         if !self.lc.rq.is_empty() {
-            let victims: Vec<_> = ctx
-                .enclave_cpus()
-                .iter()
-                .filter_map(|cpu| {
-                    let t = ctx.running_ghost(cpu)?;
-                    (self.batch_threads.contains(&t) && !ctx.commit_pending(cpu)).then_some(cpu)
-                })
-                .collect();
-            let mut txns = Vec::new();
-            for cpu in victims {
-                let Some(next) = self.lc.rq.pop_front() else {
-                    break;
-                };
-                txns.push(
-                    ghost_core::Transaction::new(next, cpu)
-                        .with_thread_seq(self.lc.tracker.seq(next)),
-                );
-            }
-            if !txns.is_empty() {
-                ctx.commit(&mut txns);
-                for txn in &txns {
-                    if txn.status.committed() {
-                        self.lc.note_commit(txn.tid, ctx.now());
-                    } else {
-                        self.lc.note_failure(txn.tid);
-                    }
+            for cpu in ctx.enclave_cpus().iter() {
+                let on_batch = ctx
+                    .running_ghost(cpu)
+                    .is_some_and(|t| self.batch_threads.contains(t));
+                if on_batch && !ctx.commit_pending(cpu) {
+                    let Some(next) = self.lc.rq.pop() else {
+                        break;
+                    };
+                    self.lc.k.stage(next, cpu);
                 }
             }
+            self.lc.commit_staged(ctx, &mut |_, _| {});
         }
-        self.lc.fill_idle(ctx);
+        self.lc.fill_idle(ctx, &mut |_, _| {});
         self.lc.preempt_expired(ctx);
         self.lc.arm_slice_timer(ctx);
         // Spare cycles go to the batch app — but keep a couple of CPUs
@@ -124,37 +91,29 @@ impl GhostPolicy for ShinjukuShenangoPolicy {
             let Some(cpu) = ctx.idle_cpus().first() else {
                 break;
             };
-            let Some(tid) = self.batch_rq.pop_front() else {
+            let Some(tid) = self.batch_rq.pop() else {
                 break;
             };
-            self.batch_queued.remove(&tid);
-            let mut txn = Transaction::new(tid, cpu).with_thread_seq(self.lc.tracker.seq(tid));
-            if ctx.commit_one(&mut txn).committed() {
-                self.batch_commits += 1;
-                self.lc.tracker.mark_scheduled(tid);
-            } else if self.batch_queued.insert(tid) {
-                self.batch_rq.push_back(tid);
+            let txn = self.lc.k.txn(tid, cpu);
+            if !self.lc.k.commit_one(ctx, txn, &mut self.batch_rq) {
                 break;
             }
+            self.batch_commits += 1;
         }
     }
 
     fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
         // Tier membership is the cookie, so the scan rebuilds both the
         // LC and batch halves without message history.
-        self.batch_threads = snapshot
-            .iter()
-            .filter(|s| s.cookie == BATCH_COOKIE)
-            .map(|s| s.tid)
-            .collect();
+        self.batch_threads.clear();
         self.batch_rq.clear();
-        self.batch_queued.clear();
         let now = ctx.now();
         self.lc
             .reseed_from(snapshot, now, |s| s.cookie != BATCH_COOKIE);
         for s in snapshot.iter().filter(|s| s.cookie == BATCH_COOKIE) {
-            if s.runnable && !s.on_cpu && self.batch_queued.insert(s.tid) {
-                self.batch_rq.push_back(s.tid);
+            self.batch_threads.insert(s.tid, ());
+            if s.runnable && !s.on_cpu {
+                self.batch_rq.push(s.tid);
             }
         }
     }

@@ -6,61 +6,45 @@
 //! Snap worker threads are marked with [`SNAP_COOKIE`]; everything else
 //! managed by the enclave is treated as antagonist (batch) load.
 
-use crate::tracker::ThreadTracker;
+use crate::kernel::{PolicyKernel, RunQueue};
+use crate::tracker::Transition;
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::txn::Transaction;
+use ghost_core::slab::TidMap;
 use ghost_sim::thread::Tid;
 use ghost_sim::topology::CpuId;
-use std::collections::{HashSet, VecDeque};
 
 /// Cookie value marking Snap packet-processing worker threads.
 pub const SNAP_COOKIE: u64 = 0x54A9;
 
 /// Strict-priority centralized FIFO: Snap workers over antagonists.
+#[derive(Default)]
 pub struct SnapPolicy {
-    tracker: ThreadTracker,
-    snap_threads: HashSet<Tid>,
-    snap_rq: VecDeque<Tid>,
-    batch_rq: VecDeque<Tid>,
-    queued: HashSet<Tid>,
+    /// Thread view and commit counters (both classes).
+    pub k: PolicyKernel,
+    snap_threads: TidMap<()>,
+    pub(crate) snap_rq: RunQueue,
+    pub(crate) batch_rq: RunQueue,
     /// Antagonist preemptions by Snap workers.
     pub batch_preemptions: u64,
-    /// Commits (both classes).
-    pub commits: u64,
-    /// Failed commits.
-    pub failures: u64,
 }
 
 impl SnapPolicy {
     /// Creates the policy.
     pub fn new() -> Self {
-        Self {
-            tracker: ThreadTracker::new(),
-            snap_threads: HashSet::new(),
-            snap_rq: VecDeque::new(),
-            batch_rq: VecDeque::new(),
-            queued: HashSet::new(),
-            batch_preemptions: 0,
-            commits: 0,
-            failures: 0,
-        }
+        Self::default()
     }
 
-    fn enqueue(&mut self, tid: Tid) {
-        if self.queued.insert(tid) {
-            if self.snap_threads.contains(&tid) {
-                self.snap_rq.push_back(tid);
-            } else {
-                self.batch_rq.push_back(tid);
-            }
-        }
-    }
-
-    fn dequeue(&mut self, tid: Tid) {
-        if self.queued.remove(&tid) {
-            self.snap_rq.retain(|&t| t != tid);
-            self.batch_rq.retain(|&t| t != tid);
+    /// The message fold, after `THREAD_CREATED` classification: a
+    /// thread queues with its class.
+    pub(crate) fn track(&mut self, msg: &Message) {
+        let rq = if self.snap_threads.contains(msg.tid) {
+            &mut self.snap_rq
+        } else {
+            &mut self.batch_rq
+        };
+        if self.k.tracker.fold(msg, rq) == Some(Transition::Dead) {
+            self.snap_threads.remove(msg.tid);
         }
     }
 
@@ -68,7 +52,7 @@ impl SnapPolicy {
     /// worker last ran, falling back to preempting an antagonist.
     fn pick_cpu(&self, tid: Tid, ctx: &PolicyCtx<'_>) -> Option<(CpuId, bool)> {
         let idle = ctx.idle_cpus();
-        let last = self.tracker.get(tid).map(|t| t.last_cpu);
+        let last = self.k.tracker.get(tid).map(|t| t.last_cpu);
         if let Some(last) = last {
             if idle.contains(last) {
                 return Some((last, false));
@@ -86,15 +70,9 @@ impl SnapPolicy {
             !ctx.commit_pending(cpu)
                 && ctx
                     .running_ghost(cpu)
-                    .is_some_and(|t| !self.snap_threads.contains(&t))
+                    .is_some_and(|t| !self.snap_threads.contains(t))
         })?;
         Some((victim_cpu, true))
-    }
-}
-
-impl Default for SnapPolicy {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -104,63 +82,36 @@ impl GhostPolicy for SnapPolicy {
     }
 
     fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>) {
-        if msg.ty == MsgType::ThreadCreated {
-            if let Some(view) = ctx.thread_view(msg.tid) {
-                if view.cookie == SNAP_COOKIE {
-                    self.snap_threads.insert(msg.tid);
-                }
-            }
+        if msg.ty == MsgType::ThreadCreated
+            && ctx.thread_view(msg.tid).map(|v| v.cookie) == Some(SNAP_COOKIE)
+        {
+            self.snap_threads.insert(msg.tid, ());
         }
-        let Some(view) = self.tracker.apply(msg) else {
-            return;
-        };
-        if view.dead {
-            self.dequeue(msg.tid);
-            self.snap_threads.remove(&msg.tid);
-        } else if view.runnable {
-            self.enqueue(msg.tid);
-        } else {
-            self.dequeue(msg.tid);
-        }
+        self.track(msg);
     }
 
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
         // Snap workers first — they may preempt antagonists.
-        while let Some(&tid) = self.snap_rq.front() {
+        while let Some(tid) = self.snap_rq.front() {
             let Some((cpu, preempts)) = self.pick_cpu(tid, ctx) else {
                 break; // Everything busy with Snap work or CFS.
             };
-            self.snap_rq.pop_front();
-            self.queued.remove(&tid);
+            self.snap_rq.pop();
             ctx.charge(60);
-            let mut txn = Transaction::new(tid, cpu).with_thread_seq(self.tracker.seq(tid));
-            if ctx.commit_one(&mut txn).committed() {
-                self.commits += 1;
-                if preempts {
-                    self.batch_preemptions += 1;
-                }
-                self.tracker.mark_scheduled(tid);
-            } else {
-                self.failures += 1;
-                self.enqueue(tid);
+            let txn = self.k.txn(tid, cpu);
+            if !self.k.commit_one(ctx, txn, &mut self.snap_rq) {
                 break;
             }
+            self.batch_preemptions += preempts as u64;
         }
         // Antagonists fill whatever is still idle.
         for cpu in ctx.idle_cpus().iter() {
-            let Some(tid) = self.batch_rq.pop_front() else {
+            let Some(tid) = self.batch_rq.pop() else {
                 break;
             };
-            self.queued.remove(&tid);
             ctx.charge(60);
-            let mut txn = Transaction::new(tid, cpu).with_thread_seq(self.tracker.seq(tid));
-            if ctx.commit_one(&mut txn).committed() {
-                self.commits += 1;
-                self.tracker.mark_scheduled(tid);
-            } else {
-                self.failures += 1;
-                self.enqueue(tid);
-            }
+            let txn = self.k.txn(tid, cpu);
+            self.k.commit_one(ctx, txn, &mut self.batch_rq);
         }
     }
 
@@ -169,24 +120,19 @@ impl GhostPolicy for SnapPolicy {
         snapshot: &[ghost_core::ThreadSnapshot],
         _ctx: &mut PolicyCtx<'_>,
     ) {
-        self.tracker.resync(
-            snapshot
-                .iter()
-                .map(|s| (s.tid, s.seq, s.runnable, s.last_cpu)),
-        );
         self.snap_rq.clear();
         self.batch_rq.clear();
-        self.queued.clear();
         // The Snap/antagonist split comes from the cookie, not message
         // history, so the scan recovers it completely.
-        self.snap_threads = snapshot
-            .iter()
-            .filter(|s| s.cookie == SNAP_COOKIE)
-            .map(|s| s.tid)
-            .collect();
-        for s in snapshot {
-            if s.runnable && !s.on_cpu {
-                self.enqueue(s.tid);
+        self.snap_threads.clear();
+        for s in snapshot.iter().filter(|s| s.cookie == SNAP_COOKIE) {
+            self.snap_threads.insert(s.tid, ());
+        }
+        for s in self.k.tracker.resync(snapshot) {
+            if s.cookie == SNAP_COOKIE {
+                self.snap_rq.push(s.tid);
+            } else {
+                self.batch_rq.push(s.tid);
             }
         }
     }
@@ -198,14 +144,21 @@ mod tests {
 
     #[test]
     fn snap_and_batch_queues_are_separate() {
+        let wake = |tid| Message::thread(MsgType::ThreadWakeup, Tid(tid), 1, CpuId(0), 0);
         let mut p = SnapPolicy::new();
-        p.snap_threads.insert(Tid(1));
-        p.enqueue(Tid(1));
-        p.enqueue(Tid(2));
-        assert_eq!(p.snap_rq.len(), 1);
-        assert_eq!(p.batch_rq.len(), 1);
-        p.dequeue(Tid(1));
-        assert!(p.snap_rq.is_empty());
+        p.snap_threads.insert(Tid(1), ());
+        p.track(&wake(1));
+        p.track(&wake(2));
+        assert_eq!(p.snap_rq.iter().collect::<Vec<_>>(), vec![Tid(1)]);
+        assert_eq!(p.batch_rq.iter().collect::<Vec<_>>(), vec![Tid(2)]);
+        p.track(&Message::thread(
+            MsgType::ThreadDead,
+            Tid(1),
+            2,
+            CpuId(0),
+            0,
+        ));
+        assert!(p.snap_rq.is_empty() && !p.snap_threads.contains(Tid(1)));
         assert_eq!(p.batch_rq.len(), 1);
     }
 }

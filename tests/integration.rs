@@ -462,6 +462,96 @@ impl ghost::sim::App for PulseApp {
     }
 }
 
+/// Regression: Shinjuku+Shenango must not strand an LC worker it moved
+/// onto an evicted batch thread's CPU. The eviction loop used to pop the
+/// LC FIFO without clearing the worker's queue-membership bit, so the
+/// first time such a worker was preempted (or its eviction commit
+/// failed) the re-enqueue was taken for a duplicate and dropped: the
+/// worker stayed runnable, off-CPU and unqueued for good, and its request
+/// never finished.
+///
+/// A small machine makes that path hot: bursts of LC requests find batch
+/// threads on the CPUs (eviction), a fifth of the requests run for many
+/// slices (preemption of the evicted-in worker), and the slice is short.
+/// Arrivals stop at 30 ms; by 60 ms everything issued must have drained.
+#[test]
+fn shenango_eviction_strands_no_lc_worker() {
+    use ghost::policies::shinjuku_shenango::{ShinjukuShenangoPolicy, BATCH_COOKIE};
+    use ghost::workloads::arrivals::ServiceDist;
+    use ghost::workloads::batch::BatchApp;
+
+    let (arrivals_end, drained) = (30 * MILLIS, 60 * MILLIS);
+    let mut kernel = Kernel::new(Topology::test_small(4), KernelConfig::default());
+    let cpus: CpuSet = (1..8u16).map(CpuId).collect();
+    let mut cfg = RocksDbConfig::dispersive(120_000.0, 9);
+    cfg.processing = ServiceDist::Bimodal {
+        short: 4 * MICROS,
+        long: 200 * MICROS,
+        p_long: 0.2,
+    };
+    let app_id = kernel.state.next_app_id();
+    let mut app = RocksDbApp::new(cfg, app_id, arrivals_end);
+    let spawn = |kernel: &mut Kernel, name: String, app, cookie| {
+        let spec = ThreadSpec::workload(&name, &kernel.state.topo);
+        kernel.spawn(spec.app(app).affinity(cpus).cookie(cookie))
+    };
+    let workers: Vec<_> = (0..24)
+        .map(|i| spawn(&mut kernel, format!("lc{i}"), app_id, 0))
+        .collect();
+    workers.iter().for_each(|&w| app.add_worker(w));
+    app.start(&mut kernel.state);
+    kernel.add_app(Box::new(app));
+    let batch_id = kernel.state.next_app_id();
+    let mut batch = BatchApp::new(batch_id);
+    let batch_tids: Vec<_> = (0..4)
+        .map(|i| spawn(&mut kernel, format!("batch{i}"), batch_id, BATCH_COOKIE))
+        .collect();
+    batch_tids.iter().for_each(|&t| batch.add_thread(t));
+    batch.start(&mut kernel.state);
+    kernel.add_app(Box::new(batch));
+
+    let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
+    let policy = ShinjukuShenangoPolicy::new(ShinjukuConfig {
+        timeslice: 10 * MICROS,
+        ..ShinjukuConfig::default()
+    });
+    let enclave = runtime.launch_enclave(
+        &mut kernel,
+        cpus,
+        EnclaveConfig::centralized("shenango"),
+        Box::new(policy),
+    );
+    for &tid in workers.iter().chain(&batch_tids) {
+        enclave.attach_thread(&mut kernel.state, tid);
+    }
+    kernel.run_until(drained);
+
+    let batch_cpu: u64 = batch_tids
+        .iter()
+        .map(|&t| kernel.state.thread(t).total_oncpu)
+        .sum();
+    assert!(batch_cpu > MILLIS, "batch tier never ran: nothing to evict");
+    let stranded: Vec<_> = workers
+        .iter()
+        .filter(|&&w| kernel.state.thread(w).state == ThreadState::Runnable)
+        .collect();
+    assert!(
+        stranded.is_empty(),
+        "LC workers left runnable and off-CPU after the drain: {stranded:?}"
+    );
+    let res = kernel
+        .app_mut(app_id)
+        .as_any()
+        .downcast_mut::<RocksDbApp>()
+        .expect("app")
+        .results();
+    assert!(res.generated > 2_000, "load too light: {}", res.generated);
+    assert_eq!(
+        res.completed, res.generated,
+        "every LC request issued must complete once arrivals stop"
+    );
+}
+
 // Re-export check: the facade exposes a coherent API surface.
 #[test]
 fn facade_exposes_workspace() {

@@ -12,7 +12,7 @@
 use ghost::core::msg::{Message, MsgType};
 use ghost::core::queue::MessageQueue;
 use ghost::metrics::LogHistogram;
-use ghost::policies::ThreadTracker;
+use ghost::policies::{ThreadTracker, Transition};
 use ghost::sim::cpuset::CpuSet;
 use ghost::sim::event::{Ev, EventQueue};
 use ghost::sim::thread::Tid;
@@ -153,12 +153,13 @@ fn tracker_state_machine() {
             };
             seqs[tid as usize] += 1;
             let m = Message::thread(ty, Tid(tid), seqs[tid as usize], CpuId(0), 0);
-            let view = tracker.apply(&m).unwrap();
+            let t = tracker.apply(&m).unwrap();
             match ty {
                 MsgType::ThreadWakeup | MsgType::ThreadPreempted | MsgType::ThreadYield => {
-                    assert!(view.runnable)
+                    assert_eq!(t, Transition::Runnable)
                 }
-                MsgType::ThreadBlocked | MsgType::ThreadDead => assert!(!view.runnable),
+                MsgType::ThreadBlocked => assert_eq!(t, Transition::Blocked),
+                MsgType::ThreadDead => assert_eq!(t, Transition::Dead),
                 _ => {}
             }
             if ty == MsgType::ThreadDead {
