@@ -148,6 +148,10 @@ pub fn repo_components(repo_root: &Path) -> Vec<LocEntry> {
             name: "MicroQuanta (baseline)".into(),
             loc: file_loc("ghost-baselines/src/microquanta.rs"),
         },
+        LocEntry {
+            name: "ghost-chaos (one harness + six fault families)".into(),
+            loc: count_dir(&crates.join("ghost-chaos/src")),
+        },
     ]
 }
 

@@ -23,17 +23,21 @@
 //! A [`ByzCombo`] is `(victim policy, seed, ops)` and is fully
 //! deterministic: the same combo always produces the same report, so
 //! failures shrink (drop ops one at a time) and replay from
-//! `repro.json` exactly like fault-plan combos.
+//! `repro.json` exactly like fault-plan combos. The [`ByzOp`] vocabulary
+//! is one table, which is its repro encoding, its decoding, and its
+//! cache-key rendering.
 
+use crate::case::{CaseReport, ChaosCase};
+use crate::codec::{coded_enum, list, list_field, obj, policy_field, text, wide, Coded};
+use crate::fault::WATCHDOG;
 use crate::oracle::{self, Failure};
-use crate::run::{PolicyKind, WATCHDOG};
 use ghost_core::enclave::{EnclaveConfig, QueueId, WakeMode};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime, GhostStats};
 use ghost_core::txn::{Transaction, TxnStatus};
 use ghost_core::{AbiError, StandbyConfig, ThreadSnapshot};
-use ghost_lab::engine::{Experiment, ExperimentResult};
+use ghost_lab::PolicyKind;
 use ghost_policies::CentralizedFifo;
 use ghost_sim::app::{App, Next};
 use ghost_sim::faults::{FaultKind, FaultPlan};
@@ -42,7 +46,8 @@ use ghost_sim::thread::{ThreadState, Tid};
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
 use ghost_sim::topology::{CpuId, Topology};
 use ghost_sim::CpuSet;
-use ghost_trace::{TraceRecord, TraceSink};
+use ghost_trace::json::Json;
+use ghost_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
@@ -163,32 +168,43 @@ impl ByzOp {
         )
     }
 
-    /// Stable one-line rendering for spec strings and reports. Field
-    /// names match the `repro.json` vocabulary.
+    /// Stable one-line rendering for spec strings and reports: the op's
+    /// `repro.json` object as `name field=value ...`.
     pub fn spec(&self) -> String {
-        match *self {
-            ByzOp::CommitForgedCpu { cpu } => format!("commit-forged-cpu cpu={cpu}"),
-            ByzOp::CommitForeignTid { tid } => format!("commit-foreign-tid tid={tid}"),
-            ByzOp::CommitStaleSeq => "commit-stale-seq".into(),
-            ByzOp::CommitAtomicMixed { cpu } => format!("commit-atomic-mixed cpu={cpu}"),
-            ByzOp::RecallForged { cpu } => format!("recall-forged cpu={cpu}"),
-            ByzOp::QueueDestroyDefault => "queue-destroy-default".into(),
-            ByzOp::QueueAssociateForged { tid, queue } => {
-                format!("queue-associate-forged tid={tid} queue={queue}")
-            }
-            ByzOp::QueueWakeupForged { tid } => format!("queue-wakeup-forged tid={tid}"),
-            ByzOp::PntPushForeign { tid } => format!("pnt-push-foreign tid={tid}"),
-            ByzOp::PingForged { cpu } => format!("ping-forged cpu={cpu}"),
-            ByzOp::AttachForged { tid } => format!("attach-forged tid={tid}"),
-            ByzOp::StatusWrite { tid, value } => format!("status-write tid={tid} value={value}"),
-            ByzOp::StatusReadForged { tid } => format!("status-read-forged tid={tid}"),
-            ByzOp::HintForged { tid } => format!("hint-forged tid={tid}"),
-            ByzOp::UpgradeWithoutStage => "upgrade-without-stage".into(),
-            ByzOp::DestroyTwice => "destroy-twice".into(),
-            ByzOp::CreateOverlapping { cpu } => format!("create-overlapping cpu={cpu}"),
-        }
+        let Json::Obj(members) = self.encode() else {
+            unreachable!("coded_enum! encodes objects");
+        };
+        let words: Vec<String> = members
+            .iter()
+            .map(|(key, value)| match (key.as_str(), value) {
+                ("op", Json::Str(name)) => name.clone(),
+                (_, Json::Str(digits)) => format!("{key}={digits}"),
+                _ => format!("{key}={value}"),
+            })
+            .collect();
+        words.join(" ")
     }
 }
+
+coded_enum!(ByzOp, "op", "byzantine op", {
+    "commit-forged-cpu" => CommitForgedCpu { cpu: num },
+    "commit-foreign-tid" => CommitForeignTid { tid: num },
+    "commit-stale-seq" => CommitStaleSeq {},
+    "commit-atomic-mixed" => CommitAtomicMixed { cpu: num },
+    "recall-forged" => RecallForged { cpu: num },
+    "queue-destroy-default" => QueueDestroyDefault {},
+    "queue-associate-forged" => QueueAssociateForged { tid: num, queue: num },
+    "queue-wakeup-forged" => QueueWakeupForged { tid: num },
+    "pnt-push-foreign" => PntPushForeign { tid: num },
+    "ping-forged" => PingForged { cpu: num },
+    "attach-forged" => AttachForged { tid: num },
+    "status-write" => StatusWrite { tid: num, value: wide },
+    "status-read-forged" => StatusReadForged { tid: num },
+    "hint-forged" => HintForged { tid: num },
+    "upgrade-without-stage" => UpgradeWithoutStage {},
+    "destroy-twice" => DestroyTwice {},
+    "create-overlapping" => CreateOverlapping { cpu: num },
+});
 
 /// One point of the byzantine sweep: everything needed to reproduce the
 /// hostile run exactly.
@@ -203,14 +219,6 @@ pub struct ByzCombo {
 }
 
 impl ByzCombo {
-    /// Victim policies the byzantine sweep rotates through, queried
-    /// from the registry's `byzantine_victim` capability flag. Core
-    /// scheduling is excluded: it requires whole physical cores across
-    /// the entire machine and cannot co-reside with a second enclave.
-    pub fn victims() -> Vec<PolicyKind> {
-        PolicyKind::byzantine_victims()
-    }
-
     /// The sweep's combo for `(victim, seed)`: hostile ops derived from
     /// the seed.
     pub fn generated(victim: PolicyKind, seed: u64) -> Self {
@@ -221,28 +229,36 @@ impl ByzCombo {
         }
     }
 
+    /// Runs the combo to its horizon under the never-panic oracle and
+    /// judges it with the typed-rejection and victim-liveness oracles.
+    /// Hands back the runtime's counters too (tests read per-error
+    /// reject counts). Fully deterministic.
+    pub fn execute(&self) -> (CaseReport, GhostStats) {
+        catch_unwind(AssertUnwindSafe(|| run_unguarded(self))).unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("opaque panic payload");
+            let report = CaseReport {
+                failures: vec![Failure {
+                    oracle: "never-panic",
+                    detail: format!("hostile ABI sequence panicked the kernel: {msg}"),
+                }],
+                lines: Vec::new(),
+                trace: TraceSink::Null,
+                bench: Vec::new(),
+            };
+            (report, GhostStats::default())
+        })
+    }
+
     /// Byzantine strike budget of the hostile enclave: even seeds arm
     /// quarantine (four strikes), odd seeds leave it unarmed so both
     /// configurations stay in every sweep. Derived from the seed alone —
     /// never stored — so a replayed `repro.json` rebuilds it.
     pub fn strike_budget(&self) -> Option<u32> {
         self.seed.is_multiple_of(2).then_some(4)
-    }
-
-    /// Canonical spec string: every field that affects the outcome, one
-    /// per line. The sweep cache key.
-    pub fn spec_string(&self) -> String {
-        let mut s = String::from("ghost-chaos byzantine v1\n");
-        s.push_str(&format!("victim {}\n", self.victim.name()));
-        s.push_str(&format!("seed {}\n", self.seed));
-        match self.strike_budget() {
-            Some(b) => s.push_str(&format!("strike-budget {b}\n")),
-            None => s.push_str("strike-budget none\n"),
-        }
-        for op in &self.ops {
-            s.push_str(&format!("op {}\n", op.spec()));
-        }
-        s
     }
 }
 
@@ -300,22 +316,6 @@ pub fn generate_byz_ops(seed: u64) -> Vec<ByzOp> {
     ops
 }
 
-/// Everything a finished byzantine run exposes to the CLI and tests.
-pub struct ByzReport {
-    /// Oracle verdicts; empty means the hostile sequence was absorbed.
-    pub failures: Vec<Failure>,
-    /// Victim workload segments completed.
-    pub victim_completions: u64,
-    /// Hostile calls the kernel rejected.
-    pub hostile_rejected: u64,
-    /// True if the byzantine enclave was quarantined.
-    pub quarantined: bool,
-    /// Runtime counters at end of run.
-    pub stats: GhostStats,
-    /// The recorded trace (for Chrome export of failing runs).
-    pub records: Vec<TraceRecord>,
-}
-
 /// Shared outcome ledger between the byzantine policy (in-activation
 /// ops) and the harness (runtime-layer ops).
 #[derive(Default)]
@@ -328,6 +328,26 @@ struct Ledger {
 }
 
 impl Ledger {
+    /// Records a typed-rejection contract violation by `op`.
+    fn violate(&mut self, op: &ByzOp, what: impl std::fmt::Display) {
+        self.violations.push(format!("{}: {what}", op.spec()));
+    }
+
+    /// Counts the rejection if `result` is one; true if the call was
+    /// accepted. For calls that may legitimately succeed.
+    fn note<T, E>(&mut self, result: Result<T, E>) -> bool {
+        self.rejected += u64::from(result.is_err());
+        result.is_ok()
+    }
+
+    /// For calls that must always reject: acceptance is the violation
+    /// `accepted`.
+    fn must_reject<T, E>(&mut self, op: &ByzOp, result: Result<T, E>, accepted: &str) {
+        if self.note(result) {
+            self.violate(op, accepted);
+        }
+    }
+
     /// Checks the commit contract on every settled transaction: a
     /// failing status must carry a typed error that maps back to it
     /// (casualties of an atomic unwind are `Aborted` and carry the
@@ -344,20 +364,20 @@ impl Ledger {
             if t.status != TxnStatus::Aborted {
                 self.rejected += 1;
             }
+            let status = t.status;
             match t.error {
-                None => self.violations.push(format!(
-                    "{}: commit rejected with status {:?} but no AbiError",
-                    op.spec(),
-                    t.status
-                )),
-                Some(e) if e.txn_status() != t.status && t.status != TxnStatus::Aborted => {
-                    self.violations.push(format!(
-                        "{}: error {e} maps to {:?} but status is {:?}",
-                        op.spec(),
-                        e.txn_status(),
-                        t.status
-                    ))
-                }
+                None => self.violate(
+                    op,
+                    format_args!("commit rejected with status {status:?} but no AbiError"),
+                ),
+                Some(e) if e.txn_status() != status && status != TxnStatus::Aborted => self
+                    .violate(
+                        op,
+                        format_args!(
+                            "error {e} maps to {:?} but status is {status:?}",
+                            e.txn_status()
+                        ),
+                    ),
                 Some(_) => {}
             }
         }
@@ -375,14 +395,6 @@ struct ByzantinePolicy {
 }
 
 impl ByzantinePolicy {
-    fn new(ops: Arc<Mutex<VecDeque<ByzOp>>>, ledger: Arc<Mutex<Ledger>>) -> Self {
-        Self {
-            inner: CentralizedFifo::new(),
-            ops,
-            ledger,
-        }
-    }
-
     fn run_op(&mut self, op: ByzOp, ctx: &mut PolicyCtx<'_>) {
         let own_cpu = ctx.enclave_cpus().first().unwrap_or(CpuId(0));
         let own_tid = ctx.managed_threads().first().copied().unwrap_or(Tid(0));
@@ -410,43 +422,29 @@ impl ByzantinePolicy {
                 ];
                 ctx.commit_atomic(&mut txns);
                 if txns.iter().any(|t| t.status.committed()) {
-                    led.violations.push(format!(
-                        "{}: poisoned atomic group partially committed",
-                        op.spec()
-                    ));
+                    led.violate(&op, "poisoned atomic group partially committed");
                 }
                 led.check_txns(&op, &txns);
             }
-            ByzOp::RecallForged { cpu } => match ctx.try_recall(CpuId(cpu)) {
-                Ok(_) => {}
-                Err(_) => led.rejected += 1,
-            },
+            ByzOp::RecallForged { cpu } => {
+                led.note(ctx.try_recall(CpuId(cpu)));
+            }
             ByzOp::QueueDestroyDefault => {
                 let q = ctx.queue_of_cpu(own_cpu);
-                match ctx.try_destroy_queue(q) {
-                    Ok(()) => led
-                        .violations
-                        .push(format!("{}: default queue destroyed", op.spec())),
-                    Err(_) => led.rejected += 1,
-                }
+                led.must_reject(&op, ctx.try_destroy_queue(q), "default queue destroyed");
             }
             ByzOp::QueueAssociateForged { tid, queue } => {
-                match ctx.try_associate_queue(Tid(tid), QueueId(queue)) {
-                    Ok(_) => {}
-                    Err(_) => led.rejected += 1,
-                }
+                led.note(ctx.try_associate_queue(Tid(tid), QueueId(queue)));
             }
             ByzOp::QueueWakeupForged { tid } => {
                 let q = ctx.queue_of_cpu(own_cpu);
-                match ctx.try_config_queue_wakeup(q, WakeMode::WakeAgent(Tid(tid))) {
-                    // A forged wake target would be dereferenced by the
-                    // kernel on every later message: acceptance is only
-                    // legal if the tid really is one of our agents.
-                    Ok(()) if tid != ctx.agent_tid().0 => led
-                        .violations
-                        .push(format!("{}: forged wake target accepted", op.spec())),
-                    Ok(()) => {}
-                    Err(_) => led.rejected += 1,
+                // A forged wake target would be dereferenced by the
+                // kernel on every later message: acceptance is only
+                // legal if the tid really is one of our agents.
+                let forged = tid != ctx.agent_tid().0;
+                let wake = WakeMode::WakeAgent(Tid(tid));
+                if led.note(ctx.try_config_queue_wakeup(q, wake)) && forged {
+                    led.violate(&op, "forged wake target accepted");
                 }
             }
             ByzOp::PntPushForeign { tid } => {
@@ -507,59 +505,47 @@ fn run_runtime_op(
     led: &mut Ledger,
 ) {
     match *op {
-        ByzOp::AttachForged { tid } => match byz.try_attach_thread(k, Tid(tid)) {
-            Ok(_) => {}
-            Err(_) => led.rejected += 1,
-        },
-        ByzOp::StatusWrite { tid, value } => match byz.try_write_status(k, Tid(tid), value) {
-            Ok(()) => led.violations.push(format!(
-                "{}: kernel-owned status word accepted a write",
-                op.spec()
-            )),
-            Err(_) => led.rejected += 1,
-        },
-        ByzOp::StatusReadForged { tid } => match byz.try_thread_status(Tid(tid)) {
-            Ok(_) => {}
-            Err(_) => led.rejected += 1,
-        },
-        ByzOp::HintForged { tid } => match runtime.try_set_hint(Tid(tid), u64::MAX) {
-            Ok(_) => {}
-            Err(_) => led.rejected += 1,
-        },
-        ByzOp::UpgradeWithoutStage => match byz.try_upgrade_now(k) {
-            Ok(()) => led.violations.push(format!(
-                "{}: upgrade succeeded with nothing staged",
-                op.spec()
-            )),
-            Err(_) => led.rejected += 1,
-        },
+        ByzOp::AttachForged { tid } => {
+            led.note(byz.try_attach_thread(k, Tid(tid)));
+        }
+        ByzOp::StatusWrite { tid, value } => led.must_reject(
+            op,
+            byz.try_write_status(k, Tid(tid), value),
+            "kernel-owned status word accepted a write",
+        ),
+        ByzOp::StatusReadForged { tid } => {
+            led.note(byz.try_thread_status(Tid(tid)));
+        }
+        ByzOp::HintForged { tid } => {
+            led.note(runtime.try_set_hint(Tid(tid), u64::MAX));
+        }
+        ByzOp::UpgradeWithoutStage => led.must_reject(
+            op,
+            byz.try_upgrade_now(k),
+            "upgrade succeeded with nothing staged",
+        ),
         ByzOp::DestroyTwice => {
-            if byz.try_destroy(k).is_err() {
-                led.rejected += 1; // Already gone (e.g. quarantined): still typed.
-            }
+            // The first call may find it already gone (e.g. quarantined):
+            // still a typed rejection.
+            led.note(byz.try_destroy(k));
             match byz.try_destroy(k) {
-                Ok(()) => led
-                    .violations
-                    .push(format!("{}: double destroy accepted", op.spec())),
+                Ok(()) => led.violate(op, "double destroy accepted"),
                 Err(AbiError::EnclaveDestroyed) => led.rejected += 1,
-                Err(e) => led.violations.push(format!(
-                    "{}: double destroy rejected with {e}, want enclave-destroyed",
-                    op.spec()
-                )),
+                Err(e) => led.violate(
+                    op,
+                    format_args!("double destroy rejected with {e}, want enclave-destroyed"),
+                ),
             }
         }
-        ByzOp::CreateOverlapping { cpu } => {
-            match runtime.try_create_enclave(
+        ByzOp::CreateOverlapping { cpu } => led.must_reject(
+            op,
+            runtime.try_create_enclave(
                 CpuSet::from_iter([CpuId(cpu)]),
                 EnclaveConfig::centralized("byz-clone"),
                 Box::new(CentralizedFifo::new()),
-            ) {
-                Ok(_) => led
-                    .violations
-                    .push(format!("{}: contested CPU {cpu} granted", op.spec())),
-                Err(_) => led.rejected += 1,
-            }
-        }
+            ),
+            &format!("contested CPU {cpu} granted"),
+        ),
         _ => {}
     }
 }
@@ -601,7 +587,8 @@ impl App for SplitPulseApp {
     }
 }
 
-fn run_byzantine_inner(combo: &ByzCombo) -> ByzReport {
+/// The run proper: two enclaves, the hostile op schedule, the verdict.
+fn run_unguarded(combo: &ByzCombo) -> (CaseReport, GhostStats) {
     let sink = TraceSink::recording(1, 1 << 18);
     // The victim also absorbs an agent crash mid-run: its hot standby
     // must recover within the SLO *while* the byzantine neighbour is
@@ -632,13 +619,9 @@ fn run_byzantine_inner(combo: &ByzCombo) -> ByzReport {
 
     // Byzantine enclave on CPUs 4–5.
     let ledger = Arc::new(Mutex::new(Ledger::default()));
-    let policy_ops: VecDeque<ByzOp> = combo
-        .ops
-        .iter()
-        .filter(|o| o.is_policy_op())
-        .copied()
-        .collect();
-    let ops_queue = Arc::new(Mutex::new(policy_ops));
+    let (policy_ops, runtime_ops): (Vec<ByzOp>, Vec<ByzOp>) =
+        combo.ops.iter().partition(|o| o.is_policy_op());
+    let ops_queue = Arc::new(Mutex::new(VecDeque::from(policy_ops)));
     let mut byz_cfg = EnclaveConfig::centralized("byzantine").with_watchdog(WATCHDOG);
     if let Some(budget) = combo.strike_budget() {
         byz_cfg = byz_cfg.with_abi_strikes(budget);
@@ -647,10 +630,11 @@ fn run_byzantine_inner(combo: &ByzCombo) -> ByzReport {
         &mut kernel,
         [4u16, 5].into_iter().map(CpuId).collect(),
         byz_cfg,
-        Box::new(ByzantinePolicy::new(
-            Arc::clone(&ops_queue),
-            Arc::clone(&ledger),
-        )),
+        Box::new(ByzantinePolicy {
+            inner: CentralizedFifo::new(),
+            ops: ops_queue,
+            ledger: Arc::clone(&ledger),
+        }),
     );
 
     // Workload: four victim threads, two byzantine-enclave threads.
@@ -692,12 +676,6 @@ fn run_byzantine_inner(combo: &ByzCombo) -> ByzReport {
     }
 
     // Run, issuing runtime-layer ops at deterministic breakpoints.
-    let runtime_ops: Vec<ByzOp> = combo
-        .ops
-        .iter()
-        .filter(|o| !o.is_policy_op())
-        .copied()
-        .collect();
     for (i, op) in runtime_ops.iter().enumerate() {
         kernel.run_until((8 + 9 * i as u64) * MILLIS);
         let mut led = ledger.lock().unwrap();
@@ -706,7 +684,6 @@ fn run_byzantine_inner(combo: &ByzCombo) -> ByzReport {
     kernel.run_until(BYZ_HORIZON);
 
     // Judge.
-    let records = sink.snapshot();
     let stats = runtime.stats();
     let led = ledger.lock().unwrap();
     let mut failures: Vec<Failure> = led
@@ -734,110 +711,103 @@ fn run_byzantine_inner(combo: &ByzCombo) -> ByzReport {
             .map(|t| c.get(t).copied().unwrap_or(0))
             .sum()
     };
-    failures.extend(oracle::evaluate(
-        &records,
-        sink.dropped(),
-        &kernel.state,
-        &runtime,
-        victim.id(),
-        &victim_tids,
-        victim_completions,
-        Some(StandbyConfig::default().recovery_slo),
-    ));
-    ByzReport {
+    let trace_records = sink.with_records(|records, dropped| {
+        failures.extend(oracle::evaluate(
+            records.clone(),
+            dropped,
+            &kernel.state,
+            &runtime,
+            victim.id(),
+            &victim_tids,
+            victim_completions,
+            Some(StandbyConfig::default().recovery_slo),
+        ));
+        records.len()
+    });
+    let report = CaseReport {
         failures,
-        victim_completions,
-        hostile_rejected: led.rejected,
-        quarantined: stats.quarantines > 0,
-        stats,
-        records,
-    }
+        lines: vec![
+            format!("victim-completions {victim_completions}"),
+            format!("hostile-rejected {}", led.rejected),
+            format!("abi-rejects {}", stats.abi_rejects_total()),
+            format!("quarantines {}", stats.quarantines),
+            format!("txns-committed {}", stats.txns_committed),
+            format!("trace-records {trace_records}"),
+        ],
+        trace: sink,
+        bench: Vec::new(),
+    };
+    (report, stats)
 }
 
-/// Runs `combo` to its horizon under the never-panic oracle and judges
-/// it with the typed-rejection and victim-liveness oracles. Fully
-/// deterministic: the same combo always returns the same report.
-pub fn run_byzantine(combo: &ByzCombo) -> ByzReport {
-    match catch_unwind(AssertUnwindSafe(|| run_byzantine_inner(combo))) {
-        Ok(report) => report,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("opaque panic payload");
-            ByzReport {
-                failures: vec![Failure {
-                    oracle: "never-panic",
-                    detail: format!("hostile ABI sequence panicked the kernel: {msg}"),
-                }],
-                victim_completions: 0,
-                hostile_rejected: 0,
-                quarantined: false,
-                stats: GhostStats::default(),
-                records: Vec::new(),
-            }
-        }
-    }
-}
+impl ChaosCase for ByzCombo {
+    const KIND: &'static str = "byzantine";
+    const COMBOS: u64 = 64;
+    const DETERMINISTIC: bool = true;
 
-/// Shrinks a failing byzantine combo to a 1-minimal op sequence, exactly
-/// like [`crate::shrink::shrink`] does for fault plans. A combo that
-/// does not fail is returned unchanged.
-pub fn shrink_byzantine(combo: &ByzCombo) -> ByzCombo {
-    let mut best = combo.clone();
-    if run_byzantine(&best).failures.is_empty() {
-        return best;
+    /// Victim policies the sweep rotates through, queried from the
+    /// registry's `byzantine_victim` capability flag. Core scheduling is
+    /// excluded: it requires whole physical cores across the entire
+    /// machine and cannot co-reside with a second enclave.
+    fn policies() -> Vec<PolicyKind> {
+        PolicyKind::byzantine_victims()
     }
-    loop {
-        let mut improved = false;
-        for i in 0..best.ops.len() {
-            let mut cand = best.clone();
-            cand.ops.remove(i);
-            if !run_byzantine(&cand).failures.is_empty() {
-                best = cand;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            return best;
-        }
+
+    fn generate(index: u64, seed_base: u64, victims: &[PolicyKind]) -> Self {
+        let victim = victims[(index % victims.len() as u64) as usize];
+        Self::generated(victim, seed_base + index)
     }
-}
 
-/// A byzantine combo as a `ghost-lab` experiment, so the hostile sweep
-/// runs on the same parallel engine (and cache) as the fault sweep.
-pub struct ByzExperiment(pub ByzCombo);
-
-impl Experiment for ByzExperiment {
     fn label(&self) -> String {
-        format!("byz/{}/seed={}", self.0.victim.name(), self.0.seed)
+        format!("byz/{}/seed={}", self.victim.name(), self.seed)
     }
 
+    /// Every field that affects the outcome, one per line.
     fn spec(&self) -> String {
-        self.0.spec_string()
+        let budget = self
+            .strike_budget()
+            .map_or_else(|| "none".to_string(), |b| b.to_string());
+        let mut s = format!(
+            "ghost-chaos byzantine v1\nvictim {}\nseed {}\nstrike-budget {budget}\n",
+            self.victim.name(),
+            self.seed
+        );
+        for op in &self.ops {
+            s.push_str(&format!("op {}\n", op.spec()));
+        }
+        s
     }
 
-    fn execute(&self) -> ExperimentResult {
-        let report = run_byzantine(&self.0);
-        let mut lines = vec![
-            format!("victim-completions {}", report.victim_completions),
-            format!("hostile-rejected {}", report.hostile_rejected),
-            format!("abi-rejects {}", report.stats.abi_rejects_total()),
-            format!("quarantines {}", report.stats.quarantines),
-            format!("txns-committed {}", report.stats.txns_committed),
-            format!("trace-records {}", report.records.len()),
-        ];
-        for f in &report.failures {
-            lines.push(format!("failure {f}"));
-        }
-        let hash = ghost_lab::fnv64_lines(&lines);
-        ExperimentResult {
-            pass: report.failures.is_empty(),
-            hash,
-            lines,
-        }
+    fn run(&self) -> CaseReport {
+        self.execute().0
+    }
+
+    fn encode(&self) -> Json {
+        obj([
+            ("kind", text(Self::KIND)),
+            ("victim", text(self.victim.name())),
+            ("seed", wide::enc(self.seed)),
+            ("ops", list(&self.ops)),
+        ])
+    }
+
+    fn decode(doc: &Json) -> Result<Self, String> {
+        Ok(Self {
+            victim: policy_field(doc, "victim", Self::admits)?,
+            seed: wide::dec(doc, "seed")?,
+            ops: list_field(doc, "ops")?,
+        })
+    }
+
+    /// The op sequence with any one op deleted.
+    fn shrink_candidates(&self) -> Vec<Self> {
+        (0..self.ops.len())
+            .map(|i| {
+                let mut smaller = self.clone();
+                smaller.ops.remove(i);
+                smaller
+            })
+            .collect()
     }
 }
 
@@ -870,20 +840,69 @@ mod tests {
         assert!(runtime_ops > 0, "no runtime-layer hostile ops generated");
     }
 
+    fn count(report: &CaseReport, key: &str) -> u64 {
+        report.value(key).unwrap().parse().unwrap()
+    }
+
     #[test]
-    fn byzantine_smoke_sweep_absorbs_hostile_sequences() {
+    fn every_op_round_trips_and_renders_its_spec() {
+        let ops = [
+            ByzOp::CommitForgedCpu { cpu: 999 },
+            ByzOp::CommitForeignTid { tid: u32::MAX },
+            ByzOp::CommitStaleSeq,
+            ByzOp::CommitAtomicMixed { cpu: 300 },
+            ByzOp::RecallForged { cpu: u16::MAX },
+            ByzOp::QueueDestroyDefault,
+            ByzOp::QueueAssociateForged { tid: 7, queue: 250 },
+            ByzOp::QueueWakeupForged { tid: 9_999 },
+            ByzOp::PntPushForeign { tid: 40 },
+            ByzOp::PingForged { cpu: 8 },
+            ByzOp::AttachForged { tid: 0 },
+            // Would not survive an f64 round trip.
+            ByzOp::StatusWrite {
+                tid: 1,
+                value: u64::MAX,
+            },
+            ByzOp::StatusReadForged { tid: 5 },
+            ByzOp::HintForged { tid: 4_096 },
+            ByzOp::UpgradeWithoutStage,
+            ByzOp::DestroyTwice,
+            ByzOp::CreateOverlapping { cpu: 1 },
+        ];
+        for op in ops {
+            assert_eq!(ByzOp::decode(&op.encode()), Ok(op));
+        }
+        // The cache-key rendering is part of the determinism contract.
+        assert_eq!(ops[2].spec(), "commit-stale-seq");
+        assert_eq!(ops[6].spec(), "queue-associate-forged tid=7 queue=250");
+        assert_eq!(
+            ops[11].spec(),
+            "status-write tid=1 value=18446744073709551615"
+        );
+        assert!(ByzOp::decode(&obj([("op", text("format-disk"))]))
+            .unwrap_err()
+            .contains("unknown byzantine op 'format-disk'"));
+        // A forged id that does not fit the field is rejected, not wrapped.
+        let mut doc = ByzOp::PingForged { cpu: 8 }.encode();
+        if let Json::Obj(members) = &mut doc {
+            members[1].1 = Json::Num(70_000.0);
+        }
+        assert!(ByzOp::decode(&doc).unwrap_err().contains("'cpu'"));
+    }
+
+    #[test]
+    fn byzantine_smoke_absorbs_hostile_sequences() {
         // A bounded in-tree slice of the CI byzantine sweep: every
         // hostile sequence must be absorbed — no panic, every rejection
         // typed, the victim alive — across all rotated victim policies.
-        for seed in 1..=12u64 {
-            let victims = ByzCombo::victims();
-            let victim = victims[(seed % victims.len() as u64) as usize];
-            let combo = ByzCombo::generated(victim, seed);
-            let report = run_byzantine(&combo);
+        let victims = ByzCombo::policies();
+        for index in 0..12 {
+            let combo = ByzCombo::generate(index, 1, &victims);
+            let report = combo.run();
             assert!(
                 report.failures.is_empty(),
-                "victim={} seed={seed} ops={:?} failed: {:?}",
-                victim.name(),
+                "{} ops={:?} failed: {:?}",
+                combo.label(),
                 combo.ops,
                 report.failures
             );
@@ -893,12 +912,10 @@ mod tests {
     #[test]
     fn byzantine_runs_are_deterministic() {
         let combo = ByzCombo::generated(PolicyKind::PerCpu, 3);
-        let a = run_byzantine(&combo);
-        let b = run_byzantine(&combo);
+        let (a, b) = (combo.run(), combo.run());
         assert_eq!(a.failures, b.failures);
-        assert_eq!(a.victim_completions, b.victim_completions);
-        assert_eq!(a.hostile_rejected, b.hostile_rejected);
-        assert_eq!(a.records.len(), b.records.len());
+        assert_eq!(a.lines, b.lines);
+        assert_eq!(a.trace.snapshot(), b.trace.snapshot());
     }
 
     #[test]
@@ -922,12 +939,12 @@ mod tests {
             ],
         };
         assert_eq!(combo.strike_budget(), Some(4));
-        let report = run_byzantine(&combo);
+        let report = combo.run();
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         assert!(
-            report.quarantined,
+            count(&report, "quarantines") >= 1,
             "six byzantine strikes against a budget of four must quarantine"
         );
-        assert!(report.hostile_rejected >= 6);
+        assert!(count(&report, "hostile-rejected") >= 6);
     }
 }

@@ -3,68 +3,87 @@
 //! The paper argues that delegating scheduling to userspace agents is
 //! safe because the kernel tolerates agent misbehaviour: message queues
 //! overflow and resync, stale transactions fail with `ESTALE`, the
-//! watchdog reaps wedged agents, crashes fall back to CFS, and staged
-//! policies upgrade in place (§3.1–§3.4). This crate tests those claims
-//! adversarially:
+//! watchdog reaps wedged agents, crashes fall back to CFS, staged
+//! policies upgrade in place (§3.1–§3.4), and nothing an agent writes
+//! into the ABI is trusted for integrity (§2.2). This crate tests those
+//! claims adversarially, with one harness for every failure mode.
 //!
-//! * [`plan`] — seeded generation of [`ghost_sim::faults::FaultPlan`]s:
-//!   agent crashes/hangs/slowdowns, queue overflow windows, IPI
-//!   delay/loss, spurious wakeups, clock-skewed ticks, and mid-run
-//!   in-place upgrades, all at deterministic virtual times.
-//! * [`run`] — runs one `(policy × workload × fault plan × seed)` combo
-//!   on the simulated kernel with tracing enabled.
-//! * [`oracle`] — judges a finished run: the `ghost-trace` invariant
-//!   checker (Tseq/Aseq continuity, commit pairing, occupancy) plus
-//!   liveness oracles (no thread starved past the watchdog bound,
-//!   fallback-to-CFS completes, the run made progress).
-//! * [`shrink`] — greedily minimizes a failing fault plan to a
-//!   1-minimal repro.
-//! * [`byzantine`] — a seeded adversary issuing hostile ABI call
-//!   sequences (forged CPUs/tids/seqnums, commit-after-destroy, queue
+//! **The harness** is three small modules that know no family:
+//!
+//! * [`case`] — the [`ChaosCase`] trait (generate from a seed, run to a
+//!   [`CaseReport`], encode/decode a `repro.json`, offer smaller
+//!   neighbours), the case's `ghost-lab` `Experiment` impl, and the one
+//!   greedy 1-minimal [`shrink`].
+//! * [`driver`] — the one sweep / repro-and-trace writer / `--replay` /
+//!   bench-row merge / exit-code rule. Deterministic families sweep on
+//!   the parallel engine (jobs, cache, digest) and shrink; wall-clock
+//!   families run serially and keep the failing run's own trace.
+//! * [`codec`] — `repro.json` field codecs over the `ghost-trace` JSON
+//!   tree (checked integers; seeds and status-word payloads as decimal
+//!   strings) and the name-and-fields table macro behind the
+//!   `FaultKind` and [`ByzOp`] codecs.
+//!
+//! **The families** ([`FAMILIES`]) are one `ChaosCase` impl each:
+//!
+//! * [`fault`] — [`Combo`]: a seeded [`plan`] of agent
+//!   crashes/hangs/slowdowns, queue overflow windows, IPI delay/loss,
+//!   spurious wakeups, clock-skewed ticks and in-place upgrades injected
+//!   into one policy's simulated enclave. [`RecoveryCombo`] is the same
+//!   case with the crash-or-upgrade plan generator.
+//! * [`byzantine`] — [`ByzCombo`]: a seeded hostile ABI call sequence
+//!   (forged CPUs/tids/seqnums, commit-after-destroy, queue
 //!   misconfiguration, status-word writes) from a co-resident malicious
-//!   enclave, judged by never-panic, typed-rejection, and
-//!   victim-liveness oracles.
-//! * [`repro`] — serializes a combo to `repro.json` and parses it back
-//!   for bit-identical deterministic replay.
-//! * [`live`] — the same fault plans injected into the `ghost-live`
-//!   real-thread backend, judged by wall-clock oracles (grace-windowed
-//!   invariants, stranded-worker liveness, bounded wall-clock recovery,
-//!   post-recovery reclaim). Live runs are not bit-reproducible, so
-//!   failures capture `repro.json` (plan + seed + shape) instead of
-//!   shrinking.
+//!   enclave, judged by never-panic, typed-rejection and victim-liveness.
+//! * [`live`] — [`LiveCombo`]: crash/hang/slow plans on the `ghost-live`
+//!   real-thread backend under a closed-loop KV workload, judged on the
+//!   wall clock (grace-windowed invariants, stranded workers, bounded
+//!   recovery, post-recovery reclaim).
+//! * [`lending`] — `ghost_lab::LendingScenario` (two simulated enclaves
+//!   and the resource manager under four control-plane fault rows) and
+//!   [`LendingLiveCombo`], the same rows at wall-clock marks on real
+//!   threads; both require zero stranded leases and full grant
+//!   accounting.
 //!
-//! The `ghost-chaos` binary sweeps N combos across all five evaluation
-//! policies and, on failure, writes `repro.json` plus a Chrome trace of
-//! the shrunk repro.
+//! [`oracle`] holds the verdicts they share: the preamble every family
+//! starts from (lossless trace, the `ghost-trace` invariant checker,
+//! progress) and the simulated end-state liveness contracts (no thread
+//! starved past the watchdog bound, fallback-to-CFS completes, recovery
+//! inside its SLO).
+//!
+//! The `ghost-chaos` binary picks a family by switch, or replays a
+//! `repro.json` by its `"kind"`; on failure it writes the (shrunk) repro
+//! plus a Chrome trace.
 
 pub mod byzantine;
+pub mod case;
+pub mod codec;
+pub mod driver;
+pub mod fault;
 pub mod lending;
 pub mod live;
 pub mod oracle;
 pub mod plan;
-pub mod repro;
-pub mod run;
-pub mod shrink;
 
-pub use byzantine::{
-    generate_byz_ops, run_byzantine, shrink_byzantine, ByzCombo, ByzExperiment, ByzOp, ByzReport,
-};
-pub use lending::{
-    lending_combo, lending_live_policies, lending_policies, run_lending_live, LendingLiveCombo,
-    LendingLiveReport, LENDING_HORIZON,
-};
-pub use live::{
-    generate_live_plan, live_policies, run_live_combo, LiveCombo, LiveRunReport, LIVE_WATCHDOG,
-    RECOVERY_WALL_SLO,
-};
+pub use byzantine::{generate_byz_ops, ByzCombo, ByzOp};
+pub use case::{shrink, BenchSample, CaseReport, ChaosCase, Swept};
+pub use driver::{rerun_file, Family, Opts, Verdict};
+pub use fault::{Combo, FaultCase, RecoveryCombo, WATCHDOG};
+pub use ghost_lab::PolicyKind;
+pub use lending::{LendingLiveCombo, LENDING_HORIZON};
+pub use live::{generate_live_plan, LiveCombo, LIVE_WATCHDOG, RECOVERY_WALL_SLO};
 pub use oracle::Failure;
 pub use plan::generate_plan;
-pub use repro::{
-    byz_from_json, byz_to_json, combo_from_json, combo_to_json, lending_from_json,
-    lending_live_from_json, lending_live_to_json, lending_to_json, live_from_json, live_to_json,
-};
-pub use run::{run_combo, Combo, ComboExperiment, PolicyKind, RunReport, WATCHDOG};
-pub use shrink::shrink;
+
+/// Every family, in the order the CLI lists them. `--replay` picks the
+/// first whose kind matches, so a fault repro replays as a [`Combo`].
+pub const FAMILIES: [Family; 6] = [
+    Family::of::<Combo>(""),
+    Family::of::<RecoveryCombo>("--recovery"),
+    Family::of::<ByzCombo>("--byzantine"),
+    Family::of::<LiveCombo>("--live"),
+    Family::of::<ghost_lab::LendingScenario>("--lending"),
+    Family::of::<LendingLiveCombo>("--lending-live"),
+];
 
 // Re-exported so `for_seeds!` works without the caller depending on the
 // vendored rand crate or the engine crate directly.

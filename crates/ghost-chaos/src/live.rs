@@ -1,7 +1,7 @@
 //! `--live` sweep: the same deterministic fault plans, injected into
 //! the real-thread backend and judged by wall-clock oracles.
 //!
-//! A [`LiveCombo`] mirrors [`crate::run::Combo`] for `ghost-live`: the
+//! A [`LiveCombo`] mirrors [`crate::fault::Combo`] for `ghost-live`: the
 //! plan is still a [`FaultPlan`] (one type, both backends), but `at` and
 //! `dur` are read against the monotonic wall clock, the workload is the
 //! closed-loop KV service, and the run takes real time on real OS
@@ -26,31 +26,27 @@
 //! * **progress** / **live-timeout** — the KV loop completed, and every
 //!   admitted request terminated as completed, shed, or failed.
 
-use crate::oracle::Failure;
+use crate::case::{BenchFold, BenchSample, CaseReport, ChaosCase};
+use crate::codec::{list, list_field, num, obj, policy_field, text, wide};
+use crate::driver::pool;
+use crate::oracle::{self, Failure};
+use ghost_core::runtime::EnclaveHandle;
 use ghost_core::StandbyConfig;
-use ghost_live::{DegradedLimits, KvService, LiveConfig, LiveKernel, LiveStats};
+use ghost_lab::PolicyKind;
+use ghost_live::{DegradedLimits, KvService, LiveConfig, LiveKernel};
 use ghost_sim::faults::{FaultEvent, FaultKind, FaultPlan};
-use ghost_sim::thread::{ThreadKind, ThreadState};
+use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
 use ghost_sim::time::{Nanos, MICROS, MILLIS, SECS};
 use ghost_sim::topology::CpuId;
 use ghost_sim::{CpuSet, CLASS_CFS, CLASS_GHOST};
-use ghost_trace::check::{self, LIVE_GRACE_NS};
-use ghost_trace::{TraceEvent, TraceRecord, TraceSink};
+use ghost_trace::check::LIVE_GRACE_NS;
+use ghost_trace::derive::TraceMetrics;
+use ghost_trace::json::Json;
+use ghost_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-pub use ghost_lab::scenario::PolicyKind;
-
-/// Policies swept on the live backend, queried from the registry's
-/// `live_backend` capability flag. Kept to the two agent models
-/// (centralized, per-CPU) — the other evaluation policies add scheduling
-/// flavour, not new recovery machinery, and live combos cost real
-/// wall-clock time.
-pub fn live_policies() -> Vec<PolicyKind> {
-    PolicyKind::live_backend()
-}
 
 /// Per-request service-time floor for the live KV workload.
 pub const LIVE_SERVICE_NS: u64 = 2 * MICROS;
@@ -67,10 +63,136 @@ pub const RECOVERY_WALL_SLO: Nanos = SECS;
 /// genuinely wedged run still gets reaped inside the supervise deadline.
 pub const LIVE_WATCHDOG: Nanos = 2 * SECS;
 
+/// Most worker CPUs (one OS thread each, plus agents) a live repro
+/// document may ask the backend for.
+pub const MAX_LIVE_CPUS: usize = 64;
+
+/// Launches the enclave under test on `cpus` with the live watchdog and,
+/// if `standby`, the §3.4 machinery: a respawn budget, a 100 ms backoff
+/// and a staged standby instance of the same policy.
+pub(crate) fn launch_guarded(
+    kernel: &LiveKernel,
+    cpus: CpuSet,
+    policy: PolicyKind,
+    name: &str,
+    standby: bool,
+) -> EnclaveHandle {
+    let mut config = policy.enclave_config(name).with_watchdog(LIVE_WATCHDOG);
+    if standby {
+        config = config.with_standby(StandbyConfig {
+            max_respawns: 3,
+            respawn_backoff: 100 * MILLIS,
+            recovery_slo: RECOVERY_WALL_SLO,
+        });
+    }
+    let enclave = kernel.launch_enclave(cpus, config, policy.build());
+    if standby {
+        enclave.set_standby_policy(move || policy.build());
+    }
+    enclave
+}
+
+/// Blocks until the respawned agent has reconstructed (or the enclave
+/// died, or ten seconds passed), so a crash arm is judged after the §3.4
+/// machinery finished even if the workload already drained on the
+/// surviving lanes.
+pub(crate) fn await_recovery(kernel: &LiveKernel, enclave: &EnclaveHandle) {
+    let rescue = Instant::now() + Duration::from_secs(10);
+    while kernel.runtime().stats().recoveries < 1 && Instant::now() < rescue && enclave.alive() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The closed-loop KV workload both live families load their enclave
+/// with: one worker thread per lane serving `requests` requests, two in
+/// flight per lane, under [`DegradedLimits`] so a recovering enclave
+/// sheds load instead of queueing without bound.
+pub(crate) struct KvLoop {
+    kv: Arc<KvService>,
+    workers: Vec<Tid>,
+    requests: u64,
+}
+
+impl KvLoop {
+    /// Spawns `lanes` workers, attaches them to `enclave`, and starts
+    /// the loop.
+    pub(crate) fn start(
+        kernel: &LiveKernel,
+        enclave: &EnclaveHandle,
+        lanes: usize,
+        requests: u64,
+    ) -> Self {
+        let limits = DegradedLimits {
+            request_timeout: 50 * MILLIS,
+            max_retries: 3,
+            retry_backoff: MILLIS,
+            shed_depth: 2,
+        };
+        let kv = KvService::with_limits(16, LIVE_SERVICE_NS, limits);
+        let workers: Vec<Tid> = (0..lanes)
+            .map(|i| kernel.spawn_kv_worker(&format!("chaos-kv-{i}"), Arc::clone(&kv)))
+            .collect();
+        for &tid in &workers {
+            kernel.attach(enclave, tid);
+        }
+        kv.start_closed_loop(requests, 2 * lanes as u64, kernel.now());
+        for &tid in &workers {
+            kernel.wake(tid);
+        }
+        Self {
+            kv,
+            workers,
+            requests,
+        }
+    }
+
+    /// Supervises the loop: every millisecond mirrors `enclave`'s
+    /// degraded mode into the KV service (load shedding during failover),
+    /// pumps retry backoffs, kicks a blocked worker if work is queued,
+    /// and calls `tick` — until every admitted request has terminated
+    /// and `tick` reports its own work done. A loop still going after a
+    /// minute is the `live-timeout` failure.
+    pub(crate) fn supervise(
+        &self,
+        kernel: &LiveKernel,
+        enclave: &EnclaveHandle,
+        failures: &mut Vec<Failure>,
+        mut tick: impl FnMut(&mut Vec<Failure>) -> bool,
+    ) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !(tick(failures) && self.kv.accounted_count() >= self.requests) {
+            if Instant::now() > deadline {
+                failures.push(Failure {
+                    oracle: "live-timeout",
+                    detail: format!(
+                        "closed loop stalled at {}/{} accounted requests",
+                        self.kv.accounted_count(),
+                        self.requests
+                    ),
+                });
+                break;
+            }
+            let degraded = kernel.runtime().enclave_degraded(enclave.id());
+            self.kv.set_degraded(degraded);
+            self.kv.pump_delayed(kernel.now());
+            if self.kv.depth() > 0 {
+                kernel.wake_one_blocked(&self.workers);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.kv.set_degraded(false);
+    }
+
+    /// The service, for its end-of-run counters.
+    pub(crate) fn service(&self) -> &KvService {
+        &self.kv
+    }
+}
+
 /// One point of the live sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveCombo {
-    /// Policy under test (one of [`live_policies`]).
+    /// Policy under test (one of [`PolicyKind::live_backend`]).
     pub policy: PolicyKind,
     /// Seed for the fault plan (and the sweep's bookkeeping).
     pub seed: u64,
@@ -155,228 +277,212 @@ pub fn generate_live_plan(seed: u64, cpus: &[CpuId]) -> FaultPlan {
     FaultPlan { events }
 }
 
-/// Everything a finished live run exposes to the CLI and tests.
-pub struct LiveRunReport {
-    /// Oracle verdicts; empty means the run survived its fault plan.
-    pub failures: Vec<Failure>,
-    /// KV requests completed / shed at admission / failed after retries.
-    pub completed: u64,
-    pub shed: u64,
-    pub failed: u64,
-    /// Runtime counters (respawns, reconstructions, drops, ...).
-    pub stats: ghost_core::runtime::GhostStats,
-    /// Backend counters (IPIs lost/delayed, injected faults, stall time).
-    pub live: LiveStats,
-    /// Measured wall-clock `RecoveryStart` → `ReconstructDone` gap, when
-    /// the run recovered from a crash.
-    pub recovery_wall_ns: Option<Nanos>,
-    /// Wall-clock duration of the whole run.
-    pub wall_ns: u128,
-    /// The recorded trace (for Chrome export of failing runs).
-    pub records: Vec<TraceRecord>,
-}
+impl ChaosCase for LiveCombo {
+    const KIND: &'static str = "live";
+    /// One crash, hang and slow plan on each of the two policies.
+    const COMBOS: u64 = 6;
+    const DETERMINISTIC: bool = false;
+    const BENCH: Option<BenchFold> = Some(|_, _, samples| pool(samples));
 
-/// Measured `RecoveryStart` → first subsequent `ReconstructDone` gap.
-fn recovery_wall(records: &[TraceRecord]) -> Option<Nanos> {
-    let start = records
-        .iter()
-        .find(|r| matches!(r.event, TraceEvent::RecoveryStart { .. }))
-        .map(|r| r.ts)?;
-    records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::ReconstructDone { .. }))
-        .map(|r| r.ts)
-        .find(|&done| done >= start)
-        .map(|done| done - start)
-}
+    /// The registry's `live_backend` capability: the two agent models
+    /// (centralized, per-CPU). The other evaluation policies add
+    /// scheduling flavour, not new recovery machinery, and live combos
+    /// cost real wall-clock time.
+    fn policies() -> Vec<PolicyKind> {
+        PolicyKind::live_backend()
+    }
 
-/// Runs `combo` on the live backend and evaluates the wall-clock
-/// oracles. Takes real time (roughly the fault windows plus the KV
-/// service time); the verdict — not the timing — is what repeats.
-pub fn run_live_combo(combo: &LiveCombo) -> LiveRunReport {
-    let started = Instant::now();
-    let sink = TraceSink::recording(combo.cpus, 1 << 20);
-    let kernel = LiveKernel::new(LiveConfig {
-        cpus: combo.cpus,
-        trace: sink.clone(),
-        faults: combo.plan.clone(),
-        ..LiveConfig::default()
-    });
-    let crash = combo.injects_crash();
-    let mut config = combo
-        .policy
-        .enclave_config(&format!("chaos-live-{}", combo.seed))
-        .with_watchdog(LIVE_WATCHDOG);
-    if crash {
-        config = config.with_standby(StandbyConfig {
-            max_respawns: 3,
-            respawn_backoff: 100 * MILLIS,
-            recovery_slo: RECOVERY_WALL_SLO,
+    fn generate(index: u64, seed_base: u64, policies: &[PolicyKind]) -> Self {
+        let policy = policies[(index % policies.len() as u64) as usize];
+        Self::generated(policy, seed_base + index)
+    }
+
+    fn label(&self) -> String {
+        let kinds: std::collections::BTreeSet<&str> =
+            self.plan.events.iter().map(|fe| fe.kind.name()).collect();
+        let kinds: Vec<&str> = kinds.into_iter().collect();
+        let (policy, seed) = (self.policy.name(), self.seed);
+        format!("live/{policy}/{}/seed={seed}", kinds.join("+"))
+    }
+
+    /// Runs the combo on the live backend and evaluates the wall-clock
+    /// oracles. Takes real time (roughly the fault windows plus the KV
+    /// service time); the verdict — not the timing — is what repeats.
+    fn run(&self) -> CaseReport {
+        let started = Instant::now();
+        let sink = TraceSink::recording(self.cpus, 1 << 20);
+        let kernel = LiveKernel::new(LiveConfig {
+            cpus: self.cpus,
+            trace: sink.clone(),
+            faults: self.plan.clone(),
+            ..LiveConfig::default()
         });
-    }
-    let enclave = kernel.launch_enclave(CpuSet::first_n(combo.cpus), config, combo.policy.build());
-    if crash {
-        let policy = combo.policy;
-        enclave.set_standby_policy(move || policy.build());
-    }
-
-    let kv = KvService::with_limits(
-        16,
-        LIVE_SERVICE_NS,
-        DegradedLimits {
-            request_timeout: 50 * MILLIS,
-            max_retries: 3,
-            retry_backoff: MILLIS,
-            shed_depth: 2,
-        },
-    );
-    let workers: Vec<_> = (0..combo.cpus)
-        .map(|i| kernel.spawn_kv_worker(&format!("chaos-kv-{i}"), Arc::clone(&kv)))
-        .collect();
-    for &tid in &workers {
-        kernel.attach(&enclave, tid);
-    }
-    kv.start_closed_loop(combo.requests, 2 * workers.len() as u64, kernel.now());
-    for &tid in &workers {
-        kernel.wake(tid);
-    }
-
-    let mut failures = Vec::new();
-    let eid = enclave.id();
-
-    // Supervise: mirror degraded mode into the KV service (load
-    // shedding while the enclave is in failover), pump retry backoffs,
-    // and kick blocked workers — until every admitted request has
-    // terminated or the deadline passes.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while kv.accounted_count() < combo.requests {
-        if Instant::now() > deadline {
-            failures.push(Failure {
-                oracle: "live-timeout",
-                detail: format!(
-                    "closed loop stalled at {}/{} accounted requests",
-                    kv.accounted_count(),
-                    combo.requests
-                ),
-            });
-            break;
+        let crash = self.injects_crash();
+        let name = format!("chaos-live-{}", self.seed);
+        let enclave = launch_guarded(
+            &kernel,
+            CpuSet::first_n(self.cpus),
+            self.policy,
+            &name,
+            crash,
+        );
+        let kv = KvLoop::start(&kernel, &enclave, self.cpus, self.requests);
+        let mut failures = Vec::new();
+        kv.supervise(&kernel, &enclave, &mut failures, |_| true);
+        if crash {
+            await_recovery(&kernel, &enclave);
         }
-        kv.set_degraded(kernel.runtime().enclave_degraded(eid));
-        kv.pump_delayed(kernel.now());
-        if kv.depth() > 0 {
-            kernel.wake_one_blocked(&workers);
+
+        let stats = kernel.runtime().stats();
+        let completed = kv.service().completed_count();
+        // Copy the trace out rather than judging it under the recorder's
+        // lock: the agents are still running and block on every emit.
+        let (records, dropped) = sink.with_records(|r, dropped| (r.to_vec(), dropped));
+        failures.extend(oracle::preamble(
+            &records,
+            dropped,
+            LIVE_GRACE_NS,
+            completed,
+            "KV request",
+        ));
+        // The measured `RecoveryStart` → `ReconstructDone` gap.
+        let recovery_wall_ns = TraceMetrics::from_records(&records)
+            .recovery_spans
+            .first()
+            .map(|(start, done)| done - start);
+
+        // Liveness: nobody left stranded. A workload thread that is
+        // runnable in the ghOSt class at end of run, and still is a moment
+        // later — so not merely between its wakeup and the agent's next
+        // pass — has an agent that never came back for it.
+        let workload = || {
+            let threads = kernel.thread_snapshots().into_iter();
+            threads.filter(|(_, th)| th.kind == ThreadKind::Workload)
+        };
+        let waiting = || -> Vec<Tid> {
+            workload()
+                .filter(|(_, th)| th.state == ThreadState::Runnable && th.class == CLASS_GHOST)
+                .map(|(tid, _)| tid)
+                .collect()
+        };
+        let mut stranded = waiting();
+        if !stranded.is_empty() {
+            std::thread::sleep(Duration::from_millis(20));
+            let still = waiting();
+            stranded.retain(|tid| still.contains(tid));
         }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    kv.set_degraded(false);
-
-    // Crash combos: wait for the §3.4 machinery to finish before
-    // judging — the respawned agent must reconstruct and reclaim even
-    // if the workload already drained on the surviving lanes.
-    if crash {
-        let rescue = Instant::now() + Duration::from_secs(10);
-        loop {
-            let stats = kernel.runtime().stats();
-            if stats.recoveries >= 1 || Instant::now() > rescue || !enclave.alive() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    let stats = kernel.runtime().stats();
-    let (records, dropped) = sink.with_records(|r, dropped| (r.to_vec(), dropped));
-    let recovery_wall_ns = recovery_wall(&records);
-
-    if dropped > 0 {
-        failures.push(Failure {
-            oracle: "trace-lossless",
-            detail: format!("trace ring dropped {dropped} records; grow the capacity"),
-        });
-    }
-    for v in check::check_with_grace(&records, LIVE_GRACE_NS) {
-        failures.push(Failure {
-            oracle: "trace-invariant",
-            detail: v.to_string(),
-        });
-    }
-    if kv.completed_count() == 0 {
-        failures.push(Failure {
-            oracle: "progress",
-            detail: "no KV request completed over the whole run".to_string(),
-        });
-    }
-
-    // Liveness: nobody left stranded. A workload thread still runnable
-    // in the ghOSt class at end of run has an agent that never came
-    // back for it.
-    for (tid, th) in kernel.thread_snapshots() {
-        if th.kind == ThreadKind::Workload
-            && th.state == ThreadState::Runnable
-            && th.class == CLASS_GHOST
-        {
+        for tid in stranded {
             failures.push(Failure {
                 oracle: "live-stranded",
                 detail: format!("thread {tid} left runnable in the ghOSt class at end of run"),
             });
         }
-    }
 
-    if crash {
-        if stats.respawns < 1 || stats.reconstructions < 1 || !enclave.alive() {
-            failures.push(Failure {
-                oracle: "recovery",
-                detail: format!(
-                    "crash not recovered: respawns={} reconstructions={} alive={}",
-                    stats.respawns,
-                    stats.reconstructions,
-                    enclave.alive()
-                ),
-            });
-        }
-        match recovery_wall_ns {
-            Some(gap) if gap > RECOVERY_WALL_SLO => failures.push(Failure {
-                oracle: "recovery-slo",
-                detail: format!("wall-clock recovery took {gap} ns (SLO {RECOVERY_WALL_SLO} ns)"),
-            }),
-            None if enclave.alive() => failures.push(Failure {
-                oracle: "recovery-slo",
-                detail: "crash combo recorded no RecoveryStart/ReconstructDone pair".to_string(),
-            }),
-            _ => {}
-        }
-        // Re-absorption after the transient CFS excursion (threads the
-        // commit governor shed deliberately are exempt).
-        if enclave.alive() && stats.estale_sheds == 0 {
-            for (tid, th) in kernel.thread_snapshots() {
-                if th.kind == ThreadKind::Workload
-                    && th.state != ThreadState::Dead
-                    && th.class == CLASS_CFS
-                {
-                    failures.push(Failure {
-                        oracle: "recovery-reclaim",
-                        detail: format!(
-                            "thread {tid} still under CFS after degraded-mode recovery"
-                        ),
-                    });
+        if crash {
+            if stats.respawns < 1 || stats.reconstructions < 1 || !enclave.alive() {
+                failures.push(Failure {
+                    oracle: "recovery",
+                    detail: format!(
+                        "crash not recovered: respawns={} reconstructions={} alive={}",
+                        stats.respawns,
+                        stats.reconstructions,
+                        enclave.alive()
+                    ),
+                });
+            }
+            match recovery_wall_ns {
+                Some(gap) if gap > RECOVERY_WALL_SLO => failures.push(Failure {
+                    oracle: "recovery-slo",
+                    detail: format!(
+                        "wall-clock recovery took {gap} ns (SLO {RECOVERY_WALL_SLO} ns)"
+                    ),
+                }),
+                None if enclave.alive() => failures.push(Failure {
+                    oracle: "recovery-slo",
+                    detail: "crash combo recorded no RecoveryStart/ReconstructDone pair"
+                        .to_string(),
+                }),
+                _ => {}
+            }
+            // Re-absorption after the transient CFS excursion (threads the
+            // commit governor shed deliberately are exempt).
+            if enclave.alive() && stats.estale_sheds == 0 {
+                for (tid, th) in workload() {
+                    if th.state != ThreadState::Dead && th.class == CLASS_CFS {
+                        failures.push(Failure {
+                            oracle: "recovery-reclaim",
+                            detail: format!(
+                                "thread {tid} still under CFS after degraded-mode recovery"
+                            ),
+                        });
+                    }
                 }
             }
         }
+
+        let degraded = kv.service().degraded_stats();
+        kernel.shutdown();
+        let wall_ns = started.elapsed().as_nanos();
+        let mut bench = vec![BenchSample {
+            name: "chaos-degraded-shed".to_string(),
+            wall_ns,
+            work_items: degraded.shed,
+            spans: Vec::new(),
+        }];
+        if let Some(ns) = recovery_wall_ns {
+            bench.push(BenchSample {
+                name: format!("chaos-recovery-{}", self.policy.name()),
+                wall_ns: ns.into(),
+                work_items: stats.respawns,
+                spans: Vec::new(),
+            });
+        }
+        CaseReport {
+            failures,
+            lines: vec![
+                format!("completed {completed}"),
+                format!("shed {}", degraded.shed),
+                format!("failed {}", degraded.failed),
+                format!("respawns {}", stats.respawns),
+                format!("reconstructions {}", stats.reconstructions),
+                format!(
+                    "recovery-ns {}",
+                    recovery_wall_ns.map_or_else(|| "-".to_string(), |ns| ns.to_string())
+                ),
+                format!("wall-ms {}", wall_ns / 1_000_000),
+            ],
+            trace: sink,
+            bench,
+        }
     }
 
-    let degraded = kv.degraded_stats();
-    let live = kernel.stats();
-    kernel.shutdown();
-    LiveRunReport {
-        failures,
-        completed: kv.completed_count(),
-        shed: degraded.shed,
-        failed: degraded.failed,
-        stats,
-        live,
-        recovery_wall_ns,
-        wall_ns: started.elapsed().as_nanos(),
-        records,
+    fn encode(&self) -> Json {
+        obj([
+            ("kind", text(Self::KIND)),
+            ("policy", text(self.policy.name())),
+            ("seed", wide::enc(self.seed)),
+            ("requests", num::enc(self.requests)),
+            ("cpus", num::enc(self.cpus as u64)),
+            ("plan", list(&self.plan.events)),
+        ])
+    }
+
+    fn decode(doc: &Json) -> Result<Self, String> {
+        let cpus: usize = doc.uint("cpus")?;
+        if !(1..=MAX_LIVE_CPUS).contains(&cpus) {
+            return Err(format!(
+                "field 'cpus': {cpus} is outside the live backend's 1..={MAX_LIVE_CPUS}"
+            ));
+        }
+        Ok(Self {
+            policy: policy_field(doc, "policy", Self::admits)?,
+            seed: wide::dec(doc, "seed")?,
+            plan: FaultPlan {
+                events: list_field(doc, "plan")?,
+            },
+            requests: doc.uint("requests")?,
+            cpus,
+        })
     }
 }
 

@@ -8,14 +8,15 @@
 //! either the agent recovers or the watchdog/fallback machinery must
 //! rescue the workload.
 
-use crate::run::WATCHDOG;
+use crate::fault::WATCHDOG;
 use ghost_core::enclave::EnclaveId;
 use ghost_core::runtime::GhostRuntime;
 use ghost_sim::kernel::KernelState;
 use ghost_sim::thread::{ThreadState, Tid};
 use ghost_sim::time::{Nanos, MILLIS};
 use ghost_sim::CLASS_CFS;
-use ghost_trace::{check, TraceEvent, TraceRecord};
+use ghost_trace::check::{check_with_grace, DEFAULT_GRACE_NS};
+use ghost_trace::{TraceEvent, TraceRecord};
 use std::fmt;
 
 /// A runnable thread left waiting longer than this at end of run failed
@@ -38,9 +39,49 @@ impl fmt::Display for Failure {
     }
 }
 
-/// Judges a finished run. Returns every violated contract; an empty
-/// vector means the run survived its fault plan. When the run armed a
-/// hot standby, `recovery_slo` carries its bound and enables the
+/// The checks every family's verdict starts with, on either backend.
+///
+/// * **trace-lossless** — the checker needs the whole stream to verify
+///   ordering invariants.
+/// * **trace-invariant** — the full `ghost-trace` suite (occupancy,
+///   runnable switch-in, Tseq/Aseq continuity, commit pairing, wakeup
+///   liveness with blackout excuses for watchdog/teardown windows),
+///   forgiving wakeups younger than `grace` at end of trace.
+/// * **progress** — `completed` `unit`s of work got done: even a
+///   destroyed enclave must not stop the workload (CFS picks it up).
+pub fn preamble<'a>(
+    records: impl IntoIterator<Item = &'a TraceRecord>,
+    trace_dropped: u64,
+    grace: Nanos,
+    completed: u64,
+    unit: &str,
+) -> Vec<Failure> {
+    let mut failures = Vec::new();
+    if trace_dropped > 0 {
+        failures.push(Failure {
+            oracle: "trace-lossless",
+            detail: format!("trace ring dropped {trace_dropped} records; grow the capacity"),
+        });
+    }
+    for v in check_with_grace(records, grace) {
+        failures.push(Failure {
+            oracle: "trace-invariant",
+            detail: v.to_string(),
+        });
+    }
+    if completed == 0 {
+        failures.push(Failure {
+            oracle: "progress",
+            detail: format!("no {unit} completed over the whole run"),
+        });
+    }
+    failures
+}
+
+/// Judges a finished simulated run: the [`preamble`] plus the end-state
+/// liveness contracts. Returns every violated contract; an empty vector
+/// means the run survived its fault plan. When the run armed a hot
+/// standby, `recovery_slo` carries its bound and enables the
 /// bounded-time recovery oracle.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate<'a>(
@@ -53,25 +94,13 @@ pub fn evaluate<'a>(
     completions: u64,
     recovery_slo: Option<Nanos>,
 ) -> Vec<Failure> {
-    let mut failures = Vec::new();
-
-    // The checker needs a lossless stream to verify ordering invariants.
-    if trace_dropped > 0 {
-        failures.push(Failure {
-            oracle: "trace-lossless",
-            detail: format!("trace ring dropped {trace_dropped} records; grow the capacity"),
-        });
-    }
-
-    // Safety: the full ghost-trace invariant suite (occupancy, runnable
-    // switch-in, Tseq/Aseq continuity, commit pairing, wakeup liveness
-    // with blackout excuses for watchdog/teardown windows).
-    for v in check::check(records.clone()) {
-        failures.push(Failure {
-            oracle: "trace-invariant",
-            detail: v.to_string(),
-        });
-    }
+    let mut failures = preamble(
+        records.clone(),
+        trace_dropped,
+        DEFAULT_GRACE_NS,
+        completions,
+        "workload segment",
+    );
 
     // Liveness: no workload thread starved past the watchdog bound. The
     // blackout excuse in the trace checker deliberately forgives wakeups
@@ -172,15 +201,6 @@ pub fn evaluate<'a>(
                 }
             }
         }
-    }
-
-    // Progress: the run did some work. Even a destroyed enclave must not
-    // stop the workload (CFS picks it up).
-    if completions == 0 {
-        failures.push(Failure {
-            oracle: "progress",
-            detail: "no workload segment completed over the whole run".to_string(),
-        });
     }
 
     failures

@@ -3,12 +3,18 @@
 //! 1-minimal hostile op sequence found by the sweep + shrinker; they are
 //! checked in so the panics can never come back silently.
 
-use ghost_chaos::{byz_from_json, run_byzantine};
+use ghost_chaos::{ByzCombo, ByzOp, CaseReport, PolicyKind};
 use ghost_core::abi::AbiError;
+use ghost_trace::json;
 
-fn load(name: &str) -> String {
+fn load(name: &str) -> ByzCombo {
     let path = format!("{}/tests/repros/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    ghost_chaos::driver::decode(&json::parse(&text).unwrap()).unwrap()
+}
+
+fn hostile_rejected(report: &CaseReport) -> u64 {
+    report.value("hostile-rejected").unwrap().parse().unwrap()
 }
 
 /// Pre-hardening, a transaction targeting a forged CPU id (999 on an
@@ -17,15 +23,24 @@ fn load(name: &str) -> String {
 /// typed `InvalidCpu` rejection while the victim enclave keeps its SLO.
 #[test]
 fn forged_commit_cpu_is_a_typed_rejection() {
-    let combo = byz_from_json(&load("byzantine-forged-cpu.json")).unwrap();
-    let report = run_byzantine(&combo);
+    let combo = load("byzantine-forged-cpu.json");
+    assert_eq!(
+        combo,
+        ByzCombo {
+            victim: PolicyKind::PerCpu,
+            seed: 2,
+            ops: vec![ByzOp::CommitForgedCpu { cpu: 999 }],
+        },
+        "the checked-in file decodes to what it always did"
+    );
+    let (report, stats) = combo.execute();
     assert!(
         report.failures.is_empty(),
         "oracles failed: {:?}",
         report.failures
     );
-    assert!(report.hostile_rejected >= 1);
-    assert!(report.stats.rejects(AbiError::InvalidCpu) >= 1);
+    assert!(hostile_rejected(&report) >= 1);
+    assert!(stats.rejects(AbiError::InvalidCpu) >= 1);
 }
 
 /// Pre-hardening, creating an enclave whose CPU mask named an id beyond
@@ -37,13 +52,22 @@ fn forged_commit_cpu_is_a_typed_rejection() {
 /// topology, the id moved to 1300 to stay unrepresentable.)
 #[test]
 fn oversized_enclave_mask_is_a_typed_rejection() {
-    let combo = byz_from_json(&load("byzantine-overlapping-create.json")).unwrap();
-    let report = run_byzantine(&combo);
+    let combo = load("byzantine-overlapping-create.json");
+    assert_eq!(
+        combo,
+        ByzCombo {
+            victim: PolicyKind::PerCpu,
+            seed: 5,
+            ops: vec![ByzOp::CreateOverlapping { cpu: 1300 }],
+        },
+        "the checked-in file decodes to what it always did"
+    );
+    let (report, stats) = combo.execute();
     assert!(
         report.failures.is_empty(),
         "oracles failed: {:?}",
         report.failures
     );
-    assert!(report.hostile_rejected >= 1);
-    assert!(report.stats.rejects(AbiError::EmptyCpuSet) >= 1);
+    assert!(hostile_rejected(&report) >= 1);
+    assert!(stats.rejects(AbiError::EmptyCpuSet) >= 1);
 }

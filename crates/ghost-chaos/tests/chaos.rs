@@ -11,10 +11,7 @@
 use ghost_chaos::lab::run_sweep;
 use ghost_chaos::rand::rngs::StdRng;
 use ghost_chaos::rand::Rng;
-use ghost_chaos::{
-    combo_from_json, combo_to_json, for_seeds, run_combo, shrink, Combo, ComboExperiment,
-    PolicyKind,
-};
+use ghost_chaos::{for_seeds, shrink, ChaosCase, Combo, PolicyKind, RecoveryCombo, Swept};
 
 /// A small sweep across every policy must pass all oracles — the
 /// runtime is expected to survive every generated fault plan. Runs
@@ -22,9 +19,9 @@ use ghost_chaos::{
 /// `ghost-chaos` binary takes with `--jobs`.
 #[test]
 fn small_sweep_is_clean_on_all_policies() {
-    let exps: Vec<ComboExperiment> = PolicyKind::evaluation_matrix()
+    let exps: Vec<Swept<Combo>> = PolicyKind::evaluation_matrix()
         .into_iter()
-        .flat_map(|policy| (1..=4).map(move |seed| ComboExperiment(Combo::generated(policy, seed))))
+        .flat_map(|policy| (1..=4).map(move |seed| Swept(Combo::generated(policy, seed))))
         .collect();
     let report = run_sweep(&exps, 2, None);
     for item in &report.items {
@@ -45,18 +42,16 @@ fn small_sweep_is_clean_on_all_policies() {
     }
 }
 
-/// The same combo always produces the same report: completions, stats,
-/// and the full trace are bit-identical across runs.
+/// The same combo always produces the same report: the summary lines
+/// (completions, counters, trace hash) and the full trace are
+/// bit-identical across runs.
 #[test]
 fn replay_is_deterministic() {
     let combo = Combo::generated(PolicyKind::Shinjuku, 7);
-    let a = run_combo(&combo);
-    let b = run_combo(&combo);
-    assert_eq!(a.completions, b.completions);
+    let (a, b) = (combo.run(), combo.run());
     assert_eq!(a.failures, b.failures);
-    assert_eq!(a.stats.txns_committed, b.stats.txns_committed);
-    assert_eq!(a.records.len(), b.records.len());
-    assert!(a.records.iter().zip(&b.records).all(|(x, y)| x == y));
+    assert_eq!(a.lines, b.lines);
+    assert_eq!(a.trace.snapshot(), b.trace.snapshot());
 }
 
 /// A combo that passes its oracles comes back from the shrinker
@@ -64,18 +59,8 @@ fn replay_is_deterministic() {
 #[test]
 fn shrink_returns_clean_combo_unchanged() {
     let combo = Combo::generated(PolicyKind::CentralizedFifo, 3);
-    assert!(run_combo(&combo).failures.is_empty(), "pick a clean seed");
+    assert!(combo.run().failures.is_empty(), "pick a clean seed");
     assert_eq!(shrink(&combo), combo);
-}
-
-/// Repro round trip on a generated (not hand-built) combo.
-#[test]
-fn generated_combos_round_trip_through_repro_json() {
-    for seed in 1..=10 {
-        let combo = Combo::generated(PolicyKind::CoreSched, seed);
-        let back = combo_from_json(&combo_to_json(&combo)).expect("parses");
-        assert_eq!(back, combo);
-    }
 }
 
 /// `for_seeds!` runs every case with a distinct derived seed.
@@ -117,21 +102,21 @@ fn recovery_sweep_exercises_standby_failover() {
     let mut reconstructions = 0u64;
     for policy in PolicyKind::evaluation_matrix() {
         for seed in 1..=8 {
-            let combo = Combo::generated_recovery(policy, seed);
-            let report = run_combo(&combo);
+            let combo = RecoveryCombo::generated(policy, seed);
+            let (run, failures) = combo.execute();
             assert!(
-                report.failures.is_empty(),
-                "policy={} seed={seed} faults={:?} failed: {:?}",
+                failures.is_empty(),
+                "policy={} seed={seed} faults={:?} failed: {failures:?}",
                 policy.name(),
                 combo.plan.events,
-                report.failures
             );
             if combo.plans_standby() {
                 standby_runs += 1;
             }
-            respawns += report.stats.respawns;
-            recoveries += report.stats.recoveries;
-            reconstructions += report.stats.reconstructions;
+            let stats = run.sim.runtime.stats();
+            respawns += stats.respawns;
+            recoveries += stats.recoveries;
+            reconstructions += stats.reconstructions;
         }
     }
     assert!(
@@ -154,21 +139,21 @@ fn standby_combo_replays_deterministically() {
         .flat_map(|seed| {
             PolicyKind::evaluation_matrix()
                 .into_iter()
-                .map(move |p| Combo::generated_recovery(p, seed))
+                .map(move |p| RecoveryCombo::generated(p, seed))
         })
         .filter(|c| c.plans_standby())
         .map(|c| {
-            let report = run_combo(&c);
-            (c, report)
+            let (run, _) = c.execute();
+            (c, run)
         })
-        .find(|(_, r)| r.stats.respawns > 0)
+        .find(|(_, run)| run.sim.runtime.stats().respawns > 0)
         .expect("some recovery combo respawns a standby");
-    let parsed = combo_from_json(&combo_to_json(&combo)).expect("repro round trip");
+    let parsed = RecoveryCombo::decode(&combo.encode()).expect("repro round trip");
     assert!(parsed.plans_standby(), "standby derivation survives replay");
-    let b = run_combo(&parsed);
-    assert_eq!(a.completions, b.completions);
-    assert_eq!(a.stats.respawns, b.stats.respawns);
-    assert_eq!(a.stats.recoveries, b.stats.recoveries);
-    assert_eq!(a.records.len(), b.records.len());
-    assert!(a.records.iter().zip(&b.records).all(|(x, y)| x == y));
+    let (b, _) = parsed.execute();
+    let (sa, sb) = (a.sim.runtime.stats(), b.sim.runtime.stats());
+    assert_eq!(a.completions(), b.completions());
+    assert_eq!(sa.respawns, sb.respawns);
+    assert_eq!(sa.recoveries, sb.recoveries);
+    assert_eq!(a.sim.sink.snapshot(), b.sim.sink.snapshot());
 }

@@ -3,10 +3,18 @@
 //! armed. The full rotation runs in CI via `ghost-chaos --live`; this
 //! keeps the tier-1 suite honest about the path existing at all.
 
-use ghost_chaos::live::generate_live_plan;
-use ghost_chaos::{run_live_combo, LiveCombo, PolicyKind};
+use ghost_chaos::{
+    generate_live_plan, CaseReport, ChaosCase, LendingLiveCombo, LiveCombo, PolicyKind,
+};
 use ghost_sim::faults::FaultKind;
 use ghost_sim::topology::CpuId;
+
+fn count(report: &CaseReport, key: &str) -> u64 {
+    let value = report
+        .value(key)
+        .unwrap_or_else(|| panic!("no '{key}' line"));
+    value.parse().unwrap_or_else(|_| panic!("{key}: {value}"))
+}
 
 fn combo(policy: PolicyKind, seed: u64) -> LiveCombo {
     let mut c = LiveCombo::generated(policy, seed);
@@ -20,25 +28,33 @@ fn live_crash_combo_recovers_within_slo() {
     // Seed 3 rotates to an agent crash (see `generate_live_plan`).
     let c = combo(PolicyKind::CentralizedFifo, 3);
     assert!(c.injects_crash());
-    let report = run_live_combo(&c);
+    let report = c.run();
     assert!(
         report.failures.is_empty(),
         "oracle failures: {:?}",
         report.failures
     );
-    assert!(report.stats.respawns >= 1, "standby never respawned");
-    assert!(report.stats.reconstructions >= 1, "no status-word resync");
-    let gap = report.recovery_wall_ns.expect("recovery was measured");
+    assert!(count(&report, "respawns") >= 1, "standby never respawned");
+    assert!(
+        count(&report, "reconstructions") >= 1,
+        "no status-word resync"
+    );
+    let gap = count(&report, "recovery-ns"); // panics unless measured
     assert!(
         gap <= ghost_chaos::RECOVERY_WALL_SLO,
         "recovery took {gap} ns"
     );
     // Every admitted request terminated exactly once.
     assert_eq!(
-        report.completed + report.shed + report.failed,
+        count(&report, "completed") + count(&report, "shed") + count(&report, "failed"),
         c.requests,
         "closed-loop accounting leaked"
     );
+    // The measured recovery is what `--bench-out` would record.
+    assert!(report
+        .bench
+        .iter()
+        .any(|s| s.name == "chaos-recovery-centralized-fifo" && s.wall_ns == gap.into()));
 }
 
 #[test]
@@ -51,13 +67,16 @@ fn live_hang_combo_stalls_and_completes() {
         .events
         .iter()
         .all(|fe| matches!(fe.kind, FaultKind::AgentHang { .. })));
-    let report = run_live_combo(&c);
+    let report = c.run();
     assert!(
         report.failures.is_empty(),
         "oracle failures: {:?}",
         report.failures
     );
-    assert!(report.completed > 0, "hang combo made no progress");
+    assert!(
+        count(&report, "completed") > 0,
+        "hang combo made no progress"
+    );
 }
 
 #[test]
@@ -69,30 +88,33 @@ fn live_lease_revoke_while_degraded_stays_accounted() {
     // require zero stranded leases, full grant accounting, and a
     // recovered enclave; the closed loop's terminal accounting must
     // still sum despite shedding at the boundary.
-    let mut combo = ghost_chaos::LendingLiveCombo::generated(PolicyKind::CentralizedFifo, 2);
+    let mut combo = LendingLiveCombo::generated(PolicyKind::CentralizedFifo, 2);
     assert_eq!(
         combo.fault,
         ghost_chaos::lab::LendingFault::RevokeDuringReconstruct,
         "seed 2 rotates to the revoke-reconstruct arm"
     );
     combo.requests = 20_000; // tier-1 budget
-    let report = ghost_chaos::run_lending_live(&combo);
+    let report = combo.run();
     assert!(
         report.failures.is_empty(),
         "oracle failures: {:?}",
         report.failures
     );
-    assert!(report.lease_stats.granted >= 1, "no lease was granted");
-    let resolved = report.lease_stats.returned
-        + report.lease_stats.expired
-        + report.lease_stats.borrower_deaths
-        + report.lease_stats.lender_deaths;
+    assert!(count(&report, "granted") >= 1, "no lease was granted");
+    let resolved: u64 = ["returned", "expired", "borrower-deaths", "lender-deaths"]
+        .iter()
+        .map(|key| count(&report, key))
+        .sum();
     assert_eq!(
-        report.lease_stats.granted,
-        resolved + report.outstanding,
+        count(&report, "granted"),
+        resolved + count(&report, "outstanding"),
         "lease accounting leaked"
     );
-    assert!(report.completed > 0, "no KV progress through the revoke");
+    assert!(
+        count(&report, "completed") > 0,
+        "no KV progress through the revoke"
+    );
 }
 
 #[test]

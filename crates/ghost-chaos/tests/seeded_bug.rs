@@ -6,10 +6,11 @@
 //! minimal repro, and the written `repro.json` must replay the exact
 //! failure deterministically.
 
-use ghost_chaos::{combo_from_json, combo_to_json, run_combo, shrink, Combo, PolicyKind};
+use ghost_chaos::{shrink, ChaosCase, Combo, PolicyKind};
 use ghost_sim::faults::{FaultKind, FaultPlan};
 use ghost_sim::time::MILLIS;
 use ghost_sim::topology::CpuId;
+use ghost_trace::json;
 
 /// A hand-built ≤3-event plan whose agent hang trips the watchdog (and,
 /// belt and braces, a later crash and a tick skew). The odd seed keeps
@@ -45,7 +46,7 @@ fn buggy_combo() -> Combo {
 fn seeded_bug_is_caught_shrunk_and_replayed() {
     // 1. Caught: the oracles flag the stranded threads.
     let combo = buggy_combo();
-    let report = run_combo(&combo);
+    let report = combo.run();
     assert!(!report.failures.is_empty(), "seeded bug not caught");
     assert!(
         report
@@ -68,16 +69,27 @@ fn seeded_bug_is_caught_shrunk_and_replayed() {
         minimal.plan.events.len() < combo.plan.events.len(),
         "shrinker removed nothing"
     );
-    let min_report = run_combo(&minimal);
+    let min_report = minimal.run();
     assert!(
         !min_report.failures.is_empty(),
         "shrunk combo stopped failing"
     );
 
-    // 3. Replayed: through repro.json, byte-identical failure set.
-    let parsed = combo_from_json(&combo_to_json(&minimal)).expect("repro parses");
+    // 1-minimal: no single remaining event can go without the failure
+    // going with it.
+    for smaller in minimal.shrink_candidates() {
+        assert!(
+            smaller.run().failures.is_empty(),
+            "not minimal: {smaller:?}"
+        );
+    }
+
+    // 3. Replayed: through the repro.json text, byte-identical failure
+    // set and summary.
+    let text = minimal.encode().to_string();
+    let parsed = Combo::decode(&json::parse(&text).expect("repro parses")).expect("decodes");
     assert_eq!(parsed, minimal);
-    let replayed = run_combo(&parsed);
+    let replayed = parsed.run();
     assert_eq!(replayed.failures, min_report.failures, "replay diverged");
-    assert_eq!(replayed.completions, min_report.completions);
+    assert_eq!(replayed.lines, min_report.lines);
 }

@@ -421,97 +421,111 @@ impl LendingScenario {
         )
     }
 
-    /// The lending oracles: no stranded leases, full grant accounting,
-    /// donor liveness, and per-fault expectations.
+    /// The lending oracles: the lease verdicts plus forward progress on
+    /// both sides (the donor's light load always fits; the protected
+    /// side ran at least until the injected fault).
     fn check_oracles(&self, run: &LendingRun) -> Vec<String> {
-        let mut fails = Vec::new();
-        let rt = &run.runtime;
-
-        // No stranded lease: every active lease's CPU is owned by its
-        // live borrower, and no CPU is owned by a dead enclave.
-        for l in rt.leases() {
-            if rt.cpu_owner(l.cpu) != Some(l.borrower) {
-                fails.push(format!(
-                    "oracle-fail stranded-lease cpu={} borrower={:?} owner={:?}",
-                    l.cpu.0,
-                    l.borrower,
-                    rt.cpu_owner(l.cpu)
-                ));
-            }
-        }
-        for c in 0..run.kernel.state.topo.num_cpus() as u16 {
-            if let Some(eid) = rt.cpu_owner(CpuId(c)) {
-                let alive = (eid == run.protected.id() && run.protected.alive())
-                    || (eid == run.donor.id() && run.donor.alive());
-                if !alive {
-                    fails.push(format!(
-                        "oracle-fail cpu-on-dead-enclave cpu={c} enclave={eid:?}"
-                    ));
-                }
-            }
-        }
-
-        // Every grant is accounted for.
-        let s = rt.lease_stats();
-        let resolved = s.returned + s.expired + s.borrower_deaths + s.lender_deaths;
-        if s.granted != resolved + rt.leases().len() as u64 {
-            fails.push(format!(
-                "oracle-fail lease-accounting granted={} resolved={resolved} outstanding={}",
-                s.granted,
-                rt.leases().len()
-            ));
-        }
-
-        // The donor must survive every arm, and both sides must have
-        // made forward progress (the donor's light load always fits;
-        // the protected side ran at least until the injected fault).
-        if !run.donor.alive() {
-            fails.push("oracle-fail donor-died".into());
-        }
+        let cpus = run.kernel.state.topo.num_cpus();
+        let mut fails = lease_verdicts(self.fault, &run.runtime, &run.protected, &run.donor, cpus);
         if run.d_completions() == 0 {
             fails.push("oracle-fail donor-no-progress".into());
         }
         if run.p_completions() == 0 {
             fails.push("oracle-fail protected-no-progress".into());
         }
-
-        match self.fault {
-            LendingFault::None | LendingFault::DeadlineStress => {
-                if s.granted == 0 {
-                    fails.push("oracle-fail rm-never-lent".into());
-                }
-                if self.fault == LendingFault::DeadlineStress && s.expired == 0 {
-                    fails.push("oracle-fail no-deadline-expiry".into());
-                }
-                if !run.protected.alive() {
-                    fails.push("oracle-fail protected-died-without-fault".into());
-                }
-            }
-            LendingFault::RmCrash => {
-                match rt.rm_stats() {
-                    Some(rm) if rm.restarts == 0 => {
-                        fails.push("oracle-fail rm-failover-not-recorded".into())
-                    }
-                    None => fails.push("oracle-fail rm-not-restarted".into()),
-                    _ => {}
-                }
-                if !run.protected.alive() {
-                    fails.push("oracle-fail protected-died-without-fault".into());
-                }
-            }
-            LendingFault::BorrowerCrash => {
-                // The borrower's fate depends on its agent mode (a
-                // centralized enclave dies, a per-CPU one recovers);
-                // the invariants above are the contract.
-            }
-            LendingFault::RevokeDuringReconstruct => {
-                if !run.protected.alive() {
-                    fails.push("oracle-fail standby-did-not-recover".into());
-                }
-            }
-        }
         fails
     }
+}
+
+/// The lease contract, judged on the runtime's end state — the same on
+/// either backend: no stranded lease, full grant accounting, a donor that
+/// survived, and what the injected `fault` must (not) have done to the
+/// `protected` borrower. One `oracle-fail ...` line per violation.
+pub fn lease_verdicts(
+    fault: LendingFault,
+    rt: &GhostRuntime,
+    protected: &EnclaveHandle,
+    donor: &EnclaveHandle,
+    num_cpus: usize,
+) -> Vec<String> {
+    let mut fails = Vec::new();
+
+    // No stranded lease: every active lease's CPU is owned by its
+    // live borrower, and no CPU is owned by a dead enclave.
+    for l in rt.leases() {
+        if rt.cpu_owner(l.cpu) != Some(l.borrower) {
+            fails.push(format!(
+                "oracle-fail stranded-lease cpu={} borrower={:?} owner={:?}",
+                l.cpu.0,
+                l.borrower,
+                rt.cpu_owner(l.cpu)
+            ));
+        }
+    }
+    for c in 0..num_cpus as u16 {
+        if let Some(eid) = rt.cpu_owner(CpuId(c)) {
+            let alive = (eid == protected.id() && protected.alive())
+                || (eid == donor.id() && donor.alive());
+            if !alive {
+                fails.push(format!(
+                    "oracle-fail cpu-on-dead-enclave cpu={c} enclave={eid:?}"
+                ));
+            }
+        }
+    }
+
+    // Every grant is accounted for.
+    let s = rt.lease_stats();
+    let resolved = s.returned + s.expired + s.borrower_deaths + s.lender_deaths;
+    if s.granted != resolved + rt.leases().len() as u64 {
+        fails.push(format!(
+            "oracle-fail lease-accounting granted={} resolved={resolved} outstanding={}",
+            s.granted,
+            rt.leases().len()
+        ));
+    }
+
+    // The donor must survive every arm.
+    if !donor.alive() {
+        fails.push("oracle-fail donor-died".into());
+    }
+
+    match fault {
+        LendingFault::None | LendingFault::DeadlineStress => {
+            if s.granted == 0 {
+                fails.push("oracle-fail rm-never-lent".into());
+            }
+            if fault == LendingFault::DeadlineStress && s.expired == 0 {
+                fails.push("oracle-fail no-deadline-expiry".into());
+            }
+            if !protected.alive() {
+                fails.push("oracle-fail protected-died-without-fault".into());
+            }
+        }
+        LendingFault::RmCrash => {
+            match rt.rm_stats() {
+                Some(rm) if rm.restarts == 0 => {
+                    fails.push("oracle-fail rm-failover-not-recorded".into())
+                }
+                None => fails.push("oracle-fail rm-not-restarted".into()),
+                _ => {}
+            }
+            if !protected.alive() {
+                fails.push("oracle-fail protected-died-without-fault".into());
+            }
+        }
+        LendingFault::BorrowerCrash => {
+            // The borrower's fate depends on its agent mode (a
+            // centralized enclave dies, a per-CPU one recovers);
+            // the invariants above are the contract.
+        }
+        LendingFault::RevokeDuringReconstruct => {
+            if !protected.alive() {
+                fails.push("oracle-fail standby-did-not-recover".into());
+            }
+        }
+    }
+    fails
 }
 
 impl Experiment for LendingScenario {

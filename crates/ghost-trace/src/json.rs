@@ -1,7 +1,11 @@
-//! Minimal JSON parser, used to validate exported Chrome traces in tests
-//! without pulling a serde dependency into the offline build. Supports the
-//! full JSON grammar (objects, arrays, strings with escapes, numbers,
-//! booleans, null); numbers are parsed as f64.
+//! Minimal JSON tree: a parser, a writer, and a checked integer accessor,
+//! so Chrome traces can be validated and `repro.json` documents written
+//! and read without pulling a serde dependency into the offline build.
+//! Supports the full JSON grammar (objects, arrays, strings with escapes,
+//! numbers, booleans, null); numbers are `f64`, so integers are exact
+//! only up to 2⁵³ — wider values travel as decimal strings.
+
+use std::fmt;
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,6 +47,74 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The numeric member `key` as an integer of type `T`. Rejects — naming
+    /// the field — a member that is missing, not a number, not finite,
+    /// fractional, negative, above 2⁵³ (where `f64` stops being exact), or
+    /// out of `T`'s range, so a hand-edited document cannot wrap or
+    /// truncate into a different value.
+    pub fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let n = self
+            .get(key)
+            .and_then(Json::as_num)
+            .ok_or_else(|| format!("missing numeric field '{key}'"))?;
+        if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= (1u64 << 53) as f64) {
+            return Err(format!(
+                "field '{key}': {n} is not a non-negative integer of at most 2^53"
+            ));
+        }
+        T::try_from(n as u64).map_err(|_| format!("field '{key}': {n} is out of range"))
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Json::Arr(items) => write_seq(f, depth, "[]", items, |f, v| v.write(f, depth + 1)),
+            Json::Obj(members) => write_seq(f, depth, "{}", members, |f, (k, v)| {
+                write!(f, "\"{}\": ", escape(k))?;
+                v.write(f, depth + 1)
+            }),
+        }
+    }
+}
+
+/// Writes the document. Containers nested less than two deep put one
+/// member per line; deeper ones stay on one line, so a top-level list of
+/// small objects reads as one object per line.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+fn write_seq<T>(
+    f: &mut fmt::Formatter<'_>,
+    depth: usize,
+    brackets: &str,
+    items: &[T],
+    each: impl Fn(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
+) -> fmt::Result {
+    let broken = depth < 2 && !items.is_empty();
+    f.write_str(&brackets[..1])?;
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        if broken {
+            write!(f, "\n{:w$}", "", w = 2 * depth + 2)?;
+        } else if i > 0 {
+            f.write_str(" ")?;
+        }
+        each(f, item)?;
+    }
+    if broken {
+        write!(f, "\n{:w$}", "", w = 2 * depth)?;
+    }
+    f.write_str(&brackets[1..])
 }
 
 /// Parses `input` as one JSON document; trailing non-whitespace is an error.
@@ -277,5 +349,52 @@ mod tests {
     fn parses_unicode_escape_and_utf8() {
         let v = parse("{\"k\": \"\\u00e9 caf\u{e9}\"}").unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some("\u{e9} caf\u{e9}"));
+    }
+
+    #[test]
+    fn writer_output_parses_back_and_breaks_two_levels() {
+        let doc = Json::Obj(vec![
+            ("s".into(), Json::Str("a \"q\"\n".into())),
+            ("n".into(), Json::Num(120_000_000.0)),
+            (
+                "list".into(),
+                Json::Arr(vec![
+                    Json::Obj(vec![
+                        ("k".into(), Json::Num(1.0)),
+                        ("b".into(), Json::Bool(true)),
+                    ]),
+                    Json::Obj(vec![]),
+                ]),
+            ),
+            ("empty".into(), Json::Arr(vec![])),
+            ("nan".into(), Json::Num(f64::NAN)),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            "{\n  \"s\": \"a \\\"q\\\"\\n\",\n  \"n\": 120000000,\n  \"list\": [\n    \
+             {\"k\": 1, \"b\": true},\n    {}\n  ],\n  \"empty\": [],\n  \"nan\": null\n}"
+        );
+        let back = parse(&text).unwrap();
+        assert_eq!(back.get("list"), doc.get("list"));
+        assert_eq!(back.get("s"), doc.get("s"));
+        assert_eq!(back.to_string(), text, "writing is a fixpoint");
+    }
+
+    #[test]
+    fn uint_rejects_what_a_cast_would_mangle() {
+        let v = parse(
+            r#"{"ok": 65535, "big": 70000, "neg": -1, "frac": 1.5, "huge": 1e300,
+                "edge": 9007199254740992, "past": 9007199254740994, "s": "7"}"#,
+        )
+        .unwrap();
+        assert_eq!(v.uint::<u16>("ok"), Ok(65535));
+        assert_eq!(v.uint::<u64>("edge"), Ok(1 << 53));
+        for key in ["big", "neg", "frac", "huge", "past", "s", "absent"] {
+            let err = v.uint::<u16>(key).unwrap_err();
+            assert!(err.contains(&format!("'{key}'")), "{key}: {err}");
+        }
+        assert_eq!(v.uint::<u32>("big"), Ok(70000));
+        assert!(v.uint::<u64>("past").is_err());
     }
 }
