@@ -291,10 +291,9 @@ impl ChaosCase for LendingLiveCombo {
         kernel.rm_start(self.rm_config(), protected.id(), donor.id());
 
         let rt = kernel.runtime();
-        let eid = protected.id();
         let apply = |step: &LiveStep, failures: &mut Vec<Failure>| match step {
             LiveStep::LendIfIdle { dur } => {
-                if rt.borrowed_by(eid).is_empty() {
+                if protected.borrowed_cpus().is_empty() {
                     let lent = donor
                         .cpus()
                         .iter()
@@ -323,7 +322,7 @@ impl ChaosCase for LendingLiveCombo {
                 }
             }
             LiveStep::ReclaimBorrowed => {
-                if let Some(&cpu) = rt.borrowed_by(eid).first() {
+                if let Some(&cpu) = protected.borrowed_cpus().first() {
                     let _ = kernel.reclaim_cpu(cpu);
                 }
             }

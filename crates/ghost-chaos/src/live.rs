@@ -172,7 +172,7 @@ impl KvLoop {
                 });
                 break;
             }
-            let degraded = kernel.runtime().enclave_degraded(enclave.id());
+            let degraded = enclave.degraded();
             self.kv.set_degraded(degraded);
             self.kv.pump_delayed(kernel.now());
             if self.kv.depth() > 0 {

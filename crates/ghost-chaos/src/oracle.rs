@@ -125,7 +125,8 @@ pub fn evaluate<'a>(
     // Liveness: fallback-to-CFS completes. Once the enclave is gone,
     // every surviving workload thread must actually be back under CFS —
     // a thread left in the ghOSt class has no scheduler at all.
-    if !runtime.enclave_alive(enclave) {
+    let alive = runtime.handle(enclave).alive();
+    if !alive {
         for &tid in workload {
             let th = k.thread(tid);
             if th.state != ThreadState::Dead && th.class != CLASS_CFS {
@@ -170,7 +171,7 @@ pub fn evaluate<'a>(
                     });
                 }
                 Some(_) => {}
-                None if runtime.enclave_alive(enclave) => {
+                None if alive => {
                     failures.push(Failure {
                         oracle: "recovery-slo",
                         detail: format!(
@@ -187,8 +188,7 @@ pub fn evaluate<'a>(
         // again — none left stranded on the transient CFS excursion.
         // Threads the commit governor shed to CFS are exempt (shedding
         // is deliberate), so only shed-free runs are checked.
-        if !starts.is_empty() && runtime.enclave_alive(enclave) && runtime.stats().estale_sheds == 0
-        {
+        if !starts.is_empty() && alive && runtime.stats().estale_sheds == 0 {
             for &tid in workload {
                 let th = k.thread(tid);
                 if th.state != ThreadState::Dead && th.class == CLASS_CFS {

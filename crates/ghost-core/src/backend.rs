@@ -18,12 +18,12 @@
 use ghost_sim::class::ClassId;
 use ghost_sim::costs::CostModel;
 use ghost_sim::cpuset::CpuSet;
+use ghost_sim::faults::FaultPlan;
 use ghost_sim::kernel::{KernelState, ThreadSpec};
 use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
 use ghost_sim::time::Nanos;
 use ghost_sim::topology::{CpuId, Topology};
 use ghost_trace::TraceSink;
-use rand::rngs::StdRng;
 
 /// A point-in-time snapshot of one thread, as the runtime sees it.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +84,7 @@ impl BackendCpu {
 /// | `arm_driver_timer` | `DriverTimer` event | timer-thread heap |
 /// | `spawn_agent` | agent `SimThread` | real `std::thread` |
 /// | `kill` | deferred kill buffer | exit command + join |
-/// | faults | `FaultPlan` over virtual time | `FaultPlan` over wall clock |
+/// | `faults` | `FaultPlan` over virtual time | `FaultPlan` over wall clock |
 pub trait GhostBackend {
     /// Current time in nanoseconds (virtual or monotonic).
     fn now(&self) -> Nanos;
@@ -98,26 +98,17 @@ pub trait GhostBackend {
     /// Tracepoint sink.
     fn trace(&self) -> &TraceSink;
 
-    /// Deterministic RNG for randomized policies.
-    fn rng(&mut self) -> &mut StdRng;
-
-    /// True if `tid` names a thread this backend has ever spawned. The
-    /// enforcement hook for validating agent-supplied tids.
-    fn valid_tid(&self, tid: Tid) -> bool;
-
-    /// True if `cpu` names a CPU of this machine.
-    fn valid_cpu(&self, cpu: CpuId) -> bool;
-
     /// Snapshot of a thread.
     ///
     /// # Panics
     ///
-    /// Panics if `tid` was never spawned; validate agent-supplied ids
-    /// with [`GhostBackend::valid_tid`] or use
+    /// Panics if `tid` was never spawned; agent-supplied ids go through
     /// [`GhostBackend::thread_checked`].
     fn thread(&self, tid: Tid) -> BackendThread;
 
-    /// Bounds-checked snapshot of a thread (for agent-supplied tids).
+    /// Snapshot of a thread, or `None` if `tid` names no thread this
+    /// backend ever spawned — the enforcement hook for validating
+    /// agent-supplied tids.
     fn thread_checked(&self, tid: Tid) -> Option<BackendThread>;
 
     /// Snapshot of a CPU.
@@ -127,7 +118,8 @@ pub trait GhostBackend {
     /// Panics if `cpu` is out of range.
     fn cpu(&self, cpu: CpuId) -> BackendCpu;
 
-    /// Bounds-checked snapshot of a CPU (for agent-supplied ids).
+    /// Snapshot of a CPU, or `None` if `cpu` names no CPU of this machine
+    /// (for agent-supplied ids).
     fn cpu_checked(&self, cpu: CpuId) -> Option<BackendCpu>;
 
     /// True if `cpu`'s SMT sibling is occupied.
@@ -163,14 +155,10 @@ pub trait GhostBackend {
     /// Spawns an agent pthread pinned to `cpu`, starting blocked.
     fn spawn_agent(&mut self, name: &str, cpu: CpuId) -> Tid;
 
-    /// True while an injected queue-overflow fault window is active.
-    fn fault_queue_overflow_active(&self) -> bool;
-
-    /// End of an injected agent-hang window covering `now`, if any.
-    fn fault_agent_hang_until(&self, cpu: CpuId) -> Option<Nanos>;
-
-    /// Slowdown factor from an injected agent-slow window (1 = none).
-    fn fault_agent_slow_factor(&self, cpu: CpuId) -> u64;
+    /// The injected fault schedule; the runtime evaluates its window
+    /// predicates (queue overflow, agent hang, agent slow) against
+    /// [`GhostBackend::now`].
+    fn faults(&self) -> &FaultPlan;
 }
 
 impl GhostBackend for KernelState {
@@ -190,18 +178,6 @@ impl GhostBackend for KernelState {
         &self.cfg.trace
     }
 
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    fn valid_tid(&self, tid: Tid) -> bool {
-        KernelState::valid_tid(self, tid)
-    }
-
-    fn valid_cpu(&self, cpu: CpuId) -> bool {
-        KernelState::valid_cpu(self, cpu)
-    }
-
     fn thread(&self, tid: Tid) -> BackendThread {
         let t = &self.threads[tid.index()];
         BackendThread {
@@ -219,11 +195,7 @@ impl GhostBackend for KernelState {
     }
 
     fn thread_checked(&self, tid: Tid) -> Option<BackendThread> {
-        if KernelState::valid_tid(self, tid) {
-            Some(GhostBackend::thread(self, tid))
-        } else {
-            None
-        }
+        self.valid_tid(tid).then(|| GhostBackend::thread(self, tid))
     }
 
     fn cpu(&self, cpu: CpuId) -> BackendCpu {
@@ -236,11 +208,7 @@ impl GhostBackend for KernelState {
     }
 
     fn cpu_checked(&self, cpu: CpuId) -> Option<BackendCpu> {
-        if KernelState::valid_cpu(self, cpu) {
-            Some(GhostBackend::cpu(self, cpu))
-        } else {
-            None
-        }
+        self.valid_cpu(cpu).then(|| GhostBackend::cpu(self, cpu))
     }
 
     fn sibling_busy(&self, cpu: CpuId) -> bool {
@@ -287,15 +255,7 @@ impl GhostBackend for KernelState {
         )
     }
 
-    fn fault_queue_overflow_active(&self) -> bool {
-        self.cfg.faults.queue_overflow_active(self.now)
-    }
-
-    fn fault_agent_hang_until(&self, cpu: CpuId) -> Option<Nanos> {
-        self.cfg.faults.agent_hang_until(cpu, self.now)
-    }
-
-    fn fault_agent_slow_factor(&self, cpu: CpuId) -> u64 {
-        self.cfg.faults.agent_slow_factor(cpu, self.now)
+    fn faults(&self) -> &FaultPlan {
+        &self.cfg.faults
     }
 }

@@ -9,7 +9,7 @@ use crate::msg::Message;
 use crate::pnt::PntRings;
 use crate::queue::MessageQueue;
 use crate::slab::{CpuMap, TidMap, TidSlab};
-use crate::status::StatusWordRef;
+use crate::status::{StatusWord, StatusWordRef, SW_ATTACHED};
 use ghost_sim::cpuset::CpuSet;
 use ghost_sim::thread::Tid;
 use ghost_sim::time::Nanos;
@@ -282,18 +282,30 @@ pub struct Enclave {
 }
 
 impl Enclave {
-    /// Pops every message from `qid` into a vector (consumer side),
-    /// updating per-thread pending counts.
-    pub fn drain_queue(&mut self, qid: QueueId) -> Vec<Message> {
-        let mut msgs = Vec::new();
-        self.drain_queue_into(qid, &mut msgs);
-        msgs
+    /// `CREATE_QUEUE()`: appends a queue with the given wakeup behaviour.
+    pub fn add_queue(&mut self, wake: WakeMode) -> QueueId {
+        let id = QueueId(self.queues.len() as u32);
+        self.queues.push(Some(QueueState {
+            queue: MessageQueue::new(self.config.queue_capacity),
+            wake,
+        }));
+        id
     }
 
-    /// Batched group-commit drain: pops every message from `qid` into a
-    /// caller-owned buffer (appending), updating per-thread pending
-    /// counts. The activation loop reuses one buffer across queues and
-    /// activations, so the drain itself never allocates in steady state.
+    /// A live queue (`None` once destroyed, or for a forged id).
+    pub fn queue(&self, qid: QueueId) -> Option<&QueueState> {
+        self.queues.get(qid.0 as usize)?.as_ref()
+    }
+
+    /// Mutable access to a live queue.
+    pub fn queue_mut(&mut self, qid: QueueId) -> Option<&mut QueueState> {
+        self.queues.get_mut(qid.0 as usize)?.as_mut()
+    }
+
+    /// Pops every message from `qid` into a caller-owned buffer
+    /// (appending), updating per-thread pending counts. The activation
+    /// loop reuses one buffer across queues and activations, so the drain
+    /// itself never allocates in steady state.
     pub fn drain_queue_into(&mut self, qid: QueueId, out: &mut Vec<Message>) {
         let Some(Some(qs)) = self.queues.get(qid.0 as usize) else {
             return;
@@ -317,14 +329,72 @@ impl Enclave {
             .unwrap_or(self.default_queue)
     }
 
-    /// Total messages dropped across every live queue of the enclave
-    /// (the per-queue counters behind the `ghost_queue_overflow`
-    /// tracepoint).
-    pub fn dropped_msgs(&self) -> u64 {
-        self.queues
-            .iter()
-            .flatten()
-            .map(|qs| qs.queue.dropped())
-            .sum()
+    /// Agent pthreads in agent-CPU order (`CpuMap` iterates by `CpuId`),
+    /// so "the first survivor" is the same agent on every replay.
+    pub fn agent_tids(&self) -> Vec<Tid> {
+        self.agents.values().map(|a| a.tid).collect()
+    }
+
+    /// Registers the agent pinned to `cpu` with a fresh status word.
+    pub fn add_agent(&mut self, cpu: CpuId, tid: Tid) {
+        let status = StatusWord::new();
+        status.set_flags(SW_ATTACHED);
+        self.agents.insert(cpu, AgentSlot { tid, cpu, status });
+    }
+
+    /// Hands the default queue's wakeups to the lowest-CPU surviving agent
+    /// if the departed agent `gone` owned them.
+    pub fn rehome_default_queue(&mut self, gone: Tid) {
+        let successor = self.agents.values().next().map(|a| a.tid);
+        if let (Some(succ), Some(qs)) = (successor, self.queue_mut(self.default_queue)) {
+            if qs.wake == WakeMode::WakeAgent(gone) {
+                qs.wake = WakeMode::WakeAgent(succ);
+            }
+        }
+    }
+
+    /// Forgets `tid`'s commit slot and PNT offer: the thread is leaving
+    /// the set an agent may schedule (kill, class move, failover stash).
+    pub fn unschedule(&mut self, tid: Tid) {
+        self.committed.retain(|_, slot| slot.tid != tid);
+        if let Some(pnt) = &mut self.pnt {
+            pnt.revoke(tid);
+        }
+        if let Some(info) = self.threads.get_mut(tid) {
+            info.picked = false;
+        }
+    }
+
+    /// Recalls the commit pending on `cpu`, if any; its thread becomes
+    /// schedulable again.
+    pub fn recall(&mut self, cpu: CpuId) -> Option<Tid> {
+        let slot = self.committed.remove(cpu)?;
+        if let Some(info) = self.threads.get_mut(slot.tid) {
+            info.picked = false;
+        }
+        Some(slot.tid)
+    }
+
+    /// Hands the enclave to an incoming agent (staged upgrade, respawned
+    /// standby, stash reclaim): the next activation rebuilds its view from
+    /// a status-word scan, the watchdog measures starvation from `now`,
+    /// and an `Aseq` barrier on every agent fails commits prepared
+    /// against the predecessor's view with `ESTALE`.
+    pub fn raise_barrier(&mut self, now: Nanos) {
+        self.needs_reconstruct = true;
+        self.upgraded_at = Some(now);
+        for slot in self.agents.values() {
+            slot.status.bump_seq();
+        }
+    }
+
+    /// True once the byzantine strike budget is spent and the enclave is
+    /// still standing to be quarantined.
+    pub fn strikes_exhausted(&self) -> bool {
+        !self.destroyed
+            && self
+                .config
+                .abi_strike_budget
+                .is_some_and(|budget| self.abi_strikes >= budget)
     }
 }

@@ -7,7 +7,7 @@ use crate::backend::GhostBackend;
 use crate::enclave::{Enclave, QueueId, WakeMode};
 use crate::msg::Message;
 use ghost_sim::cpuset::CpuSet;
-use ghost_sim::thread::{ThreadState, Tid};
+use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
 use ghost_sim::time::Nanos;
 use ghost_sim::topology::{CpuId, Topology};
 use ghost_trace::TraceEvent;
@@ -120,13 +120,7 @@ impl<'a> PolicyCtx<'a> {
         self.k
             .cpu_checked(cpu)
             .and_then(|cs| cs.current)
-            .is_some_and(|t| self.k.thread(t).kind == ghost_sim::thread::ThreadKind::Agent)
-    }
-
-    /// Number of CFS threads queued behind `cpu` (the hot-handoff
-    /// pressure signal, §3.3). Total: zero for a forged CPU id.
-    pub fn cfs_pressure(&self, cpu: CpuId) -> u32 {
-        self.k.cpu_checked(cpu).map_or(0, |cs| cs.cfs_queued)
+            .is_some_and(|t| self.k.thread(t).kind == ThreadKind::Agent)
     }
 
     /// This agent's current sequence number `Aseq`, read from its status
@@ -181,7 +175,7 @@ impl<'a> PolicyCtx<'a> {
     }
 
     // `commit` / `commit_one` (`TXNS_COMMIT()`) are implemented in
-    // `runtime.rs`, next to the kernel-side validation logic they invoke.
+    // `runtime/commit.rs`, next to the kernel-side validation they invoke.
 
     /// The activation-side funnel for rejected context operations: counts
     /// the rejection by kind, fires the `ghost_abi_reject` tracepoint on
@@ -205,32 +199,21 @@ impl<'a> PolicyCtx<'a> {
 
     /// Why `tid` is not a schedulable thread of this enclave: forged id,
     /// dead, an agent pthread, or another enclave's thread.
-    fn classify_unknown_tid(&self, tid: Tid) -> AbiError {
+    pub(crate) fn classify_unknown_tid(&self, tid: Tid) -> AbiError {
         match self.k.thread_checked(tid) {
             None => AbiError::NoSuchThread,
             Some(t) if t.state == ThreadState::Dead => AbiError::DeadThread,
-            Some(t) if t.kind == ghost_sim::thread::ThreadKind::Agent => AbiError::AgentThread,
+            Some(t) if t.kind == ThreadKind::Agent => AbiError::AgentThread,
             Some(_) => AbiError::ForeignThread,
         }
     }
 
     /// `ASSOCIATE_QUEUE()`: reroutes a thread's messages to `queue`.
-    /// Fails (returning `false`) if the thread has pending messages in
-    /// its current queue, per §3.1.
-    pub fn associate_queue(&mut self, tid: Tid, queue: QueueId) -> bool {
-        self.try_associate_queue(tid, queue).is_ok()
-    }
-
-    /// Validated `ASSOCIATE_QUEUE()`: rejects destroyed or nonexistent
-    /// queues, unmanaged tids, and threads with pending messages with a
-    /// typed [`AbiError`].
+    /// Rejects destroyed or nonexistent queues, unmanaged tids, and — per
+    /// §3.1 — threads with messages pending in their current queue, with
+    /// a typed [`AbiError`].
     pub fn try_associate_queue(&mut self, tid: Tid, queue: QueueId) -> Result<(), AbiError> {
-        if self
-            .enclave
-            .queues
-            .get(queue.0 as usize)
-            .is_none_or(Option::is_none)
-        {
+        if self.enclave.queue(queue).is_none() {
             return Err(self.reject(AbiError::NoSuchQueue));
         }
         let err = match self.enclave.threads.get(tid) {
@@ -248,63 +231,40 @@ impl<'a> PolicyCtx<'a> {
     }
 
     /// `TXNS_RECALL()`: withdraws a committed-but-not-yet-acted-on
-    /// transaction from `cpu`, returning the thread it would have run.
-    /// The thread becomes schedulable again immediately. Returns `None`
-    /// if no transaction was pending (it may already have been picked).
-    pub fn recall(&mut self, cpu: CpuId) -> Option<Tid> {
-        self.try_recall(cpu).ok()
-    }
-
-    /// Validated `TXNS_RECALL()`: rejects forged or out-of-enclave CPU
-    /// ids and CPUs with nothing pending with a typed [`AbiError`].
+    /// transaction from `cpu`, returning the thread it would have run,
+    /// which becomes schedulable again immediately. Rejects forged or
+    /// out-of-enclave CPU ids and CPUs with nothing pending (the commit
+    /// may already have been picked) with a typed [`AbiError`].
     pub fn try_recall(&mut self, cpu: CpuId) -> Result<Tid, AbiError> {
-        if !self.k.valid_cpu(cpu) {
+        if self.k.cpu_checked(cpu).is_none() {
             return Err(self.reject(AbiError::InvalidCpu));
         }
         if !self.enclave.cpus.contains(cpu) {
             return Err(self.reject(AbiError::CpuOutsideEnclave));
         }
-        let Some(slot) = self.enclave.committed.remove(cpu) else {
+        let Some(tid) = self.enclave.recall(cpu) else {
             return Err(self.reject(AbiError::NoCommitPending));
         };
-        if let Some(info) = self.enclave.threads.get_mut(slot.tid) {
-            info.picked = false;
-        }
         self.charge(self.k.costs().syscall + self.k.costs().txn_validate);
         self.stats.txns_recalled += 1;
-        Ok(slot.tid)
+        Ok(tid)
     }
 
-    /// `DESTROY_QUEUE()`: removes a queue. Fails if it is the default
-    /// queue, still has messages, or any thread is associated with it.
-    pub fn destroy_queue(&mut self, queue: QueueId) -> bool {
-        self.try_destroy_queue(queue).is_ok()
-    }
-
-    /// Validated `DESTROY_QUEUE()`: each failure mode gets its own typed
-    /// [`AbiError`].
+    /// `DESTROY_QUEUE()`: removes a queue. Fails — each mode with its own
+    /// typed [`AbiError`] — if it is the default queue, does not exist,
+    /// still has messages, or any thread is associated with it.
     pub fn try_destroy_queue(&mut self, queue: QueueId) -> Result<(), AbiError> {
         if queue == self.enclave.default_queue {
             return Err(self.reject(AbiError::DefaultQueueProtected));
         }
-        if self
-            .enclave
-            .queues
-            .get(queue.0 as usize)
-            .is_none_or(Option::is_none)
-        {
+        let Some(qs) = self.enclave.queue(queue) else {
             return Err(self.reject(AbiError::NoSuchQueue));
-        }
+        };
+        let pending = !qs.queue.is_empty();
         if self.enclave.threads.values().any(|i| i.queue == queue) {
             return Err(self.reject(AbiError::QueueInUse));
         }
-        if self
-            .enclave
-            .queues
-            .get(queue.0 as usize)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|qs| !qs.queue.is_empty())
-        {
+        if pending {
             return Err(self.reject(AbiError::PendingMessages));
         }
         if let Some(slot) = self.enclave.queues.get_mut(queue.0 as usize) {
@@ -321,21 +281,11 @@ impl<'a> PolicyCtx<'a> {
 
     /// `CREATE_QUEUE()`: creates a new queue, polled by default.
     pub fn create_queue(&mut self) -> QueueId {
-        let cap = self.enclave.config.queue_capacity;
-        let id = QueueId(self.enclave.queues.len() as u32);
-        self.enclave.queues.push(Some(crate::enclave::QueueState {
-            queue: crate::queue::MessageQueue::new(cap),
-            wake: WakeMode::Polled,
-        }));
-        id
+        self.enclave.add_queue(WakeMode::Polled)
     }
 
     /// `CONFIG_QUEUE_WAKEUP()`: sets the wakeup behaviour of a queue.
-    pub fn config_queue_wakeup(&mut self, queue: QueueId, wake: WakeMode) -> bool {
-        self.try_config_queue_wakeup(queue, wake).is_ok()
-    }
-
-    /// Validated `CONFIG_QUEUE_WAKEUP()`: rejects destroyed/nonexistent
+    /// Rejects destroyed/nonexistent
     /// queues and `WakeAgent` targets that are not this enclave's agents
     /// with a typed [`AbiError`]. The target check matters for safety: a
     /// forged wake target would otherwise be dereferenced by the kernel
@@ -346,7 +296,7 @@ impl<'a> PolicyCtx<'a> {
         wake: WakeMode,
     ) -> Result<(), AbiError> {
         if let WakeMode::WakeAgent(tid) = wake {
-            if !self.k.valid_tid(tid) {
+            if self.k.thread_checked(tid).is_none() {
                 return Err(self.reject(AbiError::NoSuchThread));
             }
             if !self.enclave.agents.values().any(|a| a.tid == tid) {
@@ -355,12 +305,12 @@ impl<'a> PolicyCtx<'a> {
                 return Err(self.reject(AbiError::ForeignThread));
             }
         }
-        match self.enclave.queues.get_mut(queue.0 as usize) {
-            Some(Some(qs)) => {
+        match self.enclave.queue_mut(queue) {
+            Some(qs) => {
                 qs.wake = wake;
                 Ok(())
             }
-            _ => Err(self.reject(AbiError::NoSuchQueue)),
+            None => Err(self.reject(AbiError::NoSuchQueue)),
         }
     }
 
@@ -397,7 +347,7 @@ impl<'a> PolicyCtx<'a> {
     pub fn ping_core_agent(&mut self, cpu: CpuId) -> bool {
         // A forged CPU id has no agent slot and must not reach the
         // topology lookup below.
-        if !self.k.valid_cpu(cpu) {
+        if self.k.cpu_checked(cpu).is_none() {
             self.reject(AbiError::InvalidCpu);
             return false;
         }
@@ -412,7 +362,7 @@ impl<'a> PolicyCtx<'a> {
             .first()
             .expect("core has a CPU");
         self.enclave.core_active.insert(key, agent);
-        if self.k.thread(agent).state == ghost_sim::ThreadState::Blocked {
+        if self.k.thread(agent).state == ThreadState::Blocked {
             self.k.wake(agent);
         }
         true
@@ -426,11 +376,6 @@ impl<'a> PolicyCtx<'a> {
             Some(cur) => cur.min(at),
             None => at,
         });
-    }
-
-    /// Deterministic RNG for randomized policies.
-    pub fn rng(&mut self) -> &mut rand::rngs::StdRng {
-        self.k.rng()
     }
 
     /// Sheds a thread out of ghOSt back to CFS. The escape hatch of the

@@ -97,6 +97,13 @@ pub struct RecoveryState {
     pub started_at: Nanos,
 }
 
+impl RecoveryState {
+    /// True once nothing is left to reclaim or respawn.
+    pub fn finished(&self) -> bool {
+        self.stashed.is_empty() && self.pending_cpus.is_empty()
+    }
+}
+
 /// Verdict of the [`CommitGovernor`] for one more stale failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaleVerdict {

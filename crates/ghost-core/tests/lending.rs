@@ -267,7 +267,7 @@ fn manual_lend_and_reclaim_moves_cpu_between_enclaves() {
 
     // Donor lends CPU 7 to the protected enclave for 50 ms.
     s.donor
-        .lend_to(&mut s.kernel.state, &s.protected, &[CpuId(7)], 50 * MILLIS)
+        .try_lend_cpu(&mut s.kernel.state, &s.protected, CpuId(7), 50 * MILLIS)
         .expect("lend succeeds");
     assert_eq!(s.runtime.cpu_owner(CpuId(7)), Some(s.protected.id()));
     assert_eq!(s.protected.borrowed_cpus(), vec![CpuId(7)]);
@@ -315,7 +315,7 @@ fn lease_deadline_forces_reclaim_within_a_millisecond() {
     let mut s = two_enclaves(4, 2, 100 * MICROS, MILLIS, sink.clone());
     s.kernel.run_until(10 * MILLIS);
     s.donor
-        .lend_to(&mut s.kernel.state, &s.protected, &[CpuId(7)], 20 * MILLIS)
+        .try_lend_cpu(&mut s.kernel.state, &s.protected, CpuId(7), 20 * MILLIS)
         .expect("lend succeeds");
     // Nobody returns the CPU: the kernel-armed deadline must.
     s.kernel.run_until(60 * MILLIS);
@@ -358,7 +358,7 @@ fn borrower_crash_mid_lease_returns_cpu_to_lender() {
     let mut s = two_enclaves(3, 2, 100 * MICROS, MILLIS, TraceSink::Null);
     s.kernel.run_until(10 * MILLIS);
     s.donor
-        .lend_to(&mut s.kernel.state, &s.protected, &[CpuId(6)], 500 * MILLIS)
+        .try_lend_cpu(&mut s.kernel.state, &s.protected, CpuId(6), 500 * MILLIS)
         .expect("lend succeeds");
     s.kernel.run_until(20 * MILLIS);
     // Kill the borrower's global agent: no standby, so the enclave dies.
@@ -383,7 +383,7 @@ fn lender_destroy_mid_lease_transfers_cpu_to_borrower() {
     let mut s = two_enclaves(3, 2, 100 * MICROS, MILLIS, TraceSink::Null);
     s.kernel.run_until(10 * MILLIS);
     s.donor
-        .lend_to(&mut s.kernel.state, &s.protected, &[CpuId(5)], 500 * MILLIS)
+        .try_lend_cpu(&mut s.kernel.state, &s.protected, CpuId(5), 500 * MILLIS)
         .expect("lend succeeds");
     s.kernel.run_until(20 * MILLIS);
     s.donor.destroy(&mut s.kernel.state);
@@ -409,33 +409,33 @@ fn lend_validation_rejects_bad_requests() {
     let mut s = two_enclaves(2, 2, 100 * MICROS, MILLIS, TraceSink::Null);
     s.kernel.run_until(5 * MILLIS);
     let k = &mut s.kernel.state;
-    let (d, p) = (s.donor.id(), s.protected.id());
+    let (d, p) = (&s.donor, &s.protected);
     // Self-lend.
     assert_eq!(
-        s.runtime.try_lend_cpu(k, d, d, CpuId(7), MILLIS),
+        d.try_lend_cpu(k, d, CpuId(7), MILLIS),
         Err(AbiError::CpuConflict)
     );
     // CPU outside the lender's partition (CPU 1 belongs to protected).
     assert_eq!(
-        s.runtime.try_lend_cpu(k, d, p, CpuId(1), MILLIS),
+        d.try_lend_cpu(k, p, CpuId(1), MILLIS),
         Err(AbiError::CpuOutsideEnclave)
     );
     // Invalid CPU id.
     assert_eq!(
-        s.runtime.try_lend_cpu(k, d, p, CpuId(99), MILLIS),
+        d.try_lend_cpu(k, p, CpuId(99), MILLIS),
         Err(AbiError::InvalidCpu)
     );
     // Unknown enclave.
     assert_eq!(
-        s.runtime.try_lend_cpu(k, EnclaveId(9), p, CpuId(7), MILLIS),
+        s.runtime
+            .handle(EnclaveId(9))
+            .try_lend_cpu(k, p, CpuId(7), MILLIS),
         Err(AbiError::NoSuchEnclave)
     );
     // Double-lend of the same CPU.
-    s.runtime
-        .try_lend_cpu(k, d, p, CpuId(7), 50 * MILLIS)
-        .unwrap();
+    d.try_lend_cpu(k, p, CpuId(7), 50 * MILLIS).unwrap();
     assert_eq!(
-        s.runtime.try_lend_cpu(k, d, p, CpuId(7), MILLIS),
+        d.try_lend_cpu(k, p, CpuId(7), MILLIS),
         Err(AbiError::CpuOutsideEnclave),
         "a lent CPU has left the lender's partition"
     );
@@ -445,16 +445,12 @@ fn lend_validation_rejects_bad_requests() {
         Err(AbiError::NotLeased)
     );
     // The lender may never give up its last CPU: drain the donor down.
-    s.runtime
-        .try_lend_cpu(k, d, p, CpuId(6), 50 * MILLIS)
-        .unwrap();
-    s.runtime
-        .try_lend_cpu(k, d, p, CpuId(5), 50 * MILLIS)
-        .unwrap();
+    d.try_lend_cpu(k, p, CpuId(6), 50 * MILLIS).unwrap();
+    d.try_lend_cpu(k, p, CpuId(5), 50 * MILLIS).unwrap();
     // Donor now holds {3,4}; CPU 3 hosts its global agent. CPU 4 is the
     // last lendable one — after it, both remaining lends must fail.
-    let err4 = s.runtime.try_lend_cpu(k, d, p, CpuId(4), 50 * MILLIS);
-    let err3 = s.runtime.try_lend_cpu(k, d, p, CpuId(3), 50 * MILLIS);
+    let err4 = d.try_lend_cpu(k, p, CpuId(4), 50 * MILLIS);
+    let err3 = d.try_lend_cpu(k, p, CpuId(3), 50 * MILLIS);
     assert!(
         err4.is_ok() || err4 == Err(AbiError::CpuBusy),
         "lend of cpu4: {err4:?}"
@@ -508,10 +504,7 @@ fn rm_lends_under_backlog_and_returns_when_idle() {
     let drain_from = s.kernel.state.now;
     let _ = s.app;
     s.kernel.run_until(drain_from + 300 * MILLIS);
-    assert!(
-        s.runtime.borrowed_by(s.protected.id()).len() <= 2,
-        "bounded borrowing"
-    );
+    assert!(s.protected.borrowed_cpus().len() <= 2, "bounded borrowing");
     let stats = s.runtime.lease_stats();
     assert_eq!(
         stats.granted,
@@ -602,7 +595,7 @@ fn revoke_during_reconstruction_never_wedges_recovery() {
     // on the protected side, which *does* have its threads.
     s.kernel.run_until(10 * MILLIS);
     s.donor
-        .lend_to(&mut s.kernel.state, &s.protected, &[CpuId(7)], 30 * MILLIS)
+        .try_lend_cpu(&mut s.kernel.state, &s.protected, CpuId(7), 30 * MILLIS)
         .expect("lend succeeds");
     s.kernel.run_until(15 * MILLIS);
     // Deadline fires at 40 ms while the donor is mid-recovery below.
@@ -667,7 +660,7 @@ fn standby_recovery_with_lease_respawns_only_owned_cpus() {
     }
     kernel.run_until(10 * MILLIS);
     donor
-        .lend_to(&mut kernel.state, &protected, &[CpuId(6)], 25 * MILLIS)
+        .try_lend_cpu(&mut kernel.state, &protected, CpuId(6), 25 * MILLIS)
         .expect("lend succeeds");
     kernel.run_until(15 * MILLIS);
     let agent = protected.global_agent().expect("protected agent");
@@ -734,7 +727,7 @@ fn quarantined_enclave_destroy_reclaims_threads_and_frees_cpus() {
     }
     kernel.run_until(10 * MILLIS);
     donor
-        .lend_to(&mut kernel.state, &protected, &[CpuId(5)], 500 * MILLIS)
+        .try_lend_cpu(&mut kernel.state, &protected, CpuId(5), 500 * MILLIS)
         .expect("lend succeeds");
     assert_eq!(runtime.cpu_owner(CpuId(5)), Some(protected.id()));
 
@@ -820,7 +813,7 @@ fn per_cpu_borrower_gets_agent_on_granted_cpu() {
     kernel.run_until(10 * MILLIS);
     assert!(protected.agent_on(CpuId(7)).is_none());
     donor
-        .lend_to(&mut kernel.state, &protected, &[CpuId(7)], 40 * MILLIS)
+        .try_lend_cpu(&mut kernel.state, &protected, CpuId(7), 40 * MILLIS)
         .expect("lend succeeds");
     let leased_agent = protected.agent_on(CpuId(7)).expect("agent on granted cpu");
     kernel.run_until(30 * MILLIS);

@@ -166,7 +166,9 @@ fn racing_agents_get_estale_on_stale_seq() {
                         .iter()
                         .find(|&c| c != local)
                         .expect("enclave has a second CPU");
-                    assert!(ctx.associate_queue(target, ctx.queue_of_cpu(other)));
+                    assert!(ctx
+                        .try_associate_queue(target, ctx.queue_of_cpu(other))
+                        .is_ok());
                     // Schedule it normally this once so it runs and its
                     // seq advances behind A's back.
                     let mut txn = Transaction::new(target, local).with_thread_seq(self.stale_seq);

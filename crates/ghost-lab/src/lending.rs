@@ -341,17 +341,12 @@ impl LendingScenario {
                 run.kernel.run_until(h * 2 / 5);
                 // Guarantee a short lease is outstanding when the agent
                 // dies, so its deadline lands mid-recovery.
-                if run.runtime.borrowed_by(run.protected.id()).is_empty() {
+                if run.protected.borrowed_cpus().is_empty() {
                     for &cpu in run.donor.cpus().iter().rev() {
+                        let k = &mut run.kernel.state;
                         if run
-                            .runtime
-                            .try_lend_cpu(
-                                &mut run.kernel.state,
-                                run.donor.id(),
-                                run.protected.id(),
-                                cpu,
-                                20 * MILLIS,
-                            )
+                            .donor
+                            .try_lend_cpu(k, &run.protected, cpu, 20 * MILLIS)
                             .is_ok()
                         {
                             break;

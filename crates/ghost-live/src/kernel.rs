@@ -43,7 +43,8 @@ const SPIN_POLL: Duration = Duration::from_micros(200);
 pub struct LiveConfig {
     /// Number of logical CPU lanes the enclave(s) can schedule onto.
     pub cpus: usize,
-    /// RNG seed (for randomized policies).
+    /// Run seed, for the embedder's own randomness (load generators,
+    /// randomized policies); the kernel itself draws nothing from it.
     pub seed: u64,
     /// Trace sink; use [`TraceSink::recording`] to run the invariant
     /// checker over the live execution.
@@ -89,7 +90,7 @@ impl LiveKernel {
         let n = config.cpus.max(1) as u16;
         let topo = Topology::new("live", 1, n, 1, n);
         let runtime = GhostRuntime::new(topo.num_cpus());
-        let mut state = LiveState::new(topo, config.costs, config.trace, config.seed);
+        let mut state = LiveState::new(topo, config.costs, config.trace);
         state.runtime = Some(runtime.clone());
         state.install_faults(config.faults);
         let shared = Arc::new(LiveShared {
@@ -144,13 +145,12 @@ impl LiveKernel {
         config: EnclaveConfig,
         policy: Box<dyn GhostPolicy>,
     ) -> EnclaveHandle {
-        let id = self.runtime.create_enclave(cpus, config, policy);
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            self.runtime.spawn_agents_backend(&mut *st, id);
-            st.settle();
-        }
-        self.runtime.handle(id)
+        let mut st = self.shared.state.lock().unwrap();
+        let handle = self
+            .runtime
+            .launch_enclave_on(&mut *st, cpus, config, policy);
+        st.settle();
+        handle
     }
 
     /// Registers and starts a worker OS thread serving `kv`. The thread
@@ -209,7 +209,7 @@ impl LiveKernel {
     }
 
     /// Lends `cpu` from `lender` to `borrower` for `duration` (the live
-    /// analogue of `EnclaveHandle::lend_to`). The deadline is enforced
+    /// analogue of `EnclaveHandle::try_lend_cpu`). The deadline is enforced
     /// by the timer thread's driver-timer dispatch even if the caller
     /// never reclaims.
     pub fn lend_cpu(
@@ -220,9 +220,7 @@ impl LiveKernel {
         duration: Nanos,
     ) -> Result<(), ghost_core::AbiError> {
         let mut st = self.shared.state.lock().unwrap();
-        let r = self
-            .runtime
-            .try_lend_cpu(&mut *st, lender.id(), borrower.id(), cpu, duration);
+        let r = lender.try_lend_cpu(&mut *st, borrower, cpu, duration);
         st.settle();
         r
     }
@@ -430,8 +428,9 @@ fn timer_main(shared: Arc<LiveShared>, rt: GhostRuntime, tick_ns: Nanos) {
 /// An agent OS thread: waits for its command mailbox, then runs
 /// activations via [`GhostRuntime::hook_run_agent`] until the policy
 /// blocks. Spin outcomes wait on the agent's lock-free signal ring (with
-/// a bounded poll fallback); block outcomes park with a lost-wakeup-proof
-/// epoch check under the state lock.
+/// a bounded poll fallback); block outcomes declare the agent blocked at
+/// once and park with an epoch check under the state lock, so a message
+/// posted any time after the activation wakes it instead of being lost.
 pub(crate) fn agent_main(
     shared: Arc<LiveShared>,
     rt: GhostRuntime,
@@ -465,12 +464,20 @@ pub(crate) fn agent_main(
                     st.threads[tid.index()].state = ThreadState::Runnable;
                 }
                 let out = rt.hook_run_agent(&mut *st, tid, cpu);
+                if matches!(out, AgentOutcome::Block { .. }) {
+                    // Blocked from here on, not from the park below: the
+                    // runtime wakes only a blocked agent, and a message
+                    // posted by this settle or during the modelled-time
+                    // spin must do so — the wake moves the mailbox epoch,
+                    // so the barrier-checked park re-activates instead.
+                    st.threads[tid.index()].state = ThreadState::Blocked;
+                }
                 st.settle();
                 // An open AgentSlow window stretches the loop for real:
                 // the runtime already multiplied the modelled `busy`, and
                 // the stall below burns that stretched time wall-clock
                 // (outside the lock, bounded so Exit stays responsive).
-                let stall = if GhostBackend::fault_agent_slow_factor(&*st, cpu) > 1 {
+                let stall = if st.faults.agent_slow_factor(cpu, st.now()) > 1 {
                     let busy = match out {
                         AgentOutcome::Block { busy }
                         | AgentOutcome::Yield { busy }
@@ -501,24 +508,17 @@ pub(crate) fn agent_main(
                     while clock.now() < armed {
                         std::hint::spin_loop();
                     }
-                    let parked = {
-                        let mut st = shared.state.lock().unwrap();
-                        // A parking agent reschedules its own CPU: commits
-                        // targeting the agent's CPU send no IPI (the DES
-                        // dispatches them when the agent blocks), so the
-                        // slot would otherwise never be consumed.
-                        st.request_resched(cpu);
-                        st.settle();
-                        // Atomic wrt wakers (they hold the state lock when
-                        // posting): park only if no wake raced in since
-                        // this activation started.
-                        let parked = ctl.park_if_quiet(epoch);
-                        if parked && st.threads[tid.index()].state == ThreadState::Runnable {
-                            st.threads[tid.index()].state = ThreadState::Blocked;
-                        }
-                        parked
-                    };
-                    if parked {
+                    let mut st = shared.state.lock().unwrap();
+                    // A parking agent reschedules its own CPU: commits
+                    // targeting the agent's CPU send no IPI (the DES
+                    // dispatches them when the agent blocks), so the
+                    // slot would otherwise never be consumed.
+                    st.request_resched(cpu);
+                    st.settle();
+                    // Atomic wrt wakers (they hold the state lock when
+                    // posting): park only if no wake raced in since
+                    // this activation started.
+                    if ctl.park_if_quiet(epoch) {
                         continue 'outer;
                     }
                 }

@@ -28,8 +28,6 @@ use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
 use ghost_sim::time::Nanos;
 use ghost_sim::topology::{CpuId, Topology};
 use ghost_trace::{TraceEvent, TraceSink, NO_TID, PREV_BLOCKED, PREV_DEAD, PREV_RUNNABLE};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar};
@@ -154,7 +152,6 @@ pub struct LiveState {
     pub(crate) topo: Topology,
     pub(crate) costs: CostModel,
     pub(crate) trace: TraceSink,
-    pub(crate) rng: StdRng,
     pub(crate) threads: Vec<LiveThread>,
     pub(crate) cpus: Vec<LiveCpu>,
     pub(crate) stats: LiveStats,
@@ -185,21 +182,20 @@ pub struct LiveState {
     pub(crate) agent_rings: Vec<(Tid, crate::ring::SpscProducer<WakeSignal>)>,
     pub(crate) agent_spawner: Option<AgentSpawner>,
     /// The deterministic fault schedule, consulted against wall-clock
-    /// `now`. Window predicates are checked inline by the fault hooks
-    /// below; one-shot events are armed as [`TimerEntry::Fault`] timers
-    /// by the kernel at construction.
+    /// `now`. The runtime checks window predicates through
+    /// [`GhostBackend::faults`]; one-shot events are armed as
+    /// [`TimerEntry::Fault`] timers by the kernel at construction.
     pub(crate) faults: FaultPlan,
 }
 
 impl LiveState {
-    pub(crate) fn new(topo: Topology, costs: CostModel, trace: TraceSink, seed: u64) -> Self {
+    pub(crate) fn new(topo: Topology, costs: CostModel, trace: TraceSink) -> Self {
         let n = topo.num_cpus();
         Self {
             clock: MonotonicClock::new(),
             topo,
             costs,
             trace,
-            rng: StdRng::seed_from_u64(seed),
             threads: Vec::new(),
             cpus: (0..n).map(|_| LiveCpu::default()).collect(),
             stats: LiveStats::default(),
@@ -253,13 +249,20 @@ impl LiveState {
         self.threads.get(tid.index()).map(|t| t.name.as_str())
     }
 
-    /// Requests a reschedule of `cpu` (applied at the next settle). Used
-    /// by agent threads when they park: local commits (`txn.cpu ==
-    /// agent_cpu`) send no IPI — in the DES the kernel reschedules the
-    /// agent's CPU when the agent blocks, and this is the live analogue.
+    /// A parking agent reschedules its own CPU (applied at the next
+    /// settle): local commits (`txn.cpu == agent_cpu`) send no IPI — in
+    /// the DES the kernel reschedules the agent's CPU when the agent
+    /// blocks, and this is the live analogue. Live agents do not occupy
+    /// their lane, so it may be running the worker a previous park
+    /// dispatched: the resched picks for an empty lane, but preempts an
+    /// occupied one only for a committed transaction waiting on it.
     pub(crate) fn request_resched(&mut self, cpu: CpuId) {
-        let now = self.clock.now();
-        self.pending_resched.push((cpu, now));
+        let vacant = self.cpus[cpu.index()].current.is_none();
+        let awaited = |rt: &GhostRuntime| rt.hook_commit_pending(cpu);
+        if vacant || self.runtime.as_ref().is_some_and(awaited) {
+            let now = self.clock.now();
+            self.pending_resched.push((cpu, now));
+        }
     }
 
     fn arm_timer(&mut self, at: Nanos, entry: TimerEntry) {
@@ -541,7 +544,7 @@ impl LiveState {
             }
             ThreadState::Runnable => {
                 if class == CLASS_GHOST {
-                    rt.hook_dequeue(self, tid);
+                    rt.hook_dequeue(tid);
                 }
                 self.threads[tid.index()].state = ThreadState::Dead;
             }
@@ -568,7 +571,7 @@ impl LiveState {
         }
         let st = self.threads[tid.index()].state;
         if st == ThreadState::Runnable && old == CLASS_GHOST {
-            rt.hook_dequeue(self, tid);
+            rt.hook_dequeue(tid);
         }
         if old == CLASS_GHOST {
             rt.hook_detach(self, tid);
@@ -674,18 +677,6 @@ impl GhostBackend for LiveState {
         &self.trace
     }
 
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
-
-    fn valid_tid(&self, tid: Tid) -> bool {
-        tid.index() < self.threads.len()
-    }
-
-    fn valid_cpu(&self, cpu: CpuId) -> bool {
-        cpu.index() < self.cpus.len()
-    }
-
     fn thread(&self, tid: Tid) -> ghost_core::BackendThread {
         let t = &self.threads[tid.index()];
         ghost_core::BackendThread {
@@ -703,11 +694,7 @@ impl GhostBackend for LiveState {
     }
 
     fn thread_checked(&self, tid: Tid) -> Option<ghost_core::BackendThread> {
-        if self.valid_tid(tid) {
-            Some(self.thread(tid))
-        } else {
-            None
-        }
+        (tid.index() < self.threads.len()).then(|| self.thread(tid))
     }
 
     fn cpu(&self, cpu: CpuId) -> ghost_core::BackendCpu {
@@ -722,11 +709,7 @@ impl GhostBackend for LiveState {
     }
 
     fn cpu_checked(&self, cpu: CpuId) -> Option<ghost_core::BackendCpu> {
-        if self.valid_cpu(cpu) {
-            Some(GhostBackend::cpu(self, cpu))
-        } else {
-            None
-        }
+        (cpu.index() < self.cpus.len()).then(|| GhostBackend::cpu(self, cpu))
     }
 
     fn sibling_busy(&self, cpu: CpuId) -> bool {
@@ -819,15 +802,7 @@ impl GhostBackend for LiveState {
         tid
     }
 
-    fn fault_queue_overflow_active(&self) -> bool {
-        self.faults.queue_overflow_active(self.clock.now())
-    }
-
-    fn fault_agent_hang_until(&self, cpu: CpuId) -> Option<Nanos> {
-        self.faults.agent_hang_until(cpu, self.clock.now())
-    }
-
-    fn fault_agent_slow_factor(&self, cpu: CpuId) -> u64 {
-        self.faults.agent_slow_factor(cpu, self.clock.now())
+    fn faults(&self) -> &FaultPlan {
+        &self.faults
     }
 }

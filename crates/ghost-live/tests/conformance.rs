@@ -28,6 +28,10 @@
 //!    starvation and promotes a staged policy, whose status-word
 //!    resync rescues the stranded threads.
 //!
+//! 7. **Agent wiring** — both backends launch an enclave through the one
+//!    spawn path in `ghost-core`, so for every `AgentMode` they must end
+//!    up with the same agents, in the same order, with the same global.
+//!
 //! The DES side uses virtual time (`Kernel::run_until`); the live side
 //! uses wall-clock deadlines and the checker's grace window sized for
 //! host-scheduler jitter. The policies are shared verbatim between the
@@ -35,10 +39,10 @@
 //! fault plans: the same `FaultPlan` type drives both backends, with
 //! `at`/`dur` read against the virtual clock or the wall clock.
 
-use ghost_core::enclave::EnclaveConfig;
+use ghost_core::enclave::{AgentMode, EnclaveConfig};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::runtime::GhostRuntime;
+use ghost_core::runtime::{EnclaveHandle, GhostRuntime};
 use ghost_core::txn::{Transaction, TxnStatus};
 use ghost_core::StandbyConfig;
 use ghost_live::{await_completion, KvService, LiveConfig, LiveKernel};
@@ -171,7 +175,7 @@ impl App for PulseApp {
 struct DesSetup {
     kernel: Kernel,
     runtime: GhostRuntime,
-    enclave: ghost_core::runtime::EnclaveHandle,
+    enclave: EnclaveHandle,
     threads: Vec<Tid>,
     completions: Arc<Mutex<HashMap<Tid, u64>>>,
     sink: TraceSink,
@@ -238,7 +242,7 @@ fn des_total_completions(s: &DesSetup) -> u64 {
 
 struct LiveSetup {
     kernel: LiveKernel,
-    enclave: ghost_core::runtime::EnclaveHandle,
+    enclave: EnclaveHandle,
     workers: Vec<Tid>,
     kv: Arc<KvService>,
     total: u64,
@@ -790,5 +794,70 @@ fn live_fast_agent_does_not_strand_its_local_commit() {
             std::thread::yield_now();
         }
     }
+    // One worker and local commits only: nothing ever waits for a lane
+    // someone else occupies, so any preemption is a parking agent
+    // kicking the worker its own previous park dispatched.
+    assert_eq!(kernel.stats().preempts, 0);
     kernel.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// 7. Agent wiring: one spawn path, two callers.
+// ---------------------------------------------------------------------
+
+/// A policy that never schedules: the wiring is judged, not the run.
+struct Idle;
+
+impl GhostPolicy for Idle {
+    fn name(&self) -> &str {
+        "idle"
+    }
+    fn on_msg(&mut self, _msg: &Message, _ctx: &mut PolicyCtx<'_>) {}
+    fn schedule(&mut self, _ctx: &mut PolicyCtx<'_>) {}
+}
+
+/// What `launch_enclave` left behind, as the public accessors show it:
+/// which enclave CPUs have an agent, which of them hosts the global
+/// agent, and whether `agent_tids` lists the agents in CPU order.
+fn wiring(e: &EnclaveHandle, cpus: &[CpuId]) -> (Vec<bool>, Option<usize>, bool) {
+    let by_cpu: Vec<Option<Tid>> = cpus.iter().map(|&c| e.agent_on(c)).collect();
+    let global = e
+        .global_agent()
+        .and_then(|g| by_cpu.iter().position(|&a| a == Some(g)));
+    let in_cpu_order = e.agent_tids() == by_cpu.iter().flatten().copied().collect::<Vec<_>>();
+    (
+        by_cpu.iter().map(Option::is_some).collect(),
+        global,
+        in_cpu_order,
+    )
+}
+
+#[test]
+fn launch_enclave_wires_agents_the_same_on_both_backends() {
+    let cpus: Vec<CpuId> = (1..4).map(CpuId).collect();
+    let set = || cpus.iter().copied().collect::<CpuSet>();
+    for config in [
+        EnclaveConfig::centralized("wiring"),
+        EnclaveConfig::per_cpu("wiring"),
+        EnclaveConfig::per_core("wiring"),
+    ] {
+        let mode = config.mode;
+        let mut des = Kernel::new(Topology::test_small(2), KernelConfig::default());
+        let runtime = GhostRuntime::new(des.state.topo.num_cpus());
+        let on_des = runtime.launch_enclave(&mut des, set(), config.clone(), Box::new(Idle));
+        let live = LiveKernel::new(LiveConfig::default());
+        let on_live = live.launch_enclave(set(), config, Box::new(Idle));
+
+        let want_global = (mode == AgentMode::Centralized).then_some(0);
+        for (backend, e) in [("des", &on_des), ("live", &on_live)] {
+            assert_eq!(
+                wiring(e, &cpus),
+                (vec![true; cpus.len()], want_global, true),
+                "{mode:?} on {backend}"
+            );
+            assert_eq!(e.agent_tids().len(), cpus.len(), "{mode:?} on {backend}");
+            assert_eq!(e.agent_on(CpuId(0)), None, "{mode:?} on {backend}");
+        }
+        live.shutdown();
+    }
 }

@@ -57,7 +57,7 @@ impl PerCpuPolicy {
     fn rehome(&mut self, tid: Tid, cpu: CpuId, ctx: &mut PolicyCtx<'_>) {
         self.home.insert(tid, cpu);
         let q = ctx.queue_of_cpu(cpu);
-        ctx.associate_queue(tid, q);
+        let _ = ctx.try_associate_queue(tid, q);
     }
 
     /// Work stealing (§3.1: "to enable load-balancing and work-stealing

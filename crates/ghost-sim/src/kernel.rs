@@ -627,8 +627,10 @@ impl Kernel {
         self.driver.on_fault(&kind, &mut self.state);
     }
 
-    /// Applies deferred operations until the machine is quiescent.
-    fn settle(&mut self) {
+    /// Applies deferred operations until the machine is quiescent. Every
+    /// event handler ends with one; setup code that queued operations on
+    /// [`Kernel::state`] directly (a wake, an agent spawn) calls it too.
+    pub fn settle(&mut self) {
         // Livelock guard, scaled to the work already queued: a mass wake
         // of N threads legitimately takes N iterations (the bench-sim
         // scale sweep wakes a million at once), while a genuine livelock
