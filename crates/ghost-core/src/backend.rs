@@ -150,6 +150,10 @@ pub trait GhostBackend {
 
     /// Schedules a re-activation of a spinning agent thread at `at`; at
     /// most one loop stays live per agent (earlier requests supersede).
+    /// Serves `Running` agents only — a spinning agent is `Running` on both
+    /// backends, on the DES on its CPU and on ghost-live for as long as it
+    /// is in its activation loop; blocked agents go through
+    /// [`GhostBackend::wake_at`] instead.
     fn schedule_agent_loop(&mut self, at: Nanos, tid: Tid);
 
     /// Spawns an agent pthread pinned to `cpu`, starting blocked.

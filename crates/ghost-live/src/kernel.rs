@@ -12,9 +12,9 @@
 //! [`GhostBackend::send_ipi`]; the live backend turns that into a
 //! dispatch that unparks the committed worker on its lane.
 
+use crate::clock::MonotonicClock;
 use crate::kv::{worker_main, KvService};
-use crate::ring::SpscConsumer;
-use crate::state::{LiveState, LiveStats, TimerEntry, WakeSignal};
+use crate::state::{LiveState, LiveStats, TimerEntry};
 use crate::worker::WorkerCmd;
 use ghost_core::policy::GhostPolicy;
 use ghost_core::{EnclaveConfig, EnclaveHandle, GhostBackend, GhostRuntime};
@@ -34,9 +34,11 @@ use std::time::Duration;
 /// stale its view of "due" can get if a notify is missed.
 const TIMER_IDLE_SLEEP: Duration = Duration::from_millis(1);
 
-/// How long a spinning agent waits for a signal-ring nudge before
-/// re-polling its queues anyway. Bounds message latency for queues
-/// configured without agent wakeup (`WakeMode::Polled`).
+/// How long a spinning agent waits in its mailbox before re-polling its
+/// queues anyway. Every post to a `WakeMode::Polled` queue kicks the
+/// agent through `schedule_agent_loop`, so this is only the backstop for
+/// a kick the runtime coalesced away (`loop_armed` still set because the
+/// activation that would have cleared it never ran, e.g. a hang window).
 const SPIN_POLL: Duration = Duration::from_micros(200);
 
 /// Configuration for a live kernel.
@@ -81,6 +83,9 @@ pub(crate) struct LiveShared {
 pub struct LiveKernel {
     shared: Arc<LiveShared>,
     runtime: GhostRuntime,
+    /// A copy of the state's clock: [`LiveKernel::now`] reads it without
+    /// taking the state lock.
+    clock: MonotonicClock,
     timer: Option<JoinHandle<()>>,
 }
 
@@ -93,6 +98,7 @@ impl LiveKernel {
         let mut state = LiveState::new(topo, config.costs, config.trace);
         state.runtime = Some(runtime.clone());
         state.install_faults(config.faults);
+        let clock = state.clock;
         let shared = Arc::new(LiveShared {
             state: Mutex::new(state),
         });
@@ -102,14 +108,14 @@ impl LiveKernel {
         {
             let weak = Arc::downgrade(&shared);
             let rt = runtime.clone();
-            let spawner = move |tid: Tid, cpu: CpuId, ring: SpscConsumer<WakeSignal>| {
+            let spawner = move |tid: Tid, cpu: CpuId| {
                 let Some(shared) = weak.upgrade() else {
                     return std::thread::spawn(|| {});
                 };
                 let rt = rt.clone();
                 std::thread::Builder::new()
                     .name(format!("ghost-agent-{}", tid.0))
-                    .spawn(move || agent_main(shared, rt, tid, cpu, ring))
+                    .spawn(move || agent_main(shared, rt, tid, cpu))
                     .expect("spawn agent thread")
             };
             shared.state.lock().unwrap().agent_spawner = Some(Arc::new(spawner));
@@ -128,6 +134,7 @@ impl LiveKernel {
         Self {
             shared,
             runtime,
+            clock,
             timer: Some(timer),
         }
     }
@@ -263,7 +270,7 @@ impl LiveKernel {
 
     /// Current backend time (monotonic nanoseconds since kernel start).
     pub fn now(&self) -> Nanos {
-        self.shared.state.lock().unwrap().now()
+        self.clock.now()
     }
 
     /// Live-backend counters.
@@ -426,18 +433,12 @@ fn timer_main(shared: Arc<LiveShared>, rt: GhostRuntime, tick_ns: Nanos) {
 }
 
 /// An agent OS thread: waits for its command mailbox, then runs
-/// activations via [`GhostRuntime::hook_run_agent`] until the policy
-/// blocks. Spin outcomes wait on the agent's lock-free signal ring (with
-/// a bounded poll fallback); block outcomes declare the agent blocked at
-/// once and park with an epoch check under the state lock, so a message
-/// posted any time after the activation wakes it instead of being lost.
-pub(crate) fn agent_main(
-    shared: Arc<LiveShared>,
-    rt: GhostRuntime,
-    tid: Tid,
-    cpu: CpuId,
-    ring: SpscConsumer<WakeSignal>,
-) {
+/// activations ([`LiveState::activate_agent`]) until the policy blocks. A
+/// spin outcome waits on the mailbox epoch, which a kick moves, with
+/// [`SPIN_POLL`] as the backstop; a block outcome parks with an epoch
+/// check, so a message posted any time after the activation wakes the
+/// agent instead of being lost.
+pub(crate) fn agent_main(shared: Arc<LiveShared>, rt: GhostRuntime, tid: Tid, cpu: CpuId) {
     let (ctl, clock) = {
         let st = shared.state.lock().unwrap();
         (Arc::clone(&st.threads[tid.index()].ctl), st.clock)
@@ -450,47 +451,17 @@ pub(crate) fn agent_main(
             WorkerCmd::Park | WorkerCmd::Free => continue,
         }
         loop {
-            let (cmd, epoch) = ctl.peek();
-            if cmd == WorkerCmd::Exit {
+            let mut st = shared.state.lock().unwrap();
+            // Read under the state lock, where every post is made: a kick
+            // that landed before it has its message drained by this
+            // activation, and one that lands after moves the epoch. (Exit
+            // is posted only with the agent dead or the kernel shut down,
+            // which `activate_agent` reports as `None`.)
+            let (_, epoch) = ctl.peek();
+            let Some((outcome, stall_ns)) = st.activate_agent(&rt, tid, cpu) else {
                 break 'outer;
-            }
-            ring.drain();
-            let (outcome, stall_ns) = {
-                let mut st = shared.state.lock().unwrap();
-                if st.shutdown || st.threads[tid.index()].state == ThreadState::Dead {
-                    break 'outer;
-                }
-                if st.threads[tid.index()].state == ThreadState::Blocked {
-                    st.threads[tid.index()].state = ThreadState::Runnable;
-                }
-                let out = rt.hook_run_agent(&mut *st, tid, cpu);
-                if matches!(out, AgentOutcome::Block { .. }) {
-                    // Blocked from here on, not from the park below: the
-                    // runtime wakes only a blocked agent, and a message
-                    // posted by this settle or during the modelled-time
-                    // spin must do so — the wake moves the mailbox epoch,
-                    // so the barrier-checked park re-activates instead.
-                    st.threads[tid.index()].state = ThreadState::Blocked;
-                }
-                st.settle();
-                // An open AgentSlow window stretches the loop for real:
-                // the runtime already multiplied the modelled `busy`, and
-                // the stall below burns that stretched time wall-clock
-                // (outside the lock, bounded so Exit stays responsive).
-                let stall = if st.faults.agent_slow_factor(cpu, st.now()) > 1 {
-                    let busy = match out {
-                        AgentOutcome::Block { busy }
-                        | AgentOutcome::Yield { busy }
-                        | AgentOutcome::Spin { busy, .. } => busy,
-                    };
-                    let stall = busy.min(5 * MILLIS);
-                    st.stats.fault_stall_ns += stall;
-                    stall
-                } else {
-                    0
-                };
-                (out, stall)
             };
+            drop(st);
             if stall_ns > 0 {
                 std::thread::sleep(Duration::from_nanos(stall_ns));
             }
@@ -524,18 +495,13 @@ pub(crate) fn agent_main(
                 }
                 AgentOutcome::Yield { .. } => std::thread::yield_now(),
                 AgentOutcome::Spin { next, .. } => {
-                    if !ring.is_empty() {
-                        continue; // Work already signaled; re-activate now.
-                    }
-                    let now = {
-                        let st = shared.state.lock().unwrap();
-                        st.now()
-                    };
                     let timeout = match next {
-                        Some(at) => Duration::from_nanos(at.saturating_sub(now).max(10_000)),
+                        Some(at) => {
+                            Duration::from_nanos(at.saturating_sub(clock.now()).max(10_000))
+                        }
                         None => SPIN_POLL,
                     };
-                    // `epoch` is from before the activation: any nudge or
+                    // `epoch` is from before the activation: any kick or
                     // wake that landed since (including from our own
                     // settle) returns immediately instead of sleeping
                     // through a fresh message.

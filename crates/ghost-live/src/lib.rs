@@ -3,8 +3,8 @@
 //! The second implementation of [`ghost_core::GhostBackend`]: where
 //! `ghost-sim` runs the runtime against a discrete-event kernel,
 //! `ghost-live` runs the *same unmodified runtime and policies* against
-//! real `std::thread` workers, a monotonic wall clock, lock-free SPSC
-//! signal rings, and the same `AtomicU64`-seqlock status words — the
+//! real `std::thread` workers, a monotonic wall clock, per-thread command
+//! mailboxes, and the same `AtomicU64`-seqlock status words — the
 //! paper's claim that scheduling logic lives entirely in userspace,
 //! demonstrated by swapping the machine out from underneath it.
 //!
@@ -15,7 +15,7 @@
 //! | dispatch | `Switching` + event | unpark on commit ([`worker::WorkerCtl`]) |
 //! | preemption | resched event | preempt flag at request boundary |
 //! | timers | event heap | timer thread over a deadline heap |
-//! | agent signal | event queue | lock-free SPSC ring ([`ring`]) |
+//! | agent kick | agent-loop event | `Run` post to its mailbox ([`worker::WorkerCtl`]) |
 //! | status words | `ghost_core::status` | the same type, genuinely shared |
 //!
 //! Scheduling semantics are kept aligned with the DES by construction:
@@ -55,5 +55,5 @@ pub use kv::{
     await_completion, open_loop_drive, DegradedLimits, DegradedStats, KvRequest, KvService,
 };
 pub use ring::{spsc, SpscConsumer, SpscProducer};
-pub use state::{LiveStats, WakeSignal};
+pub use state::LiveStats;
 pub use worker::{WorkerCmd, WorkerCtl};

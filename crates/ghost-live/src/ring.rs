@@ -1,17 +1,18 @@
 //! Lock-free single-producer single-consumer rings.
 //!
-//! The live backend uses these on its hot signaling paths, mirroring the
-//! paper's shared-memory message queues: scheduling events are pushed to
-//! an agent's signal ring without taking the agent's locks, and the agent
-//! drains the ring from its own OS thread. The implementation is the
-//! classic Lamport ring: `tail` is written only by the producer (release)
-//! and read by the consumer (acquire); `head` the mirror image. One slot
-//! is sacrificed to distinguish full from empty.
+//! A lock-free primitive for embedders, mirroring the paper's
+//! shared-memory message queues (the benchmark's `live.ring.push_pop_ns`
+//! measures it). The live kernel itself does not signal agents through
+//! one: a post to an agent's queue kicks the agent's mailbox instead
+//! ([`crate::worker::WorkerCtl`]). The implementation is the classic
+//! Lamport ring: `tail` is written only by the producer (release) and
+//! read by the consumer (acquire); `head` the mirror image. One slot is
+//! sacrificed to distinguish full from empty.
 //!
 //! "Single producer" means *serialized* producers: pushes made while
-//! holding one lock (the live backend pushes under the kernel state lock)
-//! are a valid single producer, because mutex release/acquire edges order
-//! the tail writes exactly as a single thread would.
+//! holding one lock are a valid single producer, because mutex
+//! release/acquire edges order the tail writes exactly as a single thread
+//! would.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

@@ -17,15 +17,15 @@
 //! lanes — which is what the invariant checker verifies on live traces.
 
 use crate::clock::MonotonicClock;
-use crate::ring::SpscConsumer;
 use crate::worker::{WorkerCmd, WorkerCtl};
 use ghost_core::{GhostBackend, GhostRuntime};
+use ghost_sim::agent::AgentOutcome;
 use ghost_sim::class::{ClassId, OffCpuReason, CLASS_CFS, CLASS_GHOST, CLASS_IDLE};
 use ghost_sim::costs::CostModel;
 use ghost_sim::cpuset::CpuSet;
 use ghost_sim::faults::{FaultPlan, IpiFate};
 use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
-use ghost_sim::time::Nanos;
+use ghost_sim::time::{Nanos, MILLIS};
 use ghost_sim::topology::{CpuId, Topology};
 use ghost_trace::{TraceEvent, TraceSink, NO_TID, PREV_BLOCKED, PREV_DEAD, PREV_RUNNABLE};
 use std::cmp::Reverse;
@@ -38,16 +38,6 @@ use std::thread::JoinHandle;
 /// propagation delays (sub-microsecond) are below what a wall-clock timer
 /// hop can resolve.
 const IMMEDIATE_SLACK_NS: Nanos = 100_000;
-
-/// A wake pushed into an agent's lock-free signal ring when scheduling
-/// events land, so a spinning agent can re-activate without taking locks.
-#[derive(Debug, Clone, Copy)]
-pub struct WakeSignal {
-    /// Thread the event concerned.
-    pub tid: u32,
-    /// Backend time of the event.
-    pub at: Nanos,
-}
 
 /// What a timer-heap entry does when it fires.
 #[derive(Debug, Clone, Copy)]
@@ -144,8 +134,7 @@ pub struct LiveStats {
 /// Spawns the OS thread for a respawned/new agent. Installed by
 /// `LiveKernel`; invoked from [`LiveState::settle`] so agents created by
 /// the runtime itself (e.g. §3.4 standby respawn) get real threads too.
-pub(crate) type AgentSpawner =
-    Arc<dyn Fn(Tid, CpuId, SpscConsumer<WakeSignal>) -> JoinHandle<()> + Send + Sync>;
+pub(crate) type AgentSpawner = Arc<dyn Fn(Tid, CpuId) -> JoinHandle<()> + Send + Sync>;
 
 pub struct LiveState {
     pub(crate) clock: MonotonicClock,
@@ -176,10 +165,6 @@ pub struct LiveState {
     /// current sleep; the timer thread waits on the state mutex with this
     /// condvar.
     pub(crate) timer_cv: Arc<Condvar>,
-    /// Signal-ring producers, one per live agent, pushed under the state
-    /// lock (a serialized single producer) and drained by the agent's own
-    /// OS thread.
-    pub(crate) agent_rings: Vec<(Tid, crate::ring::SpscProducer<WakeSignal>)>,
     pub(crate) agent_spawner: Option<AgentSpawner>,
     /// The deterministic fault schedule, consulted against wall-clock
     /// `now`. The runtime checks window predicates through
@@ -209,7 +194,6 @@ impl LiveState {
             timers: BinaryHeap::new(),
             timer_seq: 0,
             timer_cv: Arc::new(Condvar::new()),
-            agent_rings: Vec::new(),
             agent_spawner: None,
             faults: FaultPlan::none(),
         }
@@ -345,7 +329,9 @@ impl LiveState {
         }
         if t.kind == ThreadKind::Agent {
             // Agents never park-wait on the live kernel's runqueues; a
-            // wake (re)activates their OS thread directly. Idempotent.
+            // wake (re)activates their OS thread directly, and a kick to a
+            // spinning (`Running`) agent moves its mailbox epoch, which
+            // ends its `wait_nudge`. Idempotent.
             if t.state == ThreadState::Blocked {
                 t.state = ThreadState::Runnable;
                 t.runnable_since = now;
@@ -371,16 +357,6 @@ impl LiveState {
         self.stats.wakes += 1;
         if class == CLASS_GHOST {
             rt.hook_enqueue(self, tid);
-            // Let spinning agents see the event without taking locks.
-            for (atid, ring) in &self.agent_rings {
-                if self.threads[atid.index()].state != ThreadState::Dead {
-                    let _ = ring.push(WakeSignal {
-                        tid: tid.0,
-                        at: now,
-                    });
-                    self.threads[atid.index()].ctl.nudge();
-                }
-            }
         } else {
             // Unmanaged (CFS-shed): the host scheduler runs it freely.
             ctl.post(WorkerCmd::Free);
@@ -508,6 +484,48 @@ impl LiveState {
         self.settle();
     }
 
+    /// One activation of agent `tid`, run by its own OS thread under the
+    /// state lock; `None` once the agent or the kernel is gone. The agent
+    /// is `Running` from here until a block outcome: spinning, as the DES
+    /// sees it, so a post to its `Polled` queue kicks it
+    /// (`schedule_agent_loop` → a `Run` post) instead of waiting out its
+    /// poll. Returns the outcome and the wall-clock stall an open
+    /// `AgentSlow` window asks for.
+    pub(crate) fn activate_agent(
+        &mut self,
+        rt: &GhostRuntime,
+        tid: Tid,
+        cpu: CpuId,
+    ) -> Option<(AgentOutcome, Nanos)> {
+        if self.shutdown || self.threads[tid.index()].state == ThreadState::Dead {
+            return None;
+        }
+        self.threads[tid.index()].state = ThreadState::Running;
+        let out = rt.hook_run_agent(self, tid, cpu);
+        if matches!(out, AgentOutcome::Block { .. }) {
+            // Blocked from here on, not from the park: the runtime wakes
+            // only a blocked agent, and a message posted by this settle or
+            // during the modelled-time spin must do so — the wake moves
+            // the mailbox epoch, so the barrier-checked park re-activates
+            // instead.
+            self.threads[tid.index()].state = ThreadState::Blocked;
+        }
+        self.settle();
+        // An open AgentSlow window stretches the loop for real: the
+        // runtime already multiplied the modelled `busy`, and the caller
+        // burns that stretched time wall-clock (outside the lock, bounded
+        // so Exit stays responsive).
+        let mut stall = 0;
+        if self.faults.agent_slow_factor(cpu, self.clock.now()) > 1 {
+            let (AgentOutcome::Block { busy }
+            | AgentOutcome::Yield { busy }
+            | AgentOutcome::Spin { busy, .. }) = out;
+            stall = busy.min(5 * MILLIS);
+            self.stats.fault_stall_ns += stall;
+        }
+        Some((out, stall))
+    }
+
     fn apply_kill(&mut self, rt: &GhostRuntime, tid: Tid) {
         let st = self.threads[tid.index()].state;
         if st == ThreadState::Dead {
@@ -515,11 +533,8 @@ impl LiveState {
         }
         let class = self.threads[tid.index()].class;
         let now = self.clock.now();
-        match st {
-            ThreadState::Running => {
-                let cpu = self.threads[tid.index()]
-                    .cpu
-                    .expect("running thread on lane");
+        match (st, self.threads[tid.index()].cpu) {
+            (ThreadState::Running, Some(cpu)) => {
                 {
                     let t = &mut self.threads[tid.index()];
                     t.total_work += now.saturating_sub(t.stint_start);
@@ -542,16 +557,15 @@ impl LiveState {
                 // boundary (preempt flag + Exit command below).
                 self.pending_resched.push((cpu, now));
             }
-            ThreadState::Runnable => {
+            (ThreadState::Runnable, _) => {
                 if class == CLASS_GHOST {
                     rt.hook_dequeue(tid);
                 }
                 self.threads[tid.index()].state = ThreadState::Dead;
             }
-            ThreadState::Blocked => {
-                self.threads[tid.index()].state = ThreadState::Dead;
-            }
-            ThreadState::Dead => unreachable!(),
+            // Blocked, or an agent in its activation loop: `Running`, but
+            // live agents hold no lane.
+            _ => self.threads[tid.index()].state = ThreadState::Dead,
         }
         if class == CLASS_GHOST {
             rt.hook_detach(self, tid);
@@ -653,9 +667,7 @@ impl LiveState {
         let Some(spawner) = self.agent_spawner.clone() else {
             return;
         };
-        let (prod, cons) = crate::ring::spsc::<WakeSignal>(1024);
-        self.agent_rings.push((tid, prod));
-        let join = spawner(tid, cpu, cons);
+        let join = spawner(tid, cpu);
         self.threads[tid.index()].join = Some(join);
     }
 }
@@ -804,5 +816,70 @@ impl GhostBackend for LiveState {
 
     fn faults(&self) -> &FaultPlan {
         &self.faults
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ghost_core::msg::Message;
+    use ghost_core::policy::{GhostPolicy, PolicyCtx};
+    use ghost_core::EnclaveConfig;
+    use std::time::Duration;
+
+    /// Never schedules: the test puts the worker on its lane itself.
+    struct Idle;
+
+    impl GhostPolicy for Idle {
+        fn name(&self) -> &str {
+            "idle"
+        }
+        fn on_msg(&mut self, _msg: &Message, _ctx: &mut PolicyCtx<'_>) {}
+        fn schedule(&mut self, _ctx: &mut PolicyCtx<'_>) {}
+    }
+
+    /// A worker's yield reaches the spinning global agent through the
+    /// runtime's kick, inside `end_stint`: the agent's mailbox epoch has
+    /// moved by the time the call returns, so its `wait_nudge` does not
+    /// sleep. No OS threads, no wall-clock wait.
+    #[test]
+    fn yield_kicks_the_spinning_global_agent_before_end_stint_returns() {
+        let topo = Topology::new("kick", 1, 2, 1, 2);
+        let rt = GhostRuntime::new(topo.num_cpus());
+        let mut st = LiveState::new(topo, CostModel::default(), TraceSink::Null);
+        st.runtime = Some(rt.clone());
+        // No agent spawner: the agents get no OS thread, and the test runs
+        // the global agent's activation the way its thread would.
+        let cpus = CpuSet::first_n(2);
+        let e = rt.launch_enclave_on(
+            &mut st,
+            cpus,
+            EnclaveConfig::centralized("kick"),
+            Box::new(Idle),
+        );
+        st.settle();
+        let global = e.global_agent().expect("centralized enclave");
+        let (worker, _) = st.add_worker("w");
+        e.attach_thread(&mut st, worker);
+        GhostBackend::wake(&mut st, worker);
+        st.settle();
+        st.dispatch(worker, CpuId(1));
+
+        let (out, _) = st
+            .activate_agent(&rt, global, CpuId(0))
+            .expect("agent alive");
+        assert!(matches!(out, AgentOutcome::Spin { .. }), "{out:?}");
+        assert_eq!(st.threads[global.index()].state, ThreadState::Running);
+        let ctl = Arc::clone(&st.threads[global.index()].ctl);
+        let (_, epoch) = ctl.peek();
+
+        st.end_stint(worker, CpuId(1), OffCpuReason::Yield);
+        let (cmd, moved) = ctl.peek();
+        assert!(
+            moved > epoch,
+            "THREAD_YIELD did not kick the spinning agent"
+        );
+        assert_eq!(cmd, WorkerCmd::Run { cpu: CpuId(0) });
+        assert_eq!(ctl.wait_nudge(epoch, Duration::from_secs(60)), (cmd, moved));
     }
 }

@@ -66,14 +66,6 @@ impl WorkerCtl {
         self.cv.notify_all();
     }
 
-    /// Nudges the thread without changing its command (used to re-run a
-    /// spinning agent when a signal lands in its ring).
-    pub fn nudge(&self) {
-        let mut mb = self.mailbox.lock().unwrap();
-        mb.epoch += 1;
-        self.cv.notify_all();
-    }
-
     /// Current command plus the epoch it was observed at.
     pub fn peek(&self) -> (WorkerCmd, u64) {
         let mb = self.mailbox.lock().unwrap();
@@ -91,9 +83,8 @@ impl WorkerCtl {
 
     /// Blocks until the command is not `Park`, the epoch moves past
     /// `seen_epoch`, or `timeout` elapses. Returns the current command and
-    /// epoch. Used by spinning agents: any post or nudge re-runs them,
-    /// and the timeout bounds message-poll latency for queues configured
-    /// without agent wakeup.
+    /// epoch. Used by spinning agents: any post (a kick or a wake) re-runs
+    /// them; the timeout is their poll backstop.
     pub fn wait_nudge(&self, seen_epoch: u64, timeout: Duration) -> (WorkerCmd, u64) {
         let mut mb = self.mailbox.lock().unwrap();
         if mb.cmd == WorkerCmd::Park || mb.epoch != seen_epoch {
@@ -200,12 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn nudge_interrupts_wait_nudge_exactly_when_epoch_moved() {
+    fn post_interrupts_wait_nudge_exactly_when_epoch_moved() {
         let ctl = WorkerCtl::new();
         ctl.post(WorkerCmd::Run { cpu: CpuId(0) });
         let (_, epoch) = ctl.peek();
-        // Nudge already landed: returns immediately, no sleep.
-        ctl.nudge();
+        // A kick already landed: returns immediately, no sleep.
+        ctl.post(WorkerCmd::Run { cpu: CpuId(0) });
         let start = std::time::Instant::now();
         let (_, e2) = ctl.wait_nudge(epoch, Duration::from_secs(5));
         assert!(start.elapsed() < Duration::from_secs(1));
