@@ -4,7 +4,7 @@
 //! A [`LiveKernel`] owns the shared [`LiveState`], a timer thread (the
 //! live analogue of the DES event queue's timer events: driver timers for
 //! the §3.4 watchdog and standby respawn, delayed wakes, resched IPIs
-//! with propagation delay, and periodic tick delivery), and the agent OS
+//! a fault window delays, and periodic tick delivery), and the agent OS
 //! threads spawned per enclave CPU. Worker threads are registered by the
 //! embedding service (see [`crate::kv`]) and scheduled by an unmodified
 //! [`ghost_core::GhostPolicy`]: the policy's transaction commits arrive
@@ -23,7 +23,7 @@ use ghost_sim::costs::CostModel;
 use ghost_sim::cpuset::CpuSet;
 use ghost_sim::faults::{FaultKind, FaultPlan};
 use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
-use ghost_sim::time::{Nanos, MILLIS};
+use ghost_sim::time::{Nanos, MICROS, MILLIS};
 use ghost_sim::topology::{CpuId, Topology};
 use ghost_trace::{TraceEvent, TraceRecord, TraceSink};
 use std::sync::{Arc, Mutex};
@@ -34,12 +34,13 @@ use std::time::Duration;
 /// stale its view of "due" can get if a notify is missed.
 const TIMER_IDLE_SLEEP: Duration = Duration::from_millis(1);
 
-/// How long a spinning agent waits in its mailbox before re-polling its
-/// queues anyway. Every post to a `WakeMode::Polled` queue kicks the
-/// agent through `schedule_agent_loop`, so this is only the backstop for
-/// a kick the runtime coalesced away (`loop_armed` still set because the
-/// activation that would have cleared it never ran, e.g. a hang window).
-const SPIN_POLL: Duration = Duration::from_micros(200);
+/// How long a spinning agent spins on its mailbox epoch before re-polling
+/// its queues anyway. Every post to a `WakeMode::Polled` queue kicks the
+/// agent through `schedule_agent_loop`, which moves the epoch, so this is
+/// only the backstop for a kick the runtime coalesced away (`loop_armed`
+/// still set because the activation that would have cleared it never ran,
+/// e.g. a hang window).
+const SPIN_POLL: Nanos = 200 * MICROS;
 
 /// Configuration for a live kernel.
 pub struct LiveConfig {
@@ -298,6 +299,15 @@ impl LiveKernel {
 
     /// Stops every managed OS thread and joins them. Consumes the kernel.
     pub fn shutdown(mut self) {
+        self.stop_and_join();
+    }
+
+    /// Tells every managed OS thread and the timer thread to exit, then
+    /// joins them; a no-op once done.
+    fn stop_and_join(&mut self) {
+        let Some(timer) = self.timer.take() else {
+            return;
+        };
         let joins: Vec<JoinHandle<()>> = {
             let mut st = self.shared.state.lock().unwrap();
             st.shutdown = true;
@@ -311,9 +321,7 @@ impl LiveKernel {
                 .filter_map(|t| t.join.take())
                 .collect()
         };
-        if let Some(timer) = self.timer.take() {
-            let _ = timer.join();
-        }
+        let _ = timer.join();
         for join in joins {
             let _ = join.join();
         }
@@ -324,35 +332,15 @@ impl Drop for LiveKernel {
     fn drop(&mut self) {
         // `shutdown()` consumed self normally; this path covers panics and
         // forgotten shutdowns so worker threads never outlive the kernel.
-        if self.timer.is_none() {
-            return;
-        }
-        let joins: Vec<JoinHandle<()>> = {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            for t in &st.threads {
-                t.ctl.set_preempt();
-                t.ctl.post(WorkerCmd::Exit);
-            }
-            st.timer_cv.notify_all();
-            st.threads
-                .iter_mut()
-                .filter_map(|t| t.join.take())
-                .collect()
-        };
-        if let Some(timer) = self.timer.take() {
-            let _ = timer.join();
-        }
-        for join in joins {
-            let _ = join.join();
-        }
+        self.stop_and_join();
     }
 }
 
-/// The timer thread: fires due heap entries (wakes, IPIs, driver timers,
-/// agent re-activations) and delivers periodic ticks to busy lanes. It
-/// sleeps on the state mutex's condvar, so arming an earlier timer from
-/// any thread wakes it immediately.
+/// The timer thread: fires due heap entries (delayed wakes, fault-delayed
+/// IPIs, driver timers, agent re-activations, one-shot faults) and
+/// delivers periodic ticks to every lane. It sleeps on the state mutex's
+/// condvar, so arming an earlier timer from any thread wakes it
+/// immediately.
 fn timer_main(shared: Arc<LiveShared>, rt: GhostRuntime, tick_ns: Nanos) {
     let mut st = shared.state.lock().unwrap();
     let mut next_tick = if tick_ns > 0 {
@@ -434,7 +422,9 @@ fn timer_main(shared: Arc<LiveShared>, rt: GhostRuntime, tick_ns: Nanos) {
 
 /// An agent OS thread: waits for its command mailbox, then runs
 /// activations ([`LiveState::activate_agent`]) until the policy blocks. A
-/// spin outcome waits on the mailbox epoch, which a kick moves, with
+/// spin outcome (the centralized global agent, or any agent inside a hang
+/// window) busy-polls the lock-free mailbox epoch, which a kick moves, as
+/// the paper's global agent spins on its CPU, with the policy's `next` or
 /// [`SPIN_POLL`] as the backstop; a block outcome parks with an epoch
 /// check, so a message posted any time after the activation wakes the
 /// agent instead of being lost.
@@ -457,7 +447,7 @@ pub(crate) fn agent_main(shared: Arc<LiveShared>, rt: GhostRuntime, tid: Tid, cp
             // activation, and one that lands after moves the epoch. (Exit
             // is posted only with the agent dead or the kernel shut down,
             // which `activate_agent` reports as `None`.)
-            let (_, epoch) = ctl.peek();
+            let epoch = ctl.epoch();
             let Some((outcome, stall_ns)) = st.activate_agent(&rt, tid, cpu) else {
                 break 'outer;
             };
@@ -495,17 +485,16 @@ pub(crate) fn agent_main(shared: Arc<LiveShared>, rt: GhostRuntime, tid: Tid, cp
                 }
                 AgentOutcome::Yield { .. } => std::thread::yield_now(),
                 AgentOutcome::Spin { next, .. } => {
-                    let timeout = match next {
-                        Some(at) => {
-                            Duration::from_nanos(at.saturating_sub(clock.now()).max(10_000))
-                        }
-                        None => SPIN_POLL,
-                    };
+                    let now = clock.now();
+                    let poll = next.map_or(SPIN_POLL, |at| at.saturating_sub(now).max(10 * MICROS));
+                    let until = now + poll.min(5 * MILLIS);
                     // `epoch` is from before the activation: any kick or
                     // wake that landed since (including from our own
-                    // settle) returns immediately instead of sleeping
-                    // through a fresh message.
-                    ctl.wait_nudge(epoch, timeout.min(Duration::from_millis(5)));
+                    // settle) ends the spin at once instead of being
+                    // spun through.
+                    while ctl.epoch() == epoch && clock.now() < until {
+                        std::hint::spin_loop();
+                    }
                 }
             }
         }

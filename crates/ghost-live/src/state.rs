@@ -33,10 +33,13 @@ use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
-/// IPIs and near-now wakes within this slack of `now` are applied on the
-/// spot instead of round-tripping through the timer thread: the modelled
-/// propagation delays (sub-microsecond) are below what a wall-clock timer
-/// hop can resolve.
+/// Wakes ([`GhostBackend::wake_at`]) and agent re-activations
+/// ([`GhostBackend::schedule_agent_loop`]) due within this slack of `now`
+/// are applied at the next settle, early, instead of round-tripping
+/// through the timer thread: a wall-clock timer hop cannot resolve delays
+/// this short. Resched IPIs are never applied early: `apply_resched` has
+/// the committing thread wait out an arm time at most a remote commit's
+/// modelled latency ahead, and leaves later ones to the timer thread.
 const IMMEDIATE_SLACK_NS: Nanos = 100_000;
 
 /// What a timer-heap entry does when it fires.
@@ -331,7 +334,7 @@ impl LiveState {
             // Agents never park-wait on the live kernel's runqueues; a
             // wake (re)activates their OS thread directly, and a kick to a
             // spinning (`Running`) agent moves its mailbox epoch, which
-            // ends its `wait_nudge`. Idempotent.
+            // ends its spin. Idempotent.
             if t.state == ThreadState::Blocked {
                 t.state = ThreadState::Runnable;
                 t.runnable_since = now;
@@ -364,11 +367,20 @@ impl LiveState {
     }
 
     fn apply_resched(&mut self, rt: &GhostRuntime, cpu: CpuId, at: Nanos) {
-        if at > self.clock.now() {
-            // The commit armed this slot in the (near) future; picking now
-            // would be refused and never retried. Deliver on time instead.
+        if at.saturating_sub(self.clock.now()) > self.costs.remote_schedule_e2e() {
+            // Further out than a remote commit's modelled end to end (an
+            // `IpiDelay` window, an `AgentSlow`-stretched activation):
+            // picking now would be refused as "not arrived" and never
+            // retried, so the timer thread delivers it on time.
             self.arm_timer(at, TimerEntry::Resched(cpu));
             return;
+        }
+        // The IPI is still in flight, by at most that modelled latency
+        // (≈ 1.8 µs): the thread that committed it waits the rest out here,
+        // which is cheaper than the timer thread's futex wake-up, and then
+        // picks. The slot is never picked before its `arm_at`.
+        while self.clock.now() < at {
+            std::hint::spin_loop();
         }
         if let Some(cur) = self.cpus[cpu.index()].current {
             // Occupied lane: raise the preempt flag; the worker ends its
@@ -609,7 +621,6 @@ impl LiveState {
                         // Shed mid-stint: force the stint to end; the
                         // worker sees its new class and runs free.
                         self.threads[tid.index()].ctl.set_preempt();
-                        let _ = cpu;
                     } else {
                         self.pending_resched.push((cpu, self.clock.now()));
                     }
@@ -766,9 +777,10 @@ impl GhostBackend for LiveState {
             from_cpu: u16::MAX,
             to_cpu: cpu.0,
         });
-        // Queueing honours the fault plan first; `apply_resched` then
-        // re-arms a timer when the (possibly stretched) `at` is still in
-        // the future (the slot's arm gate would refuse an early pick).
+        // Queueing honours the fault plan first; `apply_resched` then waits
+        // out an `at` within a remote commit's modelled latency on this
+        // thread, and hands a later (e.g. fault-stretched) one to the timer
+        // thread (the slot's arm gate would refuse an early pick).
         match self.faults.ipi_fate(now) {
             IpiFate::Normal => self.pending_resched.push((cpu, at)),
             IpiFate::Delayed(extra) => {
@@ -825,7 +837,9 @@ mod tests {
     use ghost_core::msg::Message;
     use ghost_core::policy::{GhostPolicy, PolicyCtx};
     use ghost_core::EnclaveConfig;
-    use std::time::Duration;
+    use ghost_policies::CentralizedFifo;
+    use ghost_sim::faults::FaultKind;
+    use ghost_sim::time::SECS;
 
     /// Never schedules: the test puts the worker on its lane itself.
     struct Idle;
@@ -840,29 +854,12 @@ mod tests {
 
     /// A worker's yield reaches the spinning global agent through the
     /// runtime's kick, inside `end_stint`: the agent's mailbox epoch has
-    /// moved by the time the call returns, so its `wait_nudge` does not
-    /// sleep. No OS threads, no wall-clock wait.
+    /// moved by the time the call returns, so its spin ends on the next
+    /// lock-free read. No OS threads, no wall-clock wait.
     #[test]
     fn yield_kicks_the_spinning_global_agent_before_end_stint_returns() {
-        let topo = Topology::new("kick", 1, 2, 1, 2);
-        let rt = GhostRuntime::new(topo.num_cpus());
-        let mut st = LiveState::new(topo, CostModel::default(), TraceSink::Null);
-        st.runtime = Some(rt.clone());
-        // No agent spawner: the agents get no OS thread, and the test runs
-        // the global agent's activation the way its thread would.
-        let cpus = CpuSet::first_n(2);
-        let e = rt.launch_enclave_on(
-            &mut st,
-            cpus,
-            EnclaveConfig::centralized("kick"),
-            Box::new(Idle),
-        );
-        st.settle();
-        let global = e.global_agent().expect("centralized enclave");
-        let (worker, _) = st.add_worker("w");
-        e.attach_thread(&mut st, worker);
-        GhostBackend::wake(&mut st, worker);
-        st.settle();
+        let (mut st, rt, global, worker) =
+            central_with_runnable_worker(Box::new(Idle), FaultPlan::none());
         st.dispatch(worker, CpuId(1));
 
         let (out, _) = st
@@ -880,6 +877,79 @@ mod tests {
             "THREAD_YIELD did not kick the spinning agent"
         );
         assert_eq!(cmd, WorkerCmd::Run { cpu: CpuId(0) });
-        assert_eq!(ctl.wait_nudge(epoch, Duration::from_secs(60)), (cmd, moved));
+        assert_eq!(ctl.epoch(), moved);
+    }
+
+    /// A centralized enclave over two lanes with one woken worker, and
+    /// its global agent, ready for the agent's first activation. There is
+    /// no agent spawner, so the agents get no OS thread: the test runs the
+    /// global agent's activation the way its thread would.
+    fn central_with_runnable_worker(
+        policy: Box<dyn GhostPolicy>,
+        faults: FaultPlan,
+    ) -> (LiveState, GhostRuntime, Tid, Tid) {
+        let topo = Topology::new("central", 1, 2, 1, 2);
+        let rt = GhostRuntime::new(topo.num_cpus());
+        let mut st = LiveState::new(topo, CostModel::default(), TraceSink::Null);
+        st.runtime = Some(rt.clone());
+        st.install_faults(faults);
+        let e = rt.launch_enclave_on(
+            &mut st,
+            CpuSet::first_n(2),
+            EnclaveConfig::centralized("central"),
+            policy,
+        );
+        st.settle();
+        let global = e.global_agent().expect("centralized enclave");
+        let (worker, _) = st.add_worker("w");
+        e.attach_thread(&mut st, worker);
+        GhostBackend::wake(&mut st, worker);
+        st.settle();
+        (st, rt, global, worker)
+    }
+
+    /// The global agent's remote commit is settled by the agent's own
+    /// activation: the IPI's modelled flight is waited out on the
+    /// committing thread, so the worker is dispatched before
+    /// `activate_agent` returns and the timer thread never sees it.
+    #[test]
+    fn remote_commit_dispatches_before_the_activation_returns() {
+        let (mut st, rt, global, worker) =
+            central_with_runnable_worker(Box::new(CentralizedFifo::new()), FaultPlan::none());
+        st.activate_agent(&rt, global, CpuId(0))
+            .expect("agent alive");
+        let ctl = &st.threads[worker.index()].ctl;
+        assert_eq!(ctl.peek().0, WorkerCmd::Run { cpu: CpuId(1) });
+        assert_eq!(st.cpus[1].current, Some(worker));
+        assert!(st.timers.is_empty(), "{} timers armed", st.timers.len());
+        assert_eq!((st.stats.ipis, st.stats.timers_fired), (1, 0));
+    }
+
+    /// Inside an open `IpiDelay` window the same commit's IPI lands later
+    /// than a remote commit's modelled latency, so it still goes through
+    /// the timer heap: fault semantics are unchanged.
+    #[test]
+    fn delayed_ipi_still_goes_through_the_timer_heap() {
+        let delay = FaultKind::IpiDelay {
+            dur: 3_600 * SECS,
+            extra: MILLIS,
+        };
+        let plan = FaultPlan::from_events([(0, delay)]);
+        let (mut st, rt, global, worker) =
+            central_with_runnable_worker(Box::new(CentralizedFifo::new()), plan);
+        st.activate_agent(&rt, global, CpuId(0))
+            .expect("agent alive");
+        assert_eq!(st.threads[worker.index()].ctl.peek().0, WorkerCmd::Park);
+        assert_eq!(st.cpus[1].current, None);
+        let rescheds: Vec<CpuId> = st
+            .timers
+            .iter()
+            .filter_map(|Reverse(slot)| match slot.entry {
+                TimerEntry::Resched(cpu) => Some(cpu),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rescheds, [CpuId(1)]);
+        assert_eq!((st.stats.ipis_delayed, st.stats.timers_fired), (1, 0));
     }
 }

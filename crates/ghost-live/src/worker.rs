@@ -9,12 +9,12 @@
 //! decisions that caused them — the classic lost-wakeup race (thread
 //! decides to park while a wake is in flight) cannot happen, which the
 //! `epoch` counter makes checkable: a parking thread re-parks only if no
-//! wake arrived since it last looked.
+//! wake arrived since it last looked, and a spinning agent watches the
+//! epoch without taking the mailbox lock.
 
 use ghost_sim::topology::CpuId;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// What a managed OS thread should be doing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,17 +31,16 @@ pub enum WorkerCmd {
     Exit,
 }
 
-struct Mailbox {
-    cmd: WorkerCmd,
-    /// Bumped on every [`WorkerCtl::post`]; lets a thread detect wakes
-    /// that raced with its decision to park.
-    epoch: u64,
-}
-
 /// Command mailbox + preempt flag for one managed OS thread.
 pub struct WorkerCtl {
-    mailbox: Mutex<Mailbox>,
+    mailbox: Mutex<WorkerCmd>,
     cv: Condvar,
+    /// Bumped on every [`WorkerCtl::post`], under the mailbox lock; lets a
+    /// thread detect wakes that raced with its decision to park. The
+    /// `Release` bump pairs with the `Acquire` load in
+    /// [`WorkerCtl::epoch`]: a spinner that sees the epoch move also sees
+    /// everything its poster wrote before posting.
+    epoch: AtomicU64,
     preempt: AtomicBool,
 }
 
@@ -49,11 +48,9 @@ impl WorkerCtl {
     /// New mailbox, parked.
     pub fn new() -> Arc<Self> {
         Arc::new(Self {
-            mailbox: Mutex::new(Mailbox {
-                cmd: WorkerCmd::Park,
-                epoch: 0,
-            }),
+            mailbox: Mutex::new(WorkerCmd::Park),
             cv: Condvar::new(),
+            epoch: AtomicU64::new(0),
             preempt: AtomicBool::new(false),
         })
     }
@@ -61,46 +58,38 @@ impl WorkerCtl {
     /// Posts a command and wakes the thread.
     pub fn post(&self, cmd: WorkerCmd) {
         let mut mb = self.mailbox.lock().unwrap();
-        mb.cmd = cmd;
-        mb.epoch += 1;
+        *mb = cmd;
+        self.epoch.fetch_add(1, Ordering::Release);
         self.cv.notify_all();
     }
 
     /// Current command plus the epoch it was observed at.
     pub fn peek(&self) -> (WorkerCmd, u64) {
         let mb = self.mailbox.lock().unwrap();
-        (mb.cmd, mb.epoch)
+        (*mb, self.epoch())
+    }
+
+    /// The epoch, read without the mailbox lock: a spinning agent polls
+    /// it, and any post (a kick or a wake) moves it.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// Blocks until the command is not `Park`, returning it.
     pub fn wait(&self) -> WorkerCmd {
         let mut mb = self.mailbox.lock().unwrap();
-        while mb.cmd == WorkerCmd::Park {
+        while *mb == WorkerCmd::Park {
             mb = self.cv.wait(mb).unwrap();
         }
-        mb.cmd
-    }
-
-    /// Blocks until the command is not `Park`, the epoch moves past
-    /// `seen_epoch`, or `timeout` elapses. Returns the current command and
-    /// epoch. Used by spinning agents: any post (a kick or a wake) re-runs
-    /// them; the timeout is their poll backstop.
-    pub fn wait_nudge(&self, seen_epoch: u64, timeout: Duration) -> (WorkerCmd, u64) {
-        let mut mb = self.mailbox.lock().unwrap();
-        if mb.cmd == WorkerCmd::Park || mb.epoch != seen_epoch {
-            return (mb.cmd, mb.epoch);
-        }
-        let (guard, _timed_out) = self.cv.wait_timeout(mb, timeout).unwrap();
-        mb = guard;
-        (mb.cmd, mb.epoch)
+        *mb
     }
 
     /// Parks the thread only if no wake arrived since `seen_epoch` (the
     /// lost-wakeup guard). Returns true if it parked.
     pub fn park_if_quiet(&self, seen_epoch: u64) -> bool {
         let mut mb = self.mailbox.lock().unwrap();
-        if mb.epoch == seen_epoch {
-            mb.cmd = WorkerCmd::Park;
+        if self.epoch() == seen_epoch {
+            *mb = WorkerCmd::Park;
             true
         } else {
             false
@@ -173,7 +162,7 @@ mod tests {
                 }
             })
         };
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         for round in 1..=ROUNDS {
             ctl.post(WorkerCmd::Run { cpu: CpuId(0) });
             while progressed.load(Ordering::Acquire) < round {
@@ -191,20 +180,20 @@ mod tests {
     }
 
     #[test]
-    fn post_interrupts_wait_nudge_exactly_when_epoch_moved() {
+    fn post_moves_the_lock_free_epoch_exactly_once() {
         let ctl = WorkerCtl::new();
         ctl.post(WorkerCmd::Run { cpu: CpuId(0) });
         let (_, epoch) = ctl.peek();
-        // A kick already landed: returns immediately, no sleep.
+        assert_eq!(ctl.epoch(), epoch);
+        // Reads do not move it: a spinning agent sees the same value
+        // until something is posted.
+        assert_eq!(ctl.epoch(), epoch);
+        assert!(ctl.park_if_quiet(epoch));
+        assert_eq!(ctl.epoch(), epoch, "parking is not a post");
+        // A kick lands: the lock-free read sees it, and agrees with peek.
         ctl.post(WorkerCmd::Run { cpu: CpuId(0) });
-        let start = std::time::Instant::now();
-        let (_, e2) = ctl.wait_nudge(epoch, Duration::from_secs(5));
-        assert!(start.elapsed() < Duration::from_secs(1));
-        assert!(e2 > epoch);
-        // Quiet epoch: the wait times out rather than spinning.
-        let start = std::time::Instant::now();
-        ctl.wait_nudge(e2, Duration::from_millis(10));
-        assert!(start.elapsed() >= Duration::from_millis(5));
+        assert_eq!(ctl.epoch(), epoch + 1);
+        assert_eq!(ctl.peek(), (WorkerCmd::Run { cpu: CpuId(0) }, epoch + 1));
     }
 
     #[test]
