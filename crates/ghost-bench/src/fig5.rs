@@ -16,6 +16,7 @@ use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
 use ghost_sim::topology::{CpuId, Topology};
 use ghost_sim::CpuSet;
+use ghost_trace::TraceSink;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
@@ -111,6 +112,31 @@ pub fn run_point_with_threads(
     measure: Nanos,
     group_commit: bool,
 ) -> Fig5Point {
+    run_point_traced(
+        topo,
+        scheduled,
+        threads,
+        work,
+        warmup,
+        measure,
+        group_commit,
+        TraceSink::Null,
+    )
+}
+
+/// [`run_point_with_threads`] recording into `trace`, so a test can pin
+/// every scheduling decision of the point, not only its throughput.
+#[allow(clippy::too_many_arguments)]
+pub fn run_point_traced(
+    topo: Topology,
+    scheduled: usize,
+    threads: usize,
+    work: Nanos,
+    warmup: Nanos,
+    measure: Nanos,
+    group_commit: bool,
+    trace: TraceSink,
+) -> Fig5Point {
     let agent_cpu = CpuId(0);
     let order = sweep_order(&topo, agent_cpu);
     let scheduled = scheduled.min(order.len());
@@ -124,6 +150,7 @@ pub fn run_point_with_threads(
     // scale by 1.25x when `sibling_busy`).
     let cfg = KernelConfig {
         smt_model: false,
+        trace,
         ..KernelConfig::default()
     };
     let mut kernel = Kernel::new(topo, cfg);

@@ -12,6 +12,10 @@
 //!   *before* the DES fast-path refactor (slab runtime state, timer
 //!   wheel, batched drain).
 //!
+//! Both families run on 8 CPUs, so a third pin covers the wide machine:
+//! one CFS-only run and one Fig. 5 point on the 256-CPU Rome
+//! ([`wide_machine_digests_are_frozen`]).
+//!
 //! The contract is that hot-path refactors are byte-identical: every
 //! policy, at every seed below, in both families, must keep producing
 //! exactly these result hashes. If a hash changes, the refactor altered
@@ -23,10 +27,17 @@
 //! `cargo test -p ghost-lab --test digest_freeze -- --nocapture` after
 //! setting `PRINT_DIGESTS=1` in the environment.
 
+use ghost_bench::fig5::{run_point_traced, FIG5_WORK};
+use ghost_lab::fnv64_debug_lines;
 use ghost_lab::scenario::{PolicyKind, Scenario, WorkloadSpec};
+use ghost_sim::app::{App, Next};
 use ghost_sim::faults::{FaultKind, FaultPlan};
-use ghost_sim::time::{MICROS, MILLIS};
-use ghost_sim::topology::CpuId;
+use ghost_sim::kernel::{Kernel, KernelConfig, KernelState, ThreadSpec};
+use ghost_sim::thread::Tid;
+use ghost_sim::time::{Nanos, MICROS, MILLIS};
+use ghost_sim::topology::{CpuId, Topology};
+use ghost_trace::TraceSink;
+use std::collections::HashMap;
 
 /// (policy, seed, frozen result hash) — plain pulse workload.
 const FROZEN_BASELINE: &[(&str, u64, u64)] = &[
@@ -195,4 +206,143 @@ fn all_seven_policies_des_digests_are_frozen() {
 #[test]
 fn all_seven_policies_chaos_digests_are_frozen() {
     check_family("chaos", FROZEN_CHAOS, chaos_scenario);
+}
+
+/// FNV of the trace of [`cfs_wide_run`] and of [`fig5_wide_run`].
+const FROZEN_WIDE_CFS: u64 = 0xe264b06c5dc24484;
+const FROZEN_WIDE_FIG5: u64 = 0xa753fc5fe3040272;
+
+/// Spinners run forever; the other threads run one segment every
+/// [`BURST_PERIOD`] and block in between.
+struct BurstApp {
+    /// Per thread: segment length, and whether it blocks after each.
+    seg: HashMap<Tid, (Nanos, bool)>,
+}
+
+const BURST_PERIOD: Nanos = MILLIS;
+
+impl App for BurstApp {
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+
+    fn name(&self) -> &str {
+        "burst"
+    }
+
+    fn on_timer(&mut self, key: u64, k: &mut KernelState) {
+        let tid = Tid(key as u32);
+        let (seg, bursty) = self.seg[&tid];
+        k.thread_mut(tid).remaining = seg;
+        k.wake(tid);
+        if bursty {
+            let app = k.thread(tid).app.expect("burst thread has an app");
+            k.arm_app_timer(k.now + BURST_PERIOD, app, key);
+        }
+    }
+
+    fn on_segment_end(&mut self, tid: Tid, _k: &mut KernelState) -> Next {
+        match self.seg[&tid] {
+            (_, true) => Next::Block,
+            (dur, false) => Next::Run { dur },
+        }
+    }
+}
+
+fn trace_fnv(sink: &TraceSink) -> u64 {
+    sink.with_records(|records, dropped| {
+        assert_eq!(dropped, 0, "the pinned trace must be complete");
+        fnv64_debug_lines(records)
+    })
+}
+
+/// CFS alone on the 256-CPU Rome (8 CPUs per LLC). Every fourth LLC
+/// gets 20 spinners; the LLCs between get 0, 2 or 8 bursty threads. An
+/// LLC affinity mask places them, and is widened to the whole machine
+/// after 2 ms. Wakeups stay LLC-local, so the crowded LLCs keep queues
+/// that a CPU steals from when its bursty thread blocks, and that the
+/// periodic balance of the idle LLCs' CPUs pulls from (counted once with
+/// a print in each path: 228 steals, 32 pulls). Returns the trace FNV
+/// and the migration count.
+fn cfs_wide_run() -> (u64, u64) {
+    let topo = Topology::rome_256();
+    let sink = TraceSink::recording(topo.num_cpus(), 1 << 14);
+    let cfg = KernelConfig {
+        trace: sink.clone(),
+        ..KernelConfig::default()
+    };
+    let mut kernel = Kernel::new(topo, cfg);
+    let app = kernel.state.next_app_id();
+    let num_ccx = kernel.state.topo.num_cpus() as u16 / 8;
+    let mut seg = HashMap::new();
+    let mut tids = Vec::new();
+    for ccx in 0..num_ccx {
+        let mask = kernel.state.topo.ccx_cpus(ccx);
+        let (count, bursty) = [(0, true), (2, true), (8, true), (20, false)][ccx as usize % 4];
+        for i in 0..count {
+            let tid = kernel.spawn(
+                ThreadSpec::workload(&format!("b{ccx}.{i}"), &kernel.state.topo)
+                    .app(app)
+                    .affinity(mask),
+            );
+            let len = 150 * MICROS + (i as Nanos % 5) * 100 * MICROS;
+            seg.insert(tid, (len, bursty));
+            tids.push(tid);
+        }
+    }
+    kernel.add_app(Box::new(BurstApp { seg }));
+    for (i, &tid) in tids.iter().enumerate() {
+        kernel
+            .state
+            .arm_app_timer((i as Nanos % 10) * 20 * MICROS, app, tid.0 as u64);
+    }
+    kernel.run_until(2 * MILLIS);
+    let all = kernel.state.topo.all_cpus_set();
+    for &tid in &tids {
+        kernel.state.set_affinity(tid, all);
+    }
+    kernel.run_until(20 * MILLIS);
+    (trace_fnv(&sink), kernel.state.stats.migrations)
+}
+
+/// A short Fig. 5 point on the same machine: one global agent, 255
+/// scheduled CPUs, 259 yield-loop threads. Returns the trace FNV.
+fn fig5_wide_run() -> u64 {
+    let topo = Topology::rome_256();
+    let sink = TraceSink::recording(topo.num_cpus(), 1 << 14);
+    run_point_traced(
+        topo,
+        255,
+        259,
+        FIG5_WORK,
+        MILLIS,
+        4 * MILLIS,
+        true,
+        sink.clone(),
+    );
+    trace_fnv(&sink)
+}
+
+/// The frozen families above are all 8-CPU pulse runs, so nothing in
+/// them crosses CFS's cross-machine balancing or a 256-wide scan. This
+/// pins both on `Topology::rome_256()`: a CFS-only run whose uneven LLC
+/// load makes both idle-balance steals and periodic pulls happen, and a
+/// ghOSt Fig. 5 point. Both FNVs were computed at the commit before
+/// CFS's balance scans got their O(1) guards and before the kernel's
+/// mid-switch lookup stopped scanning every CPU; both changes must leave
+/// them byte-identical.
+#[test]
+fn wide_machine_digests_are_frozen() {
+    let (cfs, migrations) = cfs_wide_run();
+    let fig5 = fig5_wide_run();
+    if std::env::var("PRINT_DIGESTS").is_ok() {
+        println!("    [wide] cfs {cfs:#018x} ({migrations} migrations), fig5 {fig5:#018x}");
+        return;
+    }
+    assert!(migrations > 0, "the CFS run must migrate threads");
+    assert_eq!(cfs, FROZEN_WIDE_CFS, "wide CFS digest drifted: {cfs:#018x}");
+    assert_eq!(
+        fig5, FROZEN_WIDE_FIG5,
+        "wide fig5 digest drifted: {fig5:#018x}"
+    );
 }

@@ -88,6 +88,12 @@ pub struct CfsClass {
     tasks: HashMap<Tid, CfsTask>,
     rqs: Vec<CfsRq>,
     last_balance: Vec<Nanos>,
+    /// Sum of `queue.len()` over `rqs`. With `running`, kept exact at
+    /// every runqueue change so the balance paths can skip a scan of
+    /// every runqueue when it could not find a task.
+    queued: usize,
+    /// Sum of `nr_running` over `rqs`.
+    running: u32,
 }
 
 impl CfsClass {
@@ -103,6 +109,8 @@ impl CfsClass {
             tasks: HashMap::new(),
             rqs: (0..num_cpus).map(|_| CfsRq::default()).collect(),
             last_balance: vec![0; num_cpus],
+            queued: 0,
+            running: 0,
         }
     }
 
@@ -208,7 +216,19 @@ impl CfsClass {
         let rq = &mut self.rqs[cpu.index()];
         rq.queue.insert(key);
         rq.nr_running += 1;
+        self.queued += 1;
+        self.running += 1;
         self.sync_cpu_counter(cpu, k);
+    }
+
+    /// `nr_running -= 1` on `cpu`, saturating. It can saturate: a thread
+    /// that joined CFS while running was never counted where it runs.
+    fn dec_running(&mut self, cpu: CpuId) {
+        let rq = &mut self.rqs[cpu.index()];
+        if rq.nr_running > 0 {
+            rq.nr_running -= 1;
+            self.running -= 1;
+        }
     }
 
     fn remove_queued(&mut self, tid: Tid, k: &mut KernelState) -> bool {
@@ -221,17 +241,38 @@ impl CfsClass {
         task.on_rq = false;
         let cpu = task.cpu;
         let key = (task.vruntime, tid);
-        let rq = &mut self.rqs[cpu.index()];
-        let removed = rq.queue.remove(&key);
+        let removed = self.rqs[cpu.index()].queue.remove(&key);
         debug_assert!(removed, "queued task must be present in its rq");
-        rq.nr_running = rq.nr_running.saturating_sub(1);
+        self.queued -= usize::from(removed);
+        self.dec_running(cpu);
         self.sync_cpu_counter(cpu, k);
         true
+    }
+
+    /// Takes the queued task `key` off runqueue `from` to migrate it.
+    fn detach_queued(&mut self, from: usize, key: (u64, Tid), k: &mut KernelState) -> Tid {
+        let rq = &mut self.rqs[from];
+        rq.queue.remove(&key);
+        rq.nr_running -= 1;
+        self.queued -= 1;
+        self.running -= 1;
+        self.sync_cpu_counter(CpuId(from as u16), k);
+        // vruntimes live on one global clock (all runqueues start from the
+        // same epoch), so migration needs no renormalization; the floor in
+        // `enqueue_on` handles rqs that have run ahead. Renormalizing by
+        // (to_min - from_min) here would compound across migrations.
+        let task = self.tasks.get_mut(&key.1).expect("migrated task attached");
+        task.on_rq = false;
+        key.1
     }
 
     /// Steals the highest-vruntime task from the busiest runqueue that the
     /// thief CPU may run; used for idle balancing.
     fn steal_for(&mut self, thief: CpuId, k: &mut KernelState) -> Option<Tid> {
+        // Nothing queued elsewhere: the scan below would find no candidate.
+        if self.queued == self.rqs[thief.index()].queue.len() {
+            return None;
+        }
         let busiest = (0..self.rqs.len())
             .filter(|&i| i != thief.index() && !self.rqs[i].queue.is_empty())
             .max_by_key(|&i| self.rqs[i].queue.len())?;
@@ -242,23 +283,18 @@ impl CfsClass {
             .rev()
             .find(|(_, t)| k.threads[t.index()].affinity.contains(thief))
             .copied()?;
-        let (_, tid) = cand;
-        self.rqs[busiest].queue.remove(&cand);
-        self.rqs[busiest].nr_running -= 1;
-        self.sync_cpu_counter(CpuId(busiest as u16), k);
-        // vruntimes live on one global clock (all runqueues start from the
-        // same epoch), so migration needs no renormalization; the floor in
-        // `enqueue_on` handles rqs that have run ahead. Renormalizing by
-        // (to_min - from_min) here would compound across migrations.
-        let task = self.tasks.get_mut(&tid).expect("stolen task attached");
-        task.on_rq = false;
-        Some(tid)
+        Some(self.detach_queued(busiest, cand, k))
     }
 
     /// Periodic balance: pull one task toward `cpu` if a remote runqueue is
     /// at least two tasks longer.
     fn periodic_balance(&mut self, cpu: CpuId, k: &mut KernelState) {
         let here = self.rqs[cpu.index()].nr_running;
+        // Every other runqueue holds at most `running - here` tasks, so if
+        // that is short of `here + 2` the scan below cannot find a donor.
+        if self.running - here < here + 2 {
+            return;
+        }
         let Some(busiest) = (0..self.rqs.len())
             .filter(|&i| i != cpu.index())
             .max_by_key(|&i| self.rqs[i].nr_running)
@@ -274,13 +310,8 @@ impl CfsClass {
             .rev()
             .find(|(_, t)| k.threads[t.index()].affinity.contains(cpu))
             .copied();
-        if let Some(key @ (_, tid)) = cand {
-            self.rqs[busiest].queue.remove(&key);
-            self.rqs[busiest].nr_running -= 1;
-            self.sync_cpu_counter(CpuId(busiest as u16), k);
-            // Same global-clock argument as `steal_for`: no renorm.
-            let task = self.tasks.get_mut(&tid).expect("balanced task attached");
-            task.on_rq = false;
+        if let Some(key) = cand {
+            let tid = self.detach_queued(busiest, key, k);
             self.enqueue_on(tid, cpu, k);
             if k.cpus[cpu.index()].is_idle() {
                 k.request_resched(cpu);
@@ -309,6 +340,7 @@ impl SchedClass for CfsClass {
         if let Some(&key @ (vr, tid)) = rq.queue.iter().next() {
             rq.queue.remove(&key);
             rq.min_vruntime = rq.min_vruntime.max(vr);
+            self.queued -= 1;
             let task = self.tasks.get_mut(&tid).expect("picked task attached");
             task.on_rq = false;
             // nr_running keeps counting it: it is now current.
@@ -317,8 +349,8 @@ impl SchedClass for CfsClass {
         }
         // Idle balance: steal from the busiest runqueue.
         if let Some(tid) = self.steal_for(cpu, k) {
-            let rq = &mut self.rqs[cpu.index()];
-            rq.nr_running += 1;
+            self.rqs[cpu.index()].nr_running += 1;
+            self.running += 1;
             self.sync_cpu_counter(cpu, k);
             return Some(tid);
         }
@@ -327,8 +359,7 @@ impl SchedClass for CfsClass {
 
     fn put_prev(&mut self, tid: Tid, cpu: CpuId, still_runnable: bool, k: &mut KernelState) {
         let wall = k.threads[tid.index()].last_stint_wall;
-        let rq = &mut self.rqs[cpu.index()];
-        rq.nr_running = rq.nr_running.saturating_sub(1);
+        self.dec_running(cpu);
         let task = self.tasks.get_mut(&tid).expect("prev task attached");
         debug_assert!(
             task.vruntime < 1 << 62 && wall < 1 << 50,
@@ -446,5 +477,193 @@ mod tests {
         assert_eq!(c.slice(3), 2 * MILLIS);
         // Floored at min_granularity.
         assert_eq!(c.slice(100), 750_000);
+    }
+}
+
+/// Balance-decision equivalence. The guarded `steal_for` and
+/// `periodic_balance` must take exactly the task the unguarded O(N)
+/// scans took, and `queued` / `running` must equal the sums they stand
+/// for, after every step of random attach / detach / enqueue / dequeue /
+/// pick / put_prev / tick / affinity sequences on 1, 2, 8, 64 and 256
+/// runqueues.
+///
+/// The unguarded scans live on here, test-only, as the oracle.
+/// Mutation-checked: deleting any one of the eight `queued` / `running`
+/// updates above fails this test, and so does loosening either guard by
+/// one (skipping the steal with one task queued elsewhere, or the pull
+/// below `here + 3`).
+#[cfg(test)]
+mod balance_model {
+    use super::*;
+    use crate::class::CLASS_CFS;
+    use crate::cpuset::CpuSet;
+    use crate::kernel::{Kernel, KernelConfig};
+    use crate::thread::SimThread;
+    use crate::topology::Topology;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The runqueue the unguarded `steal_for` scan takes from for
+    /// `thief`, and the task it takes.
+    fn reference_steal(c: &CfsClass, thief: CpuId, k: &KernelState) -> Option<(usize, Tid)> {
+        let busiest = (0..c.rqs.len())
+            .filter(|&i| i != thief.index() && !c.rqs[i].queue.is_empty())
+            .max_by_key(|&i| c.rqs[i].queue.len())?;
+        c.rqs[busiest]
+            .queue
+            .iter()
+            .rev()
+            .find(|(_, t)| k.threads[t.index()].affinity.contains(thief))
+            .map(|&(_, t)| (busiest, t))
+    }
+
+    /// The task the unguarded `periodic_balance` scan pulls to `cpu`.
+    fn reference_pull(c: &CfsClass, cpu: CpuId, k: &KernelState) -> Option<Tid> {
+        let here = c.rqs[cpu.index()].nr_running;
+        let busiest = (0..c.rqs.len())
+            .filter(|&i| i != cpu.index())
+            .max_by_key(|&i| c.rqs[i].nr_running)?;
+        if c.rqs[busiest].nr_running < here + 2 {
+            return None;
+        }
+        c.rqs[busiest]
+            .queue
+            .iter()
+            .rev()
+            .find(|(_, t)| k.threads[t.index()].affinity.contains(cpu))
+            .map(|&(_, t)| t)
+    }
+
+    fn queued_on(c: &CfsClass, cpu: CpuId) -> Vec<Tid> {
+        c.rqs[cpu.index()].queue.iter().map(|&(_, t)| t).collect()
+    }
+
+    /// The whole machine, one LLC, or up to three scattered CPUs.
+    fn random_mask(rng: &mut StdRng, topo: &Topology) -> CpuSet {
+        let n = topo.num_cpus();
+        let kind = rng.gen_range(0..3);
+        let mut cpu = || CpuId(rng.gen_range(0..n) as u16);
+        match kind {
+            0 => topo.all_cpus_set(),
+            1 => topo.ccx_cpus(topo.info(cpu()).ccx),
+            _ => (0..3).map(|_| cpu()).collect(),
+        }
+    }
+
+    fn drive(topo: Topology, threads: u32, seed: u64, steps: usize) {
+        let n = topo.num_cpus();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut k = Kernel::new(topo, KernelConfig::default()).state;
+        let mut c = CfsClass::new(n);
+        for i in 0..threads {
+            let mask = random_mask(&mut rng, &k.topo);
+            k.threads
+                .push(SimThread::new(Tid(i), format!("t{i}"), CLASS_CFS, mask));
+        }
+        let mut attached = vec![false; threads as usize];
+        let mut current: Vec<Option<Tid>> = vec![None; n];
+        for step in 0..steps {
+            let t = Tid(rng.gen_range(0..threads));
+            let cpu = CpuId(rng.gen_range(0..n) as u16);
+            let on_cpu = current.iter().position(|&cur| cur == Some(t));
+            let queued = attached[t.index()] && c.tasks[&t].on_rq;
+            match rng.gen_range(0..8) {
+                // Joins CFS; sometimes while already running on `cpu` (a
+                // class move of a running thread), where it was never
+                // counted in `nr_running`.
+                0 if !attached[t.index()] => {
+                    c.on_attach(t, &mut k);
+                    attached[t.index()] = true;
+                    if current[cpu.index()].is_none() && rng.gen_bool(0.3) {
+                        current[cpu.index()] = Some(t);
+                    }
+                }
+                // Leaves CFS. A running thread's `nr_running` count stays
+                // behind, as it does in the class.
+                1 if attached[t.index()] => {
+                    c.on_detach(t, &mut k);
+                    attached[t.index()] = false;
+                    if let Some(i) = on_cpu {
+                        current[i] = None;
+                    }
+                }
+                // Wakes next to one of the first two CPUs it may run on
+                // (every CPU is idle, so `select_cpu` keeps `last_cpu`),
+                // which piles tasks onto a few runqueues.
+                2 if attached[t.index()] && !queued && on_cpu.is_none() => {
+                    let allowed: Vec<CpuId> = k.threads[t.index()].affinity.iter().collect();
+                    let span = if rng.gen_bool(0.7) { 2 } else { allowed.len() };
+                    let prev = allowed[rng.gen_range(0..span.min(allowed.len()))];
+                    k.threads[t.index()].last_cpu = Some(prev);
+                    c.enqueue(t, &mut k);
+                }
+                3 if queued => c.dequeue(t, &mut k),
+                4 if current[cpu.index()].is_none() => {
+                    let expected = match c.rqs[cpu.index()].queue.first() {
+                        Some(&(_, local)) => Some(local),
+                        None => match reference_steal(&c, cpu, &k) {
+                            // A thread that joined while running gave back
+                            // the count of a task queued here; stealing
+                            // that task underflows `nr_running` in the
+                            // unguarded code too. Outside the oracle.
+                            Some((from, _)) if c.rqs[from].nr_running == 0 => continue,
+                            choice => choice.map(|(_, t)| t),
+                        },
+                    };
+                    let got = c.pick_next(cpu, &mut k);
+                    assert_eq!(got, expected, "pick on {cpu:?}, step {step}");
+                    current[cpu.index()] = got;
+                }
+                5 => {
+                    if let Some(prev) = current[cpu.index()].take() {
+                        k.threads[prev.index()].last_stint_wall = rng.gen_range(0..2 * MILLIS);
+                        c.put_prev(prev, cpu, rng.gen_bool(0.5), &mut k);
+                    }
+                }
+                6 => {
+                    k.now += c.tun.balance_interval;
+                    let expected = reference_pull(&c, cpu, &k);
+                    let before = queued_on(&c, cpu);
+                    c.on_tick_all(cpu, &mut k);
+                    let pulled: Vec<Tid> = queued_on(&c, cpu)
+                        .into_iter()
+                        .filter(|t| !before.contains(t))
+                        .collect();
+                    assert_eq!(
+                        pulled,
+                        Vec::from_iter(expected),
+                        "tick on {cpu:?}, step {step}"
+                    );
+                }
+                7 if queued => {
+                    k.threads[t.index()].affinity = random_mask(&mut rng, &k.topo);
+                    c.on_affinity_changed(t, &mut k);
+                }
+                _ => {}
+            }
+            let queued: usize = c.rqs.iter().map(|rq| rq.queue.len()).sum();
+            let running: u32 = c.rqs.iter().map(|rq| rq.nr_running).sum();
+            assert_eq!(
+                (c.queued, c.running),
+                (queued, running),
+                "totals, step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn guarded_balance_matches_the_full_scan() {
+        let machines = [
+            Topology::new("uni", 1, 1, 1, 1),
+            Topology::new("smt", 1, 1, 2, 1),
+            Topology::test_small(4),
+            Topology::new("wide-64", 2, 16, 2, 4),
+            Topology::rome_256(),
+        ];
+        for topo in machines {
+            for (seed, threads) in [1, 2, 3, 6, 12, 24].into_iter().enumerate() {
+                drive(topo.clone(), threads, seed as u64, 3_000);
+            }
+        }
     }
 }

@@ -707,11 +707,9 @@ impl Kernel {
     /// the rq lock; callers that would requeue the thread must defer
     /// until the switch lands or they create a second queued presence.
     fn switching_to(&self, tid: Tid) -> Option<CpuId> {
-        self.state
-            .cpus
-            .iter()
-            .position(|c| c.current == Some(tid) && c.run_state == CpuRunState::Switching)
-            .map(|i| CpuId(i as u16))
+        let cpu = self.state.threads[tid.index()].switch_target?;
+        let cs = &self.state.cpus[cpu.index()];
+        (cs.current == Some(tid) && cs.run_state == CpuRunState::Switching).then_some(cpu)
     }
 
     fn apply_class_move(&mut self, tid: Tid, new_class: ClassId) {
@@ -915,6 +913,7 @@ impl Kernel {
         cs.run_state = CpuRunState::Switching;
         cs.switch_seq += 1;
         let seq = cs.switch_seq;
+        self.state.threads[next.index()].switch_target = Some(cpu);
         let cost = if self.state.threads[next.index()].kind == ThreadKind::Agent {
             self.state.costs.agent_wakeup
         } else {

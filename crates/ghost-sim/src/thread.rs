@@ -70,6 +70,10 @@ pub struct SimThread {
     pub cpu: Option<CpuId>,
     /// CPU the thread last ran on (for locality decisions).
     pub last_cpu: Option<CpuId>,
+    /// CPU that most recently started a context switch to this thread.
+    /// A hint: the switch is still in flight only while that CPU is
+    /// `Switching` with this thread as `current`.
+    pub switch_target: Option<CpuId>,
     /// Remaining work in the current segment, in lone-core nanoseconds.
     pub remaining: Nanos,
     /// Generation counter bumped whenever the thread goes on/off CPU;
@@ -121,6 +125,7 @@ impl SimThread {
             kind: ThreadKind::Workload,
             cpu: None,
             last_cpu: None,
+            switch_target: None,
             remaining: 0,
             stint: 0,
             stint_start: 0,
