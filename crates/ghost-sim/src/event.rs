@@ -4,19 +4,20 @@
 //! slots, level 0 at 1024 ns granularity, each level 64× coarser than the
 //! one below, so the 9 levels jointly cover the full `u64` nanosecond
 //! range with no overflow list. Pushes hash into a slot in O(1); pops
-//! drain the earliest slot into a small "near" heap ordered by
-//! `(time, insertion seq)`, which preserves the exact pop order of the
-//! original `BinaryHeap` implementation — earliest time first, FIFO on
-//! ties — so simulation digests are byte-identical to the pre-wheel
-//! queue (pinned by `ghost-lab`'s digest-freeze suite and the
-//! heap-vs-wheel equivalence property test).
+//! load the earliest slot into a "near" run: a `Vec` sorted by
+//! `(time, insertion seq)` and consumed from a `head` index. A push into
+//! the near window carries the largest seq yet issued, so its exact place
+//! is after every pending entry with the same or an earlier time — an
+//! append when events arrive in order, which they mostly do. Keys are
+//! unique, so the run pops in exactly the order of the original binary
+//! heap — earliest time first, FIFO on ties — and simulation digests are
+//! byte-identical to the pre-wheel queue (pinned by `ghost-lab`'s
+//! digest-freeze suite and the heap-vs-wheel equivalence property test).
 
 use crate::app::AppId;
 use crate::thread::Tid;
 use crate::time::Nanos;
 use crate::topology::CpuId;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A simulation event.
 ///
@@ -55,28 +56,6 @@ struct Entry {
     ev: Ev,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first, with the
-        // insertion sequence as a deterministic tiebreak.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// log2 of the level-0 slot width: 1024 ns per slot.
 const SHIFT0: u32 = 10;
 /// log2 of the slots per level.
@@ -105,15 +84,17 @@ const LEVELS: usize = 9;
 #[derive(Debug)]
 pub struct EventQueue {
     /// Entries within the current level-0 slot (and any pushed at or
-    /// before it), ordered by `(at, seq)`. Always holds the global
-    /// minimum when non-empty: every wheel entry is in a strictly later
-    /// level-0 slot.
-    near: BinaryHeap<Entry>,
+    /// before it), sorted by `(at, seq)`; `near[head..]` are pending,
+    /// `near[..head]` already popped. Always holds the global minimum at
+    /// `head` when non-empty: every wheel entry is in a strictly later
+    /// level-0 slot. Cleared (and `head` reset) once fully consumed.
+    near: Vec<Entry>,
+    head: usize,
     /// `LEVELS * SLOTS` buckets; level `k` slot `i` is `slots[k*SLOTS+i]`.
     slots: Vec<Vec<Entry>>,
     /// One occupancy bitmap word per level.
     occ: [u64; LEVELS],
-    /// Start of the level-0 slot the `near` heap currently represents.
+    /// Start of the level-0 slot the `near` run currently represents.
     /// Only ever advances; pushes at or before it go straight to `near`.
     cur: Nanos,
     /// Total pending entries (near + all slots).
@@ -131,7 +112,8 @@ impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self {
-            near: BinaryHeap::new(),
+            near: Vec::new(),
+            head: 0,
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
             cur: 0,
@@ -146,12 +128,16 @@ impl EventQueue {
         self.next_seq += 1;
         self.len += 1;
         let e = Entry { at, seq, ev };
-        if (at >> SHIFT0) <= (self.cur >> SHIFT0) {
-            // In (or before) the current near window: the heap keeps
-            // order exact even for entries behind `cur`.
-            self.near.push(e);
-        } else {
+        if (at >> SHIFT0) > (self.cur >> SHIFT0) {
             self.place(e);
+        } else if self.near.last().is_some_and(|last| at < last.at) {
+            // In (or before) the current near window, but earlier than the
+            // run's tail. `seq` is the largest issued, so the entry goes
+            // after every pending entry at or before `at`.
+            let i = self.head + self.near[self.head..].partition_point(|x| x.at <= at);
+            self.near.insert(i, e);
+        } else {
+            self.near.push(e);
         }
     }
 
@@ -169,10 +155,11 @@ impl EventQueue {
     }
 
     /// Advances `cur` to the next occupied slot: loads it into `near` if
-    /// it is a level-0 slot, or cascades it into the finer levels below.
-    /// Levels are scanned finest-first — every level-`k` entry is earlier
-    /// than every level-`k+1` entry, and within a level lower indices are
-    /// earlier — so the first occupied slot found is the earliest.
+    /// it is a level-0 slot, or cascades it into the finer levels below,
+    /// until `near` is non-empty; then sorts the run once. Levels are
+    /// scanned finest-first — every level-`k` entry is earlier than every
+    /// level-`k+1` entry, and within a level lower indices are earlier —
+    /// so the first occupied slot found is the earliest.
     fn advance(&mut self) {
         'outer: loop {
             for level in 0..LEVELS {
@@ -196,25 +183,28 @@ impl EventQueue {
                 };
                 self.cur = high | ((idx as u64) << shift);
                 self.occ[level] &= !(1 << idx);
-                let mut batch = std::mem::take(&mut self.slots[level * SLOTS + idx as usize]);
+                let slot = level * SLOTS + idx as usize;
                 if level == 0 {
-                    self.near.extend(batch.drain(..));
-                    // Hand the bucket's capacity back for reuse.
-                    self.slots[idx as usize] = batch;
-                    return;
-                }
-                for e in batch.drain(..) {
-                    if (e.at >> SHIFT0) == (self.cur >> SHIFT0) {
-                        self.near.push(e);
-                    } else {
-                        self.place(e);
+                    // Copy rather than swap, so every bucket keeps only
+                    // the capacity its own batches need.
+                    self.near.extend_from_slice(&self.slots[slot]);
+                    self.slots[slot].clear();
+                } else {
+                    let mut batch = std::mem::take(&mut self.slots[slot]);
+                    for e in batch.drain(..) {
+                        if (e.at >> SHIFT0) == (self.cur >> SHIFT0) {
+                            self.near.push(e);
+                        } else {
+                            self.place(e);
+                        }
+                    }
+                    self.slots[slot] = batch;
+                    if self.near.is_empty() {
+                        continue 'outer;
                     }
                 }
-                self.slots[level * SLOTS + idx as usize] = batch;
-                if !self.near.is_empty() {
-                    return;
-                }
-                continue 'outer;
+                self.near.sort_unstable_by_key(|e| (e.at, e.seq));
+                return;
             }
             unreachable!("advance() called with no pending entries");
         }
@@ -222,30 +212,43 @@ impl EventQueue {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Nanos, Ev)> {
+        self.pop_until(Nanos::MAX)
+    }
+
+    /// Removes and returns the earliest event if it is due at or before
+    /// `until`; otherwise leaves the queue's contents as they are. May
+    /// rotate the wheel internally, which never changes pop order.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ghost_sim::event::{Ev, EventQueue};
+    /// use ghost_sim::topology::CpuId;
+    ///
+    /// let mut q = EventQueue::new();
+    /// q.push(7, Ev::Tick { cpu: CpuId(0) });
+    /// assert_eq!(q.pop_until(6), None);
+    /// assert_eq!(q.len(), 1);
+    /// assert_eq!(q.pop_until(7), Some((7, Ev::Tick { cpu: CpuId(0) })));
+    /// ```
+    pub fn pop_until(&mut self, until: Nanos) -> Option<(Nanos, Ev)> {
         if self.len == 0 {
+            return None;
+        }
+        if self.near.is_empty() {
+            self.advance();
+        }
+        let e = self.near[self.head];
+        if e.at > until {
             return None;
         }
         self.len -= 1;
-        loop {
-            if let Some(e) = self.near.pop() {
-                return Some((e.at, e.ev));
-            }
-            self.advance();
+        self.head += 1;
+        if self.head == self.near.len() {
+            self.near.clear();
+            self.head = 0;
         }
-    }
-
-    /// Time of the earliest event without removing it. May rotate the
-    /// wheel internally, which never changes pop order.
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            if let Some(e) = self.near.peek() {
-                return Some(e.at);
-            }
-            self.advance();
-        }
+        Some((e.at, e.ev))
     }
 
     /// Number of pending events.
@@ -290,12 +293,20 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn pop_until_leaves_later_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.push(7, Ev::Tick { cpu: CpuId(0) });
-        assert_eq!(q.peek_time(), Some(7));
+        assert_eq!(q.pop_until(Nanos::MAX), None);
+        q.push(1 << 20, Ev::Tick { cpu: CpuId(0) });
+        // A miss may rotate the wheel to the event's slot; an event pushed
+        // behind that slot afterwards must still pop first.
+        assert_eq!(q.pop_until(7), None);
         assert_eq!(q.len(), 1);
+        q.push(7, Ev::Tick { cpu: CpuId(1) });
+        assert_eq!(q.pop_until(7), Some((7, Ev::Tick { cpu: CpuId(1) })));
+        assert_eq!(q.pop_until((1 << 20) - 1), None);
+        assert_eq!(q.pop_until(1 << 20).map(|(t, _)| t), Some(1 << 20));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -537,11 +537,7 @@ impl Kernel {
     /// at exactly `until`).
     pub fn run_until(&mut self, until: Nanos) {
         self.settle();
-        while let Some(at) = self.state.events.peek_time() {
-            if at > until {
-                break;
-            }
-            let (at, ev) = self.state.events.pop().expect("peeked event exists");
+        while let Some((at, ev)) = self.state.events.pop_until(until) {
             debug_assert!(at >= self.state.now, "time went backwards");
             self.state.now = at;
             self.state.stats.events += 1;
@@ -1223,7 +1219,6 @@ impl Kernel {
                     let at = at.max(now + busy).max(now + 100);
                     self.state.schedule_agent_loop(at, tid);
                 }
-                let _ = gen;
             }
             AgentOutcome::Block { busy } => {
                 self.state.events.push(
