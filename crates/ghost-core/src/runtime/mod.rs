@@ -4,7 +4,8 @@
 //! [`GhostRuntime`] is three faces of one shared state, `Core`:
 //!
 //! * the kernel scheduling class installed *below* CFS (slot
-//!   [`CLASS_GHOST`]): it emits Table 1 messages on thread state changes
+//!   [`CLASS_GHOST`]; on the DES one `GhostClass` there serves this face
+//!   and the next): it emits Table 1 messages on thread state changes
 //!   and runs only threads that agents committed via transactions (or
 //!   the PNT fast path) — `class`, `post`;
 //! * the agent driver: drain queue → policy → commit, with all costs
@@ -15,8 +16,9 @@
 //!
 //! Every state transition is an `impl Core` method taking
 //! `&mut dyn GhostBackend`, in the module that owns its concern. This
-//! file is the only one that knows the state is shared: it holds the
-//! lock, the public wrappers, and the DES trait adapters.
+//! file is the only one that knows where `Core` lives: in a shared cell
+//! behind the one lock, where handles and ghost-live's hooks reach it, or
+//! checked out by `GhostClass` for the length of a DES `run_until`.
 
 mod agent;
 mod class;
@@ -38,7 +40,7 @@ use crate::msg::Message;
 use crate::policy::GhostPolicy;
 use crate::rm::{RmConfig, RmState, RmStats};
 use crate::slab::TidMap;
-use ghost_sim::agent::{AgentDriver, AgentOutcome};
+use ghost_sim::agent::AgentOutcome;
 use ghost_sim::class::{OffCpuReason, SchedClass, CLASS_GHOST};
 use ghost_sim::cpuset::CpuSet;
 use ghost_sim::faults::FaultKind;
@@ -131,19 +133,24 @@ fn last_cpu(k: &dyn GhostBackend, tid: Tid) -> CpuId {
     k.thread(tid).last_cpu.unwrap_or(CpuId(0))
 }
 
+/// Panic message of a handle call made while a kernel runs.
+const CHECKED_OUT: &str =
+    "ghOSt runtime state is checked out by a running kernel: use runtime handles between `run_until` calls";
+
 /// The shared-everything runtime; clone freely (all clones are views of
 /// the same state).
 ///
-/// `Send + Sync`: the shared state sits behind `Arc<Mutex<..>>` so an
-/// entire wired simulation can run on a `ghost-lab` worker thread, and so
-/// the kernel-less accessors ([`GhostRuntime::stats`], the
-/// [`EnclaveHandle`] getters) work from any clone. Every hook already
-/// runs under its caller's `&mut` backend, so the lock is never
-/// contended; all cross-context side effects go through the backend's
-/// deferred-op buffers, so it is never taken re-entrantly either.
+/// `Send + Sync`: the state sits in an `Arc<Mutex<..>>` cell so an entire
+/// wired simulation can run on a `ghost-lab` worker thread, and so the
+/// kernel-less accessors ([`GhostRuntime::stats`], the [`EnclaveHandle`]
+/// getters) work from any clone. On the DES the cell is empty while
+/// `Kernel::run_until` runs — the kernel's `GhostClass` holds `Core`
+/// and its hooks take no lock — so a handle call made from inside a run
+/// panics with "checked out by a running kernel". ghost-live keeps `Core`
+/// in the cell: there the lock really is shared by agent threads.
 #[derive(Clone)]
 pub struct GhostRuntime {
-    shared: Arc<Mutex<Core>>,
+    shared: Arc<Mutex<Option<Box<Core>>>>,
 }
 
 /// A typed handle to one live enclave: the runtime plus the enclave's id.
@@ -164,7 +171,7 @@ impl GhostRuntime {
     /// Creates a runtime for a machine with `num_cpus` CPUs.
     pub fn new(num_cpus: usize) -> Self {
         Self {
-            shared: Arc::new(Mutex::new(Core {
+            shared: Arc::new(Mutex::new(Some(Box::new(Core {
                 enclaves: Enclaves::default(),
                 policies: Vec::new(),
                 staged: Vec::new(),
@@ -182,21 +189,25 @@ impl GhostRuntime {
                 rm_spec: None,
                 rm_token: 0,
                 rm_restarts: 0,
-            })),
+            })))),
         }
     }
 
-    /// Runs `f` on the shared state: the one place the lock is taken.
-    fn with<R>(&self, f: impl FnOnce(&mut Core) -> R) -> R {
-        let mut core = self
+    /// Runs `f` on the shared cell: the one place the lock is taken.
+    fn cell<R>(&self, f: impl FnOnce(&mut Option<Box<Core>>) -> R) -> R {
+        f(&mut self
             .shared
             .lock()
-            .expect("a runtime hook panicked while holding the state lock");
-        f(&mut core)
+            .expect("a runtime call panicked while holding the state lock"))
     }
 
-    /// The canonical DES setup path: installs the ghOSt class and agent
-    /// driver on first use, creates the enclave, spawns its pinned
+    /// Runs `f` on `Core`; panics if a running kernel has it checked out.
+    fn with<R>(&self, f: impl FnOnce(&mut Core) -> R) -> R {
+        self.cell(|c| f(c.as_mut().expect(CHECKED_OUT)))
+    }
+
+    /// The canonical DES setup path: installs the ghOSt class (a
+    /// `GhostClass`) on first use, creates the enclave, spawns its pinned
     /// agents, settles the kernel, and returns a typed [`EnclaveHandle`]
     /// — so a scenario cannot forget to install or spawn.
     ///
@@ -213,8 +224,11 @@ impl GhostRuntime {
         policy: Box<dyn GhostPolicy>,
     ) -> EnclaveHandle {
         if !self.with(|c| std::mem::replace(&mut c.installed, true)) {
-            kernel.install_class(CLASS_GHOST, Box::new(self.clone()));
-            kernel.set_driver(Box::new(self.clone()));
+            let class = GhostClass {
+                runtime: self.clone(),
+                core: None,
+            };
+            kernel.install_class(CLASS_GHOST, Box::new(class));
         }
         let handle = self.launch_enclave_on(&mut kernel.state, cpus, config, policy);
         kernel.settle();
@@ -341,10 +355,10 @@ impl GhostRuntime {
     }
 }
 
-/// Scheduling-event entry points, generic over the backend. The DES
-/// kernel reaches them through the [`SchedClass`] / [`AgentDriver`] impls
-/// below; a live backend (`ghost-live`) calls them directly when real
-/// threads block, wake, tick, or get picked.
+/// Scheduling-event entry points for a live backend (`ghost-live`), which
+/// calls them when real threads block, wake, tick, or get picked. Each
+/// takes the lock; the DES kernel reaches the same `Core` methods through
+/// `GhostClass` instead, lock-free inside a run.
 impl GhostRuntime {
     /// A thread became runnable (`THREAD_WAKEUP`).
     pub fn hook_enqueue(&self, k: &mut dyn GhostBackend, tid: Tid) {
@@ -417,74 +431,101 @@ impl GhostRuntime {
     }
 }
 
-impl SchedClass for GhostRuntime {
+/// The DES face of a [`GhostRuntime`]: the one object in the kernel's
+/// [`CLASS_GHOST`] slot, serving both the class hooks and the agent
+/// driver hooks. `enter` checks `Core` out of the shared cell and `leave`
+/// puts it back, so every hook inside `Kernel::run_until` is a plain call
+/// on `&mut Core`. Hooks between runs (setup `settle`, `spawn`,
+/// `wake_now`, `kill`) find the cell full and take the lock. The same
+/// `Core` methods run in the same order either way, so the schedule is
+/// unchanged. It keeps the default `on_tick`: agents drive all preemption
+/// decisions, so the kernel class never preempts on its own.
+struct GhostClass {
+    runtime: GhostRuntime,
+    /// `Some` exactly between `enter` and `leave`.
+    core: Option<Box<Core>>,
+}
+
+impl GhostClass {
+    fn with<R>(&mut self, f: impl FnOnce(&mut Core) -> R) -> R {
+        match &mut self.core {
+            Some(core) => f(core),
+            None => self.runtime.with(f),
+        }
+    }
+}
+
+impl SchedClass for GhostClass {
     fn name(&self) -> &'static str {
         "ghost"
     }
 
     fn enqueue(&mut self, tid: Tid, k: &mut KernelState) -> Option<CpuId> {
         // No kernel runqueue: the agent is told instead, and picks a CPU.
-        self.hook_enqueue(k, tid);
+        self.with(|c| c.enqueue(k, tid));
         None
     }
 
     fn dequeue(&mut self, tid: Tid, _k: &mut KernelState) {
-        self.hook_dequeue(tid)
+        self.with(|c| c.dequeue(tid))
     }
 
     fn pick_next(&mut self, cpu: CpuId, k: &mut KernelState) -> Option<Tid> {
-        self.hook_pick_next(k, cpu)
+        self.with(|c| c.pick_next(k, cpu))
     }
 
     fn put_prev(&mut self, tid: Tid, cpu: CpuId, _still_runnable: bool, k: &mut KernelState) {
         // `offcpu_reason` is DES bookkeeping, not backend surface: read
         // it here, in the adapter, and pass it explicitly.
         let reason = k.offcpu_reason;
-        self.hook_put_prev(k, tid, cpu, reason)
-    }
-
-    fn on_tick(&mut self, _cpu: CpuId, _current: Tid, _k: &mut KernelState) -> bool {
-        // Agents drive all preemption decisions; the kernel class never
-        // preempts on its own.
-        false
+        self.with(|c| c.put_prev(k, tid, cpu, reason))
     }
 
     fn on_tick_all(&mut self, cpu: CpuId, k: &mut KernelState) {
-        self.hook_tick(k, cpu)
+        self.with(|c| c.tick(k, cpu))
     }
 
     fn has_runnable(&self, cpu: CpuId, k: &KernelState) -> bool {
-        self.with(|c| c.has_runnable(k, cpu))
+        match &self.core {
+            Some(core) => core.has_runnable(k, cpu),
+            None => self.runtime.with(|c| c.has_runnable(k, cpu)),
+        }
     }
 
     fn on_attach(&mut self, tid: Tid, k: &mut KernelState) {
-        self.hook_attach(k, tid)
+        self.with(|c| c.attach(k, tid))
     }
 
     fn on_detach(&mut self, tid: Tid, k: &mut KernelState) {
-        self.hook_detach(k, tid)
+        self.with(|c| c.detach(k, tid))
     }
 
     fn on_affinity_changed(&mut self, tid: Tid, k: &mut KernelState) {
         self.with(|c| c.affinity_changed(k, tid))
     }
-}
 
-impl AgentDriver for GhostRuntime {
     fn run_agent(&mut self, tid: Tid, cpu: CpuId, k: &mut KernelState) -> AgentOutcome {
-        self.hook_run_agent(k, tid, cpu)
+        self.with(|c| c.run_agent(k, tid, cpu))
     }
 
     fn on_timer(&mut self, key: u64, k: &mut KernelState) {
-        self.hook_timer(k, key)
+        self.with(|c| c.timer(k, key))
     }
 
     fn on_fault(&mut self, fault: &FaultKind, k: &mut KernelState) {
-        self.hook_fault(k, fault)
+        self.with(|c| c.fault(k, fault))
     }
 
     fn on_agent_killed(&mut self, tid: Tid, k: &mut KernelState) {
-        self.hook_agent_killed(k, tid)
+        self.with(|c| c.agent_killed(k, tid))
+    }
+
+    fn enter(&mut self) {
+        self.core = Some(self.runtime.cell(Option::take).expect(CHECKED_OUT));
+    }
+
+    fn leave(&mut self) {
+        self.runtime.cell(|c| *c = self.core.take());
     }
 }
 

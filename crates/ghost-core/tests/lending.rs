@@ -840,3 +840,65 @@ fn per_cpu_borrower_gets_agent_on_granted_cpu() {
     kernel.run_until(160 * MILLIS);
     assert!(completions.lock().unwrap()[&threads[0]] > before + 30);
 }
+
+/// Everything a runtime handle can read between runs, in comparable form.
+fn handle_view(s: &TwoEnclaves) -> String {
+    let enclave = |e: &EnclaveHandle| {
+        let agents: Vec<_> = (0..8u16).map(|c| e.agent_on(CpuId(c))).collect();
+        format!(
+            "{:?} {:?} {agents:?} {:?} {} {} {:?} {:?} {:?}",
+            e.id(),
+            e.agent_tids(),
+            e.global_agent(),
+            e.alive(),
+            e.degraded(),
+            e.cpus(),
+            e.borrowed_cpus(),
+            s.p_threads
+                .iter()
+                .chain(&s.d_threads)
+                .map(|&t| e.thread_handle(t))
+                .collect::<Vec<_>>(),
+        )
+    };
+    format!(
+        "{:?}\n{:?}\n{:?}\n{:?}\n{}\n{}",
+        s.runtime.stats(),
+        s.runtime.leases(),
+        s.runtime.lease_stats(),
+        s.runtime.rm_stats(),
+        enclave(&s.protected),
+        enclave(&s.donor),
+    )
+}
+
+/// `Kernel::run_until` checks the runtime's state out for the length of
+/// the run and puts it back at the end: handle reads between two runs see
+/// the state, and taking them changes nothing about what happens next.
+#[test]
+fn handle_reads_between_runs_match_a_run_read_only_at_the_end() {
+    let rm = RmConfig {
+        epoch: 500 * MICROS,
+        lease_duration: 10 * MILLIS,
+        borrow_threshold: 3,
+        return_threshold: 0,
+        max_borrow: 2,
+        reject_budget: 0,
+    };
+    let start = |s: &mut TwoEnclaves| {
+        let (p, d) = (s.protected.id(), s.donor.id());
+        s.runtime.rm_start(&mut s.kernel.state, rm, p, d);
+    };
+    let mut a = two_enclaves(6, 2, 800 * MICROS, MILLIS, TraceSink::Null);
+    let mut b = two_enclaves(6, 2, 800 * MICROS, MILLIS, TraceSink::Null);
+    start(&mut a);
+    start(&mut b);
+    a.kernel.run_until(30 * MILLIS);
+    let mid = handle_view(&a);
+    assert!(!a.runtime.leases().is_empty(), "the RM has lent by now");
+    a.kernel.run_until(60 * MILLIS);
+    b.kernel.run_until(60 * MILLIS);
+    assert_ne!(mid, handle_view(&a), "the second run moved the state");
+    assert_eq!(handle_view(&a), handle_view(&b));
+    assert_eq!(a.kernel.state.stats.events, b.kernel.state.stats.events);
+}

@@ -1113,3 +1113,94 @@ fn centralized_non_global_agent_crash_keeps_enclave() {
     s.kernel.run_until(120 * MILLIS);
     assert!(s.completions.lock().unwrap()[&s.threads[0]] > before);
 }
+
+/// An app that reads runtime stats from inside the event loop — the one
+/// thing the DES forbids.
+struct StatsProbe(GhostRuntime);
+
+impl App for StatsProbe {
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+
+    fn name(&self) -> &str {
+        "stats-probe"
+    }
+
+    fn on_timer(&mut self, _key: u64, _k: &mut KernelState) {
+        let _ = self.0.stats();
+    }
+
+    fn on_segment_end(&mut self, _tid: Tid, _k: &mut KernelState) -> Next {
+        Next::Block
+    }
+}
+
+/// While `Kernel::run_until` runs, the installed ghOSt class holds the
+/// runtime's state and its hooks never reach the shared cell, so a handle
+/// call from inside the run finds the cell empty.
+#[test]
+#[should_panic(expected = "checked out by a running kernel")]
+fn handle_call_inside_a_run_panics() {
+    let mut s = centralized_setup(
+        Topology::test_small(2),
+        2,
+        100 * MICROS,
+        MILLIS,
+        EnclaveConfig::centralized("test"),
+        Box::new(FifoPolicy::default()),
+    );
+    let probe = s.kernel.add_app(Box::new(StatsProbe(s.runtime.clone())));
+    s.kernel.state.arm_app_timer(MILLIS, probe, 0);
+    s.kernel.run_until(5 * MILLIS);
+}
+
+/// Hooks fired by setup code outside any run (spawn, settle, wake) take
+/// the lock and work; the run that follows schedules what they set up.
+#[test]
+fn setup_hooks_work_before_any_run() {
+    let mut kernel = Kernel::new(Topology::test_small(2), KernelConfig::default());
+    let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
+    let cpus: CpuSet = (1..4u16).map(CpuId).collect();
+    let config = EnclaveConfig::centralized("test");
+    let enclave =
+        runtime.launch_enclave(&mut kernel, cpus, config, Box::new(FifoPolicy::default()));
+    assert_eq!(enclave.agent_tids().len(), 3);
+    assert!(enclave.global_agent().is_some());
+    let tid = kernel.spawn(ThreadSpec::workload("w", &kernel.state.topo));
+    enclave.attach_thread(&mut kernel.state, tid);
+    kernel.settle();
+    assert_eq!(runtime.stats().posted(MsgType::ThreadCreated), 1);
+    kernel.assign_and_wake(tid, 100 * MICROS);
+    assert_eq!(runtime.stats().posted(MsgType::ThreadWakeup), 1);
+    assert_eq!(kernel.now(), 0, "no run yet");
+    kernel.run_until(5 * MILLIS);
+    let t = kernel.state.thread(tid);
+    assert_eq!(t.state, ThreadState::Blocked);
+    assert!(t.total_oncpu >= 100 * MICROS, "the woken thread ran");
+    assert!(runtime.stats().txns_committed >= 1);
+}
+
+/// ghost-lab runs fully wired kernels on worker threads.
+#[test]
+fn wired_kernel_runs_on_another_thread() {
+    fn assert_send<T: Send>(_: &T) {}
+    let s = centralized_setup(
+        Topology::test_small(2),
+        2,
+        100 * MICROS,
+        MILLIS,
+        EnclaveConfig::centralized("test"),
+        Box::new(FifoPolicy::default()),
+    );
+    assert_send(&s.kernel);
+    let mut kernel = s.kernel;
+    let kernel = std::thread::spawn(move || {
+        kernel.run_until(10 * MILLIS);
+        kernel
+    })
+    .join()
+    .expect("worker thread");
+    assert_eq!(kernel.now(), 10 * MILLIS);
+    assert!(s.runtime.stats().txns_committed > 0);
+}

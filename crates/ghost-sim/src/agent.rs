@@ -1,15 +1,13 @@
-//! Agent plug-in interface.
+//! What an agent activation returns.
 //!
 //! ghOSt agents are ordinary threads in the top-priority Agent class; what
-//! they *do* while on CPU is delegated to an [`AgentDriver`] — implemented
-//! by `ghost-core`'s enclave runtime. The kernel invokes the driver when an
-//! agent thread lands on a CPU and whenever a scheduled agent-loop or
-//! driver timer fires.
+//! they *do* while on CPU is delegated to the class installed in the
+//! [`crate::class::CLASS_GHOST`] slot, whose driver hooks
+//! ([`crate::class::SchedClass::run_agent`] and friends) are the ghOSt
+//! class's other face. The kernel invokes `run_agent` when an agent
+//! thread lands on a CPU and whenever a scheduled agent-loop fires.
 
-use crate::kernel::KernelState;
-use crate::thread::Tid;
 use crate::time::Nanos;
-use crate::topology::CpuId;
 
 /// How an agent activation ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,39 +24,4 @@ pub enum AgentOutcome {
     /// that absolute time (otherwise the next activation comes from a
     /// message post or driver timer).
     Spin { busy: Nanos, next: Option<Nanos> },
-}
-
-/// The userspace-scheduler runtime plugged into the kernel.
-///
-/// `Send` so a fully wired kernel can run on a `ghost-lab` worker thread.
-pub trait AgentDriver: Send {
-    /// Agent thread `tid` is running on `cpu`; perform one activation.
-    fn run_agent(&mut self, tid: Tid, cpu: CpuId, k: &mut KernelState) -> AgentOutcome;
-
-    /// A timer armed via [`KernelState::arm_driver_timer`] fired.
-    fn on_timer(&mut self, _key: u64, _k: &mut KernelState) {}
-
-    /// An agent thread was preempted or dequeued while runnable. Gives the
-    /// driver a chance to account for lost spin time.
-    fn on_agent_descheduled(&mut self, _tid: Tid, _k: &mut KernelState) {}
-
-    /// An agent thread was killed (crash injection or teardown). The
-    /// driver reacts per §3.4 of the paper: fall back to the default
-    /// scheduler or promote a staged replacement.
-    fn on_agent_killed(&mut self, _tid: Tid, _k: &mut KernelState) {}
-
-    /// A one-shot fault from the configured [`crate::faults::FaultPlan`]
-    /// fired, after its kernel-level effect was applied. Lets the runtime
-    /// react to faults only it can interpret (e.g.
-    /// [`crate::faults::FaultKind::Upgrade`]).
-    fn on_fault(&mut self, _fault: &crate::faults::FaultKind, _k: &mut KernelState) {}
-}
-
-/// A driver that does nothing — the default when no enclaves exist.
-pub struct NullDriver;
-
-impl AgentDriver for NullDriver {
-    fn run_agent(&mut self, _tid: Tid, _cpu: CpuId, _k: &mut KernelState) -> AgentOutcome {
-        AgentOutcome::Block { busy: 0 }
-    }
 }

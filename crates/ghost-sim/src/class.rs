@@ -14,8 +14,12 @@
 //!
 //! Slots are pluggable: `ghost-core` installs the real ghOSt class at slot
 //! 3, `ghost-baselines` installs MicroQuanta at slot 1 or a core-scheduling
-//! CFS variant at slot 2.
+//! CFS variant at slot 2. The slot-3 class is also the agent driver: the
+//! kernel sends it agent activations, driver timers, agent deaths and
+//! faults, and brackets each `run_until` with its `enter` / `leave`.
 
+use crate::agent::AgentOutcome;
+use crate::faults::FaultKind;
 use crate::kernel::KernelState;
 use crate::thread::Tid;
 use crate::topology::CpuId;
@@ -70,8 +74,11 @@ pub trait SchedClass: Send {
     fn put_prev(&mut self, tid: Tid, cpu: CpuId, still_runnable: bool, k: &mut KernelState);
 
     /// Timer tick on `cpu` while `current` — a thread of this class — is
-    /// running. Returns `true` to request a resched.
-    fn on_tick(&mut self, cpu: CpuId, current: Tid, k: &mut KernelState) -> bool;
+    /// running. Returns `true` to request a resched; by default a class
+    /// never preempts on a tick.
+    fn on_tick(&mut self, _cpu: CpuId, _current: Tid, _k: &mut KernelState) -> bool {
+        false
+    }
 
     /// Timer tick on every CPU regardless of which class is running,
     /// delivered after the current-class [`Self::on_tick`]. The ghOSt class
@@ -100,6 +107,40 @@ pub trait SchedClass: Send {
 
     /// The thread's nice value changed.
     fn on_nice_changed(&mut self, _tid: Tid, _k: &mut KernelState) {}
+
+    // -- Agent driver: the ghOSt class's other face. The kernel calls these
+    // on the [`CLASS_GHOST`] slot only; the defaults are an idle driver.
+
+    /// Agent thread `tid` is running on `cpu`; perform one activation.
+    fn run_agent(&mut self, _tid: Tid, _cpu: CpuId, _k: &mut KernelState) -> AgentOutcome {
+        AgentOutcome::Block { busy: 0 }
+    }
+
+    /// A timer armed via [`KernelState::arm_driver_timer`] fired.
+    fn on_timer(&mut self, _key: u64, _k: &mut KernelState) {}
+
+    /// An agent thread was preempted or dequeued while runnable. Gives the
+    /// driver a chance to account for lost spin time.
+    fn on_agent_descheduled(&mut self, _tid: Tid, _k: &mut KernelState) {}
+
+    /// An agent thread was killed (crash injection or teardown). The
+    /// driver reacts per §3.4 of the paper: fall back to the default
+    /// scheduler or promote a staged replacement.
+    fn on_agent_killed(&mut self, _tid: Tid, _k: &mut KernelState) {}
+
+    /// A one-shot fault from the configured [`crate::faults::FaultPlan`]
+    /// fired, after its kernel-level effect was applied. Lets the runtime
+    /// react to faults only it can interpret (e.g.
+    /// [`crate::faults::FaultKind::Upgrade`]).
+    fn on_fault(&mut self, _fault: &FaultKind, _k: &mut KernelState) {}
+
+    /// [`crate::kernel::Kernel::run_until`] is about to run its event
+    /// loop; every hook until the paired [`Self::leave`] comes from inside
+    /// that run. Called on the [`CLASS_GHOST`] slot only.
+    fn enter(&mut self) {}
+
+    /// The run begun by [`Self::enter`] is over.
+    fn leave(&mut self) {}
 }
 
 /// Why a thread is coming off a CPU; exposed to classes through
@@ -137,10 +178,6 @@ impl SchedClass for NullClass {
     }
 
     fn put_prev(&mut self, _tid: Tid, _cpu: CpuId, _still_runnable: bool, _k: &mut KernelState) {}
-
-    fn on_tick(&mut self, _cpu: CpuId, _current: Tid, _k: &mut KernelState) -> bool {
-        false
-    }
 
     fn has_runnable(&self, _cpu: CpuId, _k: &KernelState) -> bool {
         false

@@ -42,7 +42,7 @@ pub enum Ev {
     Wake { tid: Tid },
     /// A timer armed by an [`crate::app::App`].
     AppTimer { app: AppId, key: u64 },
-    /// A timer armed by the [`crate::agent::AgentDriver`].
+    /// A timer armed for the agent driver (the ghOSt class slot).
     DriverTimer { key: u64 },
     /// A one-shot fault from the configured [`crate::faults::FaultPlan`]
     /// fires; `idx` indexes into the plan's events.

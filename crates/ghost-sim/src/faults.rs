@@ -11,7 +11,7 @@
 //!
 //! * **One-shot faults** ([`FaultKind::is_one_shot`]) are scheduled as
 //!   events at their `at` time and dispatched once by the kernel (and
-//!   forwarded to [`crate::agent::AgentDriver::on_fault`]).
+//!   forwarded to [`crate::class::SchedClass::on_fault`]).
 //! * **Window faults** are pure time-range predicates the kernel (and the
 //!   agent runtime) consult on every affected operation — e.g. every IPI
 //!   send checks [`FaultPlan::ipi_fate`].

@@ -2,18 +2,18 @@
 //! agents together.
 //!
 //! [`Kernel`] owns everything; [`KernelState`] is the portion shared with
-//! scheduling classes, apps, and the agent driver. Cross-cutting side
-//! effects (wakeups, class changes, reschedules) are recorded in deferred
-//! buffers on `KernelState` and applied by `Kernel::settle` after each
-//! hook returns, which keeps plug-ins free of re-entrant borrows and makes
-//! event handling a fixpoint: every event fully settles the machine before
-//! the next event is popped.
+//! scheduling classes (the ghOSt slot doubling as the agent driver) and
+//! apps. Cross-cutting side effects (wakeups, class changes, reschedules)
+//! are recorded in deferred buffers on `KernelState` and applied by
+//! `Kernel::settle` after each hook returns, which keeps plug-ins free of
+//! re-entrant borrows and makes event handling a fixpoint: every event
+//! fully settles the machine before the next event is popped.
 
-use crate::agent::{AgentDriver, AgentOutcome, NullDriver};
+use crate::agent::AgentOutcome;
 use crate::app::{App, AppId, Next};
 use crate::cfs::CfsClass;
 use crate::class::{
-    ClassId, NullClass, OffCpuReason, SchedClass, CLASS_AGENT, CLASS_CFS, NUM_CLASSES,
+    ClassId, NullClass, OffCpuReason, SchedClass, CLASS_AGENT, CLASS_CFS, CLASS_GHOST, NUM_CLASSES,
 };
 use crate::costs::CostModel;
 use crate::cpu::{CpuRunState, CpuState};
@@ -245,7 +245,7 @@ impl KernelState {
     }
 
     /// Arms a timer delivered to the agent driver via
-    /// [`AgentDriver::on_timer`].
+    /// [`SchedClass::on_timer`] on the ghOSt slot.
     pub fn arm_driver_timer(&mut self, at: Nanos, key: u64) {
         debug_assert!(at >= self.now);
         self.events.push(at, Ev::DriverTimer { key });
@@ -324,22 +324,6 @@ impl KernelState {
         t.remaining -= done;
         t.stint_start = now;
     }
-
-    /// Sum of busy time across CPUs in `set`, including in-progress busy
-    /// periods.
-    pub fn busy_time_in(&self, set: &CpuSet) -> Nanos {
-        set.iter()
-            .map(|c| {
-                let cs = &self.cpus[c.index()];
-                cs.busy_ns
-                    + if cs.is_occupied() {
-                        self.now - cs.busy_since
-                    } else {
-                        0
-                    }
-            })
-            .sum()
-    }
 }
 
 /// The simulator.
@@ -348,7 +332,6 @@ pub struct Kernel {
     pub state: KernelState,
     classes: Vec<Box<dyn SchedClass>>,
     apps: Vec<Box<dyn App>>,
-    driver: Box<dyn AgentDriver>,
 }
 
 /// Specification for spawning a thread.
@@ -474,7 +457,6 @@ impl Kernel {
             state,
             classes,
             apps: Vec::new(),
-            driver: Box::new(NullDriver),
         }
     }
 
@@ -493,11 +475,6 @@ impl Kernel {
             "cannot replace a class slot with attached threads"
         );
         self.classes[slot as usize] = class;
-    }
-
-    /// Installs the agent driver (the userspace-scheduler runtime).
-    pub fn set_driver(&mut self, driver: Box<dyn AgentDriver>) {
-        self.driver = driver;
     }
 
     /// Registers an app and returns its id.
@@ -534,8 +511,10 @@ impl Kernel {
     }
 
     /// Runs the event loop until virtual time `until` (inclusive of events
-    /// at exactly `until`).
+    /// at exactly `until`), bracketed by the ghOSt slot's
+    /// [`SchedClass::enter`] / [`SchedClass::leave`].
     pub fn run_until(&mut self, until: Nanos) {
+        self.classes[CLASS_GHOST as usize].enter();
         self.settle();
         while let Some((at, ev)) = self.state.events.pop_until(until) {
             debug_assert!(at >= self.state.now, "time went backwards");
@@ -545,6 +524,7 @@ impl Kernel {
             self.settle();
         }
         self.state.now = self.state.now.max(until);
+        self.classes[CLASS_GHOST as usize].leave();
     }
 
     /// Runs for `dur` more nanoseconds of virtual time.
@@ -575,7 +555,7 @@ impl Kernel {
                 self.apps[app.index()] = a;
             }
             Ev::DriverTimer { key } => {
-                self.driver.on_timer(key, &mut self.state);
+                self.classes[CLASS_GHOST as usize].on_timer(key, &mut self.state);
             }
             Ev::Fault { idx } => self.handle_fault(idx),
         }
@@ -620,7 +600,7 @@ impl Kernel {
             }
             _ => {}
         }
-        self.driver.on_fault(&kind, &mut self.state);
+        self.classes[CLASS_GHOST as usize].on_fault(&kind, &mut self.state);
     }
 
     /// Applies deferred operations until the machine is quiescent. Every
@@ -860,7 +840,7 @@ impl Kernel {
 
     fn notify_agent_descheduled(&mut self, tid: Tid) {
         if self.state.threads[tid.index()].kind == ThreadKind::Agent {
-            self.driver.on_agent_descheduled(tid, &mut self.state);
+            self.classes[CLASS_GHOST as usize].on_agent_descheduled(tid, &mut self.state);
         }
     }
 
@@ -1201,7 +1181,7 @@ impl Kernel {
         // This activation consumes any armed loop; the outcome below (or
         // message notifications) re-arm as needed.
         self.state.threads[tid.index()].agent_next_loop = None;
-        let outcome = self.driver.run_agent(tid, cpu, &mut self.state);
+        let outcome = self.classes[CLASS_GHOST as usize].run_agent(tid, cpu, &mut self.state);
         let now = self.state.now;
         let gen = self.state.threads[tid.index()].stint;
         let busy = match outcome {
@@ -1296,7 +1276,7 @@ impl Kernel {
         let class = self.state.threads[tid.index()].class;
         self.classes[class as usize].on_detach(tid, &mut self.state);
         if self.state.threads[tid.index()].kind == ThreadKind::Agent {
-            self.driver.on_agent_killed(tid, &mut self.state);
+            self.classes[CLASS_GHOST as usize].on_agent_killed(tid, &mut self.state);
         }
     }
 

@@ -22,8 +22,9 @@
 //!   Table 3 of the paper.
 //!
 //! Workloads plug in through the [`app::App`] trait; userspace schedulers
-//! (ghOSt agents, implemented in the `ghost-core` crate) plug in through
-//! the [`agent::AgentDriver`] trait and a pluggable [`class::SchedClass`].
+//! (ghOSt agents, implemented in the `ghost-core` crate) plug in as one
+//! [`class::SchedClass`] in the ghOSt slot, which is also the agent driver
+//! (its `run_agent` hook returns an [`agent::AgentOutcome`]).
 //!
 //! Everything is single-threaded and deterministic: given the same seed and
 //! configuration, a simulation replays event-for-event.
@@ -37,14 +38,13 @@ pub mod cpu;
 pub mod cpuset;
 pub mod event;
 pub mod faults;
-pub mod idle;
 pub mod kernel;
 pub mod rt;
 pub mod thread;
 pub mod time;
 pub mod topology;
 
-pub use agent::{AgentDriver, AgentOutcome};
+pub use agent::AgentOutcome;
 pub use app::{App, AppId, Next};
 pub use class::{ClassId, SchedClass, CLASS_AGENT, CLASS_CFS, CLASS_GHOST, CLASS_IDLE, CLASS_RT};
 pub use costs::CostModel;

@@ -11,7 +11,8 @@ use std::collections::VecDeque;
 /// Per §3.3 of the paper, "ghOSt assigns all agents a high kernel priority
 /// ... no other thread in the machine, whether ghOSt or non-ghOSt, can
 /// preempt agent-threads". Agents are pinned: each agent thread's affinity
-/// names exactly one CPU, and the class queues it there.
+/// names exactly one CPU, and the class queues it there. Agents are never
+/// tick-preempted; they yield by themselves.
 pub struct AgentClass {
     rq: Vec<VecDeque<Tid>>,
 }
@@ -56,11 +57,6 @@ impl SchedClass for AgentClass {
         if still_runnable {
             self.rq[cpu.index()].push_back(tid);
         }
-    }
-
-    fn on_tick(&mut self, _cpu: CpuId, _current: Tid, _k: &mut KernelState) -> bool {
-        // Agents are never tick-preempted; they yield by themselves.
-        false
     }
 
     fn has_runnable(&self, cpu: CpuId, _k: &KernelState) -> bool {
@@ -129,10 +125,6 @@ impl SchedClass for RtFifoClass {
         if still_runnable {
             self.rq[cpu.index()].push_back(tid);
         }
-    }
-
-    fn on_tick(&mut self, _cpu: CpuId, _current: Tid, _k: &mut KernelState) -> bool {
-        false
     }
 
     fn has_runnable(&self, cpu: CpuId, _k: &KernelState) -> bool {

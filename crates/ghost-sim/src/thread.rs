@@ -43,7 +43,7 @@ pub enum ThreadKind {
     /// A workload thread: runs work segments dispensed by its [`AppId`].
     Workload,
     /// A scheduling agent: on-CPU behaviour is delegated to the
-    /// [`crate::agent::AgentDriver`].
+    /// ghOSt class's agent driver ([`crate::class::SchedClass::run_agent`]).
     Agent,
 }
 
