@@ -100,8 +100,8 @@ pub fn run_point(
 /// [`run_point`] with an explicit cohort size: `threads` yield-loop
 /// threads contend for `scheduled` CPUs. Oversubscribed cohorts (far
 /// more threads than CPUs) stress the agent's runqueue and the
-/// runtime's dense thread tables — the `ghost-lab bench-sim` scale
-/// sweep drives this up to a million threads on a 1024-CPU machine.
+/// runtime's dense thread tables — the `fig5_scalability` bench's scale
+/// row drives this up to a million threads on a 1024-CPU machine.
 #[allow(clippy::too_many_arguments)]
 pub fn run_point_with_threads(
     topo: Topology,

@@ -85,73 +85,66 @@ pub fn paper_table2() -> Vec<(&'static str, usize)> {
 /// This reproduction's components, mapped to the closest paper rows.
 pub fn repo_components(repo_root: &Path) -> Vec<LocEntry> {
     let crates = repo_root.join("crates");
-    let file_loc = |rel: &str| -> usize {
-        fs::read_to_string(crates.join(rel))
-            .map(|s| count_file(&s))
-            .unwrap_or(0)
+    let dir = |name: &str, rel: &str| LocEntry {
+        name: name.into(),
+        loc: count_dir(&crates.join(rel)),
+    };
+    let files = |name: &str, rels: &[&str]| LocEntry {
+        name: name.into(),
+        loc: rels
+            .iter()
+            .filter_map(|rel| fs::read_to_string(crates.join(rel)).ok())
+            .map(|src| count_file(&src))
+            .sum(),
     };
     vec![
-        LocEntry {
-            name: "ghost-sim (simulated kernel, incl. CFS)".into(),
-            loc: count_dir(&crates.join("ghost-sim/src")),
-        },
-        LocEntry {
-            name: "ghost-core (ghOSt class + ABI + runtime)".into(),
-            loc: count_dir(&crates.join("ghost-core/src")),
-        },
-        LocEntry {
-            name: "userspace support library (tracker + policy kernel)".into(),
-            loc: file_loc("ghost-policies/src/tracker.rs")
-                + file_loc("ghost-policies/src/kernel.rs"),
-        },
-        LocEntry {
-            name: "Centralized FIFO policy".into(),
-            loc: file_loc("ghost-policies/src/fifo.rs"),
-        },
-        LocEntry {
-            name: "Per-CPU policy".into(),
-            loc: file_loc("ghost-policies/src/per_cpu.rs"),
-        },
-        LocEntry {
-            name: "Shinjuku policy".into(),
-            loc: file_loc("ghost-policies/src/shinjuku.rs"),
-        },
-        LocEntry {
-            name: "Shinjuku + Shenango policy".into(),
-            loc: file_loc("ghost-policies/src/shinjuku_shenango.rs"),
-        },
-        LocEntry {
-            name: "Self-tuning Shinjuku policy".into(),
-            loc: file_loc("ghost-policies/src/shinjuku_adaptive.rs"),
-        },
-        LocEntry {
-            name: "Snap policy".into(),
-            loc: file_loc("ghost-policies/src/snap.rs"),
-        },
-        LocEntry {
-            name: "Search policy".into(),
-            loc: file_loc("ghost-policies/src/search.rs"),
-        },
-        LocEntry {
-            name: "Secure VM ghOSt policy".into(),
-            loc: file_loc("ghost-policies/src/core_sched.rs"),
-        },
-        LocEntry {
-            name: "Secure VM kernel policy (baseline)".into(),
-            loc: file_loc("ghost-baselines/src/kernel_core_sched.rs"),
-        },
-        LocEntry {
-            name: "Shinjuku dataplane (baseline)".into(),
-            loc: file_loc("ghost-baselines/src/shinjuku_dataplane.rs"),
-        },
-        LocEntry {
-            name: "MicroQuanta (baseline)".into(),
-            loc: file_loc("ghost-baselines/src/microquanta.rs"),
-        },
-        LocEntry {
-            name: "ghost-chaos (one harness + six fault families)".into(),
-            loc: count_dir(&crates.join("ghost-chaos/src")),
-        },
+        dir("ghost-sim (simulated kernel, incl. CFS)", "ghost-sim/src"),
+        dir("ghost-core (ghOSt class + ABI + runtime)", "ghost-core/src"),
+        files(
+            "userspace support library (tracker + policy kernel)",
+            &[
+                "ghost-policies/src/tracker.rs",
+                "ghost-policies/src/kernel.rs",
+            ],
+        ),
+        files("Centralized FIFO policy", &["ghost-policies/src/fifo.rs"]),
+        files("Per-CPU policy", &["ghost-policies/src/per_cpu.rs"]),
+        files("Shinjuku policy", &["ghost-policies/src/shinjuku.rs"]),
+        files(
+            "Shinjuku + Shenango policy",
+            &["ghost-policies/src/shinjuku_shenango.rs"],
+        ),
+        files(
+            "Self-tuning Shinjuku policy",
+            &["ghost-policies/src/shinjuku_adaptive.rs"],
+        ),
+        files("Snap policy", &["ghost-policies/src/snap.rs"]),
+        files("Search policy", &["ghost-policies/src/search.rs"]),
+        files(
+            "Secure VM ghOSt policy",
+            &["ghost-policies/src/core_sched.rs"],
+        ),
+        files(
+            "Secure VM kernel policy (baseline)",
+            &["ghost-baselines/src/kernel_core_sched.rs"],
+        ),
+        files(
+            "Shinjuku dataplane (baseline)",
+            &["ghost-baselines/src/shinjuku_dataplane.rs"],
+        ),
+        files(
+            "MicroQuanta (baseline)",
+            &["ghost-baselines/src/microquanta.rs"],
+        ),
+        dir("ghost-live (real-thread backend)", "ghost-live/src"),
+        dir(
+            "ghost-chaos (one harness + six fault families)",
+            "ghost-chaos/src",
+        ),
+        dir(
+            "ghost-lab (experiment engine + tournament)",
+            "ghost-lab/src",
+        ),
     ]
 }
 

@@ -247,7 +247,6 @@ impl ByzCombo {
                 }],
                 lines: Vec::new(),
                 trace: TraceSink::Null,
-                bench: Vec::new(),
             };
             (report, GhostStats::default())
         })
@@ -735,7 +734,6 @@ fn run_unguarded(combo: &ByzCombo) -> (CaseReport, GhostStats) {
             format!("trace-records {trace_records}"),
         ],
         trace: sink,
-        bench: Vec::new(),
     };
     (report, stats)
 }

@@ -3,34 +3,14 @@
 //! from a seed, run to a [`CaseReport`], written to and read from a
 //! `repro.json` document, and (optionally) offer smaller neighbours of
 //! itself. Everything else — sweeping, shrinking, repro and trace files,
-//! replay, bench rows, the exit code — is the [`crate::driver`], written
+//! replay, the exit code — is the [`crate::driver`], written
 //! once over this trait.
 
 use crate::oracle::Failure;
 use ghost_lab::engine::{Experiment, ExperimentResult};
-use ghost_lab::schema::BenchRow;
 use ghost_lab::{fnv64_lines, PolicyKind};
 use ghost_trace::json::Json;
 use ghost_trace::TraceSink;
-
-/// One measured contribution of one run to a `--bench-out` row. The
-/// driver pools the samples of a sweep by `name` ([`crate::driver::pool`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchSample {
-    /// Row name, e.g. `lease-reclaim-per-cpu`.
-    pub name: String,
-    /// Wall-clock time the sample accounts for.
-    pub wall_ns: u128,
-    /// Work items behind the sample (ignored when `spans` is non-empty:
-    /// the pooled row then counts spans).
-    pub work_items: u64,
-    /// Individual latency spans, pooled into the row's percentiles.
-    pub spans: Vec<u64>,
-}
-
-/// What the bench hook of a family receives after a sweep: the policies
-/// swept, the seed base, and every sample its cases reported.
-pub type BenchFold = fn(&[PolicyKind], u64, Vec<BenchSample>) -> Vec<BenchRow>;
 
 /// Everything a finished run exposes to the driver and to tests.
 pub struct CaseReport {
@@ -42,8 +22,6 @@ pub struct CaseReport {
     pub lines: Vec<String>,
     /// The sink holding the run's trace, for Chrome export of failures.
     pub trace: TraceSink,
-    /// Measured samples for `--bench-out` (wall-clock families only).
-    pub bench: Vec<BenchSample>,
 }
 
 impl CaseReport {
@@ -67,9 +45,6 @@ pub trait ChaosCase: Clone + PartialEq + Sync + Sized {
     /// shrink, and re-run a failure for its trace; the others run on the
     /// wall clock, serially, and keep the failing run's own trace.
     const DETERMINISTIC: bool;
-    /// How a finished sweep becomes `--bench-out` rows; `None` if the
-    /// family measures nothing.
-    const BENCH: Option<BenchFold> = None;
 
     /// The policies a sweep rotates through.
     fn policies() -> Vec<PolicyKind>;

@@ -1,5 +1,5 @@
-//! The one chaos driver: sweep, shrink, repro and trace files, replay,
-//! bench rows and the pass/fail verdict, written once over
+//! The one chaos driver: sweep, shrink, repro and trace files, replay
+//! and the pass/fail verdict, written once over
 //! [`ChaosCase`]. Nothing here names a family.
 //!
 //! A deterministic family sweeps on the `ghost-lab` engine — each case
@@ -14,12 +14,10 @@
 //! failing run's own trace. Which of the two applies is
 //! [`ChaosCase::DETERMINISTIC`], not a flag.
 
-use crate::case::{shrink, BenchSample, CaseReport, ChaosCase, Swept};
-use ghost_lab::schema::{merged_bench_json, BenchRow, ScoreCols};
+use crate::case::{shrink, CaseReport, ChaosCase, Swept};
 use ghost_lab::{run_sweep, Cache, PolicyKind};
 use ghost_trace::json::{self, Json};
 use ghost_trace::TraceSink;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::time::Instant;
 
 /// What a sweep is asked to do (the CLI's switches, minus the family).
@@ -39,8 +37,6 @@ pub struct Opts {
     pub cache: Option<String>,
     /// File for the `label hash` digest (deterministic families).
     pub digest: Option<String>,
-    /// Bench JSON file to merge measured rows into (measuring families).
-    pub bench_out: Option<String>,
 }
 
 /// `Ok(true)`: every case passed. `Ok(false)`: some oracle fired. `Err`:
@@ -53,8 +49,8 @@ fn write(path: &str, contents: String) -> Result<(), String> {
 }
 
 /// Sweeps `opts.combos` generated cases of family `C`, reports and
-/// captures every failure, and writes the digest and bench files asked
-/// for. A flag the family cannot honour is an error, not ignored.
+/// captures every failure, and writes the digest file if asked for. A
+/// flag the family cannot honour is an error, not ignored.
 pub fn sweep<C: ChaosCase>(opts: &Opts) -> Verdict {
     let engine_flag = [
         ("--jobs", opts.jobs.is_some()),
@@ -67,12 +63,6 @@ pub fn sweep<C: ChaosCase>(opts: &Opts) -> Verdict {
     {
         return Err(format!(
             "{flag} needs a deterministic sweep; {} cases run on the wall clock, serially",
-            C::KIND
-        ));
-    }
-    if opts.bench_out.is_some() && C::BENCH.is_none() {
-        return Err(format!(
-            "--bench-out: the {} sweep measures nothing",
             C::KIND
         ));
     }
@@ -96,7 +86,6 @@ pub fn sweep<C: ChaosCase>(opts: &Opts) -> Verdict {
     let jobs = opts.jobs.unwrap_or(1);
     let started = Instant::now();
 
-    let mut samples = Vec::new();
     let mut failed = 0u64;
     let (executed, cached) = if C::DETERMINISTIC {
         let open = |dir| Cache::open(dir).map_err(|e| format!("cannot open cache {dir}: {e}"));
@@ -123,7 +112,7 @@ pub fn sweep<C: ChaosCase>(opts: &Opts) -> Verdict {
         (report.executed, report.cached)
     } else {
         for (i, case) in cases.iter().enumerate() {
-            let mut report = case.0.run();
+            let report = case.0.run();
             let verdict = if report.failures.is_empty() {
                 ""
             } else {
@@ -131,7 +120,6 @@ pub fn sweep<C: ChaosCase>(opts: &Opts) -> Verdict {
             };
             println!("combo {i}: {}{verdict}", case.0.label());
             print_report(&report);
-            samples.append(&mut report.bench);
             if !report.failures.is_empty() {
                 failed += 1;
                 capture(&opts.out_dir, i, &case.0, &report.trace);
@@ -146,12 +134,6 @@ pub fn sweep<C: ChaosCase>(opts: &Opts) -> Verdict {
         policies.len(),
         started.elapsed(),
     );
-    if let (Some(path), Some(fold)) = (&opts.bench_out, C::BENCH) {
-        let rows = fold(&policies, opts.seed_base, samples);
-        let existing = std::fs::read_to_string(path).ok();
-        write(path, merged_bench_json(existing.as_deref(), &rows))?;
-        println!("wrote {} bench row(s) to {path}", rows.len());
-    }
     Ok(failed == 0)
 }
 
@@ -260,49 +242,4 @@ pub fn rerun_file(path: &str, families: &[Family]) -> Verdict {
         .find(|f| f.kind == kind)
         .ok_or_else(|| format!("{path}: unknown repro kind '{kind}'"))?;
     (family.replay)(&doc).map_err(|e| format!("{path}: {e}"))
-}
-
-/// The driver's one bench-row merge: pools a sweep's samples by name
-/// into `"live"` rows. Wall-clock time and work items add up; a row
-/// whose samples carry latency spans counts spans as its work items and
-/// reports their nearest-rank p50/p99/p99.9.
-pub fn pool(samples: Vec<BenchSample>) -> Vec<BenchRow> {
-    let mut pooled: BTreeMap<String, BenchSample> = BTreeMap::new();
-    for mut sample in samples {
-        match pooled.entry(sample.name.clone()) {
-            Entry::Vacant(slot) => drop(slot.insert(sample)),
-            Entry::Occupied(mut slot) => {
-                let row = slot.get_mut();
-                row.wall_ns += sample.wall_ns;
-                row.work_items += sample.work_items;
-                row.spans.append(&mut sample.spans);
-            }
-        }
-    }
-    let row = |(name, mut sample): (String, BenchSample)| {
-        sample.spans.sort_unstable();
-        let spans = &sample.spans;
-        let rank =
-            |q: f64| spans[((q * spans.len() as f64).ceil() as usize).clamp(1, spans.len()) - 1];
-        BenchRow {
-            name,
-            backend: "live",
-            wall_ns: sample.wall_ns.max(1),
-            sim_ns: None,
-            work_items: if spans.is_empty() {
-                sample.work_items
-            } else {
-                spans.len() as u64
-            },
-            score: (!spans.is_empty()).then(|| ScoreCols {
-                p50_ns: rank(0.5),
-                p99_ns: rank(0.99),
-                p999_ns: rank(0.999),
-                slo_violations: 0,
-                recovery_ns: None,
-                points: 0,
-            }),
-        }
-    };
-    pooled.into_iter().map(row).collect()
 }

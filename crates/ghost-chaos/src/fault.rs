@@ -174,7 +174,6 @@ impl<const RECOVERY: bool> ChaosCase for FaultCase<RECOVERY> {
             failures,
             lines: run.summary().lines,
             trace: run.sim.sink.clone(),
-            bench: Vec::new(),
         }
     }
 

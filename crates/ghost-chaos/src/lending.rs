@@ -23,15 +23,12 @@
 //! fire anyway. Live runs are wall-clock and unshrunk, like
 //! [`crate::live`].
 
-use crate::case::{BenchFold, BenchSample, CaseReport, ChaosCase};
+use crate::case::{CaseReport, ChaosCase};
 use crate::codec::{named_field, num, obj, policy_field, text, wide};
-use crate::driver::pool;
 use crate::live::{await_recovery, launch_guarded, KvLoop, LIVE_WATCHDOG};
 use crate::oracle::{self, Failure};
 use ghost_core::RmConfig;
-use ghost_lab::{
-    lease_reclaim_rows, lease_verdicts, LendingFault, LendingScenario, LendingWorkload, PolicyKind,
-};
+use ghost_lab::{lease_verdicts, LendingFault, LendingScenario, LendingWorkload, PolicyKind};
 use ghost_live::{LiveConfig, LiveKernel};
 use ghost_sim::time::{Nanos, MILLIS, SECS};
 use ghost_sim::topology::CpuId;
@@ -67,10 +64,6 @@ impl ChaosCase for LendingScenario {
     /// 2 policies x 4 fault rows x 2 seeds.
     const COMBOS: u64 = 16;
     const DETERMINISTIC: bool = true;
-    /// Reclaim latency is measured by a dedicated deadline-stress run per
-    /// policy, not pooled from the sweep's cases.
-    const BENCH: Option<BenchFold> =
-        Some(|policies, seed_base, _| lease_reclaim_rows(policies, seed_base));
 
     /// The protected (borrowing) enclave's policies: the two centralized
     /// schedulers, one FIFO and one preemptive — enough to show the
@@ -116,7 +109,6 @@ impl ChaosCase for LendingScenario {
             failures: verdicts.iter().map(|line| verdict(line)).collect(),
             lines,
             trace,
-            bench: Vec::new(),
         }
     }
 
@@ -241,7 +233,6 @@ impl ChaosCase for LendingLiveCombo {
     /// One wall-clock run per fault row.
     const COMBOS: u64 = 4;
     const DETERMINISTIC: bool = false;
-    const BENCH: Option<BenchFold> = Some(|_, _, samples| pool(samples));
 
     fn policies() -> Vec<PolicyKind> {
         PolicyKind::live_backend()
@@ -362,11 +353,6 @@ impl ChaosCase for LendingLiveCombo {
             "KV request",
         ));
         let metrics = TraceMetrics::from_records(&records);
-        let reclaim_spans: Vec<u64> = metrics
-            .lease_reclaim_spans
-            .iter()
-            .map(|(r, done)| done.saturating_sub(*r))
-            .collect();
         let rm_restarts = rt.rm_stats().map(|r| r.restarts).unwrap_or_default();
         // The lease contract is the simulated family's, judged on the
         // same runtime type. On real threads two things more must hold:
@@ -408,21 +394,10 @@ impl ChaosCase for LendingLiveCombo {
             ),
             format!("wall-ms {}", wall_ns / 1_000_000),
         ];
-        let bench = if reclaim_spans.is_empty() {
-            Vec::new()
-        } else {
-            vec![BenchSample {
-                name: format!("lease-reclaim-{}", self.policy.name()),
-                wall_ns,
-                work_items: 0,
-                spans: reclaim_spans,
-            }]
-        };
         CaseReport {
             failures,
             lines,
             trace: sink,
-            bench,
         }
     }
 

@@ -15,7 +15,7 @@
 //!   neighbours), the case's `ghost-lab` `Experiment` impl, and the one
 //!   greedy 1-minimal [`shrink`].
 //! * [`driver`] — the one sweep / repro-and-trace writer / `--replay` /
-//!   bench-row merge / exit-code rule. Deterministic families sweep on
+//!   exit-code rule. Deterministic families sweep on
 //!   the parallel engine (jobs, cache, digest) and shrink; wall-clock
 //!   families run serially and keep the failing run's own trace.
 //! * [`codec`] — `repro.json` field codecs over the `ghost-trace` JSON
@@ -65,7 +65,7 @@ pub mod oracle;
 pub mod plan;
 
 pub use byzantine::{generate_byz_ops, ByzCombo, ByzOp};
-pub use case::{shrink, BenchSample, CaseReport, ChaosCase, Swept};
+pub use case::{shrink, CaseReport, ChaosCase, Swept};
 pub use driver::{rerun_file, Family, Opts, Verdict};
 pub use fault::{Combo, FaultCase, RecoveryCombo, WATCHDOG};
 pub use ghost_lab::PolicyKind;

@@ -26,9 +26,8 @@
 //! * **progress** / **live-timeout** — the KV loop completed, and every
 //!   admitted request terminated as completed, shed, or failed.
 
-use crate::case::{BenchFold, BenchSample, CaseReport, ChaosCase};
+use crate::case::{CaseReport, ChaosCase};
 use crate::codec::{list, list_field, num, obj, policy_field, text, wide};
-use crate::driver::pool;
 use crate::oracle::{self, Failure};
 use ghost_core::runtime::EnclaveHandle;
 use ghost_core::StandbyConfig;
@@ -282,7 +281,6 @@ impl ChaosCase for LiveCombo {
     /// One crash, hang and slow plan on each of the two policies.
     const COMBOS: u64 = 6;
     const DETERMINISTIC: bool = false;
-    const BENCH: Option<BenchFold> = Some(|_, _, samples| pool(samples));
 
     /// The registry's `live_backend` capability: the two agent models
     /// (centralized, per-CPU). The other evaluation policies add
@@ -423,20 +421,6 @@ impl ChaosCase for LiveCombo {
         let degraded = kv.service().degraded_stats();
         kernel.shutdown();
         let wall_ns = started.elapsed().as_nanos();
-        let mut bench = vec![BenchSample {
-            name: "chaos-degraded-shed".to_string(),
-            wall_ns,
-            work_items: degraded.shed,
-            spans: Vec::new(),
-        }];
-        if let Some(ns) = recovery_wall_ns {
-            bench.push(BenchSample {
-                name: format!("chaos-recovery-{}", self.policy.name()),
-                wall_ns: ns.into(),
-                work_items: stats.respawns,
-                spans: Vec::new(),
-            });
-        }
         CaseReport {
             failures,
             lines: vec![
@@ -452,7 +436,6 @@ impl ChaosCase for LiveCombo {
                 format!("wall-ms {}", wall_ns / 1_000_000),
             ],
             trace: sink,
-            bench,
         }
     }
 

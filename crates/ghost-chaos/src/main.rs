@@ -22,7 +22,7 @@ fn usage(problem: &str) -> ! {
     eprintln!(
         "{problem}\n\
          usage: ghost-chaos [FAMILY] [--combos N] [--seed-base S] [--out DIR] [--policy NAME]\n\
-         \x20                  [--jobs N] [--cache DIR] [--digest FILE] [--bench-out FILE]\n\
+         \x20                  [--jobs N] [--cache DIR] [--digest FILE]\n\
          \x20      ghost-chaos --replay FILE\n\
          \n\
          Sweeps N seeded cases of one family through the ghOSt runtime. A failing\n\
@@ -50,9 +50,7 @@ fn usage(problem: &str) -> ! {
          --jobs N        worker threads; results are byte-identical for every N\n\
          --cache DIR     ghost-lab result cache: unchanged cases are not re-run\n\
          --digest FILE   write 'label hash' lines, for diffing two sweeps\n\
-         \x20               (--jobs, --cache, --digest: simulated families only)\n\
-         --bench-out F   merge measured rows into bench JSON file F (--live,\n\
-         \x20               --lending, --lending-live only)",
+         \x20               (--jobs, --cache, --digest: simulated families only)",
         FAMILIES[0].combos,
         defaults.join(", "),
         policies.join(", "),
@@ -88,7 +86,6 @@ fn main() -> ExitCode {
                 opts.policy = policy.or_else(|| usage(&format!("unknown policy '{name}'")));
             }
             "--replay" => replay = Some(value()),
-            "--bench-out" => opts.bench_out = Some(value()),
             "--jobs" => opts.jobs = Some(number(&arg, value())),
             "--cache" => opts.cache = Some(value()),
             "--digest" => opts.digest = Some(value()),

@@ -214,7 +214,6 @@ impl ChaosCase for SetCase {
             failures: failures.into_iter().collect(),
             lines: Vec::new(),
             trace: TraceSink::Null,
-            bench: Vec::new(),
         }
     }
     fn encode(&self) -> Json {
@@ -295,8 +294,7 @@ fn cli_rejects_flags_it_cannot_honour() {
         (&["--live", "--jobs", "4"], "--jobs"),
         (&["--lending-live", "--digest", "d.txt"], "--digest"),
         (&["--live", "--cache", "c"], "--cache"),
-        (&["--bench-out", "b.json"], "--bench-out"),
-        (&["--byzantine", "--bench-out", "b.json"], "--bench-out"),
+        (&["--bench-out", "b.json"], "unknown argument '--bench-out'"),
         (&["--byzantine", "--policy", "core-sched"], "core-sched"),
         (&["--combos", "many"], "--combos"),
         (&["--frobnicate"], "--frobnicate"),

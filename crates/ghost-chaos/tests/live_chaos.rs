@@ -50,11 +50,6 @@ fn live_crash_combo_recovers_within_slo() {
         c.requests,
         "closed-loop accounting leaked"
     );
-    // The measured recovery is what `--bench-out` would record.
-    assert!(report
-        .bench
-        .iter()
-        .any(|s| s.name == "chaos-recovery-centralized-fifo" && s.wall_ns == gap.into()));
 }
 
 #[test]

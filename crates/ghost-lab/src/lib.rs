@@ -16,6 +16,13 @@
 //! * [`cache::Cache`] — content-addressed results keyed by spec string
 //!   and crate version: re-running an unchanged sweep executes zero
 //!   simulations.
+//! * [`tournament`] — every registered policy over a scenario × fault
+//!   matrix, scored into a league table; [`lending`] — two-enclave core
+//!   lending under control-plane faults. Both are experiments on the
+//!   same engine.
+//!
+//! Wall-clock performance is measured by the repo benchmark
+//! (`benchmark/`, declared in `BENCHMARK.json`), not here.
 //!
 //! ```
 //! use ghost_lab::engine::run_sweep;
@@ -39,26 +46,22 @@
 //! assert_eq!(report.items.len(), 4);
 //! ```
 
-pub mod bench;
 pub mod cache;
 pub mod engine;
 pub mod lending;
 pub mod scenario;
-pub mod schema;
 pub mod tournament;
 
-pub use bench::{bench_live_vs_sim, bench_sim, emit_bench_sim, emit_live_vs_sim, BenchOpts};
 pub use cache::{fnv64, fnv64_debug_lines, fnv64_lines, Cache};
 pub use engine::{run_cases, run_sweep, Experiment, ExperimentResult, SweepItem, SweepReport};
 pub use lending::{
-    lease_reclaim_rows, lease_verdicts, lending_fault_matrix, lending_library, LendingFault,
-    LendingRun, LendingScenario, LendingWorkload,
+    lease_verdicts, lending_fault_matrix, lending_library, LendingFault, LendingRun,
+    LendingScenario, LendingWorkload,
 };
 pub use scenario::{
     attach_workload, GhostSim, LabRun, PolicyCaps, PolicyEntry, PolicyKind, RunSummary, Scenario,
     ScenarioBuilder, TopologySpec, WorkloadSpec,
 };
-pub use schema::{bench_json, merged_bench_json, parse_rows, BenchRow, ParsedRow, ScoreCols};
 pub use tournament::{
     fault_matrix, league_table, run_tournament, scenario_library, FaultCell, LeagueStanding,
     ScenarioCell, TournamentCell, TournamentOpts, TournamentReport,

@@ -1,11 +1,11 @@
 //! The `ghost-lab` CLI: run a matrix of scenarios on the parallel
 //! sweep engine and print (or write) the per-scenario result digest,
-//! or run the live-vs-sim bench and emit `BENCH_live_vs_sim.json`.
+//! or play the policy tournament and print its league table.
 //!
 //! ```text
 //! cargo run -p ghost-lab -- sweep --scenarios 20 --jobs 4
 //! cargo run -p ghost-lab -- sweep --jobs 4 --cache lab-cache --digest digest.txt
-//! cargo run --release -p ghost-lab -- bench-live --out BENCH_live_vs_sim.json
+//! cargo run --release -p ghost-lab -- tournament --bounded --jobs 4
 //! ```
 //!
 //! The digest file pairs each scenario label with its result hash;
@@ -34,12 +34,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: ghost-lab sweep [--scenarios N] [--jobs N] [--seed-base S] [--policy NAME]\n\
          \x20                      [--cache DIR] [--digest FILE]\n\
-         \x20      ghost-lab bench-live [--cpus N] [--requests N] [--horizon-ms N] [--out FILE]\n\
-         \x20      ghost-lab bench-sim [--cpus N] [--requests N] [--horizon-ms N] [--out FILE]\n\
-         \x20                          [--full-scale] [--check-against FILE] [--tolerance PCT]\n\
          \x20      ghost-lab tournament [--jobs N] [--seed S] [--horizon-ms N] [--slo-us N]\n\
          \x20                           [--policy NAME] [--bounded] [--cache DIR]\n\
-         \x20                           [--digest FILE] [--out FILE]\n\
+         \x20                           [--digest FILE]\n\
          \n\
          sweep: runs an N-scenario pulse-workload matrix (round-robin over the\n\
          five evaluation policies) on the deterministic parallel sweep engine.\n\
@@ -50,24 +47,6 @@ fn usage() -> ! {
          --policy NAME   restrict to one policy: {}\n\
          --cache DIR     content-addressed result cache directory\n\
          --digest FILE   write 'label hash' lines for serial-vs-parallel diffing\n\
-         \n\
-         bench-live: runs matched DES and real-thread (ghost-live) workloads and\n\
-         writes wall-clock, simulated-seconds/sec, and throughput rows.\n\
-         \n\
-         --cpus N        lanes for both backends (default 4)\n\
-         --requests N    KV requests per live run (default 50000)\n\
-         --horizon-ms N  DES virtual horizon (default 200)\n\
-         --out FILE      output path (default BENCH_live_vs_sim.json)\n\
-         \n\
-         bench-sim: runs the DES-only rows (work-item-matched policy rows plus\n\
-         fig5 scale rows on the paper's machines) and merges them into the\n\
-         output JSON, preserving rows it did not re-run.\n\
-         \n\
-         --full-scale         add the 1024-CPU / 1M-thread fig5 point (slow)\n\
-         --check-against FILE compare sim_seconds_per_sec against a committed\n\
-         \x20                    baseline: exit 1 on any regression beyond the\n\
-         \x20                    tolerance, warn only on improvement\n\
-         --tolerance PCT      allowed regression in percent (default 20)\n\
          \n\
          tournament: runs every registered policy over the scenario x fault\n\
          matrix, prints the ranked league table, and exits 1 if any cell\n\
@@ -80,8 +59,7 @@ fn usage() -> ! {
          --policy NAME   restrict the field to one policy\n\
          --bounded       bounded fault subset (CI matrix)\n\
          --cache DIR     content-addressed result cache directory\n\
-         --digest FILE   write per-cell 'label hash points' lines\n\
-         --out FILE      merge scored rows into this BENCH_live_vs_sim.json",
+         --digest FILE   write per-cell 'label hash points' lines",
         PolicyKind::evaluation_matrix()
             .iter()
             .map(|p| p.name())
@@ -91,176 +69,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn bench_live_main(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut opts = ghost_lab::BenchOpts::default();
-    let mut out = "BENCH_live_vs_sim.json".to_string();
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--cpus" => opts.cpus = value("--cpus").parse().unwrap_or_else(|_| usage()),
-            "--requests" => {
-                opts.live_requests = value("--requests").parse().unwrap_or_else(|_| usage());
-            }
-            "--horizon-ms" => {
-                let ms: u64 = value("--horizon-ms").parse().unwrap_or_else(|_| usage());
-                opts.sim_horizon = ms * MILLIS;
-            }
-            "--out" => out = value("--out"),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage();
-            }
-        }
-    }
-    match ghost_lab::emit_live_vs_sim(&out, &opts) {
-        Ok(rows) => {
-            for row in &rows {
-                let rate = row
-                    .sim_seconds_per_sec()
-                    .map(|r| format!("{r:.2} sim-s/s"))
-                    .unwrap_or_else(|| "live".into());
-                println!(
-                    "{:>16} [{:>4}]  {:>8.1} ms wall  {:>10.0} items/s  {rate}",
-                    row.name,
-                    row.backend,
-                    row.wall_ns as f64 / 1e6,
-                    row.throughput_per_sec(),
-                );
-            }
-            println!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn bench_sim_main(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut opts = ghost_lab::BenchOpts::default();
-    let mut out = "BENCH_live_vs_sim.json".to_string();
-    let mut full_scale = false;
-    let mut check_against: Option<String> = None;
-    let mut tolerance_pct: f64 = 20.0;
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                usage()
-            })
-        };
-        match arg.as_str() {
-            "--cpus" => opts.cpus = value("--cpus").parse().unwrap_or_else(|_| usage()),
-            "--requests" => {
-                opts.live_requests = value("--requests").parse().unwrap_or_else(|_| usage());
-            }
-            "--horizon-ms" => {
-                let ms: u64 = value("--horizon-ms").parse().unwrap_or_else(|_| usage());
-                opts.sim_horizon = ms * MILLIS;
-            }
-            "--out" => out = value("--out"),
-            "--full-scale" => full_scale = true,
-            "--check-against" => check_against = Some(value("--check-against")),
-            "--tolerance" => {
-                tolerance_pct = value("--tolerance").parse().unwrap_or_else(|_| usage());
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                usage();
-            }
-        }
-    }
-    let rows = match ghost_lab::emit_bench_sim(&out, &opts, full_scale) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    for row in &rows {
-        let rate = row
-            .sim_seconds_per_sec()
-            .map(|r| format!("{r:.2} sim-s/s"))
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{:>18} [{:>4}]  {:>8.1} ms wall  {:>10} items  {rate}",
-            row.name,
-            row.backend,
-            row.wall_ns as f64 / 1e6,
-            row.work_items,
-        );
-    }
-    println!("wrote {out}");
-
-    let Some(baseline_path) = check_against else {
-        return ExitCode::SUCCESS;
-    };
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => ghost_lab::parse_rows(&text),
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // The perf gate: a measured row whose simulated-seconds/sec fell more
-    // than the tolerance below the committed baseline fails the run; a
-    // row that improved only warns (the baseline is refreshed by
-    // committing the regenerated JSON, not by the gate).
-    let mut regressed = false;
-    for row in &rows {
-        let Some(rate) = row.sim_seconds_per_sec() else {
-            continue;
-        };
-        let base = baseline
-            .iter()
-            .find(|b| b.name == row.name && b.backend == row.backend)
-            .and_then(|b| b.sim_seconds_per_sec);
-        let Some(base) = base else {
-            println!("perf-check {:>18}: no baseline row, skipping", row.name);
-            continue;
-        };
-        let floor = base * (1.0 - tolerance_pct / 100.0);
-        if rate < floor {
-            eprintln!(
-                "perf-check {:>18}: REGRESSION {rate:.2} sim-s/s < {floor:.2} \
-                 (baseline {base:.2}, tolerance {tolerance_pct}%)",
-                row.name
-            );
-            regressed = true;
-        } else if rate > base {
-            println!(
-                "perf-check {:>18}: improved {base:.2} -> {rate:.2} sim-s/s \
-                 (commit the regenerated JSON to raise the baseline)",
-                row.name
-            );
-        } else {
-            println!(
-                "perf-check {:>18}: ok {rate:.2} sim-s/s (baseline {base:.2})",
-                row.name
-            );
-        }
-    }
-    if regressed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn tournament_main(mut args: impl Iterator<Item = String>) -> ExitCode {
     let mut opts = TournamentOpts::default();
     let mut jobs = 1usize;
     let mut cache_dir: Option<String> = None;
     let mut digest: Option<String> = None;
-    let mut out: Option<String> = None;
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next().unwrap_or_else(|| {
@@ -290,7 +103,6 @@ fn tournament_main(mut args: impl Iterator<Item = String>) -> ExitCode {
             "--bounded" => opts.bounded = true,
             "--cache" => cache_dir = Some(value("--cache")),
             "--digest" => digest = Some(value("--digest")),
-            "--out" => out = Some(value("--out")),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument '{other}'");
@@ -346,18 +158,6 @@ fn tournament_main(mut args: impl Iterator<Item = String>) -> ExitCode {
             return ExitCode::from(2);
         }
         println!("wrote digest to {path}");
-    }
-    if let Some(path) = &out {
-        let existing = std::fs::read_to_string(path).ok();
-        let json = ghost_lab::merged_bench_json(existing.as_deref(), &report.bench_rows());
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!(
-            "merged {} scored rows into {path}",
-            report.bench_rows().len()
-        );
     }
     if report.all_passed() {
         ExitCode::SUCCESS
@@ -416,12 +216,6 @@ fn parse_opts() -> Opts {
 }
 
 fn main() -> ExitCode {
-    if std::env::args().nth(1).as_deref() == Some("bench-live") {
-        return bench_live_main(std::env::args().skip(2));
-    }
-    if std::env::args().nth(1).as_deref() == Some("bench-sim") {
-        return bench_sim_main(std::env::args().skip(2));
-    }
     if std::env::args().nth(1).as_deref() == Some("tournament") {
         return tournament_main(std::env::args().skip(2));
     }

@@ -19,16 +19,10 @@
 //! awarded league points: `n` policies in the cell, the winner takes
 //! `n`, the last place takes 1. Points sum across the matrix into the
 //! season [`LeagueStanding`]s rendered by [`league_table`].
-//!
-//! The report also serializes to `BENCH_live_vs_sim.json` rows
-//! (backend `"tournament"`) through the shared [`crate::schema`], so
-//! league results merge into the committed bench file without
-//! disturbing the live/sim rows.
 
 use crate::cache::{fnv64_lines, Cache};
 use crate::engine::{run_sweep, Experiment, ExperimentResult, SweepReport};
 use crate::scenario::{PolicyKind, Scenario, WorkloadSpec};
-use crate::schema::{BenchRow, ScoreCols};
 use ghost_metrics::table::{fmt_ns, Table};
 use ghost_sim::faults::{FaultKind, FaultPlan};
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
@@ -387,8 +381,6 @@ pub struct LeagueStanding {
     pub wins: u64,
     /// Cells played.
     pub cells: u64,
-    /// Worst per-cell p50 across the season, ns.
-    pub worst_p50_ns: u64,
     /// Worst per-cell p99 across the season, ns.
     pub worst_p99_ns: u64,
     /// Worst per-cell p99.9 across the season, ns.
@@ -416,8 +408,6 @@ pub struct TournamentReport {
     pub cached: usize,
     /// The SLO every cell was scored against.
     pub slo: Nanos,
-    /// The per-cell virtual horizon.
-    pub horizon: Nanos,
 }
 
 impl TournamentReport {
@@ -442,51 +432,6 @@ impl TournamentReport {
             .iter()
             .find(|c| c.policy == policy && c.scenario == scenario && c.fault == fault)
             .map(|c| c.score.p99_ns)
-    }
-
-    /// Serializes the tournament to `BENCH_live_vs_sim.json` rows: one
-    /// scored row per cell plus one `league/<policy>` season-aggregate
-    /// row per contestant. All values are virtual-time-derived, so the
-    /// rows are deterministic per spec. Aggregate latency columns carry
-    /// the season's worst per-cell value; `points` carries the season
-    /// total.
-    pub fn bench_rows(&self) -> Vec<BenchRow> {
-        let mut rows = Vec::new();
-        for c in &self.cells {
-            rows.push(BenchRow {
-                name: c.label.clone(),
-                backend: "tournament",
-                wall_ns: self.horizon as u128,
-                sim_ns: Some(self.horizon),
-                work_items: c.score.completions,
-                score: Some(ScoreCols {
-                    p50_ns: c.score.p50_ns,
-                    p99_ns: c.score.p99_ns,
-                    p999_ns: c.score.p999_ns,
-                    slo_violations: c.score.slo_violations,
-                    recovery_ns: c.score.recovery_ns,
-                    points: c.points,
-                }),
-            });
-        }
-        for s in &self.standings {
-            rows.push(BenchRow {
-                name: format!("league/{}", s.policy.name()),
-                backend: "tournament",
-                wall_ns: (self.horizon as u128) * (s.cells as u128),
-                sim_ns: Some(self.horizon),
-                work_items: s.completions,
-                score: Some(ScoreCols {
-                    p50_ns: s.worst_p50_ns,
-                    p99_ns: s.worst_p99_ns,
-                    p999_ns: s.worst_p999_ns,
-                    slo_violations: s.slo_violations,
-                    recovery_ns: s.worst_recovery_ns,
-                    points: s.points,
-                }),
-            });
-        }
-        rows
     }
 }
 
@@ -560,7 +505,6 @@ fn score_sweep(
                 points: mine.iter().map(|c| c.points).sum(),
                 wins: mine.iter().filter(|c| c.points == field).count() as u64,
                 cells: mine.len() as u64,
-                worst_p50_ns: mine.iter().map(|c| c.score.p50_ns).max().unwrap_or(0),
                 worst_p99_ns: mine.iter().map(|c| c.score.p99_ns).max().unwrap_or(0),
                 worst_p999_ns: mine.iter().map(|c| c.score.p999_ns).max().unwrap_or(0),
                 slo_violations: mine.iter().map(|c| c.score.slo_violations).sum(),
@@ -579,7 +523,6 @@ fn score_sweep(
         executed: sweep.executed,
         cached: sweep.cached,
         slo: opts.slo,
-        horizon: opts.horizon,
     }
 }
 
@@ -742,11 +685,5 @@ mod tests {
         let table = league_table(&report);
         assert!(table.contains("shinjuku-adaptive"));
         assert!(table.contains("policy tournament"));
-        // Scored bench rows: one per cell plus one league aggregate per
-        // contestant, all on the tournament backend.
-        let rows = report.bench_rows();
-        assert_eq!(rows.len(), 3 + 3);
-        assert!(rows.iter().all(|r| r.backend == "tournament"));
-        assert!(rows.iter().any(|r| r.name == "league/shinjuku-adaptive"));
     }
 }

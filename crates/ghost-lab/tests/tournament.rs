@@ -44,9 +44,6 @@ fn league_table_is_byte_identical_serial_vs_parallel() {
     let parallel = run_tournament(&opts, 4, None);
     assert_eq!(serial.digest(), parallel.digest());
     assert_eq!(league_table(&serial), league_table(&parallel));
-    // And the scored bench rows serialize identically too.
-    let json = |r: &ghost_lab::tournament::TournamentReport| ghost_lab::bench_json(&r.bench_rows());
-    assert_eq!(json(&serial), json(&parallel));
     assert!(serial.all_passed(), "matrix cells must pass invariants");
 }
 

@@ -326,31 +326,52 @@ fn des_invariants_and_commit_pairing_hold() {
     check::assert_clean(&records);
 }
 
+/// Both agent models — one global agent, and one agent per CPU — drive
+/// the two-worker closed loop to completion.
 #[test]
 fn live_invariants_and_commit_pairing_hold() {
-    let s = live_setup(
-        EnclaveConfig::centralized("conf-live").with_watchdog(5 * SECS),
-        Box::new(CentralizedFifo::new()),
-        5_000,
-        FaultPlan::none(),
-    );
-    assert!(
-        live_drive_until(&s, s.total, Duration::from_secs(30)),
-        "closed loop stalled at {}/{}",
-        s.kv.completed_count(),
-        s.total
-    );
-    assert!(await_completion(&s.kv, s.total, Duration::from_secs(1)));
+    let models: [(EnclaveConfig, Box<dyn GhostPolicy>); 2] = [
+        (
+            EnclaveConfig::centralized("conf-live"),
+            Box::new(CentralizedFifo::new()),
+        ),
+        (
+            EnclaveConfig::per_cpu("conf-live-percpu"),
+            Box::new(ghost_policies::PerCpuPolicy::new()),
+        ),
+    ];
+    for (config, policy) in models {
+        let name = config.name.clone();
+        let s = live_setup(
+            config.with_watchdog(5 * SECS),
+            policy,
+            5_000,
+            FaultPlan::none(),
+        );
+        assert!(
+            live_drive_until(&s, s.total, Duration::from_secs(30)),
+            "{name}: closed loop stalled at {}/{}",
+            s.kv.completed_count(),
+            s.total
+        );
+        assert!(await_completion(&s.kv, s.total, Duration::from_secs(1)));
 
-    let records = s.kernel.trace_snapshot();
-    let ok = count(&records, |e| matches!(e, TraceEvent::TxnCommitOk { .. }));
-    assert!(ok > 0, "no commits traced: the policy never scheduled");
-    // Same rules as the DES run: wake-before-block ordering, exclusive
-    // lane occupancy, commit pairing — with a wall-clock grace window.
-    let violations = check::check_with_grace(&records, LIVE_GRACE_NS);
-    assert!(violations.is_empty(), "live violations: {violations:?}");
-    assert!(s.enclave.alive());
-    s.kernel.shutdown();
+        let records = s.kernel.trace_snapshot();
+        let ok = count(&records, |e| matches!(e, TraceEvent::TxnCommitOk { .. }));
+        assert!(
+            ok > 0,
+            "{name}: no commits traced: the policy never scheduled"
+        );
+        // Same rules as the DES run: wake-before-block ordering, exclusive
+        // lane occupancy, commit pairing — with a wall-clock grace window.
+        let violations = check::check_with_grace(&records, LIVE_GRACE_NS);
+        assert!(
+            violations.is_empty(),
+            "{name}: live violations: {violations:?}"
+        );
+        assert!(s.enclave.alive());
+        s.kernel.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -4,8 +4,9 @@ use crate::topology::CpuId;
 
 /// Maximum number of CPUs a [`CpuSet`] can describe. The largest machine in
 /// the paper's evaluation (AMD Rome) has 256 logical CPUs; headroom up
-/// to 1024 covers the scale sweeps (`ghost-lab bench-sim`) that push the
-/// simulator beyond the paper's hardware.
+/// to 1024 covers the Fig. 5 scale point (`fig5-zen-1024-1m` in
+/// `ghost-bench`'s `fig5_scalability`) that pushes the simulator beyond
+/// the paper's hardware.
 pub const MAX_CPUS: usize = 1024;
 const WORDS: usize = MAX_CPUS / 64;
 

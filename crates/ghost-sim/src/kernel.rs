@@ -608,8 +608,8 @@ impl Kernel {
     /// [`Kernel::state`] directly (a wake, an agent spawn) calls it too.
     pub fn settle(&mut self) {
         // Livelock guard, scaled to the work already queued: a mass wake
-        // of N threads legitimately takes N iterations (the bench-sim
-        // scale sweep wakes a million at once), while a genuine livelock
+        // of N threads legitimately takes N iterations (the Fig. 5 scale
+        // point wakes a million at once), while a genuine livelock
         // — operations endlessly re-deferring each other — still trips
         // the bound because it never drains the backlog.
         let queued = self.state.pending_class_moves.len()
