@@ -18,5 +18,5 @@ pub mod microquanta;
 pub mod shinjuku_dataplane;
 
 pub use kernel_core_sched::KernelCoreSched;
-pub use microquanta::{MicroQuanta, MicroQuantaConfig};
-pub use shinjuku_dataplane::{DataplaneConfig, DataplaneResult, ShinjukuDataplane};
+pub use microquanta::MicroQuanta;
+pub use shinjuku_dataplane::{DataplaneResult, ShinjukuDataplane};

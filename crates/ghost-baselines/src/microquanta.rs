@@ -17,23 +17,10 @@ use ghost_sim::time::{Nanos, MILLIS};
 use ghost_sim::topology::CpuId;
 use std::collections::{HashMap, VecDeque};
 
-/// MicroQuanta tunables.
-#[derive(Debug, Clone)]
-pub struct MicroQuantaConfig {
-    /// Accounting period.
-    pub period: Nanos,
-    /// CPU time each thread may use per period.
-    pub quanta: Nanos,
-}
-
-impl Default for MicroQuantaConfig {
-    fn default() -> Self {
-        Self {
-            period: MILLIS,
-            quanta: 900_000,
-        }
-    }
-}
+/// Accounting period.
+const PERIOD: Nanos = MILLIS;
+/// CPU time each thread may use per period.
+const QUANTA: Nanos = 900_000;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Account {
@@ -50,8 +37,6 @@ struct Account {
 
 /// The MicroQuanta scheduling class.
 pub struct MicroQuanta {
-    /// Tunables.
-    pub config: MicroQuantaConfig,
     rq: Vec<VecDeque<Tid>>,
     accounts: HashMap<Tid, Account>,
     /// Throttle events (blackouts entered).
@@ -60,9 +45,8 @@ pub struct MicroQuanta {
 
 impl MicroQuanta {
     /// Creates the class for `num_cpus` CPUs.
-    pub fn new(num_cpus: usize, config: MicroQuantaConfig) -> Self {
+    pub fn new(num_cpus: usize) -> Self {
         Self {
-            config,
             rq: vec![VecDeque::new(); num_cpus],
             accounts: HashMap::new(),
             throttles: 0,
@@ -72,7 +56,7 @@ impl MicroQuanta {
     /// Rolls the account into the period containing `now` (unthrottling
     /// at the boundary) and returns the runtime used in that period.
     fn used_in_period(&mut self, tid: Tid, now: Nanos, cumulative_oncpu: Nanos) -> Nanos {
-        let idx = now / self.config.period;
+        let idx = now / PERIOD;
         let acc = self.accounts.entry(tid).or_default();
         if acc.period_idx != idx {
             acc.period_idx = idx;
@@ -113,7 +97,7 @@ impl MicroQuanta {
 
     /// Next period boundary after `now`.
     fn next_boundary(&self, now: Nanos) -> Nanos {
-        (now / self.config.period + 1) * self.config.period
+        (now / PERIOD + 1) * PERIOD
     }
 }
 
@@ -151,14 +135,13 @@ impl SchedClass for MicroQuanta {
             let tid = self.rq[cpu.index()].pop_front()?;
             let cum = Self::cumulative_oncpu(k, tid);
             let used = self.used_in_period(tid, now, cum);
-            let quanta = self.config.quanta;
-            if self.throttled(tid) || used >= quanta {
+            if self.throttled(tid) || used >= QUANTA {
                 self.rq[cpu.index()].push_back(tid);
                 continue;
             }
             // Precise throttling (the real MicroQuanta uses an hrtimer):
             // force a scheduler pass when the quanta will be exhausted.
-            let remaining = quanta - used;
+            let remaining = QUANTA - used;
             k.send_ipi(cpu, now + remaining + k.costs.ctx_switch_cfs);
             return Some(tid);
         }
@@ -169,8 +152,7 @@ impl SchedClass for MicroQuanta {
         let now = k.now;
         let cum = Self::cumulative_oncpu(k, tid);
         let used = self.used_in_period(tid, now, cum);
-        let quanta = self.config.quanta;
-        let throttle = used >= quanta;
+        let throttle = used >= QUANTA;
         if throttle {
             let acc = self.accounts.entry(tid).or_default();
             if !acc.throttled {
@@ -194,7 +176,7 @@ impl SchedClass for MicroQuanta {
         // exact however the work is sliced into segments.
         let cum = Self::cumulative_oncpu(k, current);
         let used = self.used_in_period(current, k.now, cum);
-        used >= self.config.quanta
+        used >= QUANTA
     }
 
     fn on_tick_all(&mut self, cpu: CpuId, k: &mut KernelState) {
@@ -203,7 +185,7 @@ impl SchedClass for MicroQuanta {
         if !k.cpus[cpu.index()].is_idle() {
             return;
         }
-        let idx = k.now / self.config.period;
+        let idx = k.now / PERIOD;
         let any_eligible = self.rq[cpu.index()].iter().any(|&t| {
             self.accounts
                 .get(&t)
@@ -251,10 +233,7 @@ mod tests {
     #[test]
     fn quanta_caps_cpu_share() {
         let mut kernel = Kernel::new(Topology::new("uni", 1, 1, 1, 1), KernelConfig::default());
-        kernel.install_class(
-            CLASS_RT,
-            Box::new(MicroQuanta::new(1, MicroQuantaConfig::default())),
-        );
+        kernel.install_class(CLASS_RT, Box::new(MicroQuanta::new(1)));
         let app = kernel.state.next_app_id();
         let rt = kernel.spawn(
             ThreadSpec::workload("mq-spinner", &kernel.state.topo)
@@ -275,10 +254,7 @@ mod tests {
     #[test]
     fn cfs_threads_survive_next_to_microquanta() {
         let mut kernel = Kernel::new(Topology::new("uni", 1, 1, 1, 1), KernelConfig::default());
-        kernel.install_class(
-            CLASS_RT,
-            Box::new(MicroQuanta::new(1, MicroQuantaConfig::default())),
-        );
+        kernel.install_class(CLASS_RT, Box::new(MicroQuanta::new(1)));
         let app = kernel.state.next_app_id();
         let rt = kernel.spawn(
             ThreadSpec::workload("mq", &kernel.state.topo)
@@ -329,10 +305,7 @@ mod burst_accounting_tests {
     #[test]
     fn segmented_runs_are_throttled_at_the_quanta() {
         let mut kernel = Kernel::new(Topology::new("uni", 1, 1, 1, 1), KernelConfig::default());
-        kernel.install_class(
-            CLASS_RT,
-            Box::new(MicroQuanta::new(1, MicroQuantaConfig::default())),
-        );
+        kernel.install_class(CLASS_RT, Box::new(MicroQuanta::new(1)));
         let app = kernel.state.next_app_id();
         let t = kernel.spawn(
             ThreadSpec::workload("segmented", &kernel.state.topo)

@@ -17,29 +17,12 @@ use ghost_sim::time::{Nanos, MICROS};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Dataplane configuration.
-#[derive(Debug, Clone)]
-pub struct DataplaneConfig {
-    /// Number of spinning worker hyperthreads.
-    pub workers: usize,
-    /// Preemption timeslice (30 µs in the paper's experiments).
-    pub timeslice: Nanos,
-    /// Dispatcher→worker handoff cost (shared-memory descriptor pass).
-    pub dispatch_cost: Nanos,
-    /// Preemption cost (posted interrupt + context save).
-    pub preempt_cost: Nanos,
-}
-
-impl Default for DataplaneConfig {
-    fn default() -> Self {
-        Self {
-            workers: 20,
-            timeslice: 30 * MICROS,
-            dispatch_cost: 150,
-            preempt_cost: 250,
-        }
-    }
-}
+/// Preemption timeslice (30 µs in the paper's experiments).
+const TIMESLICE: Nanos = 30 * MICROS;
+/// Dispatcher→worker handoff cost (shared-memory descriptor pass).
+const DISPATCH_COST: Nanos = 150;
+/// Preemption cost (posted interrupt + context save).
+const PREEMPT_COST: Nanos = 250;
 
 /// Results of a dataplane run.
 #[derive(Debug)]
@@ -62,13 +45,14 @@ struct Req {
 
 /// The Shinjuku dataplane simulator.
 pub struct ShinjukuDataplane {
-    config: DataplaneConfig,
+    /// Number of spinning worker hyperthreads.
+    workers: usize,
 }
 
 impl ShinjukuDataplane {
-    /// Creates the system.
-    pub fn new(config: DataplaneConfig) -> Self {
-        Self { config }
+    /// Creates the system with `workers` spinning worker hyperthreads.
+    pub fn new(workers: usize) -> Self {
+        Self { workers }
     }
 
     /// Runs the dataplane over a pre-sorted arrival stream of
@@ -82,11 +66,10 @@ impl ShinjukuDataplane {
         arrivals: impl IntoIterator<Item = (Nanos, Nanos)>,
         horizon: Nanos,
     ) -> DataplaneResult {
-        let cfg = &self.config;
         let mut fifo: VecDeque<Req> = VecDeque::new();
         // (completion-or-preemption time, worker, request) — earliest first.
         let mut running: BinaryHeap<Reverse<(Nanos, Req, Nanos)>> = BinaryHeap::new();
-        let mut free_workers = cfg.workers;
+        let mut free_workers = self.workers;
         let mut latency = LogHistogram::new();
         let mut completed = 0u64;
         let mut preemptions = 0u64;
@@ -128,7 +111,7 @@ impl ShinjukuDataplane {
                     preemptions += 1;
                     fifo.push_back(Req {
                         arrival: req.arrival,
-                        remaining: req.remaining - ran + cfg.preempt_cost,
+                        remaining: req.remaining - ran + PREEMPT_COST,
                     });
                 }
             }
@@ -138,8 +121,8 @@ impl ShinjukuDataplane {
                     break;
                 };
                 free_workers -= 1;
-                let ran = req.remaining.min(cfg.timeslice);
-                let end = now + cfg.dispatch_cost + ran;
+                let ran = req.remaining.min(TIMESLICE);
+                let end = now + DISPATCH_COST + ran;
                 running.push(Reverse((end, req, ran)));
             }
         }
@@ -178,7 +161,7 @@ mod tests {
 
     #[test]
     fn single_request_latency_is_service_plus_dispatch() {
-        let dp = ShinjukuDataplane::new(DataplaneConfig::default());
+        let dp = ShinjukuDataplane::new(20);
         let r = dp.run([(0, 4 * MICROS)], SECS);
         assert_eq!(r.completed, 1);
         assert_eq!(r.latency.max(), 4 * MICROS + 150);
@@ -187,7 +170,7 @@ mod tests {
 
     #[test]
     fn long_requests_are_preempted_at_the_slice() {
-        let dp = ShinjukuDataplane::new(DataplaneConfig::default());
+        let dp = ShinjukuDataplane::new(20);
         let r = dp.run([(0, 100 * MICROS)], SECS);
         assert_eq!(r.completed, 1);
         // 100 µs at a 30 µs slice → 3 preemptions.
@@ -198,7 +181,7 @@ mod tests {
     fn short_requests_are_not_blocked_by_long_ones() {
         // 20 workers busy with long requests + 1 short one: preemption
         // bounds the short request's latency near one timeslice.
-        let dp = ShinjukuDataplane::new(DataplaneConfig::default());
+        let dp = ShinjukuDataplane::new(20);
         let mut arrivals: Vec<(Nanos, Nanos)> = (0..21).map(|_| (0, 10 * MILLIS)).collect();
         arrivals.push((1, 4 * MICROS));
         arrivals.sort();
@@ -210,10 +193,7 @@ mod tests {
 
     #[test]
     fn saturation_leaves_requests_in_flight() {
-        let dp = ShinjukuDataplane::new(DataplaneConfig {
-            workers: 1,
-            ..DataplaneConfig::default()
-        });
+        let dp = ShinjukuDataplane::new(1);
         // 1 worker, offered 2x capacity.
         let arrivals: Vec<(Nanos, Nanos)> = (0..1000u64)
             .map(|i| (i * 5 * MICROS, 10 * MICROS))
@@ -224,7 +204,7 @@ mod tests {
 
     #[test]
     fn throughput_matches_capacity_below_saturation() {
-        let dp = ShinjukuDataplane::new(DataplaneConfig::default());
+        let dp = ShinjukuDataplane::new(20);
         // 20 workers, 10 µs requests, offered at 1M req/s (half capacity).
         let arrivals: Vec<(Nanos, Nanos)> =
             (0..100_000u64).map(|i| (i * MICROS, 10 * MICROS)).collect();

@@ -12,11 +12,11 @@
 //! Shinjuku+Shenango policy; under the dataplane the batch app can never
 //! use the dataplane's CPUs.
 
-use ghost_baselines::shinjuku_dataplane::{DataplaneConfig, ShinjukuDataplane};
+use ghost_baselines::shinjuku_dataplane::ShinjukuDataplane;
 use ghost_core::enclave::EnclaveConfig;
 use ghost_core::runtime::GhostRuntime;
 use ghost_metrics::LogHistogram;
-use ghost_policies::shinjuku::{ShinjukuConfig, ShinjukuPolicy};
+use ghost_policies::shinjuku::ShinjukuPolicy;
 use ghost_policies::shinjuku_shenango::{ShinjukuShenangoPolicy, BATCH_COOKIE};
 use ghost_sim::kernel::{Kernel, KernelConfig, ThreadSpec};
 use ghost_sim::time::{Nanos, MILLIS, SECS};
@@ -96,10 +96,7 @@ fn finish(
 
 fn run_dataplane(cfg: RocksDbConfig, horizon: Nanos) -> Fig6Point {
     let trace = cfg.trace(horizon);
-    let dp = ShinjukuDataplane::new(DataplaneConfig {
-        workers: WORKER_CPUS,
-        ..DataplaneConfig::default()
-    });
+    let dp = ShinjukuDataplane::new(WORKER_CPUS);
     // Record only post-warmup arrivals, matching the sim harnesses.
     let warm: Vec<(Nanos, Nanos)> = trace
         .iter()
@@ -146,9 +143,9 @@ fn run_ghost(cfg: RocksDbConfig, with_batch: bool, horizon: Nanos) -> Fig6Point 
     let (mut kernel, app_id, tids) = build_machine(&cfg, horizon, GHOST_WORKERS);
     let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
     let policy: Box<dyn ghost_core::GhostPolicy> = if with_batch {
-        Box::new(ShinjukuShenangoPolicy::new(ShinjukuConfig::default()))
+        Box::new(ShinjukuShenangoPolicy::new())
     } else {
-        Box::new(ShinjukuPolicy::new(ShinjukuConfig::default()))
+        Box::new(ShinjukuPolicy::new())
     };
     let enclave = runtime.launch_enclave(
         &mut kernel,

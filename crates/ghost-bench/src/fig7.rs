@@ -2,7 +2,7 @@
 //! policy scheduling Snap packet-processing workers, in quiet mode (only
 //! networking load) and loaded mode (40 batch antagonist threads).
 
-use ghost_baselines::microquanta::{MicroQuanta, MicroQuantaConfig};
+use ghost_baselines::microquanta::MicroQuanta;
 use ghost_core::enclave::EnclaveConfig;
 use ghost_core::runtime::GhostRuntime;
 use ghost_metrics::LogHistogram;
@@ -50,10 +50,7 @@ pub fn run(sched: SnapSched, loaded: bool, cfg: SnapConfig, horizon: Nanos) -> F
     let mut kernel = Kernel::new(topo, KernelConfig::default());
     if sched == SnapSched::MicroQuanta {
         let n = kernel.state.topo.num_cpus();
-        kernel.install_class(
-            CLASS_RT,
-            Box::new(MicroQuanta::new(n, MicroQuantaConfig::default())),
-        );
+        kernel.install_class(CLASS_RT, Box::new(MicroQuanta::new(n)));
     }
     let app_id = kernel.state.next_app_id();
     let mut app = SnapApp::new(cfg, app_id);

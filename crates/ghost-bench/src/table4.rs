@@ -6,7 +6,7 @@
 use ghost_baselines::kernel_core_sched::KernelCoreSched;
 use ghost_core::enclave::EnclaveConfig;
 use ghost_core::runtime::GhostRuntime;
-use ghost_policies::core_sched::{CoreSchedConfig, CoreSchedPolicy};
+use ghost_policies::core_sched::CoreSchedPolicy;
 use ghost_sim::kernel::{Kernel, KernelConfig, ThreadSpec};
 use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, SECS};
@@ -82,7 +82,7 @@ pub fn run(sched: VmSched, cfg: VmConfig) -> Table4Row {
             &mut kernel,
             cpus,
             EnclaveConfig::per_core("secure-vm").with_ticks(true),
-            Box::new(CoreSchedPolicy::new(CoreSchedConfig::default())),
+            Box::new(CoreSchedPolicy::new()),
         );
         for &v in &vcpus {
             enclave.attach_thread(&mut kernel.state, v);

@@ -125,37 +125,30 @@ pub enum StaleVerdict {
 /// next attempt succeeds. But a thread whose state churns faster than the
 /// agent can observe it fails *every* attempt, and an unbounded retry loop
 /// turns that into agent livelock. The governor counts consecutive stale
-/// failures per thread, backs retries off exponentially, and after
-/// `max_retries` tells the policy to shed the thread to CFS.
-#[derive(Debug)]
+/// failures per thread, backs retries off exponentially, and once a thread
+/// has used up its eight retries tells the policy to shed it to CFS.
+#[derive(Debug, Default)]
 pub struct CommitGovernor {
-    max_retries: u32,
-    base_backoff: Nanos,
     stale: TidMap<u32>,
 }
 
-impl CommitGovernor {
-    /// Creates a governor allowing `max_retries` consecutive stale
-    /// failures per thread, with `base_backoff` ns before the first retry.
-    pub fn new(max_retries: u32, base_backoff: Nanos) -> Self {
-        Self {
-            max_retries,
-            base_backoff,
-            stale: TidMap::new(),
-        }
-    }
+/// Consecutive stale failures a thread may have before it is shed.
+const MAX_RETRIES: u32 = 8;
+/// Backoff before the first retry (ns); each further one doubles it.
+const BASE_BACKOFF: Nanos = 5_000;
 
+impl CommitGovernor {
     /// Records one stale failure for `tid` and says what to do about it.
     pub fn on_stale(&mut self, tid: Tid) -> StaleVerdict {
         let n = self.stale.or_insert(tid, 0);
         *n += 1;
-        if *n > self.max_retries {
+        if *n > MAX_RETRIES {
             self.stale.remove(tid);
             StaleVerdict::Shed
         } else {
             let shift = (*n - 1).min(16);
             StaleVerdict::Retry {
-                backoff: self.base_backoff << shift,
+                backoff: BASE_BACKOFF << shift,
             }
         }
     }
@@ -182,44 +175,40 @@ impl CommitGovernor {
     }
 }
 
-impl Default for CommitGovernor {
-    /// Eight consecutive stale failures, starting at a 5 µs backoff.
-    fn default() -> Self {
-        Self::new(8, 5_000)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn governor_backs_off_exponentially_then_sheds() {
-        let mut g = CommitGovernor::new(3, 1_000);
-        assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Retry { backoff: 1_000 });
-        assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Retry { backoff: 2_000 });
-        assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Retry { backoff: 4_000 });
+        let mut g = CommitGovernor::default();
+        for backoff in [5, 10, 20, 40, 80, 160, 320, 640] {
+            let backoff = backoff * 1_000;
+            assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Retry { backoff });
+        }
         assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Shed);
         // The shed resets the streak: a reappearing thread starts over.
-        assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Retry { backoff: 1_000 });
+        assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Retry { backoff: 5_000 });
     }
 
     #[test]
     fn success_resets_the_streak() {
-        let mut g = CommitGovernor::new(2, 1_000);
+        let mut g = CommitGovernor::default();
         g.on_stale(Tid(7));
         g.on_stale(Tid(7));
         assert_eq!(g.streak(Tid(7)), 2);
         g.on_committed(Tid(7));
         assert_eq!(g.streak(Tid(7)), 0);
-        assert_eq!(g.on_stale(Tid(7)), StaleVerdict::Retry { backoff: 1_000 });
+        assert_eq!(g.on_stale(Tid(7)), StaleVerdict::Retry { backoff: 5_000 });
     }
 
     #[test]
     fn streaks_are_per_thread() {
-        let mut g = CommitGovernor::new(1, 500);
-        assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Retry { backoff: 500 });
-        assert_eq!(g.on_stale(Tid(2)), StaleVerdict::Retry { backoff: 500 });
+        let mut g = CommitGovernor::default();
+        for _ in 0..MAX_RETRIES {
+            g.on_stale(Tid(1));
+        }
+        assert_eq!(g.on_stale(Tid(2)), StaleVerdict::Retry { backoff: 5_000 });
         assert_eq!(g.on_stale(Tid(1)), StaleVerdict::Shed);
         assert_eq!(g.streak(Tid(2)), 1);
     }

@@ -24,13 +24,13 @@
 
 use crate::cache::{fnv64_debug_lines, fnv64_lines};
 use crate::engine::{Experiment, ExperimentResult};
-use crate::scenario::{attach_workload, PolicyKind, WorkloadSpec};
+use crate::scenario::{attach_workload, PolicyKind, Scenario, WorkloadSpec};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime};
 use ghost_core::{RmConfig, StandbyConfig};
-use ghost_sim::kernel::{Kernel, KernelConfig};
+use ghost_sim::kernel::Kernel;
 use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
-use ghost_sim::topology::{CpuId, Topology};
+use ghost_sim::topology::CpuId;
 use ghost_sim::CpuSet;
 use ghost_trace::{check, derive::TraceMetrics, TraceSink};
 use std::sync::{Arc, Mutex};
@@ -233,19 +233,11 @@ impl LendingScenario {
     /// small topology, protected on {1,2}, donor on {3..8}, workloads
     /// attached, RM started.
     pub fn launch(&self) -> LendingRun {
-        let sink = if self.trace_capacity > 0 {
-            TraceSink::recording(1, self.trace_capacity)
-        } else {
-            TraceSink::Null
-        };
-        let mut kernel = Kernel::new(
-            Topology::test_small(4),
-            KernelConfig {
-                seed: self.seed,
-                trace: sink.clone(),
-                ..KernelConfig::default()
-            },
-        );
+        let (mut kernel, sink) = Scenario::builder()
+            .cpus(8)
+            .seed(self.seed)
+            .trace_capacity(self.trace_capacity)
+            .build_kernel();
         let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
         let p_cpus: CpuSet = (1..3u16).map(CpuId).collect();
         let d_cpus: CpuSet = (3..8u16).map(CpuId).collect();

@@ -19,7 +19,7 @@
 //! * [`tournament`] — every registered policy over a scenario × fault
 //!   matrix, scored into a league table; [`lending`] — two-enclave core
 //!   lending under control-plane faults. Both are experiments on the
-//!   same engine.
+//!   same engine; the `ghost-lab` binary is the tournament's CLI.
 //!
 //! Wall-clock performance is measured by the repo benchmark
 //! (`benchmark/`, declared in `BENCHMARK.json`), not here.

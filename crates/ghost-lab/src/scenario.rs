@@ -308,21 +308,7 @@ impl Scenario {
     /// half-way state (inject crashes, check agents) run the kernel
     /// themselves from here.
     pub fn launch(&self) -> LabRun {
-        let sink = if self.trace_capacity > 0 {
-            TraceSink::recording(1, self.trace_capacity)
-        } else {
-            TraceSink::Null
-        };
-        let mut config = KernelConfig {
-            seed: self.seed,
-            trace: sink.clone(),
-            faults: self.faults.clone(),
-            ..KernelConfig::default()
-        };
-        if let Some(t) = self.tick_ns {
-            config.tick_ns = t;
-        }
-        let mut kernel = Kernel::new(self.topology.build(), config);
+        let (mut kernel, sink) = self.new_kernel();
         let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
         let cpus: CpuSet = match &self.enclave_cpus {
             Some(list) => list.iter().copied().map(CpuId).collect(),
@@ -363,6 +349,26 @@ impl Scenario {
             completions,
             horizon: self.horizon,
         }
+    }
+
+    /// The bare kernel this scenario runs on: topology, seed, faults,
+    /// tick period and trace sink, no runtime or enclave.
+    fn new_kernel(&self) -> (Kernel, TraceSink) {
+        let sink = if self.trace_capacity > 0 {
+            TraceSink::recording(1, self.trace_capacity)
+        } else {
+            TraceSink::Null
+        };
+        let mut config = KernelConfig {
+            seed: self.seed,
+            trace: sink.clone(),
+            faults: self.faults.clone(),
+            ..KernelConfig::default()
+        };
+        if let Some(t) = self.tick_ns {
+            config.tick_ns = t;
+        }
+        (Kernel::new(self.topology.build(), config), sink)
     }
 
     /// Launches, runs to the horizon, and summarizes. The hashable
@@ -521,22 +527,7 @@ impl ScenarioBuilder {
     /// do not use ghOSt at all. The sink is also reachable later via
     /// [`GhostSim::sink`]-style cloning from `kernel.state.trace`.
     pub fn build_kernel(self) -> (Kernel, TraceSink) {
-        let s = self.scenario;
-        let sink = if s.trace_capacity > 0 {
-            TraceSink::recording(1, s.trace_capacity)
-        } else {
-            TraceSink::Null
-        };
-        let mut config = KernelConfig {
-            seed: s.seed,
-            trace: sink.clone(),
-            faults: s.faults.clone(),
-            ..KernelConfig::default()
-        };
-        if let Some(t) = s.tick_ns {
-            config.tick_ns = t;
-        }
-        (Kernel::new(s.topology.build(), config), sink)
+        self.scenario.new_kernel()
     }
 
     /// Low-level finisher for bespoke policies and enclave shapes:

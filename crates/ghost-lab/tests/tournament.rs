@@ -15,7 +15,7 @@
 
 use ghost_lab::scenario::{attach_workload, PolicyKind, Scenario, WorkloadSpec};
 use ghost_lab::tournament::{league_table, run_tournament, TournamentOpts};
-use ghost_policies::{AdaptiveConfig, KnobProbe, KnobSample, ShinjukuAdaptivePolicy};
+use ghost_policies::{KnobProbe, KnobSample, ShinjukuAdaptivePolicy};
 use ghost_sim::time::{MICROS, MILLIS};
 use std::sync::{Arc, Mutex};
 
@@ -123,8 +123,7 @@ fn adaptive_beats_static_shinjuku_on_p99_in_at_least_one_cell() {
 /// trajectory.
 fn probed_trajectory(seed: u64) -> Vec<KnobSample> {
     let probe: KnobProbe = Arc::new(Mutex::new(Vec::new()));
-    let policy =
-        ShinjukuAdaptivePolicy::new(AdaptiveConfig::default()).with_probe(Arc::clone(&probe));
+    let policy = ShinjukuAdaptivePolicy::new().with_probe(Arc::clone(&probe));
     let kind = PolicyKind::ShinjukuAdaptive;
     let workload = WorkloadSpec::Pulse {
         threads: 24,

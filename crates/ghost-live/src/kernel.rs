@@ -54,9 +54,6 @@ pub struct LiveConfig {
     pub trace: TraceSink,
     /// Tick period for `CPU_TICK` delivery; 0 disables ticks.
     pub tick_ns: Nanos,
-    /// Cost model (agents charge decision costs against it; in the live
-    /// backend the charges are bookkeeping only — real compute is real).
-    pub costs: CostModel,
     /// Deterministic fault schedule, with `at`/`dur` in wall-clock
     /// nanoseconds since kernel start. Window faults gate the backend's
     /// fault hooks; one-shot faults fire from the timer thread.
@@ -70,7 +67,6 @@ impl Default for LiveConfig {
             seed: 1,
             trace: TraceSink::Null,
             tick_ns: MILLIS,
-            costs: CostModel::default(),
             faults: FaultPlan::none(),
         }
     }
@@ -96,7 +92,10 @@ impl LiveKernel {
         let n = config.cpus.max(1) as u16;
         let topo = Topology::new("live", 1, n, 1, n);
         let runtime = GhostRuntime::new(topo.num_cpus());
-        let mut state = LiveState::new(topo, config.costs, config.trace);
+        // Agents charge decision costs against the default model; on the
+        // live backend the charges are bookkeeping only (real compute is
+        // real).
+        let mut state = LiveState::new(topo, CostModel::default(), config.trace);
         state.runtime = Some(runtime.clone());
         state.install_faults(config.faults);
         let clock = state.clock;
@@ -167,7 +166,7 @@ impl LiveKernel {
     pub fn spawn_kv_worker(&self, name: &str, kv: Arc<KvService>) -> Tid {
         let (tid, ctl) = {
             let mut st = self.shared.state.lock().unwrap();
-            st.add_worker(name)
+            st.add_worker()
         };
         let shared = Arc::clone(&self.shared);
         let rt = self.runtime.clone();

@@ -151,11 +151,6 @@ impl KvService {
         self.degraded.store(on, Ordering::Release);
     }
 
-    /// True while load shedding is armed.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
-    }
-
     /// Snapshot of the degraded-mode counters.
     pub fn degraded_stats(&self) -> DegradedStats {
         DegradedStats {
@@ -282,11 +277,6 @@ impl KvService {
     /// Total requests completed so far.
     pub fn completed_count(&self) -> u64 {
         self.completed.load(Ordering::Acquire)
-    }
-
-    /// Closed-loop budget (0 in open loop).
-    pub fn target_count(&self) -> u64 {
-        self.target.load(Ordering::Acquire)
     }
 
     /// Snapshot of the merged latency histogram.

@@ -84,7 +84,6 @@ impl Ord for TimerSlot {
 
 /// One real OS thread under live-kernel management.
 pub(crate) struct LiveThread {
-    pub name: String,
     pub state: ThreadState,
     pub kind: ThreadKind,
     pub class: ClassId,
@@ -205,11 +204,10 @@ impl LiveState {
     /// Registers a new workload OS thread (blocked, CFS class). The
     /// caller spawns the actual `std::thread` and stores its handle via
     /// [`LiveState::set_join`].
-    pub(crate) fn add_worker(&mut self, name: &str) -> (Tid, Arc<WorkerCtl>) {
+    pub(crate) fn add_worker(&mut self) -> (Tid, Arc<WorkerCtl>) {
         let tid = Tid(self.threads.len() as u32);
         let ctl = WorkerCtl::new();
         self.threads.push(LiveThread {
-            name: name.to_string(),
             state: ThreadState::Blocked,
             kind: ThreadKind::Workload,
             class: CLASS_CFS,
@@ -229,11 +227,6 @@ impl LiveState {
 
     pub(crate) fn set_join(&mut self, tid: Tid, join: JoinHandle<()>) {
         self.threads[tid.index()].join = Some(join);
-    }
-
-    /// The name a thread was registered under (diagnostics).
-    pub fn thread_name(&self, tid: Tid) -> Option<&str> {
-        self.threads.get(tid.index()).map(|t| t.name.as_str())
     }
 
     /// A parking agent reschedules its own CPU (applied at the next
@@ -803,11 +796,10 @@ impl GhostBackend for LiveState {
         }
     }
 
-    fn spawn_agent(&mut self, name: &str, cpu: CpuId) -> Tid {
+    fn spawn_agent(&mut self, _name: &str, cpu: CpuId) -> Tid {
         let tid = Tid(self.threads.len() as u32);
         let ctl = WorkerCtl::new();
         self.threads.push(LiveThread {
-            name: name.to_string(),
             state: ThreadState::Blocked,
             kind: ThreadKind::Agent,
             class: ghost_sim::class::CLASS_AGENT,
@@ -901,7 +893,7 @@ mod tests {
         );
         st.settle();
         let global = e.global_agent().expect("centralized enclave");
-        let (worker, _) = st.add_worker("w");
+        let (worker, _) = st.add_worker();
         e.attach_thread(&mut st, worker);
         GhostBackend::wake(&mut st, worker);
         st.settle();

@@ -69,11 +69,6 @@ impl TimeSeries {
         self.bins.get(i).map_or(0, |h| h.percentile(p))
     }
 
-    /// Mean of bin `i` (0 if the bin is empty).
-    pub fn bin_mean(&self, i: usize) -> f64 {
-        self.bins.get(i).map_or(0.0, LogHistogram::mean)
-    }
-
     /// Per-bin counts as a vector (QPS when bin width is one second).
     pub fn counts(&self) -> Vec<u64> {
         self.bins.iter().map(LogHistogram::count).collect()

@@ -26,23 +26,12 @@ use ghost_sim::time::{Nanos, MILLIS};
 use ghost_sim::topology::CpuId;
 use std::collections::HashMap;
 
-/// Core-scheduling tunables.
-#[derive(Debug, Clone)]
-pub struct CoreSchedConfig {
-    /// Guaranteed slice per VM per period.
-    pub quantum: Nanos,
-    /// EDF period.
-    pub period: Nanos,
-}
-
-impl Default for CoreSchedConfig {
-    fn default() -> Self {
-        Self {
-            quantum: 3 * MILLIS,
-            period: 12 * MILLIS,
-        }
-    }
-}
+/// Guaranteed slice per VM per period.
+const QUANTUM: Nanos = 3 * MILLIS;
+/// EDF period.
+const PERIOD: Nanos = 12 * MILLIS;
+// A VM's guaranteed quantum fits inside its period.
+const _: () = assert!(QUANTUM < PERIOD);
 
 /// Per-VM scheduling state.
 #[derive(Debug)]
@@ -54,9 +43,8 @@ struct VmState {
 }
 
 /// The secure VM core-scheduling policy.
+#[derive(Default)]
 pub struct CoreSchedPolicy {
-    /// Tunables.
-    pub config: CoreSchedConfig,
     /// Thread view and commit counters.
     pub k: PolicyKernel,
     /// Keyed by VM cookie. Every walk either breaks ties on the cookie or
@@ -120,15 +108,8 @@ fn enclave_cores(ctx: &PolicyCtx<'_>) -> Vec<(CpuId, CpuSet)> {
 
 impl CoreSchedPolicy {
     /// Creates the policy.
-    pub fn new(config: CoreSchedConfig) -> Self {
-        Self {
-            config,
-            k: PolicyKernel::default(),
-            vms: HashMap::new(),
-            cookie_of: TidMap::new(),
-            core_vm: CpuMap::new(),
-            group_commits: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The runnable VM with the earliest deadline, preferring VMs with a
@@ -198,7 +179,7 @@ impl CoreSchedPolicy {
         let atomic = self.k.staged() > 1;
         self.group_commits += atomic as u64;
         let (vms, cookie_of) = (&mut self.vms, &self.cookie_of);
-        let deadline = ctx.now() + self.config.period;
+        let deadline = ctx.now() + PERIOD;
         self.k.commit(ctx, atomic, None, |_, tid, ok| {
             if !ok {
                 let cookie = cookie_of.get(tid).copied().unwrap_or(0);
@@ -211,7 +192,7 @@ impl CoreSchedPolicy {
     fn dedicate(&mut self, key: CpuId, vm: u64, now: Nanos) {
         self.core_vm.insert(key, (vm, now));
         if let Some(s) = self.vms.get_mut(&vm) {
-            s.deadline = now + self.config.period;
+            s.deadline = now + PERIOD;
         }
     }
 
@@ -228,9 +209,10 @@ impl CoreSchedPolicy {
             Some(vm) => {
                 // Fill the idle sibling with another vCPU of the SAME VM
                 // only — never mix cookies on a core.
-                let quantum_expired = self.core_vm.get(key).is_some_and(|&(v, since)| {
-                    v == vm && now.saturating_sub(since) >= self.config.quantum
-                });
+                let quantum_expired = self
+                    .core_vm
+                    .get(key)
+                    .is_some_and(|&(v, since)| v == vm && now.saturating_sub(since) >= QUANTUM);
                 let other_waiting = self.vms.iter().any(|(&c, s)| c != vm && !s.rq.is_empty());
                 if quantum_expired && other_waiting {
                     // Rotate the whole core to the next VM atomically.
@@ -289,7 +271,7 @@ impl CoreSchedPolicy {
         let threads = self.take_threads(next_vm, avail.len(), ctx, cpus[0]);
         if threads.is_empty() || threads.len() < must_replace {
             for t in threads {
-                enqueue(&mut self.vms, t, next_vm, now + self.config.period);
+                enqueue(&mut self.vms, t, next_vm, now + PERIOD);
             }
         } else if self.commit_core(ctx, &threads, &avail) > 0 {
             self.dedicate(cpus[0], next_vm, now);
@@ -312,12 +294,7 @@ impl GhostPolicy for CoreSchedPolicy {
         }
         let cookie = self.cookie_of.get(msg.tid).copied().unwrap_or(0);
         if t == Transition::Runnable {
-            enqueue(
-                &mut self.vms,
-                msg.tid,
-                cookie,
-                ctx.now() + self.config.period,
-            );
+            enqueue(&mut self.vms, msg.tid, cookie, ctx.now() + PERIOD);
         } else if let Some(vm) = self.vms.get_mut(&cookie) {
             vm.rq.remove(msg.tid);
         }
@@ -335,7 +312,7 @@ impl GhostPolicy for CoreSchedPolicy {
         }
         // VM membership is the cookie, so the scan rebuilds the runqueues
         // and deadlines completely; every VM restarts its period at `now`.
-        let deadline = ctx.now() + self.config.period;
+        let deadline = ctx.now() + PERIOD;
         for s in self.k.tracker.resync(snapshot) {
             enqueue(&mut self.vms, s.tid, s.cookie, deadline);
         }
@@ -379,11 +356,5 @@ mod tests {
         assert_eq!(vms[&100].rq.iter().collect::<Vec<_>>(), [Tid(1), Tid(3)]);
         assert_eq!(vms[&100].deadline, 12, "only a new VM takes the deadline");
         assert_eq!(vms[&200].rq.len(), 1);
-    }
-
-    #[test]
-    fn default_config_bounds_quantum_by_period() {
-        let c = CoreSchedConfig::default();
-        assert!(c.quantum < c.period);
     }
 }

@@ -42,8 +42,8 @@ pub use kernel::{PolicyKernel, RunQueue, SliceClock};
 pub use per_cpu::PerCpuPolicy;
 pub use registry::{PolicyCaps, PolicyEntry, PolicyKind, REGISTRY};
 pub use search::{SearchConfig, SearchPolicy};
-pub use shinjuku::{ShinjukuConfig, ShinjukuPolicy};
-pub use shinjuku_adaptive::{AdaptiveConfig, KnobProbe, KnobSample, ShinjukuAdaptivePolicy};
+pub use shinjuku::ShinjukuPolicy;
+pub use shinjuku_adaptive::{KnobProbe, KnobSample, ShinjukuAdaptivePolicy};
 pub use shinjuku_shenango::ShinjukuShenangoPolicy;
 pub use snap::SnapPolicy;
 pub use tracker::{ThreadTracker, Transition};
@@ -110,21 +110,21 @@ mod tests {
         );
         run_script(
             "shinjuku",
-            ShinjukuPolicy::new(ShinjukuConfig::default()),
+            ShinjukuPolicy::new(),
             |p, m| p.track(m),
             |p| p.rq.iter().collect(),
             true,
         );
         run_script(
             "shinjuku-shenango",
-            ShinjukuShenangoPolicy::new(ShinjukuConfig::default()),
+            ShinjukuShenangoPolicy::new(),
             |p, m| p.lc.track(m),
             |p| p.lc.rq.iter().collect(),
             true,
         );
         run_script(
             "shinjuku-adaptive",
-            ShinjukuAdaptivePolicy::new(AdaptiveConfig::default()),
+            ShinjukuAdaptivePolicy::new(),
             |p, m| p.inner.track(m),
             |p| p.inner.rq.iter().collect(),
             true,

@@ -17,12 +17,10 @@
 //! `repro.json` files stay stable, and `digest_freeze` digests are
 //! unchanged. New policies append at the end.
 
-use crate::core_sched::{CoreSchedConfig, CoreSchedPolicy};
-use crate::shinjuku::{ShinjukuConfig, ShinjukuPolicy};
-use crate::shinjuku_adaptive::ShinjukuAdaptivePolicy;
 use crate::snap::SNAP_COOKIE;
 use crate::{
-    CentralizedFifo, PerCpuPolicy, SearchConfig, SearchPolicy, ShinjukuShenangoPolicy, SnapPolicy,
+    CentralizedFifo, CoreSchedPolicy, PerCpuPolicy, SearchConfig, SearchPolicy,
+    ShinjukuAdaptivePolicy, ShinjukuPolicy, ShinjukuShenangoPolicy, SnapPolicy,
 };
 use ghost_core::enclave::EnclaveConfig;
 use ghost_core::policy::GhostPolicy;
@@ -60,8 +58,6 @@ pub struct PolicyCaps {
     /// CLI defaults). Kept at the historical five so combo assignments
     /// and repro files stay stable.
     pub evaluation: bool,
-    /// Tunes its own knobs online from observed feedback metrics.
-    pub adaptive: bool,
     /// Proven on the `ghost-live` real-thread backend (wall-clock
     /// chaos sweeps only target these).
     pub live_backend: bool,
@@ -77,7 +73,6 @@ impl PolicyCaps {
     const fn new() -> Self {
         Self {
             evaluation: false,
-            adaptive: false,
             live_backend: false,
             byzantine_victim: false,
             whole_cores: false,
@@ -133,7 +128,7 @@ pub static REGISTRY: [PolicyEntry; 8] = [
             byzantine_victim: true,
             ..PolicyCaps::new()
         },
-        factory: || Box::new(ShinjukuPolicy::new(ShinjukuConfig::default())),
+        factory: || Box::new(ShinjukuPolicy::new()),
     },
     PolicyEntry {
         kind: PolicyKind::Snap,
@@ -153,13 +148,13 @@ pub static REGISTRY: [PolicyEntry; 8] = [
             whole_cores: true,
             ..PolicyCaps::new()
         },
-        factory: || Box::new(CoreSchedPolicy::new(CoreSchedConfig::default())),
+        factory: || Box::new(CoreSchedPolicy::new()),
     },
     PolicyEntry {
         kind: PolicyKind::ShinjukuShenango,
         name: "shinjuku-shenango",
         caps: PolicyCaps::new(),
-        factory: || Box::new(ShinjukuShenangoPolicy::new(ShinjukuConfig::default())),
+        factory: || Box::new(ShinjukuShenangoPolicy::new()),
     },
     PolicyEntry {
         kind: PolicyKind::Search,
@@ -170,15 +165,8 @@ pub static REGISTRY: [PolicyEntry; 8] = [
     PolicyEntry {
         kind: PolicyKind::ShinjukuAdaptive,
         name: "shinjuku-adaptive",
-        caps: PolicyCaps {
-            adaptive: true,
-            ..PolicyCaps::new()
-        },
-        factory: || {
-            Box::new(ShinjukuAdaptivePolicy::new(
-                crate::shinjuku_adaptive::AdaptiveConfig::default(),
-            ))
-        },
+        caps: PolicyCaps::new(),
+        factory: || Box::new(ShinjukuAdaptivePolicy::new()),
     },
 ];
 
@@ -196,30 +184,32 @@ impl PolicyKind {
         REGISTRY.iter().map(|e| e.kind)
     }
 
-    /// Registered policies whose capabilities satisfy `pred`, in
-    /// registry order.
-    pub fn with_caps(pred: impl Fn(&PolicyCaps) -> bool) -> Vec<PolicyKind> {
+    /// The five-policy §4 evaluation matrix, in sweep round-robin
+    /// order (the old `PolicyKind::ALL`).
+    pub fn evaluation_matrix() -> Vec<PolicyKind> {
         REGISTRY
             .iter()
-            .filter(|e| pred(&e.caps))
+            .filter(|e| e.caps.evaluation)
             .map(|e| e.kind)
             .collect()
     }
 
-    /// The five-policy §4 evaluation matrix, in sweep round-robin
-    /// order (the old `PolicyKind::ALL`).
-    pub fn evaluation_matrix() -> Vec<PolicyKind> {
-        Self::with_caps(|c| c.evaluation)
-    }
-
     /// Policies proven on the `ghost-live` real-thread backend.
     pub fn live_backend() -> Vec<PolicyKind> {
-        Self::with_caps(|c| c.live_backend)
+        REGISTRY
+            .iter()
+            .filter(|e| e.caps.live_backend)
+            .map(|e| e.kind)
+            .collect()
     }
 
     /// Eligible victims for the byzantine adversary sweep.
     pub fn byzantine_victims() -> Vec<PolicyKind> {
-        Self::with_caps(|c| c.byzantine_victim)
+        REGISTRY
+            .iter()
+            .filter(|e| e.caps.byzantine_victim)
+            .map(|e| e.kind)
+            .collect()
     }
 
     /// Capability flags for this policy.
@@ -346,11 +336,6 @@ mod tests {
                 caps.byzantine_victim,
                 "{name}: byzantine-victim set out of sync with caps"
             );
-            assert_eq!(
-                PolicyKind::with_caps(|c| c.adaptive).contains(&kind),
-                caps.adaptive,
-                "{name}: adaptive set out of sync with caps"
-            );
             let _ = kind.build();
             let _ = kind.enclave_config("caps-exhaustiveness");
         }
@@ -418,8 +403,6 @@ mod tests {
             ]
         );
         assert!(PolicyKind::CoreSched.caps().whole_cores);
-        assert!(PolicyKind::ShinjukuAdaptive.caps().adaptive);
-        assert!(!PolicyKind::Shinjuku.caps().adaptive);
     }
 
     #[test]

@@ -47,8 +47,6 @@ pub struct SearchConfig {
     /// key becomes nice-weighted runtime, so high-priority threads are
     /// picked ahead of background work with equal raw runtime.
     pub nice_aware: bool,
-    /// Per-decision compute cost (ns).
-    pub decision_cost: Nanos,
 }
 
 impl Default for SearchConfig {
@@ -58,10 +56,12 @@ impl Default for SearchConfig {
             ccx_aware: true,
             ccx_pending_wait: Some(100 * MICROS),
             nice_aware: false,
-            decision_cost: 120,
         }
     }
 }
+
+/// Per-decision compute cost (ns).
+const DECISION_COST: Nanos = 120;
 
 /// Min-heap entry: (elapsed runtime, tid).
 type HeapEntry = Reverse<(Nanos, Tid)>;
@@ -229,7 +229,7 @@ impl GhostPolicy for SearchPolicy {
                 self.queued.remove(tid);
                 continue;
             };
-            ctx.charge(self.config.decision_cost);
+            ctx.charge(DECISION_COST);
             let Some((cpu, same_ccx)) = self.pick_cpu(ctx, &idle, &view.affinity, view.last_cpu)
             else {
                 // cpumask ∩ idle = ∅: skip, revisit next iteration.

@@ -15,31 +15,19 @@ use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS};
 use ghost_sim::topology::CpuId;
 
-/// Shinjuku policy tunables.
-#[derive(Debug, Clone)]
-pub struct ShinjukuConfig {
-    /// Preemption time slice ("The allotted timeslice per worker thread
-    /// ... is 30 µs").
-    pub timeslice: Nanos,
-    /// Per-decision compute cost (ns).
-    pub decision_cost: Nanos,
-}
-
-impl Default for ShinjukuConfig {
-    fn default() -> Self {
-        Self {
-            timeslice: 30 * MICROS,
-            decision_cost: 60,
-        }
-    }
-}
+/// Preemption time slice ("The allotted timeslice per worker thread ...
+/// is 30 µs").
+pub(crate) const TIMESLICE: Nanos = 30 * MICROS;
+/// Per-decision compute cost (ns).
+const DECISION_COST: Nanos = 60;
 
 /// The centralized preemptive Shinjuku policy. Wrappers (the Shenango
 /// batch tier, the self-tuning variant) drive the same parts and hook
 /// `on_run(tid, now)`, called for every worker a commit puts on a CPU.
 pub struct ShinjukuPolicy {
-    /// Tunables.
-    pub config: ShinjukuConfig,
+    /// The quantum in force: [`TIMESLICE`] unless the self-tuning
+    /// wrapper has moved it.
+    pub(crate) timeslice: Nanos,
     pub(crate) k: PolicyKernel,
     pub(crate) rq: RunQueue,
     /// When each currently-running worker was scheduled (for slice
@@ -49,16 +37,22 @@ pub struct ShinjukuPolicy {
     pub preemptions: u64,
 }
 
-impl ShinjukuPolicy {
-    /// Creates the policy with the given tunables.
-    pub fn new(config: ShinjukuConfig) -> Self {
+impl Default for ShinjukuPolicy {
+    fn default() -> Self {
         Self {
-            config,
+            timeslice: TIMESLICE,
             k: PolicyKernel::default(),
             rq: RunQueue::default(),
             clock: SliceClock::default(),
             preemptions: 0,
         }
+    }
+}
+
+impl ShinjukuPolicy {
+    /// Creates the policy.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The message fold: any fresh message about a worker also ends its
@@ -97,7 +91,7 @@ impl ShinjukuPolicy {
             let Some(tid) = self.rq.pop() else {
                 break;
             };
-            ctx.charge(self.config.decision_cost);
+            ctx.charge(DECISION_COST);
             self.k.stage(tid, cpu);
         }
         self.commit_staged(ctx, on_run);
@@ -118,7 +112,7 @@ impl ShinjukuPolicy {
             let Some(next) = self.rq.pop() else {
                 break;
             };
-            ctx.charge(self.config.decision_cost);
+            ctx.charge(DECISION_COST);
             let txn = self.k.txn(next, cpu);
             if self.k.commit_one(ctx, txn, &mut self.rq) {
                 self.preemptions += 1;
@@ -133,7 +127,7 @@ impl ShinjukuPolicy {
     /// Preempts workers that exhausted their slice while others wait.
     pub(crate) fn preempt_expired(&mut self, ctx: &mut PolicyCtx<'_>) {
         if !self.rq.is_empty() {
-            let victims = self.clock.preemptible(ctx, self.config.timeslice);
+            let victims = self.clock.preemptible(ctx, self.timeslice);
             self.preempt(ctx, victims, &mut |_, _| {});
         }
     }
@@ -141,7 +135,7 @@ impl ShinjukuPolicy {
     /// Arms the slice timer while workers wait behind running ones.
     pub(crate) fn arm_slice_timer(&self, ctx: &mut PolicyCtx<'_>) {
         if !self.rq.is_empty() {
-            self.clock.arm(ctx, self.config.timeslice);
+            self.clock.arm(ctx, self.timeslice);
         }
     }
 
@@ -194,6 +188,6 @@ mod tests {
 
     #[test]
     fn default_slice_is_30us() {
-        assert_eq!(ShinjukuConfig::default().timeslice, 30_000);
+        assert_eq!(ShinjukuPolicy::new().timeslice, 30_000);
     }
 }

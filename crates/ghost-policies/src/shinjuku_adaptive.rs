@@ -21,7 +21,7 @@
 //! stream, so a run is byte-identical for a given scenario seed — the
 //! knob trajectory itself is a deterministic artifact that tests pin.
 
-use crate::shinjuku::{ShinjukuConfig, ShinjukuPolicy};
+use crate::shinjuku::{self, ShinjukuPolicy};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::slab::TidMap;
@@ -29,51 +29,26 @@ use ghost_metrics::LogHistogram;
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
 use std::sync::{Arc, Mutex};
 
-/// Tunables for the tuner itself (the knobs it adjusts live in the
-/// wrapped [`ShinjukuConfig`]).
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfig {
-    /// Initial preemption quantum (the static policy's 30 µs).
-    pub initial_slice: Nanos,
-    /// Quantum floor.
-    pub min_slice: Nanos,
-    /// Quantum ceiling.
-    pub max_slice: Nanos,
-    /// Initial queue-depth steal threshold.
-    pub initial_steal: usize,
-    /// Steal-threshold floor.
-    pub min_steal: usize,
-    /// Steal-threshold ceiling.
-    pub max_steal: usize,
-    /// Adaptation epoch (virtual time between knob updates).
-    pub epoch: Nanos,
-    /// Target p99 wakeup-to-commit wait.
-    pub target_p99_wait: Nanos,
-    /// Minimum epoch samples before the tuner trusts its p99.
-    pub min_samples: u64,
-    /// Per-decision compute cost (ns), charged like the static policy.
-    pub decision_cost: Nanos,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        Self {
-            initial_slice: 30 * MICROS,
-            min_slice: 5 * MICROS,
-            // The ceiling is the static policy's quantum: adaptation only
-            // ever *shrinks* below it under queue pressure, so the tuned
-            // policy can never rotate slower than static Shinjuku.
-            max_slice: 30 * MICROS,
-            initial_steal: 8,
-            min_steal: 2,
-            max_steal: 16,
-            epoch: MILLIS,
-            target_p99_wait: 50 * MICROS,
-            min_samples: 8,
-            decision_cost: 60,
-        }
-    }
-}
+/// Quantum floor.
+const MIN_SLICE: Nanos = 5 * MICROS;
+/// Quantum ceiling, which is also where the quantum starts.
+const MAX_SLICE: Nanos = 30 * MICROS;
+// Adaptation only ever shrinks the quantum below the static policy's
+// under queue pressure, so the tuned policy can never rotate slower than
+// static Shinjuku.
+const _: () = assert!(MAX_SLICE == shinjuku::TIMESLICE);
+/// Initial queue-depth steal threshold.
+const INITIAL_STEAL: usize = 8;
+/// Steal-threshold floor.
+const MIN_STEAL: usize = 2;
+/// Steal-threshold ceiling.
+const MAX_STEAL: usize = 16;
+/// Adaptation epoch (virtual time between knob updates).
+const EPOCH: Nanos = MILLIS;
+/// Target p99 wakeup-to-commit wait.
+const TARGET_P99_WAIT: Nanos = 50 * MICROS;
+/// Minimum epoch samples before the tuner trusts its p99.
+const MIN_SAMPLES: u64 = 8;
 
 /// One knob update, recorded at each epoch boundary. The trajectory of
 /// these samples is deterministic per scenario seed.
@@ -85,7 +60,7 @@ pub struct KnobSample {
     pub timeslice: Nanos,
     /// Steal threshold in force after the update.
     pub steal_threshold: usize,
-    /// The epoch's observed p99 wait (0 when below `min_samples`).
+    /// The epoch's observed p99 wait (0 when the epoch had too few samples to trust).
     pub p99_wait: Nanos,
     /// Waits observed during the epoch.
     pub samples: u64,
@@ -98,7 +73,6 @@ pub type KnobProbe = Arc<Mutex<Vec<KnobSample>>>;
 /// The self-tuning Shinjuku policy.
 pub struct ShinjukuAdaptivePolicy {
     pub(crate) inner: ShinjukuPolicy,
-    cfg: AdaptiveConfig,
     /// Current queue-depth steal threshold.
     steal_threshold: usize,
     /// Start of the current adaptation epoch.
@@ -115,17 +89,11 @@ pub struct ShinjukuAdaptivePolicy {
     pub steals: u64,
 }
 
-impl ShinjukuAdaptivePolicy {
-    /// Creates the policy with the given tuner config.
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        let inner = ShinjukuPolicy::new(ShinjukuConfig {
-            timeslice: cfg.initial_slice,
-            decision_cost: cfg.decision_cost,
-        });
+impl Default for ShinjukuAdaptivePolicy {
+    fn default() -> Self {
         Self {
-            inner,
-            steal_threshold: cfg.initial_steal.max(1),
-            cfg,
+            inner: ShinjukuPolicy::new(),
+            steal_threshold: INITIAL_STEAL,
             epoch_start: 0,
             waiting_since: TidMap::new(),
             epoch_waits: LogHistogram::new(),
@@ -133,6 +101,13 @@ impl ShinjukuAdaptivePolicy {
             probe: None,
             steals: 0,
         }
+    }
+}
+
+impl ShinjukuAdaptivePolicy {
+    /// Creates the policy at the static policy's quantum.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Attaches a shared trajectory probe (tests).
@@ -143,7 +118,7 @@ impl ShinjukuAdaptivePolicy {
 
     /// Current preemption quantum.
     pub fn timeslice(&self) -> Nanos {
-        self.inner.config.timeslice
+        self.inner.timeslice
     }
 
     /// Current steal threshold.
@@ -153,37 +128,34 @@ impl ShinjukuAdaptivePolicy {
 
     /// Applies one knob update if the current epoch has elapsed.
     fn maybe_adapt(&mut self, now: Nanos) {
-        if now < self.epoch_start + self.cfg.epoch {
+        if now < self.epoch_start + EPOCH {
             return;
         }
         let samples = self.epoch_waits.count();
-        let p99 = if samples >= self.cfg.min_samples {
+        let p99 = if samples >= MIN_SAMPLES {
             self.epoch_waits.percentile(99.0)
         } else {
             0
         };
-        let slice = self.inner.config.timeslice;
-        if samples >= self.cfg.min_samples {
-            if p99 > self.cfg.target_p99_wait {
+        let slice = self.inner.timeslice;
+        if samples >= MIN_SAMPLES {
+            if p99 > TARGET_P99_WAIT {
                 // Queue waits blowing the target: rotate faster, steal
                 // sooner. Multiplicative decrease — a backed-up FIFO
                 // punishes every epoch spent converging, so converge in
                 // a few.
-                self.inner.config.timeslice = (slice / 2).max(self.cfg.min_slice);
-                self.steal_threshold = self
-                    .steal_threshold
-                    .saturating_sub(1)
-                    .max(self.cfg.min_steal);
-            } else if p99 < self.cfg.target_p99_wait / 2 {
+                self.inner.timeslice = (slice / 2).max(MIN_SLICE);
+                self.steal_threshold = self.steal_threshold.saturating_sub(1).max(MIN_STEAL);
+            } else if p99 < TARGET_P99_WAIT / 2 {
                 // Comfortable: back off slowly toward the static
                 // defaults, shedding preemption overhead.
-                self.inner.config.timeslice = (slice + slice / 4).min(self.cfg.max_slice);
-                self.steal_threshold = (self.steal_threshold + 1).min(self.cfg.max_steal);
+                self.inner.timeslice = (slice + slice / 4).min(MAX_SLICE);
+                self.steal_threshold = (self.steal_threshold + 1).min(MAX_STEAL);
             }
         }
         let sample = KnobSample {
             at: now,
-            timeslice: self.inner.config.timeslice,
+            timeslice: self.inner.timeslice,
             steal_threshold: self.steal_threshold,
             p99_wait: p99,
             samples,
@@ -230,7 +202,7 @@ impl GhostPolicy for ShinjukuAdaptivePolicy {
             // queue is at least the threshold deep, take the CPU of the
             // longest-running worker even though its slice has time left.
             // Ties break on CPU id so the choice is deterministic.
-            let mut victims = inner.clock.preemptible(ctx, inner.config.timeslice);
+            let mut victims = inner.clock.preemptible(ctx, inner.timeslice);
             let steal = victims.is_empty() && inner.rq.len() >= self.steal_threshold;
             if steal {
                 let running = inner.clock.preemptible(ctx, 0).into_iter();
@@ -265,7 +237,7 @@ mod tests {
 
     #[test]
     fn defaults_match_static_shinjuku_start() {
-        let p = ShinjukuAdaptivePolicy::new(AdaptiveConfig::default());
+        let p = ShinjukuAdaptivePolicy::new();
         assert_eq!(p.timeslice(), 30 * MICROS);
         assert_eq!(p.steal_threshold(), 8);
         assert!(p.trajectory.is_empty());
@@ -273,7 +245,7 @@ mod tests {
 
     #[test]
     fn high_p99_shrinks_knobs_low_p99_grows_them() {
-        let mut p = ShinjukuAdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = ShinjukuAdaptivePolicy::new();
         for _ in 0..100 {
             p.epoch_waits.record(400 * MICROS); // way over target
         }
@@ -294,7 +266,7 @@ mod tests {
 
     #[test]
     fn sparse_epochs_hold_knobs_steady() {
-        let mut p = ShinjukuAdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = ShinjukuAdaptivePolicy::new();
         p.epoch_waits.record(500 * MICROS); // one outlier, below min_samples
         p.maybe_adapt(2 * MILLIS);
         assert_eq!(p.timeslice(), 30 * MICROS);
@@ -304,22 +276,22 @@ mod tests {
 
     #[test]
     fn knob_bounds_are_respected() {
-        let mut p = ShinjukuAdaptivePolicy::new(AdaptiveConfig::default());
+        let mut p = ShinjukuAdaptivePolicy::new();
         for round in 1..=50u64 {
             for _ in 0..100 {
                 p.epoch_waits.record(MILLIS);
             }
             p.maybe_adapt(round * 2 * MILLIS);
         }
-        assert_eq!(p.timeslice(), AdaptiveConfig::default().min_slice);
-        assert_eq!(p.steal_threshold(), AdaptiveConfig::default().min_steal);
+        assert_eq!(p.timeslice(), MIN_SLICE);
+        assert_eq!(p.steal_threshold(), MIN_STEAL);
         for round in 51..=120u64 {
             for _ in 0..100 {
                 p.epoch_waits.record(1);
             }
             p.maybe_adapt(round * 2 * MILLIS);
         }
-        assert_eq!(p.timeslice(), AdaptiveConfig::default().max_slice);
-        assert_eq!(p.steal_threshold(), AdaptiveConfig::default().max_steal);
+        assert_eq!(p.timeslice(), MAX_SLICE);
+        assert_eq!(p.steal_threshold(), MAX_STEAL);
     }
 }

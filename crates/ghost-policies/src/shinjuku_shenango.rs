@@ -9,7 +9,7 @@
 //! work needs the CPU.
 
 use crate::kernel::RunQueue;
-use crate::shinjuku::{ShinjukuConfig, ShinjukuPolicy};
+use crate::shinjuku::ShinjukuPolicy;
 use crate::tracker::Transition;
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
@@ -19,6 +19,7 @@ use ghost_core::slab::TidMap;
 pub const BATCH_COOKIE: u64 = 0xBA7C4;
 
 /// Shinjuku for LC work + Shenango-style batch filling.
+#[derive(Default)]
 pub struct ShinjukuShenangoPolicy {
     pub(crate) lc: ShinjukuPolicy,
     batch_rq: RunQueue,
@@ -29,13 +30,8 @@ pub struct ShinjukuShenangoPolicy {
 
 impl ShinjukuShenangoPolicy {
     /// Creates the policy.
-    pub fn new(config: ShinjukuConfig) -> Self {
-        Self {
-            lc: ShinjukuPolicy::new(config),
-            batch_rq: RunQueue::default(),
-            batch_threads: TidMap::new(),
-            batch_commits: 0,
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -125,7 +121,7 @@ mod tests {
 
     #[test]
     fn starts_with_no_batch_threads() {
-        let p = ShinjukuShenangoPolicy::new(ShinjukuConfig::default());
+        let p = ShinjukuShenangoPolicy::new();
         assert!(p.batch_threads.is_empty());
         assert_eq!(p.batch_commits, 0);
     }

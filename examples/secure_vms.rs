@@ -8,7 +8,7 @@
 
 use ghost::core::enclave::EnclaveConfig;
 use ghost::lab::{GhostSim, Scenario};
-use ghost::policies::core_sched::{CoreSchedConfig, CoreSchedPolicy};
+use ghost::policies::core_sched::CoreSchedPolicy;
 use ghost::sim::kernel::ThreadSpec;
 use ghost::sim::time::{MILLIS, SECS};
 use ghost::sim::topology::CpuId;
@@ -22,7 +22,7 @@ fn main() {
         ..
     } = Scenario::builder().name("secure-vms").cpus(16).build_with(
         EnclaveConfig::per_core("secure-vms").with_ticks(true),
-        Box::new(CoreSchedPolicy::new(CoreSchedConfig::default())),
+        Box::new(CoreSchedPolicy::new()),
     );
 
     let cfg = VmConfig {

@@ -10,7 +10,7 @@ use ghost::core::enclave::EnclaveConfig;
 use ghost::core::runtime::GhostRuntime;
 use ghost::lab::{Scenario, TopologySpec};
 use ghost::metrics::Table;
-use ghost::policies::shinjuku::{ShinjukuConfig, ShinjukuPolicy};
+use ghost::policies::shinjuku::ShinjukuPolicy;
 use ghost::sim::kernel::ThreadSpec;
 use ghost::sim::time::MILLIS;
 use ghost::sim::topology::CpuId;
@@ -46,7 +46,7 @@ fn serve(use_ghost: bool) -> RocksDbResults {
             &mut kernel,
             worker_cpus,
             EnclaveConfig::centralized("shinjuku"),
-            Box::new(ShinjukuPolicy::new(ShinjukuConfig::default())),
+            Box::new(ShinjukuPolicy::new()),
         );
         for &tid in &tids {
             kernel.state.set_affinity(tid, worker_cpus);

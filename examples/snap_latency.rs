@@ -6,7 +6,7 @@
 //! cargo run --release --example snap_latency
 //! ```
 
-use ghost::baselines::microquanta::{MicroQuanta, MicroQuantaConfig};
+use ghost::baselines::microquanta::MicroQuanta;
 use ghost::core::enclave::EnclaveConfig;
 use ghost::core::runtime::GhostRuntime;
 use ghost::lab::Scenario;
@@ -22,10 +22,7 @@ fn run(use_ghost: bool) -> SnapResults {
     let (mut kernel, _sink) = Scenario::builder().name("snap").cpus(56).build_kernel();
     if !use_ghost {
         let n = kernel.state.topo.num_cpus();
-        kernel.install_class(
-            CLASS_RT,
-            Box::new(MicroQuanta::new(n, MicroQuantaConfig::default())),
-        );
+        kernel.install_class(CLASS_RT, Box::new(MicroQuanta::new(n)));
     }
     let app_id = kernel.state.next_app_id();
     let mut app = SnapApp::new(SnapConfig::default(), app_id);

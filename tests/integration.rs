@@ -3,10 +3,10 @@
 //! debug builds. The full-scale paper reproductions live in
 //! `crates/ghost-bench/benches/`.
 
-use ghost::baselines::microquanta::{MicroQuanta, MicroQuantaConfig};
+use ghost::baselines::microquanta::MicroQuanta;
 use ghost::core::enclave::EnclaveConfig;
 use ghost::core::runtime::GhostRuntime;
-use ghost::policies::shinjuku::{ShinjukuConfig, ShinjukuPolicy};
+use ghost::policies::shinjuku::ShinjukuPolicy;
 use ghost::policies::snap::SNAP_COOKIE;
 use ghost::policies::{CentralizedFifo, PerCpuPolicy, SnapPolicy};
 use ghost::sim::kernel::{Kernel, KernelConfig, ThreadSpec};
@@ -54,7 +54,7 @@ fn shinjuku_policy_beats_cfs_on_dispersive_tail() {
                 &mut kernel,
                 cpus,
                 EnclaveConfig::centralized("sj"),
-                Box::new(ShinjukuPolicy::new(ShinjukuConfig::default())),
+                Box::new(ShinjukuPolicy::new()),
             );
             for &tid in &tids {
                 kernel.state.set_affinity(tid, cpus);
@@ -163,10 +163,7 @@ fn snap_policy_and_microquanta_both_serve() {
         );
         if !use_ghost {
             let n = kernel.state.topo.num_cpus();
-            kernel.install_class(
-                CLASS_RT,
-                Box::new(MicroQuanta::new(n, MicroQuantaConfig::default())),
-            );
+            kernel.install_class(CLASS_RT, Box::new(MicroQuanta::new(n)));
         }
         let app_id = kernel.state.next_app_id();
         let cfg = SnapConfig {
@@ -241,7 +238,7 @@ fn snap_policy_and_microquanta_both_serve() {
 /// different VMs.
 #[test]
 fn core_sched_isolation_holds_under_load() {
-    use ghost::policies::core_sched::{CoreSchedConfig, CoreSchedPolicy};
+    use ghost::policies::core_sched::CoreSchedPolicy;
     let mut kernel = Kernel::new(Topology::new("vm8", 1, 4, 2, 4), KernelConfig::default());
     let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
     let cpus = kernel.state.topo.all_cpus_set();
@@ -249,7 +246,7 @@ fn core_sched_isolation_holds_under_load() {
         &mut kernel,
         cpus,
         EnclaveConfig::per_core("vm").with_ticks(true),
-        Box::new(CoreSchedPolicy::new(CoreSchedConfig::default())),
+        Box::new(CoreSchedPolicy::new()),
     );
     let app_id = kernel.state.next_app_id();
     let cfg = VmConfig {
@@ -511,10 +508,7 @@ fn shenango_eviction_strands_no_lc_worker() {
     kernel.add_app(Box::new(batch));
 
     let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
-    let policy = ShinjukuShenangoPolicy::new(ShinjukuConfig {
-        timeslice: 10 * MICROS,
-        ..ShinjukuConfig::default()
-    });
+    let policy = ShinjukuShenangoPolicy::new();
     let enclave = runtime.launch_enclave(
         &mut kernel,
         cpus,
