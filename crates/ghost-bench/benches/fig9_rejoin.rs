@@ -4,7 +4,7 @@
 //! the matter of about 105 ms").
 //!
 //! An enclave over the 112-CPU Skylake machine holds N attached threads;
-//! a staged policy version is promoted with `upgrade_now` and the rejoin
+//! a staged policy version is promoted with `try_upgrade_now` and the rejoin
 //! latency is read from the trace as `RecoveryStart`-free upgrade time:
 //! promotion instant → `ReconstructDone`. The bench sweeps N = 1k / 10k
 //! / 50k and checks the 50k point lands in the paper's ~105 ms regime.
@@ -51,9 +51,11 @@ fn rejoin_latency(n: usize) -> (u64, u64) {
     // Let the outgoing agent drain every creation message.
     kernel.run_until(50 * MILLIS);
 
-    enclave.stage_upgrade(Box::new(CentralizedFifo::new()));
+    enclave
+        .try_stage_upgrade(Box::new(CentralizedFifo::new()))
+        .expect("stage upgrade");
     let t0 = kernel.state.now;
-    assert!(enclave.upgrade_now(&mut kernel.state));
+    enclave.try_upgrade_now(&mut kernel.state).expect("upgrade");
     kernel.run_until(t0 + 300 * MILLIS);
 
     assert_eq!(sink.dropped(), 0, "trace ring too small for n={n}");

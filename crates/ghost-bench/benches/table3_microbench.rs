@@ -114,7 +114,7 @@ impl GhostPolicy for ProbePolicy {
             for txn in &mut txns {
                 let pre = ctx.now() + ctx.busy_so_far();
                 let mut t = *txn;
-                ctx.commit_one(&mut t);
+                ctx.commit(std::slice::from_mut(&mut t));
                 let post = ctx.now() + ctx.busy_so_far();
                 assert!(t.status.committed(), "probe commit failed: {:?}", t.status);
                 let mut p = self.shared.lock().unwrap();

@@ -396,22 +396,24 @@ struct ByzantinePolicy {
 impl ByzantinePolicy {
     fn run_op(&mut self, op: ByzOp, ctx: &mut PolicyCtx<'_>) {
         let own_cpu = ctx.enclave_cpus().first().unwrap_or(CpuId(0));
-        let own_tid = ctx.managed_threads().first().copied().unwrap_or(Tid(0));
+        // Its own threads, as its FIFO learned them from messages (§3.1).
+        let tracker = &self.inner.k.tracker;
+        let own_tid = tracker.iter().next().map_or(Tid(0), |(t, _)| t);
         let mut led = self.ledger.lock().unwrap();
         match op {
             ByzOp::CommitForgedCpu { cpu } => {
                 let mut t = Transaction::new(own_tid, CpuId(cpu));
-                ctx.commit_one(&mut t);
+                ctx.commit(std::slice::from_mut(&mut t));
                 led.check_txns(&op, &[t]);
             }
             ByzOp::CommitForeignTid { tid } => {
                 let mut t = Transaction::new(Tid(tid), own_cpu);
-                ctx.commit_one(&mut t);
+                ctx.commit(std::slice::from_mut(&mut t));
                 led.check_txns(&op, &[t]);
             }
             ByzOp::CommitStaleSeq => {
                 let mut t = Transaction::new(own_tid, own_cpu).with_agent_seq(0);
-                ctx.commit_one(&mut t);
+                ctx.commit(std::slice::from_mut(&mut t));
                 led.check_txns(&op, &[t]);
             }
             ByzOp::CommitAtomicMixed { cpu } => {
@@ -450,7 +452,7 @@ impl ByzantinePolicy {
                 // Pushing a thread we DO manage may benignly return false
                 // (PNT disabled, ring full) with no reject; only a tid we
                 // do not manage is a typed rejection.
-                let foreign = !ctx.managed_threads().contains(&Tid(tid));
+                let foreign = tracker.get(Tid(tid)).is_none();
                 if !ctx.pnt_push(0, Tid(tid)) && foreign {
                     led.rejected += 1;
                 }

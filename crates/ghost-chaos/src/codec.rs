@@ -1,6 +1,6 @@
 //! Building blocks of `repro.json` documents, shared by every family's
 //! [`crate::ChaosCase::encode`] / `decode`: field codecs over the
-//! [`Json`] tree, the [`coded_enum!`] name-and-fields table, and the
+//! [`Json`] tree, the `coded_enum!` name-and-fields table, and the
 //! [`FaultKind`] table itself.
 //!
 //! Integers go through [`num`], which reads them back with the checked

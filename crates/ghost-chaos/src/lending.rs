@@ -279,17 +279,14 @@ impl ChaosCase for LendingLiveCombo {
             donor_policy.build(),
         );
         let kv = KvLoop::start(&kernel, &protected, 4, self.requests);
-        kernel.rm_start(self.rm_config(), protected.id(), donor.id());
-
         let rt = kernel.runtime();
+        kernel.with(|k| rt.rm_start(k, self.rm_config(), protected.id(), donor.id()));
+
         let apply = |step: &LiveStep, failures: &mut Vec<Failure>| match step {
             LiveStep::LendIfIdle { dur } => {
                 if protected.borrowed_cpus().is_empty() {
-                    let lent = donor
-                        .cpus()
-                        .iter()
-                        .rev()
-                        .any(|&cpu| kernel.lend_cpu(&donor, &protected, cpu, *dur).is_ok());
+                    let lend = |cpu| kernel.with(|k| donor.try_lend_cpu(k, &protected, cpu, *dur));
+                    let lent = donor.cpus().iter().rev().any(|&cpu| lend(cpu).is_ok());
                     if !lent {
                         failures.push(Failure {
                             oracle: "lend-step",
@@ -299,10 +296,10 @@ impl ChaosCase for LendingLiveCombo {
                 }
             }
             LiveStep::RmCrash => {
-                kernel.rm_crash();
+                rt.rm_crash();
             }
             LiveStep::RmRestart => {
-                kernel.rm_restart();
+                kernel.with(|k| rt.rm_restart(k));
             }
             LiveStep::KillProtectedAgent => {
                 let agent = protected
@@ -314,7 +311,7 @@ impl ChaosCase for LendingLiveCombo {
             }
             LiveStep::ReclaimBorrowed => {
                 if let Some(&cpu) = protected.borrowed_cpus().first() {
-                    let _ = kernel.reclaim_cpu(cpu);
+                    let _ = kernel.with(|k| rt.try_reclaim_cpu(k, cpu));
                 }
             }
         };

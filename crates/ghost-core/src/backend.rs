@@ -79,6 +79,7 @@ impl BackendCpu {
 /// | hook | DES (`ghost-sim`) | live (`ghost-live`) |
 /// |---|---|---|
 /// | `now` | virtual event clock | monotonic wall clock |
+/// | `thread`/`cpu` | `KernelState` tables, `None` past their end | `LiveState` tables, `None` past their end |
 /// | `wake`/`wake_at` | deferred-op buffer / event queue | unpark + timer heap |
 /// | `send_ipi` | `Resched` event at `at` | preempt flag + unpark |
 /// | `arm_driver_timer` | `DriverTimer` event | timer-thread heap |
@@ -98,32 +99,13 @@ pub trait GhostBackend {
     /// Tracepoint sink.
     fn trace(&self) -> &TraceSink;
 
-    /// Snapshot of a thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tid` was never spawned; agent-supplied ids go through
-    /// [`GhostBackend::thread_checked`].
-    fn thread(&self, tid: Tid) -> BackendThread;
-
     /// Snapshot of a thread, or `None` if `tid` names no thread this
-    /// backend ever spawned — the enforcement hook for validating
-    /// agent-supplied tids.
-    fn thread_checked(&self, tid: Tid) -> Option<BackendThread>;
+    /// backend ever spawned: the one validity rule for thread ids, so an
+    /// agent-supplied tid is checked by the same call that reads it.
+    fn thread(&self, tid: Tid) -> Option<BackendThread>;
 
-    /// Snapshot of a CPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu` is out of range.
-    fn cpu(&self, cpu: CpuId) -> BackendCpu;
-
-    /// Snapshot of a CPU, or `None` if `cpu` names no CPU of this machine
-    /// (for agent-supplied ids).
-    fn cpu_checked(&self, cpu: CpuId) -> Option<BackendCpu>;
-
-    /// True if `cpu`'s SMT sibling is occupied.
-    fn sibling_busy(&self, cpu: CpuId) -> bool;
+    /// Snapshot of a CPU, or `None` if `cpu` names no CPU of this machine.
+    fn cpu(&self, cpu: CpuId) -> Option<BackendCpu>;
 
     /// Folds any in-progress stint into the thread's `total_work` so a
     /// subsequent [`GhostBackend::thread`] snapshot is current.
@@ -165,6 +147,23 @@ pub trait GhostBackend {
     fn faults(&self) -> &FaultPlan;
 }
 
+impl<'a> dyn GhostBackend + 'a {
+    /// Snapshot of a thread whose id came from the runtime's own tables
+    /// or from the backend, so the backend spawned it by construction.
+    /// Hot paths that read several fields borrow `thread`'s result
+    /// instead (`let Some(t) = &k.thread(tid)`): moving the 168-byte
+    /// snapshot out of the `Option` costs a copy per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend never spawned `tid`: for such an id that is
+    /// a runtime bug, not an agent's forgery.
+    #[inline]
+    pub(crate) fn tracked(&self, tid: Tid) -> BackendThread {
+        self.thread(tid).expect("runtime-tracked tid")
+    }
+}
+
 impl GhostBackend for KernelState {
     fn now(&self) -> Nanos {
         self.now
@@ -182,9 +181,9 @@ impl GhostBackend for KernelState {
         &self.cfg.trace
     }
 
-    fn thread(&self, tid: Tid) -> BackendThread {
-        let t = &self.threads[tid.index()];
-        BackendThread {
+    fn thread(&self, tid: Tid) -> Option<BackendThread> {
+        let t = self.threads.get(tid.index())?;
+        Some(BackendThread {
             state: t.state,
             kind: t.kind,
             class: t.class,
@@ -195,28 +194,16 @@ impl GhostBackend for KernelState {
             cookie: t.cookie,
             runnable_since: t.runnable_since,
             total_work: t.total_work,
-        }
+        })
     }
 
-    fn thread_checked(&self, tid: Tid) -> Option<BackendThread> {
-        self.valid_tid(tid).then(|| GhostBackend::thread(self, tid))
-    }
-
-    fn cpu(&self, cpu: CpuId) -> BackendCpu {
-        let c = &self.cpus[cpu.index()];
-        BackendCpu {
+    fn cpu(&self, cpu: CpuId) -> Option<BackendCpu> {
+        let c = self.cpus.get(cpu.index())?;
+        Some(BackendCpu {
             current: c.current,
             idle: c.is_idle(),
             cfs_queued: c.cfs_queued,
-        }
-    }
-
-    fn cpu_checked(&self, cpu: CpuId) -> Option<BackendCpu> {
-        self.valid_cpu(cpu).then(|| GhostBackend::cpu(self, cpu))
-    }
-
-    fn sibling_busy(&self, cpu: CpuId) -> bool {
-        KernelState::sibling_busy(self, cpu)
+        })
     }
 
     fn sync_runtime(&mut self, tid: Tid) {

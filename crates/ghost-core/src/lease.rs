@@ -14,7 +14,7 @@
 //! parallel sweeps over lending scenarios stay byte-identical.
 //!
 //! Timer-key encoding: lease deadlines are armed as driver timers with
-//! [`LEASE_TIMER_FLAG`] set, the CPU id in the low 16 bits and the
+//! `LEASE_TIMER_FLAG` set, the CPU id in the low 16 bits and the
 //! lease's grant sequence number in bits 16..56. The sequence number
 //! disambiguates stale timers — a deadline firing after the lease was
 //! already returned (or the CPU re-lent under a new lease) compares

@@ -28,7 +28,7 @@
 //! | `AGENT_INIT()` | [`runtime::GhostRuntime::launch_enclave`] (one agent per enclave CPU) |
 //! | `START_GHOST()` | [`runtime::EnclaveHandle::attach_thread`] / `try_attach_thread` |
 //! | `TXN_CREATE()` | [`txn::Transaction::new`] |
-//! | `TXNS_COMMIT()` | [`policy::PolicyCtx::commit`] / `commit_atomic` / `commit_one` |
+//! | `TXNS_COMMIT()` | [`policy::PolicyCtx::commit`] / `commit_atomic` |
 //! | `TXNS_RECALL()` | [`policy::PolicyCtx::try_recall`] |
 //! | `CREATE_QUEUE()` | [`policy::PolicyCtx::create_queue`] |
 //! | `DESTROY_QUEUE()` | [`policy::PolicyCtx::try_destroy_queue`] |
@@ -61,7 +61,7 @@ pub use backend::{BackendCpu, BackendThread, GhostBackend};
 pub use enclave::{AgentMode, EnclaveConfig, EnclaveId, QueueId};
 pub use lease::{Lease, LeaseStats, LeaseTable, RevokeReason};
 pub use msg::{Message, MsgType};
-pub use policy::{GhostPolicy, PolicyCtx, ThreadView};
+pub use policy::{CpuView, GhostPolicy, PolicyCtx, ThreadView};
 pub use queue::MessageQueue;
 pub use recovery::{CommitGovernor, StaleVerdict, StandbyConfig, ThreadSnapshot};
 pub use rm::{EnclaveHealth, RmConfig, RmDecision, RmState, RmStats};

@@ -34,6 +34,26 @@ pub struct ThreadView {
     pub nice: i8,
     /// Grouping cookie (e.g. VM id for core scheduling).
     pub cookie: u64,
+    /// Latest scheduling hint the workload published (Fig. 1's
+    /// "optional scheduling hints" channel), if any.
+    pub hint: Option<u64>,
+}
+
+/// What an agent can see of one CPU: the free-core predicate of per-core
+/// and preemptive policies is built from these four facts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CpuView {
+    /// The ghOSt thread of this enclave running on the CPU, if any
+    /// (candidates for preemptive policies such as Shinjuku).
+    pub running: Option<Tid>,
+    /// The thread a committed, not yet picked transaction will run on
+    /// the CPU, if any.
+    pub pending: Option<Tid>,
+    /// True if an agent thread occupies the CPU (it vacates when its
+    /// activation ends, so such CPUs accept commits).
+    pub agent: bool,
+    /// True if nothing is running or switching in.
+    pub idle: bool,
 }
 
 /// The API surface an activation exposes to the policy.
@@ -88,39 +108,29 @@ impl<'a> PolicyCtx<'a> {
             .iter()
             .filter(|&c| {
                 c != self.agent_cpu
-                    && self.k.cpu(c).is_idle()
+                    && self.k.cpu(c).is_some_and(|cs| cs.is_idle())
                     && !self.enclave.committed.contains(c)
             })
             .collect()
     }
 
-    /// The ghOSt thread currently running on `cpu`, if any (candidates
-    /// for preemptive policies such as Shinjuku). Total: a forged CPU id
-    /// runs nothing.
-    pub fn running_ghost(&self, cpu: CpuId) -> Option<Tid> {
-        let cur = self.k.cpu_checked(cpu)?.current?;
-        self.enclave.threads.contains(cur).then_some(cur)
-    }
-
-    /// True if `cpu` has a committed transaction not yet acted on.
-    pub fn commit_pending(&self, cpu: CpuId) -> bool {
-        self.enclave.committed.contains(cpu)
-    }
-
-    /// The thread a pending (committed, not yet picked) transaction will
-    /// run on `cpu`, if any.
-    pub fn pending_commit_tid(&self, cpu: CpuId) -> Option<Tid> {
-        self.enclave.committed.get(cpu).map(|s| s.tid)
-    }
-
-    /// True if `cpu` is currently occupied by an agent thread (which will
-    /// vacate when its activation ends — such CPUs accept commits).
-    /// Total: false for a forged CPU id.
-    pub fn agent_on_cpu(&self, cpu: CpuId) -> bool {
-        self.k
-            .cpu_checked(cpu)
-            .and_then(|cs| cs.current)
-            .is_some_and(|t| self.k.thread(t).kind == ThreadKind::Agent)
+    /// What this agent can see of `cpu`. Total: a forged CPU id is
+    /// `None`, with no rejection recorded.
+    pub fn cpu_view(&self, cpu: CpuId) -> Option<CpuView> {
+        let cs = self.k.cpu(cpu)?;
+        let running = cs.current.filter(|&t| self.enclave.threads.contains(t));
+        // An enclave thread is never an agent: only other occupants need
+        // a thread snapshot.
+        let agent = running.is_none()
+            && cs
+                .current
+                .is_some_and(|t| self.k.tracked(t).kind == ThreadKind::Agent);
+        Some(CpuView {
+            running,
+            pending: self.enclave.committed.get(cpu).map(|s| s.tid),
+            agent,
+            idle: cs.is_idle(),
+        })
     }
 
     /// This agent's current sequence number `Aseq`, read from its status
@@ -140,7 +150,9 @@ impl<'a> PolicyCtx<'a> {
         // Sync runtime so `total_runtime` reflects in-progress stints.
         let tseq = info.tseq;
         self.k.sync_runtime(tid);
-        let t = &self.k.thread(tid);
+        let Some(t) = &self.k.thread(tid) else {
+            return None;
+        };
         Some(ThreadView {
             tid,
             runnable: t.state == ThreadState::Runnable,
@@ -155,6 +167,7 @@ impl<'a> PolicyCtx<'a> {
             affinity: t.affinity,
             nice: t.nice,
             cookie: t.cookie,
+            hint: self.enclave.hints.get(tid).copied(),
         })
     }
 
@@ -174,7 +187,7 @@ impl<'a> PolicyCtx<'a> {
         };
     }
 
-    // `commit` / `commit_one` (`TXNS_COMMIT()`) are implemented in
+    // `commit` / `commit_atomic` (`TXNS_COMMIT()`) are implemented in
     // `runtime/commit.rs`, next to the kernel-side validation they invoke.
 
     /// The activation-side funnel for rejected context operations: counts
@@ -200,7 +213,7 @@ impl<'a> PolicyCtx<'a> {
     /// Why `tid` is not a schedulable thread of this enclave: forged id,
     /// dead, an agent pthread, or another enclave's thread.
     pub(crate) fn classify_unknown_tid(&self, tid: Tid) -> AbiError {
-        match self.k.thread_checked(tid) {
+        match self.k.thread(tid) {
             None => AbiError::NoSuchThread,
             Some(t) if t.state == ThreadState::Dead => AbiError::DeadThread,
             Some(t) if t.kind == ThreadKind::Agent => AbiError::AgentThread,
@@ -236,7 +249,7 @@ impl<'a> PolicyCtx<'a> {
     /// out-of-enclave CPU ids and CPUs with nothing pending (the commit
     /// may already have been picked) with a typed [`AbiError`].
     pub fn try_recall(&mut self, cpu: CpuId) -> Result<Tid, AbiError> {
-        if self.k.cpu_checked(cpu).is_none() {
+        if self.k.cpu(cpu).is_none() {
             return Err(self.reject(AbiError::InvalidCpu));
         }
         if !self.enclave.cpus.contains(cpu) {
@@ -273,12 +286,6 @@ impl<'a> PolicyCtx<'a> {
         Ok(())
     }
 
-    /// Reads the latest scheduling hint a workload published for `tid`
-    /// (Fig. 1's "optional scheduling hints" channel), if any.
-    pub fn hint(&self, tid: Tid) -> Option<u64> {
-        self.enclave.hints.get(tid).copied()
-    }
-
     /// `CREATE_QUEUE()`: creates a new queue, polled by default.
     pub fn create_queue(&mut self) -> QueueId {
         self.enclave.add_queue(WakeMode::Polled)
@@ -296,7 +303,7 @@ impl<'a> PolicyCtx<'a> {
         wake: WakeMode,
     ) -> Result<(), AbiError> {
         if let WakeMode::WakeAgent(tid) = wake {
-            if self.k.thread_checked(tid).is_none() {
+            if self.k.thread(tid).is_none() {
                 return Err(self.reject(AbiError::NoSuchThread));
             }
             if !self.enclave.agents.values().any(|a| a.tid == tid) {
@@ -347,7 +354,7 @@ impl<'a> PolicyCtx<'a> {
     pub fn ping_core_agent(&mut self, cpu: CpuId) -> bool {
         // A forged CPU id has no agent slot and must not reach the
         // topology lookup below.
-        if self.k.cpu_checked(cpu).is_none() {
+        if self.k.cpu(cpu).is_none() {
             self.reject(AbiError::InvalidCpu);
             return false;
         }
@@ -362,7 +369,7 @@ impl<'a> PolicyCtx<'a> {
             .first()
             .expect("core has a CPU");
         self.enclave.core_active.insert(key, agent);
-        if self.k.thread(agent).state == ThreadState::Blocked {
+        if self.k.tracked(agent).state == ThreadState::Blocked {
             self.k.wake(agent);
         }
         true

@@ -126,12 +126,12 @@ impl Core {
                     return VACATE;
                 }
                 // Hot handoff: a CFS thread wants this CPU (§3.3).
-                if k.cpu(cpu).cfs_queued > 0 {
+                if k.cpu(cpu).is_some_and(|c| c.cfs_queued > 0) {
                     let successor = enclave
                         .cpus
                         .iter()
                         .filter(|&c| c != cpu)
-                        .find(|&c| k.cpu(c).is_idle())
+                        .find(|&c| k.cpu(c).is_some_and(|c| c.is_idle()))
                         .and_then(|c| enclave.agents.get(c).map(|a| a.tid));
                     if let Some(succ) = successor {
                         enclave.global_agent = Some(succ);
@@ -244,7 +244,7 @@ impl Core {
                 .threads
                 .iter()
                 .map(|(t, info)| {
-                    let th = &k.thread(t);
+                    let th = &k.tracked(t);
                     ThreadSnapshot {
                         tid: t,
                         seq: info.status.seq(),
@@ -261,7 +261,11 @@ impl Core {
         } else {
             None
         };
-        let smt_scale = k.sibling_busy(agent_cpu);
+        let smt_scale = k
+            .topo()
+            .sibling(agent_cpu)
+            .and_then(|s| k.cpu(s))
+            .is_some_and(|c| c.is_occupied());
         let mut ctx = PolicyCtx {
             k,
             enclave,

@@ -34,21 +34,15 @@ impl Core {
         }
     }
 
-    pub(super) fn commit_pending(&self, cpu: CpuId) -> bool {
-        let enclave = self
-            .enclave_of_cpu(cpu)
-            .and_then(|eid| self.enclaves.get(eid));
-        enclave.is_some_and(|e| e.committed.contains(cpu))
-    }
-
     pub(super) fn pick_next(&mut self, k: &mut dyn GhostBackend, cpu: CpuId) -> Option<Tid> {
         let eid = self.enclave_of_cpu(cpu)?;
         let now = k.now();
         let node = k.topo().info(cpu).socket as usize;
         let enclave = self.enclaves.get_mut(eid).filter(|e| !e.destroyed)?;
+        // Borrowed, not moved out: a thread snapshot is a 168-byte copy.
         let runnable_here = |k: &dyn GhostBackend, tid: Tid| {
-            let t = k.thread(tid);
-            t.state == ThreadState::Runnable && t.affinity.contains(cpu)
+            let th = k.thread(tid);
+            matches!(&th, Some(t) if t.state == ThreadState::Runnable && t.affinity.contains(cpu))
         };
         let mark_oncpu = |info: Option<&ThreadInfo>| {
             if let Some(info) = info {
@@ -149,7 +143,7 @@ impl Core {
                 || e.pnt.as_ref().is_some_and(|p| !p.is_empty())
                 || e.threads
                     .tids()
-                    .any(|t| k.thread(t).state == ThreadState::Runnable)
+                    .any(|t| k.tracked(t).state == ThreadState::Runnable)
         })
     }
 
@@ -182,7 +176,7 @@ impl Core {
             .as_mut()
             .and_then(|r| r.stashed.remove(tid));
         if let Some(info) = stashed {
-            let state = k.thread(tid).state;
+            let state = k.tracked(tid).state;
             info.status.publish(|s, f| {
                 let f = f & !(SW_ONCPU | SW_RUNNABLE);
                 match state {
@@ -239,7 +233,7 @@ impl Core {
         let Some(&eid) = self.thread_enclave.get(tid) else {
             return;
         };
-        let t = k.thread(tid);
+        let t = k.tracked(tid);
         if let Some(enclave) = self.enclaves.get_mut(eid) {
             let stale: Vec<CpuId> = enclave
                 .committed

@@ -6,7 +6,7 @@ use crate::enclave::{CommittedSlot, QueueId};
 use crate::policy::PolicyCtx;
 use crate::txn::{SeqConstraint, Transaction, TxnStatus};
 use ghost_sim::class::CLASS_GHOST;
-use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
+use ghost_sim::thread::{ThreadKind, ThreadState};
 use ghost_sim::time::Nanos;
 use ghost_sim::topology::CpuId;
 use ghost_trace::TraceEvent;
@@ -41,23 +41,9 @@ impl<'a> PolicyCtx<'a> {
         self.do_commit(txns, true);
     }
 
-    /// Commits a single transaction and returns its status.
-    pub fn commit_one(&mut self, txn: &mut Transaction) -> TxnStatus {
-        let mut arr = [*txn];
-        self.commit(&mut arr);
-        *txn = arr[0];
-        txn.status
-    }
-
     /// The queue CPU-scoped events for `cpu` are routed to.
     pub fn queue_of_cpu(&self, cpu: CpuId) -> QueueId {
         self.enclave.queue_for_cpu(cpu)
-    }
-
-    /// Tids of all threads managed by this enclave, in Tid order (the
-    /// slab's handle order must not steer a policy's decisions).
-    pub fn managed_threads(&self) -> Vec<Tid> {
-        self.enclave.threads.sorted_tids()
     }
 
     fn scaled(&self, cost: Nanos) -> Nanos {
@@ -82,7 +68,7 @@ impl<'a> PolicyCtx<'a> {
         // Bounds before membership: a CPU id the machine does not even
         // have is a forged argument, not an unlucky placement choice —
         // and everything downstream (topology, cpu state) may index by it.
-        let Some(cs) = self.k.cpu_checked(txn.cpu) else {
+        let Some(cs) = self.k.cpu(txn.cpu) else {
             return Err(AbiError::InvalidCpu);
         };
         if !enclave.cpus.contains(txn.cpu) {
@@ -97,7 +83,9 @@ impl<'a> PolicyCtx<'a> {
         if info.picked {
             return Err(AbiError::TargetNotRunnable);
         }
-        let t = &self.k.thread(txn.tid);
+        let Some(t) = &self.k.thread(txn.tid) else {
+            return Err(AbiError::NoSuchThread);
+        };
         if t.state != ThreadState::Runnable {
             return Err(AbiError::TargetNotRunnable);
         }
@@ -130,8 +118,7 @@ impl<'a> PolicyCtx<'a> {
         // threads, which vacate as soon as their activation ends (the
         // committed slot is consumed when the CPU next picks).
         if cs.is_occupied() && txn.cpu != self.agent_cpu {
-            if let Some(cur) = cs.current {
-                let cur = &self.k.thread(cur);
+            if let Some(cur) = &cs.current.and_then(|c| self.k.thread(c)) {
                 if cur.class < CLASS_GHOST && cur.kind != ThreadKind::Agent {
                     return Err(AbiError::CpuBusy);
                 }

@@ -78,7 +78,7 @@ impl Core {
         tid: Tid,
     ) -> Result<(), AbiError> {
         let enclave_ok = self.check_enclave(eid);
-        let verdict = enclave_ok.and_then(|()| match k.thread_checked(tid) {
+        let verdict = enclave_ok.and_then(|()| match k.thread(tid) {
             None => Err(AbiError::NoSuchThread),
             Some(t) if t.state == ThreadState::Dead => Err(AbiError::DeadThread),
             Some(t) if t.kind == ThreadKind::Agent => Err(AbiError::AgentThread),

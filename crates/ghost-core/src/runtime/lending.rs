@@ -76,7 +76,7 @@ impl Core {
         let e = self.enclaves.get(lender).expect("checked");
         let err = if lender == borrower {
             Some(AbiError::CpuConflict)
-        } else if k.cpu_checked(cpu).is_none() || cpu.index() >= self.cpu_enclave.len() {
+        } else if k.cpu(cpu).is_none() || cpu.index() >= self.cpu_enclave.len() {
             Some(AbiError::InvalidCpu)
         } else if !e.cpus.contains(cpu) {
             Some(AbiError::CpuOutsideEnclave)
@@ -126,7 +126,7 @@ impl Core {
         k: &mut dyn GhostBackend,
         cpu: CpuId,
     ) -> Result<(), AbiError> {
-        if k.cpu_checked(cpu).is_none() || cpu.index() >= self.cpu_enclave.len() {
+        if k.cpu(cpu).is_none() || cpu.index() >= self.cpu_enclave.len() {
             return Err(self.reject(k, None, cpu, AbiError::InvalidCpu));
         }
         match self.end_lease(k, cpu, RevokeReason::Returned) {
@@ -305,7 +305,7 @@ impl Core {
     /// What the RM samples of `eid` each epoch: runnable ghOSt threads
     /// waiting off-CPU, rejects since `last`, liveness.
     fn health(&self, k: &dyn GhostBackend, eid: EnclaveId, last: u64) -> EnclaveHealth {
-        let runnable = |&t: &Tid| k.thread(t).state == ThreadState::Runnable;
+        let runnable = |&t: &Tid| k.tracked(t).state == ThreadState::Runnable;
         EnclaveHealth {
             backlog: self
                 .enclaves

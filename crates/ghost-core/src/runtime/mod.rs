@@ -130,7 +130,7 @@ fn core_key_of(k: &dyn GhostBackend, cpu: CpuId) -> CpuId {
 
 /// Where `tid` last ran — the CPU its messages are attributed to.
 fn last_cpu(k: &dyn GhostBackend, tid: Tid) -> CpuId {
-    k.thread(tid).last_cpu.unwrap_or(CpuId(0))
+    k.tracked(tid).last_cpu.unwrap_or(CpuId(0))
 }
 
 /// Panic message of a handle call made while a kernel runs.
@@ -276,7 +276,7 @@ impl GhostRuntime {
 
     /// Validated hint publication (the workload side of Fig. 1's
     /// "optional scheduling hints" arrow; the next activation reads it
-    /// via `PolicyCtx::hint`): rejects tids the runtime does not manage —
+    /// as `ThreadView::hint`): rejects tids the runtime does not manage —
     /// and hints for a dead enclave — with a typed [`AbiError`] instead
     /// of silently dropping them.
     pub fn try_set_hint(&self, tid: Tid, hint: u64) -> Result<(), AbiError> {
@@ -380,7 +380,10 @@ impl GhostRuntime {
     /// A backend whose agents do not occupy their CPU asks this before
     /// preempting a running thread on a parking agent's behalf.
     pub fn hook_commit_pending(&self, cpu: CpuId) -> bool {
-        self.with(|c| c.commit_pending(cpu))
+        self.with(|c| {
+            let enclave = c.enclave_of_cpu(cpu).and_then(|eid| c.enclaves.get(eid));
+            enclave.is_some_and(|e| e.committed.contains(cpu))
+        })
     }
 
     /// A thread came off `cpu` for `reason`.
@@ -557,24 +560,13 @@ impl EnclaveHandle {
 
     /// Stages a new policy version for an in-place upgrade (§3.4): "the
     /// new agent blocks until the old agent crashes or exits", then takes
-    /// over. Staging onto a dead or unknown enclave drops the policy.
-    pub fn stage_upgrade(&self, policy: Box<dyn GhostPolicy>) {
-        let _ = self.try_stage_upgrade(policy);
-    }
-
-    /// Validated staging: rejects dead or unknown enclaves with a typed
-    /// [`AbiError`] (the policy object is dropped).
+    /// over. Rejects dead or unknown enclaves with a typed [`AbiError`]
+    /// (the policy object is dropped).
     pub fn try_stage_upgrade(&self, policy: Box<dyn GhostPolicy>) -> Result<(), AbiError> {
         self.runtime.with(|c| c.try_stage_upgrade(self.id, policy))
     }
 
-    /// Promotes the staged policy right now (§3.4); false if none staged
-    /// (or the enclave is gone).
-    pub fn upgrade_now(&self, k: &mut dyn GhostBackend) -> bool {
-        self.try_upgrade_now(k).is_ok()
-    }
-
-    /// Validated in-place upgrade: the staged policy takes over and
+    /// Promotes the staged policy right now (§3.4): it takes over and
     /// rebuilds its view by scanning the status words of the enclave's
     /// threads at its next activation — no synthetic message replay —
     /// under an `Aseq` barrier on every agent. Rejects dead or unknown
@@ -596,12 +588,7 @@ impl EnclaveHandle {
     }
 
     /// Destroys the enclave: threads fall back to CFS, agents die.
-    pub fn destroy(&self, k: &mut dyn GhostBackend) {
-        let _ = self.try_destroy(k);
-    }
-
-    /// Validated destruction: rejects double destroys and unknown ids
-    /// with a typed [`AbiError`].
+    /// Rejects double destroys and unknown ids with a typed [`AbiError`].
     pub fn try_destroy(&self, k: &mut dyn GhostBackend) -> Result<(), AbiError> {
         self.runtime.with(|c| c.try_destroy_enclave(k, self.id))
     }

@@ -15,7 +15,7 @@ use ghost_trace::TraceEvent;
 /// agent gets one (coalesced) loop iteration, a parked one (hot handoff
 /// left no spinner) is woken.
 fn kick_global(enclave: &mut Enclave, k: &mut dyn GhostBackend, global: Tid, at: Nanos) {
-    match k.thread(global).state {
+    match k.tracked(global).state {
         ThreadState::Running if !enclave.loop_armed => {
             enclave.loop_armed = true;
             k.schedule_agent_loop(at, global);
@@ -25,8 +25,9 @@ fn kick_global(enclave: &mut Enclave, k: &mut dyn GhostBackend, global: Tid, at:
     }
 }
 
+#[inline]
 fn wake_if_blocked(k: &mut dyn GhostBackend, agent: Tid, at: Nanos) {
-    if k.thread(agent).state == ThreadState::Blocked {
+    if k.tracked(agent).state == ThreadState::Blocked {
         k.wake_at(at, agent);
     }
 }

@@ -31,7 +31,7 @@ pub(super) fn reclaim_stashed(
     let mut tids: Vec<Tid> = recovery.stashed.tids().collect();
     tids.sort();
     for t in tids {
-        if k.thread(t).state == ThreadState::Dead {
+        if k.tracked(t).state == ThreadState::Dead {
             recovery.stashed.remove(t);
             continue;
         }
@@ -89,7 +89,7 @@ impl Core {
             // strand runnable threads in the dead enclave instead of
             // moving them back to CFS. Never enabled in normal builds.
             #[cfg(feature = "seeded-bug")]
-            if k.thread(tid).state == ThreadState::Runnable {
+            if k.tracked(tid).state == ThreadState::Runnable {
                 continue;
             }
             k.move_to_class(tid, CLASS_CFS);
@@ -309,7 +309,7 @@ impl Core {
         };
         let grace_from = enclave.upgraded_at.unwrap_or(0);
         let starved = enclave.threads.tids().any(|t| {
-            let th = &k.thread(t);
+            let th = &k.tracked(t);
             th.state == ThreadState::Runnable
                 && k.now().saturating_sub(th.runnable_since.max(grace_from)) > timeout
         });

@@ -12,11 +12,11 @@
 //!   handle can never alias a stale `Tid` (the old tid's lookup entry is
 //!   cleared before the handle returns to the free list, and every slot
 //!   stores its owning tid for cross-checking).
-//! * [`TidMap`] — a direct-mapped `tid -> T` vector for sparse
-//!   per-thread attributes (enclave membership, hints, strike counts).
-//! * [`CpuMap`] — a direct-mapped `cpu -> T` vector; iteration is in
-//!   `CpuId` order, which is deterministic by construction (no
-//!   sort-before-iterate needed, unlike the `HashMap`s it replaces).
+//! * [`DenseMap`] — a direct-mapped `id -> T` vector over either id
+//!   space: [`TidMap`] for sparse per-thread attributes (enclave
+//!   membership, hints, strike counts), [`CpuMap`] for per-CPU state.
+//!   Iteration is in id order, which is deterministic by construction
+//!   (no sort-before-iterate needed, unlike the `HashMap`s it replaces).
 //!
 //! Forged ids from byzantine agents stay safe: lookups are bounds-checked
 //! (an out-of-range id simply misses, as it did with `HashMap`), and the
@@ -25,6 +25,7 @@
 
 use ghost_sim::thread::Tid;
 use ghost_sim::topology::CpuId;
+use std::marker::PhantomData;
 
 /// Sentinel in the `TidSlab` lookup vector: no handle.
 const NONE: u32 = u32::MAX;
@@ -188,27 +189,67 @@ impl<T> TidSlab<T> {
     }
 }
 
-/// Direct-mapped per-thread attribute: `tid.index()` indexes a `Vec`.
-/// For sparse, kernel-validated id spaces only (the vector grows to the
-/// largest inserted tid).
-#[derive(Debug, Clone)]
-pub struct TidMap<T> {
-    v: Vec<Option<T>>,
-    len: usize,
+/// A dense id space a [`DenseMap`] can index by: the kernels allocate
+/// `Tid`s sequentially and CPU ids are bounded by the topology.
+pub trait DenseKey: Copy {
+    /// The vector slot of this id.
+    fn index(self) -> usize;
+    /// The id stored in vector slot `i`.
+    fn from_index(i: usize) -> Self;
 }
 
-impl<T> Default for TidMap<T> {
+impl DenseKey for Tid {
+    #[inline]
+    fn index(self) -> usize {
+        Tid::index(self)
+    }
+    #[inline]
+    fn from_index(i: usize) -> Self {
+        Tid(i as u32)
+    }
+}
+
+impl DenseKey for CpuId {
+    #[inline]
+    fn index(self) -> usize {
+        CpuId::index(self)
+    }
+    #[inline]
+    fn from_index(i: usize) -> Self {
+        CpuId(i as u16)
+    }
+}
+
+/// Direct-mapped map: `key.index()` indexes a `Vec`. For kernel-validated
+/// id spaces only (the vector grows to the largest inserted key).
+/// Iteration is in ascending key order — deterministic by construction,
+/// unlike the `HashMap`s this type replaces.
+#[derive(Debug, Clone)]
+pub struct DenseMap<K, T> {
+    v: Vec<Option<T>>,
+    len: usize,
+    key: PhantomData<K>,
+}
+
+/// Per-thread attributes (enclave membership, hints, strike counts).
+pub type TidMap<T> = DenseMap<Tid, T>;
+
+/// Per-CPU state, bounded by the topology size.
+pub type CpuMap<T> = DenseMap<CpuId, T>;
+
+impl<K: DenseKey, T> Default for DenseMap<K, T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<T> TidMap<T> {
+impl<K: DenseKey, T> DenseMap<K, T> {
     /// An empty map.
     pub fn new() -> Self {
         Self {
             v: Vec::new(),
             len: 0,
+            key: PhantomData,
         }
     }
 
@@ -222,29 +263,30 @@ impl<T> TidMap<T> {
         self.len == 0
     }
 
-    /// True if `tid` has a value (bounds-checked; forged ids miss).
-    pub fn contains(&self, tid: Tid) -> bool {
-        self.get(tid).is_some()
+    /// True if `key` has a value (bounds-checked; forged ids miss).
+    pub fn contains(&self, key: K) -> bool {
+        self.get(key).is_some()
     }
 
     /// Shared access.
     #[inline]
-    pub fn get(&self, tid: Tid) -> Option<&T> {
-        self.v.get(tid.index()).and_then(|s| s.as_ref())
+    pub fn get(&self, key: K) -> Option<&T> {
+        self.v.get(key.index()).and_then(|s| s.as_ref())
     }
 
     /// Mutable access.
     #[inline]
-    pub fn get_mut(&mut self, tid: Tid) -> Option<&mut T> {
-        self.v.get_mut(tid.index()).and_then(|s| s.as_mut())
+    pub fn get_mut(&mut self, key: K) -> Option<&mut T> {
+        self.v.get_mut(key.index()).and_then(|s| s.as_mut())
     }
 
     /// Inserts, returning the previous value.
-    pub fn insert(&mut self, tid: Tid, value: T) -> Option<T> {
-        if self.v.len() <= tid.index() {
-            self.v.resize_with(tid.index() + 1, || None);
+    pub fn insert(&mut self, key: K, value: T) -> Option<T> {
+        let i = key.index();
+        if self.v.len() <= i {
+            self.v.resize_with(i + 1, || None);
         }
-        let old = self.v[tid.index()].replace(value);
+        let old = self.v[i].replace(value);
         if old.is_none() {
             self.len += 1;
         }
@@ -252,20 +294,20 @@ impl<T> TidMap<T> {
     }
 
     /// Removes and returns the value.
-    pub fn remove(&mut self, tid: Tid) -> Option<T> {
-        let old = self.v.get_mut(tid.index()).and_then(|s| s.take());
+    pub fn remove(&mut self, key: K) -> Option<T> {
+        let old = self.v.get_mut(key.index()).and_then(|s| s.take());
         if old.is_some() {
             self.len -= 1;
         }
         old
     }
 
-    /// Returns the value for `tid`, inserting `default` first if absent.
-    pub fn or_insert(&mut self, tid: Tid, default: T) -> &mut T {
-        if !self.contains(tid) {
-            self.insert(tid, default);
+    /// Returns the value for `key`, inserting `default` first if absent.
+    pub fn or_insert(&mut self, key: K, default: T) -> &mut T {
+        if !self.contains(key) {
+            self.insert(key, default);
         }
-        self.get_mut(tid).expect("just inserted")
+        self.get_mut(key).expect("just inserted")
     }
 
     /// Drops every entry.
@@ -274,116 +316,15 @@ impl<T> TidMap<T> {
         self.len = 0;
     }
 
-    /// Iterates `(tid, &value)` in ascending `Tid` order — deterministic
-    /// by construction, unlike the `HashMap`s this type replaces.
-    pub fn iter(&self) -> impl Iterator<Item = (Tid, &T)> {
-        self.v
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (Tid(i as u32), v)))
-    }
-
-    /// Live tids in ascending order.
-    pub fn tids(&self) -> impl Iterator<Item = Tid> + '_ {
-        self.iter().map(|(t, _)| t)
-    }
-}
-
-/// Direct-mapped per-CPU state: `cpu.index()` indexes a `Vec` bounded by
-/// the topology size. Iteration is in `CpuId` order — deterministic by
-/// construction.
-#[derive(Debug, Clone)]
-pub struct CpuMap<T> {
-    v: Vec<Option<T>>,
-    len: usize,
-}
-
-impl<T> Default for CpuMap<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> CpuMap<T> {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self {
-            v: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if there are no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True if `cpu` has a value.
-    pub fn contains(&self, cpu: CpuId) -> bool {
-        self.get(cpu).is_some()
-    }
-
-    /// Shared access.
-    #[inline]
-    pub fn get(&self, cpu: CpuId) -> Option<&T> {
-        self.v.get(cpu.index()).and_then(|s| s.as_ref())
-    }
-
-    /// Mutable access.
-    #[inline]
-    pub fn get_mut(&mut self, cpu: CpuId) -> Option<&mut T> {
-        self.v.get_mut(cpu.index()).and_then(|s| s.as_mut())
-    }
-
-    /// Inserts, returning the previous value.
-    pub fn insert(&mut self, cpu: CpuId, value: T) -> Option<T> {
-        if self.v.len() <= cpu.index() {
-            self.v.resize_with(cpu.index() + 1, || None);
-        }
-        let old = self.v[cpu.index()].replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    /// Returns the value for `cpu`, inserting `default` first if absent.
-    pub fn or_insert(&mut self, cpu: CpuId, default: T) -> &mut T {
-        if !self.contains(cpu) {
-            self.insert(cpu, default);
-        }
-        self.get_mut(cpu).expect("just inserted")
-    }
-
-    /// Removes and returns the value.
-    pub fn remove(&mut self, cpu: CpuId) -> Option<T> {
-        let old = self.v.get_mut(cpu.index()).and_then(|s| s.take());
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.v.clear();
-        self.len = 0;
-    }
-
-    /// Keeps only entries for which `keep` returns true. Visits in
-    /// `CpuId` order; skipped entirely when the map is empty.
-    pub fn retain(&mut self, mut keep: impl FnMut(CpuId, &mut T) -> bool) {
+    /// Keeps only entries for which `keep` returns true. Visits in key
+    /// order; skipped entirely when the map is empty.
+    pub fn retain(&mut self, mut keep: impl FnMut(K, &mut T) -> bool) {
         if self.len == 0 {
             return;
         }
         for (i, slot) in self.v.iter_mut().enumerate() {
             if let Some(v) = slot {
-                if !keep(CpuId(i as u16), v) {
+                if !keep(K::from_index(i), v) {
                     *slot = None;
                     self.len -= 1;
                 }
@@ -391,22 +332,22 @@ impl<T> CpuMap<T> {
         }
     }
 
-    /// Iterates `(cpu, &value)` in `CpuId` order.
-    pub fn iter(&self) -> impl Iterator<Item = (CpuId, &T)> {
+    /// Iterates `(key, &value)` in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &T)> {
         self.v
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (CpuId(i as u16), v)))
+            .filter_map(|(i, s)| s.as_ref().map(|v| (K::from_index(i), v)))
     }
 
-    /// Live values in `CpuId` order.
+    /// Live values in key order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.iter().map(|(_, v)| v)
     }
 
-    /// Live CPU ids in ascending order.
-    pub fn cpus(&self) -> impl Iterator<Item = CpuId> + '_ {
-        self.iter().map(|(c, _)| c)
+    /// Live keys in ascending order.
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.iter().map(|(k, _)| k)
     }
 }
 
@@ -490,7 +431,7 @@ mod tests {
         m.insert(CpuId(9), 90);
         m.insert(CpuId(2), 20);
         m.insert(CpuId(5), 50);
-        let order: Vec<u16> = m.cpus().map(|c| c.0).collect();
+        let order: Vec<u16> = m.keys().map(|c| c.0).collect();
         assert_eq!(order, vec![2, 5, 9]);
         m.retain(|_, &mut v| v != 50);
         assert_eq!(m.len(), 2);

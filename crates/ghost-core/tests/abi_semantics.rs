@@ -6,7 +6,7 @@
 use ghost_core::abi::AbiError;
 use ghost_core::enclave::{EnclaveConfig, QueueId};
 use ghost_core::msg::{Message, MsgType};
-use ghost_core::policy::{GhostPolicy, PolicyCtx};
+use ghost_core::policy::{CpuView, GhostPolicy, PolicyCtx};
 use ghost_core::runtime::GhostRuntime;
 use ghost_core::txn::{Transaction, TxnStatus};
 use ghost_sim::app::{App, Next};
@@ -203,7 +203,8 @@ fn affinity_change_invalidates_pending_commit() {
         let status = Arc::clone(&status);
         s.script.lock().unwrap().push(Box::new(move |ctx| {
             let mut txn = Transaction::new(t, CpuId(5));
-            *status.lock().unwrap() = Some(ctx.commit_one(&mut txn));
+            ctx.commit(std::slice::from_mut(&mut txn));
+            *status.lock().unwrap() = Some(txn.status);
         }));
     }
     // Let the commit land and the thread run.
@@ -329,11 +330,13 @@ mod ghost_policies_stub {
             let free: Vec<CpuId> = core
                 .iter()
                 .filter(|&c| {
-                    !ctx.commit_pending(c)
-                        && ctx.running_ghost(c).is_none()
-                        && (c == ctx.local_cpu()
-                            || ctx.agent_on_cpu(c)
-                            || ctx.idle_cpus().contains(c))
+                    ctx.cpu_view(c).is_some_and(|v| {
+                        v.pending.is_none()
+                            && v.running.is_none()
+                            && (c == ctx.local_cpu()
+                                || v.agent
+                                || (v.idle && ctx.enclave_cpus().contains(c)))
+                    })
                 })
                 .collect();
             if free.is_empty() {
@@ -341,9 +344,9 @@ mod ghost_policies_stub {
             }
             // The core's claimed cookie, if any.
             let claimed = core.iter().find_map(|c| {
-                ctx.running_ghost(c)
-                    .or_else(|| ctx.pending_commit_tid(c))
-                    .and_then(|t| ctx.thread_view(t).map(|v| v.cookie))
+                let v = ctx.cpu_view(c)?;
+                let t = v.running.or(v.pending)?;
+                ctx.thread_view(t).map(|v| v.cookie)
             });
             let Some(pos) = self
                 .rq
@@ -354,11 +357,74 @@ mod ghost_policies_stub {
             };
             let (tid, _, seq) = self.rq.remove(pos).expect("position valid");
             let mut txn = Transaction::new(tid, free[0]).with_thread_seq(seq);
-            if !ctx.commit_one(&mut txn).committed() {
+            ctx.commit(std::slice::from_mut(&mut txn));
+            if !txn.status.committed() {
                 self.rq.push_back((tid, claimed.unwrap_or(0), seq));
             }
         }
     }
+}
+
+/// `cpu_view`, one row per CPU state an agent can observe. The enclave
+/// spans CPUs 1-7 with its global agent on CPU 1; `a` runs on CPU 2, `b`
+/// is committed to CPU 4 but not yet picked, and a CFS hog holds CPU 0.
+/// A forged id reads `None` and records no rejection.
+#[test]
+fn cpu_view_reports_each_cpu_state() {
+    let mut s = setup(2, EnclaveConfig::centralized("cpu-view"));
+    let (a, b) = (s.tids[0], s.tids[1]);
+    let topo = &s.kernel.state.topo;
+    let hog = s
+        .kernel
+        .spawn(ThreadSpec::workload("hog", topo).affinity(CpuSet::from_iter([CpuId(0)])));
+    s.kernel.assign_and_wake(hog, 50 * MILLIS);
+    s.kernel.assign_and_wake(a, 50 * MILLIS);
+    s.script.lock().unwrap().push(Box::new(move |ctx| {
+        ctx.commit(&mut [Transaction::new(a, CpuId(2))]);
+    }));
+    s.kernel.run_until(2 * MILLIS);
+    assert_eq!(s.kernel.state.thread(a).cpu, Some(CpuId(2)));
+    let rejects = s.runtime.stats().abi_rejects_total();
+
+    let rows = Arc::new(Mutex::new(Vec::new()));
+    {
+        let rows = Arc::clone(&rows);
+        s.script.lock().unwrap().push(Box::new(move |ctx| {
+            ctx.commit(&mut [Transaction::new(b, CpuId(4))]);
+            let cpus = [
+                ctx.local_cpu(),
+                CpuId(6),
+                CpuId(4),
+                CpuId(2),
+                CpuId(0),
+                CpuId(999),
+            ];
+            rows.lock()
+                .unwrap()
+                .extend(cpus.map(|c| (c, ctx.cpu_view(c))));
+        }));
+    }
+    s.kernel.assign_and_wake(b, MILLIS);
+    s.kernel.run_until(3 * MILLIS);
+
+    let view = |running, pending, agent, idle| {
+        Some(CpuView {
+            running,
+            pending,
+            agent,
+            idle,
+        })
+    };
+    let expected = [
+        (CpuId(1), view(None, None, true, false)), // the agent's own CPU
+        (CpuId(6), view(None, None, false, true)), // idle enclave CPU
+        (CpuId(4), view(None, Some(b), false, true)), // committed, unpicked
+        (CpuId(2), view(Some(a), None, false, false)), // running a ghOSt thread
+        (CpuId(0), view(None, None, false, false)), // outside the enclave, CFS
+        (CpuId(999), None),                        // forged id
+    ];
+    assert_eq!(*rows.lock().unwrap(), expected);
+    assert_eq!(s.runtime.stats().abi_rejects_total(), rejects);
 }
 
 #[test]
@@ -371,13 +437,13 @@ fn txns_recall_withdraws_pending_commit() {
         let outcome = Arc::clone(&outcome);
         s.script.lock().unwrap().push(Box::new(move |ctx| {
             let mut txn = Transaction::new(t, CpuId(4));
-            let committed = ctx.commit_one(&mut txn);
+            ctx.commit(std::slice::from_mut(&mut txn));
             // Recall it before the target CPU acts on it.
             let recalled = ctx.try_recall(CpuId(4)).ok();
             // The thread is schedulable again: a second commit succeeds.
             let mut txn2 = Transaction::new(t, CpuId(5));
-            let second = ctx.commit_one(&mut txn2);
-            *outcome.lock().unwrap() = (Some(committed), recalled, Some(second));
+            ctx.commit(std::slice::from_mut(&mut txn2));
+            *outcome.lock().unwrap() = (Some(txn.status), recalled, Some(txn2.status));
         }));
     }
     s.kernel.run_until(10 * MILLIS);
@@ -466,7 +532,7 @@ fn commit_rejections_are_typed_and_counted() {
                 Transaction::new(b, CpuId(2)),                    // slot now taken
             ];
             for t in &mut txns {
-                ctx.commit_one(t);
+                ctx.commit(std::slice::from_mut(t));
             }
             results
                 .lock()
@@ -652,7 +718,7 @@ fn strike_budget_quarantines_a_byzantine_enclave() {
     s.script.lock().unwrap().push(Box::new(move |ctx| {
         for _ in 0..4 {
             let mut txn = Transaction::new(t, CpuId(999));
-            ctx.commit_one(&mut txn);
+            ctx.commit(std::slice::from_mut(&mut txn));
         }
     }));
     s.kernel.run_until(10 * MILLIS);
@@ -678,7 +744,7 @@ fn scheduling_hints_reach_the_policy() {
     {
         let seen = Arc::clone(&seen);
         s.script.lock().unwrap().push(Box::new(move |ctx| {
-            *seen.lock().unwrap() = ctx.hint(t);
+            *seen.lock().unwrap() = ctx.thread_view(t).and_then(|v| v.hint);
         }));
     }
     s.kernel.assign_and_wake(t, 100 * MICROS);

@@ -386,7 +386,7 @@ fn lender_destroy_mid_lease_transfers_cpu_to_borrower() {
         .try_lend_cpu(&mut s.kernel.state, &s.protected, CpuId(5), 500 * MILLIS)
         .expect("lend succeeds");
     s.kernel.run_until(20 * MILLIS);
-    s.donor.destroy(&mut s.kernel.state);
+    s.donor.try_destroy(&mut s.kernel.state).expect("destroy");
     s.kernel.run_until(30 * MILLIS);
     assert!(!s.donor.alive());
     assert!(s.protected.alive());

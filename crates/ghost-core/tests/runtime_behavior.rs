@@ -341,8 +341,8 @@ fn stale_thread_seq_fails_with_estale() {
                         let cpu = ctx.idle_cpus().first();
                         if let Some(cpu) = cpu {
                             let mut txn = Transaction::new(tid, cpu).with_thread_seq(seq - 1);
-                            let status = ctx.commit_one(&mut txn);
-                            assert_eq!(status, TxnStatus::Stale);
+                            ctx.commit(std::slice::from_mut(&mut txn));
+                            assert_eq!(txn.status, TxnStatus::Stale);
                             *self.stale_seen.lock().unwrap() = true;
                         }
                     }
@@ -460,7 +460,9 @@ fn staged_upgrade_survives_agent_crash() {
     );
     s.kernel.run_until(20 * MILLIS);
     // Stage a new policy version, then crash the running agent.
-    s.enclave.stage_upgrade(Box::new(FifoPolicy::default()));
+    s.enclave
+        .try_stage_upgrade(Box::new(FifoPolicy::default()))
+        .expect("stage upgrade");
     let global = s.enclave.global_agent().expect("global agent");
     s.kernel.kill(global);
     s.kernel.run_until(100 * MILLIS);
@@ -496,7 +498,9 @@ fn watchdog_promotes_staged_policy_instead_of_reaping() {
     // A fixed policy version is staged before the watchdog trips: the
     // watchdog must hand over to it in place instead of reaping the
     // enclave (the mid-upgrade handoff is excused, not double-reaped).
-    s.enclave.stage_upgrade(Box::new(FifoPolicy::default()));
+    s.enclave
+        .try_stage_upgrade(Box::new(FifoPolicy::default()))
+        .expect("stage upgrade");
     s.kernel.run_until(200 * MILLIS);
     let stats = s.runtime.stats();
     assert_eq!(stats.upgrades, 1, "watchdog should promote the standby");
@@ -537,7 +541,9 @@ fn upgraded_agent_gets_fresh_watchdog_grace() {
     // The staged version is just as dead: the watchdog promotes it once,
     // then must re-measure starvation from the upgrade instant — not
     // reap the fresh agent with the stale pre-upgrade clock.
-    s.enclave.stage_upgrade(Box::new(DeadPolicy));
+    s.enclave
+        .try_stage_upgrade(Box::new(DeadPolicy))
+        .expect("stage upgrade");
     s.kernel.run_until(200 * MILLIS);
     let stats = s.runtime.stats();
     assert_eq!(stats.upgrades, 1);
@@ -665,7 +671,7 @@ fn destroy_enclave_api_moves_threads_to_cfs() {
         Box::new(FifoPolicy::default()),
     );
     s.kernel.run_until(10 * MILLIS);
-    s.enclave.destroy(&mut s.kernel.state);
+    s.enclave.try_destroy(&mut s.kernel.state).expect("destroy");
     s.kernel.run_until(20 * MILLIS);
     assert!(!s.enclave.alive());
     for &t in &s.threads {
@@ -899,8 +905,12 @@ fn upgrade_reconstructs_without_synthetic_messages() {
     );
     s.kernel.run_until(20 * MILLIS);
     let created_before = s.runtime.stats().posted(MsgType::ThreadCreated);
-    s.enclave.stage_upgrade(Box::new(FifoPolicy::default()));
-    assert!(s.enclave.upgrade_now(&mut s.kernel.state));
+    s.enclave
+        .try_stage_upgrade(Box::new(FifoPolicy::default()))
+        .expect("stage upgrade");
+    s.enclave
+        .try_upgrade_now(&mut s.kernel.state)
+        .expect("upgrade");
     s.kernel.run_until(100 * MILLIS);
     let stats = s.runtime.stats();
     // The incoming agent seeds itself from the status-word scan: no

@@ -172,7 +172,8 @@ fn racing_agents_get_estale_on_stale_seq() {
                     // Schedule it normally this once so it runs and its
                     // seq advances behind A's back.
                     let mut txn = Transaction::new(target, local).with_thread_seq(self.stale_seq);
-                    assert_eq!(ctx.commit_one(&mut txn), TxnStatus::Committed);
+                    ctx.commit(std::slice::from_mut(&mut txn));
+                    assert_eq!(txn.status, TxnStatus::Committed);
                     self.phase = 1;
                 }
                 // Agent B stays silent in phase 1; agent A commits with
@@ -183,8 +184,8 @@ fn racing_agents_get_estale_on_stale_seq() {
                         if view.runnable && view.tseq > self.stale_seq {
                             let mut txn = Transaction::new(target, ctx.local_cpu())
                                 .with_thread_seq(self.stale_seq);
-                            let status = ctx.commit_one(&mut txn);
-                            assert_eq!(status, TxnStatus::Stale, "stale seq must ESTALE");
+                            ctx.commit(std::slice::from_mut(&mut txn));
+                            assert_eq!(txn.status, TxnStatus::Stale, "stale seq must ESTALE");
                             *self.stale_seen.lock().unwrap() = true;
                             self.phase = 2;
                         }
@@ -196,7 +197,7 @@ fn racing_agents_get_estale_on_stale_seq() {
                         if view.runnable {
                             let mut txn = Transaction::new(target, ctx.local_cpu())
                                 .with_thread_seq(view.tseq);
-                            ctx.commit_one(&mut txn);
+                            ctx.commit(std::slice::from_mut(&mut txn));
                         }
                     }
                 }
@@ -286,15 +287,16 @@ fn commit_after_block_is_rejected_not_runnable() {
             // Sabotage once things are warm: pick a thread the enclave
             // manages that is currently blocked and commit it anyway.
             if !self.sabotaged && self.seqs.values().any(|&s| s >= 4) {
-                let blocked = ctx
-                    .managed_threads()
+                let mut known: Vec<Tid> = self.seqs.keys().copied().collect();
+                known.sort();
+                let blocked = known
                     .into_iter()
                     .find(|&t| ctx.thread_view(t).is_some_and(|v| !v.runnable));
                 if let (Some(tid), Some(cpu)) = (blocked, ctx.idle_cpus().first()) {
                     self.sabotaged = true;
                     let mut txn = Transaction::new(tid, cpu); // SeqConstraint::None
-                    let status = ctx.commit_one(&mut txn);
-                    assert_eq!(status, TxnStatus::TargetNotRunnable);
+                    ctx.commit(std::slice::from_mut(&mut txn));
+                    assert_eq!(txn.status, TxnStatus::TargetNotRunnable);
                     *self.race_seen.lock().unwrap() = true;
                 }
             }

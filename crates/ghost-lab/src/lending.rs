@@ -559,16 +559,6 @@ impl LendingScenario {
     }
 }
 
-fn scenario(
-    policy: PolicyKind,
-    workload: LendingWorkload,
-    fault: LendingFault,
-    seed: u64,
-    horizon: Nanos,
-) -> LendingScenario {
-    LendingScenario::new(policy, workload, fault, seed, horizon)
-}
-
 /// The fault-free lending library: every workload shape under every
 /// given protected-enclave policy.
 pub fn lending_library(policies: &[PolicyKind], seed: u64, horizon: Nanos) -> Vec<LendingScenario> {
@@ -579,7 +569,8 @@ pub fn lending_library(policies: &[PolicyKind], seed: u64, horizon: Nanos) -> Ve
             LendingWorkload::FlashCrowd,
             LendingWorkload::Antagonist,
         ] {
-            out.push(scenario(p, w, LendingFault::None, seed, horizon));
+            let sc = LendingScenario::new(p, w, LendingFault::None, seed, horizon);
+            out.push(sc);
         }
     }
     out
@@ -595,7 +586,8 @@ pub fn lending_fault_matrix(
     let mut out = Vec::new();
     for &p in policies {
         for f in LendingFault::all() {
-            out.push(scenario(p, LendingWorkload::Diurnal, f, seed, horizon));
+            let sc = LendingScenario::new(p, LendingWorkload::Diurnal, f, seed, horizon);
+            out.push(sc);
         }
     }
     out
@@ -613,7 +605,7 @@ mod tests {
 
     #[test]
     fn diurnal_colocation_borrows_and_stays_clean() {
-        let sc = scenario(
+        let sc = LendingScenario::new(
             PolicyKind::CentralizedFifo,
             LendingWorkload::Diurnal,
             LendingFault::None,
@@ -634,7 +626,7 @@ mod tests {
 
     #[test]
     fn flash_crowd_triggers_borrow_after_burst() {
-        let sc = scenario(
+        let sc = LendingScenario::new(
             PolicyKind::CentralizedFifo,
             LendingWorkload::FlashCrowd,
             LendingFault::None,
@@ -665,7 +657,7 @@ mod tests {
 
     #[test]
     fn antagonist_borrower_loses_cpu_at_deadline() {
-        let sc = scenario(
+        let sc = LendingScenario::new(
             PolicyKind::CentralizedFifo,
             LendingWorkload::Antagonist,
             LendingFault::DeadlineStress,
@@ -707,7 +699,7 @@ mod tests {
     fn lease_reclaim_rows_meet_the_millisecond_bound() {
         let horizon = 200 * MILLIS;
         for p in policies() {
-            let sc = scenario(
+            let sc = LendingScenario::new(
                 p,
                 LendingWorkload::Diurnal,
                 LendingFault::DeadlineStress,

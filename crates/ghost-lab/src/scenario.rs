@@ -323,7 +323,9 @@ impl Scenario {
         }
         let enclave = runtime.launch_enclave(&mut kernel, cpus, config, self.policy.build());
         if self.stage_upgrade {
-            enclave.stage_upgrade(self.policy.build());
+            enclave
+                .try_stage_upgrade(self.policy.build())
+                .expect("stage upgrade");
         }
         if self.standby {
             let policy = self.policy;

@@ -144,6 +144,17 @@ impl LiveKernel {
         &self.runtime
     }
 
+    /// Runs `f` against the backend under the state lock, then settles the
+    /// deferred operations it queued: the one way a caller drives a
+    /// runtime call that needs the backend (lending, the resource
+    /// manager, attach).
+    pub fn with<R>(&self, f: impl FnOnce(&mut dyn GhostBackend) -> R) -> R {
+        let mut st = self.shared.state.lock().unwrap();
+        let r = f(&mut *st);
+        st.settle();
+        r
+    }
+
     /// Creates an enclave over `cpus` and spawns its agents as real OS
     /// threads (the live analogue of `GhostRuntime::launch_enclave`).
     pub fn launch_enclave(
@@ -152,12 +163,7 @@ impl LiveKernel {
         config: EnclaveConfig,
         policy: Box<dyn GhostPolicy>,
     ) -> EnclaveHandle {
-        let mut st = self.shared.state.lock().unwrap();
-        let handle = self
-            .runtime
-            .launch_enclave_on(&mut *st, cpus, config, policy);
-        st.settle();
-        handle
+        self.with(|k| self.runtime.launch_enclave_on(k, cpus, config, policy))
     }
 
     /// Registers and starts a worker OS thread serving `kv`. The thread
@@ -180,16 +186,12 @@ impl LiveKernel {
 
     /// Attaches a worker to an enclave (START_GHOST).
     pub fn attach(&self, handle: &EnclaveHandle, tid: Tid) {
-        let mut st = self.shared.state.lock().unwrap();
-        handle.attach_thread(&mut *st, tid);
-        st.settle();
+        self.with(|k| handle.attach_thread(k, tid));
     }
 
     /// Wakes a thread.
     pub fn wake(&self, tid: Tid) {
-        let mut st = self.shared.state.lock().unwrap();
-        GhostBackend::wake(&mut *st, tid);
-        st.settle();
+        self.with(|k| k.wake(tid));
     }
 
     /// Wakes the first currently-blocked thread among `tids`; returns
@@ -210,62 +212,7 @@ impl LiveKernel {
 
     /// Kills a thread (workers, or agents to exercise §3.4 failover).
     pub fn kill(&self, tid: Tid) {
-        let mut st = self.shared.state.lock().unwrap();
-        GhostBackend::kill(&mut *st, tid);
-        st.settle();
-    }
-
-    /// Lends `cpu` from `lender` to `borrower` for `duration` (the live
-    /// analogue of `EnclaveHandle::try_lend_cpu`). The deadline is enforced
-    /// by the timer thread's driver-timer dispatch even if the caller
-    /// never reclaims.
-    pub fn lend_cpu(
-        &self,
-        lender: &EnclaveHandle,
-        borrower: &EnclaveHandle,
-        cpu: CpuId,
-        duration: Nanos,
-    ) -> Result<(), ghost_core::AbiError> {
-        let mut st = self.shared.state.lock().unwrap();
-        let r = lender.try_lend_cpu(&mut *st, borrower, cpu, duration);
-        st.settle();
-        r
-    }
-
-    /// Returns a leased CPU to its lender before the deadline.
-    pub fn reclaim_cpu(&self, cpu: CpuId) -> Result<(), ghost_core::AbiError> {
-        let mut st = self.shared.state.lock().unwrap();
-        let r = self.runtime.try_reclaim_cpu(&mut *st, cpu);
-        st.settle();
-        r
-    }
-
-    /// Starts the in-process resource manager supervising `protected`
-    /// (the borrower) and `donor`. Epochs tick on the timer thread.
-    pub fn rm_start(
-        &self,
-        config: ghost_core::RmConfig,
-        protected: ghost_core::EnclaveId,
-        donor: ghost_core::EnclaveId,
-    ) {
-        let mut st = self.shared.state.lock().unwrap();
-        self.runtime.rm_start(&mut *st, config, protected, donor);
-        st.settle();
-    }
-
-    /// Crashes the resource manager (fault injection). Outstanding
-    /// leases stay kernel-enforced.
-    pub fn rm_crash(&self) -> bool {
-        self.runtime.rm_crash()
-    }
-
-    /// Restarts a crashed resource manager, reconstructing its state
-    /// from enclave snapshots.
-    pub fn rm_restart(&self) -> bool {
-        let mut st = self.shared.state.lock().unwrap();
-        let r = self.runtime.rm_restart(&mut *st);
-        st.settle();
-        r
+        self.with(|k| k.kill(tid));
     }
 
     /// Current backend time (monotonic nanoseconds since kernel start).
@@ -288,11 +235,8 @@ impl LiveKernel {
     /// stranded (runnable but never dispatched) past the grace window.
     pub fn thread_snapshots(&self) -> Vec<(Tid, ghost_core::BackendThread)> {
         let st = self.shared.state.lock().unwrap();
-        (0..st.threads.len())
-            .map(|i| {
-                let tid = Tid(i as u32);
-                (tid, GhostBackend::thread(&*st, tid))
-            })
+        (0..st.threads.len() as u32)
+            .filter_map(|i| Some((Tid(i), GhostBackend::thread(&*st, Tid(i))?)))
             .collect()
     }
 

@@ -19,7 +19,7 @@
 //! | status words | `ghost_core::status` | the same type, genuinely shared |
 //!
 //! Scheduling semantics are kept aligned with the DES by construction:
-//! [`state::LiveState::settle`] applies deferred operations in the DES's
+//! `LiveState::settle` applies deferred operations in the DES's
 //! priority order, stint endings map to the same `OffCpuReason` →
 //! `THREAD_*` messages, and trace emission uses the same
 //! `SchedWakeup`/`SchedSwitch` conventions — so `ghost-trace`'s invariant

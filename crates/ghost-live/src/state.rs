@@ -6,7 +6,7 @@
 //! logic runs on whichever OS thread triggered it (a worker ending a
 //! stint, the timer thread firing a watchdog, an agent committing a
 //! transaction), serialized by the state lock; the `ghost-core` hooks are
-//! invoked from [`LiveState::settle`] in exactly the DES's deferred-op
+//! invoked from `LiveState::settle` in exactly the DES's deferred-op
 //! priority order (class moves → wakes → kills → rescheds), so the two
 //! backends present the same event ordering to an unmodified policy.
 //!
@@ -693,9 +693,9 @@ impl GhostBackend for LiveState {
         &self.trace
     }
 
-    fn thread(&self, tid: Tid) -> ghost_core::BackendThread {
-        let t = &self.threads[tid.index()];
-        ghost_core::BackendThread {
+    fn thread(&self, tid: Tid) -> Option<ghost_core::BackendThread> {
+        let t = self.threads.get(tid.index())?;
+        Some(ghost_core::BackendThread {
             state: t.state,
             kind: t.kind,
             class: t.class,
@@ -706,32 +706,18 @@ impl GhostBackend for LiveState {
             cookie: t.cookie,
             runnable_since: t.runnable_since,
             total_work: t.total_work,
-        }
+        })
     }
 
-    fn thread_checked(&self, tid: Tid) -> Option<ghost_core::BackendThread> {
-        (tid.index() < self.threads.len()).then(|| self.thread(tid))
-    }
-
-    fn cpu(&self, cpu: CpuId) -> ghost_core::BackendCpu {
-        let c = &self.cpus[cpu.index()];
-        ghost_core::BackendCpu {
+    fn cpu(&self, cpu: CpuId) -> Option<ghost_core::BackendCpu> {
+        let c = self.cpus.get(cpu.index())?;
+        Some(ghost_core::BackendCpu {
             current: c.current,
             idle: c.current.is_none(),
             // No CFS runqueues behind the live lanes: unmanaged threads
             // run on the host scheduler, so hot-handoff pressure is 0.
             cfs_queued: 0,
-        }
-    }
-
-    fn cpu_checked(&self, cpu: CpuId) -> Option<ghost_core::BackendCpu> {
-        (cpu.index() < self.cpus.len()).then(|| GhostBackend::cpu(self, cpu))
-    }
-
-    fn sibling_busy(&self, cpu: CpuId) -> bool {
-        self.topo
-            .sibling(cpu)
-            .is_some_and(|s| self.cpus[s.index()].current.is_some())
+        })
     }
 
     fn sync_runtime(&mut self, tid: Tid) {

@@ -119,7 +119,8 @@ impl GhostPolicy for StaleProbe {
                     // is a view the kernel must reject as stale.
                     if view.runnable && view.tseq >= 1 {
                         let mut txn = Transaction::new(tid, cpu).with_thread_seq(view.tseq - 1);
-                        match ctx.commit_one(&mut txn) {
+                        ctx.commit(std::slice::from_mut(&mut txn));
+                        match txn.status {
                             TxnStatus::Stale => self.stale_seen.store(true, Ordering::SeqCst),
                             TxnStatus::Committed => {
                                 self.wrong_verdict.store(true, Ordering::SeqCst)
@@ -712,7 +713,9 @@ fn des_queue_overflow_recovers_via_watchdog_upgrade() {
         3,
         plan,
     );
-    s.enclave.stage_upgrade(Box::new(CentralizedFifo::new()));
+    s.enclave
+        .try_stage_upgrade(Box::new(CentralizedFifo::new()))
+        .expect("stage upgrade");
     s.kernel.run_until(200 * MILLIS);
 
     let stats = s.runtime.stats();
@@ -744,7 +747,9 @@ fn live_queue_overflow_recovers_via_watchdog_upgrade() {
         20_000,
         plan,
     );
-    s.enclave.stage_upgrade(Box::new(CentralizedFifo::new()));
+    s.enclave
+        .try_stage_upgrade(Box::new(CentralizedFifo::new()))
+        .expect("stage upgrade");
 
     assert!(
         live_drive_until(&s, s.total, Duration::from_secs(30)),

@@ -75,12 +75,13 @@ fn ran_on(tracker: &ThreadTracker, ctx: &PolicyCtx<'_>, tid: Tid, socket: u16) -
 }
 
 /// True if `c` would accept a commit: no pending slot, no ghOSt thread,
-/// and truly idle, the agent's own CPU (local commit), or a CPU an agent
-/// occupies transiently.
+/// and an idle enclave CPU, the agent's own CPU (local commit), or a CPU
+/// an agent occupies transiently.
 fn accepts_commit(ctx: &PolicyCtx<'_>, c: CpuId) -> bool {
-    !ctx.commit_pending(c)
-        && ctx.running_ghost(c).is_none()
-        && (c == ctx.local_cpu() || ctx.agent_on_cpu(c) || ctx.idle_cpus().contains(c))
+    ctx.cpu_view(c).is_some_and(|v| {
+        v.running.or(v.pending).is_none()
+            && (c == ctx.local_cpu() || v.agent || (v.idle && ctx.enclave_cpus().contains(c)))
+    })
 }
 
 /// The thread that has `core` claimed right now. Both running threads
@@ -88,7 +89,7 @@ fn accepts_commit(ctx: &PolicyCtx<'_>, c: CpuId) -> bool {
 /// pending sibling commit already dedicates the core.
 fn claimant(ctx: &PolicyCtx<'_>, core: &CpuSet) -> Option<Tid> {
     core.iter()
-        .find_map(|c| ctx.running_ghost(c).or_else(|| ctx.pending_commit_tid(c)))
+        .find_map(|c| ctx.cpu_view(c).and_then(|v| v.running.or(v.pending)))
 }
 
 /// The physical cores with a CPU in the enclave, once each in CPU order,
@@ -258,7 +259,7 @@ impl CoreSchedPolicy {
         let avail: Vec<CpuId> = cpus
             .iter()
             .copied()
-            .filter(|&c| !ctx.commit_pending(c))
+            .filter(|&c| ctx.cpu_view(c).is_some_and(|v| v.pending.is_none()))
             .collect();
         // Every sibling currently running the old VM must be replaced in
         // the same atomic group — a partial rotation would mix VMs on the
@@ -266,7 +267,7 @@ impl CoreSchedPolicy {
         // (it gets the core at the next natural idle point).
         let must_replace = cpus
             .iter()
-            .filter(|&&c| ctx.running_ghost(c).is_some())
+            .filter(|&&c| ctx.cpu_view(c).is_some_and(|v| v.running.is_some()))
             .count();
         let threads = self.take_threads(next_vm, avail.len(), ctx, cpus[0]);
         if threads.is_empty() || threads.len() < must_replace {

@@ -263,10 +263,9 @@ impl SliceClock {
     pub fn preemptible(&self, ctx: &PolicyCtx<'_>, age: Nanos) -> Vec<(Nanos, Tid, CpuId)> {
         let now = ctx.now();
         let on_cpu = |cpu| {
-            let running = ctx.running_ghost(cpu)?;
+            let running = ctx.cpu_view(cpu).filter(|v| v.pending.is_none())?.running?;
             let since = *self.running_since.get(running)?;
-            (now.saturating_sub(since) >= age && !ctx.commit_pending(cpu))
-                .then_some((since, running, cpu))
+            (now.saturating_sub(since) >= age).then_some((since, running, cpu))
         };
         ctx.enclave_cpus().iter().filter_map(on_cpu).collect()
     }

@@ -144,7 +144,7 @@ mod tests {
             "search",
             SearchPolicy::new(SearchConfig::default()),
             |p, m| p.track(m, || None),
-            |p| p.queued.tids().collect(),
+            |p| p.queued.keys().collect(),
             false,
         );
     }

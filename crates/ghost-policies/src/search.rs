@@ -312,6 +312,7 @@ mod tests {
             affinity: CpuSet::first_n(4),
             nice,
             cookie: 0,
+            hint: None,
         };
         // Equal raw runtime: the nice -10 thread gets a much smaller key
         // (picked first); the nice 10 thread a much larger one.

@@ -63,10 +63,10 @@ impl GhostPolicy for ShinjukuShenangoPolicy {
         // here, at high load).
         if !self.lc.rq.is_empty() {
             for cpu in ctx.enclave_cpus().iter() {
-                let on_batch = ctx
-                    .running_ghost(cpu)
-                    .is_some_and(|t| self.batch_threads.contains(t));
-                if on_batch && !ctx.commit_pending(cpu) {
+                let on_batch = ctx.cpu_view(cpu).is_some_and(|v| {
+                    v.pending.is_none() && v.running.is_some_and(|t| self.batch_threads.contains(t))
+                });
+                if on_batch {
                     let Some(next) = self.lc.rq.pop() else {
                         break;
                     };

@@ -67,10 +67,9 @@ impl SnapPolicy {
         }
         // No idle CPU: preempt an antagonist (never another Snap worker).
         let victim_cpu = ctx.enclave_cpus().iter().find(|&cpu| {
-            !ctx.commit_pending(cpu)
-                && ctx
-                    .running_ghost(cpu)
-                    .is_some_and(|t| !self.snap_threads.contains(t))
+            ctx.cpu_view(cpu).is_some_and(|v| {
+                v.pending.is_none() && v.running.is_some_and(|t| !self.snap_threads.contains(t))
+            })
         })?;
         Some((victim_cpu, true))
     }

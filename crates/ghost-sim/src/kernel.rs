@@ -125,30 +125,6 @@ impl KernelState {
         &self.cpus[cpu.index()]
     }
 
-    /// True if `tid` names a thread the kernel has ever spawned. The
-    /// enforcement hook for validating agent-supplied tids: anything an
-    /// agent hands the kernel must pass here before it is used as an
-    /// index.
-    pub fn valid_tid(&self, tid: Tid) -> bool {
-        tid.index() < self.threads.len()
-    }
-
-    /// True if `cpu` names a CPU of this machine. The enforcement hook
-    /// for validating agent-supplied CPU ids.
-    pub fn valid_cpu(&self, cpu: CpuId) -> bool {
-        cpu.index() < self.cpus.len()
-    }
-
-    /// Bounds-checked access to a thread (for agent-supplied tids).
-    pub fn thread_checked(&self, tid: Tid) -> Option<&SimThread> {
-        self.threads.get(tid.index())
-    }
-
-    /// Bounds-checked access to a CPU (for agent-supplied CPU ids).
-    pub fn cpu_checked(&self, cpu: CpuId) -> Option<&CpuState> {
-        self.cpus.get(cpu.index())
-    }
-
     /// True if `cpu`'s SMT sibling is occupied.
     pub fn sibling_busy(&self, cpu: CpuId) -> bool {
         self.topo

@@ -75,7 +75,9 @@ fn main() {
 
     // Non-disruptive upgrade: stage v2, crash the running agent. The
     // staged policy takes over in place; applications keep running.
-    enclave.stage_upgrade(Box::new(CentralizedFifo::new()));
+    enclave
+        .try_stage_upgrade(Box::new(CentralizedFifo::new()))
+        .expect("stage upgrade");
     let agent = enclave.global_agent().expect("global agent");
     kernel.kill(agent);
     kernel.run_until(200 * MILLIS);
