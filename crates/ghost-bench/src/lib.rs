@@ -16,9 +16,9 @@
 //! | [`fig8`] | Fig. 8a–f (Google Search throughput + tails) |
 //! | [`table4`] | Table 4 (secure VM core scheduling) |
 //!
-//! Table 3 is regenerated directly from `ghost_sim::CostModel` plus
-//! Criterion microbenchmarks of the real data structures
-//! (`benches/criterion_micro.rs`).
+//! Table 3 is regenerated directly from `ghost_sim::CostModel`; host-time
+//! costs of the real data structures are per-layer metrics of the
+//! repository benchmark (`benchmark/`).
 
 pub mod fig5;
 pub mod fig6;

@@ -36,7 +36,7 @@ use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime, GhostStats};
 use ghost_core::txn::{Transaction, TxnStatus};
-use ghost_core::{AbiError, StandbyConfig, ThreadSnapshot};
+use ghost_core::{AbiError, StandbyConfig};
 use ghost_lab::PolicyKind;
 use ghost_policies::CentralizedFifo;
 use ghost_sim::app::{App, Next};
@@ -491,10 +491,6 @@ impl GhostPolicy for ByzantinePolicy {
             ctx.request_wakeup_at(ctx.now() + 500 * MICROS);
         }
     }
-
-    fn on_reconstruct(&mut self, snapshot: &[ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        self.inner.on_reconstruct(snapshot, ctx);
-    }
 }
 
 /// Issues one runtime-layer op through the enclave/runtime API.
@@ -606,17 +602,14 @@ fn run_unguarded(combo: &ByzCombo) -> (CaseReport, GhostStats) {
 
     // Victim enclave on CPUs 1–3, watchdog + hot standby armed.
     let victim_kind = combo.victim;
-    let victim_cfg = victim_kind
-        .enclave_config("victim")
-        .with_watchdog(WATCHDOG)
-        .with_standby(StandbyConfig::default());
+    let victim_cfg = victim_kind.enclave_config("victim").with_watchdog(WATCHDOG);
     let victim = runtime.launch_enclave(
         &mut kernel,
         [1u16, 2, 3].into_iter().map(CpuId).collect(),
         victim_cfg,
         victim_kind.build(),
     );
-    victim.set_standby_policy(move || victim_kind.build());
+    victim.set_standby(StandbyConfig::default(), move || victim_kind.build());
 
     // Byzantine enclave on CPUs 4–5.
     let ledger = Arc::new(Mutex::new(Ledger::default()));

@@ -76,17 +76,15 @@ pub(crate) fn launch_guarded(
     name: &str,
     standby: bool,
 ) -> EnclaveHandle {
-    let mut config = policy.enclave_config(name).with_watchdog(LIVE_WATCHDOG);
+    let config = policy.enclave_config(name).with_watchdog(LIVE_WATCHDOG);
+    let enclave = kernel.launch_enclave(cpus, config, policy.build());
     if standby {
-        config = config.with_standby(StandbyConfig {
+        let standby = StandbyConfig {
             max_respawns: 3,
             respawn_backoff: 100 * MILLIS,
             recovery_slo: RECOVERY_WALL_SLO,
-        });
-    }
-    let enclave = kernel.launch_enclave(cpus, config, policy.build());
-    if standby {
-        enclave.set_standby_policy(move || policy.build());
+        };
+        enclave.set_standby(standby, move || policy.build());
     }
     enclave
 }

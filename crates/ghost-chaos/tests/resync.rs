@@ -2,15 +2,17 @@
 //! the agent's message-derived view is unreliable and must be rebuilt
 //! from the threads' status words. This property test runs a lossy
 //! tracker (≈30% of messages dropped) against a lossless reference over
-//! random message streams, resyncs, and checks the rebuilt state is
-//! consistent — including that stale in-flight messages cannot regress
-//! it — across seeds 0..64.
+//! random message streams, then folds the status-word scan's replay
+//! (§3.4: `THREAD_CREATED` per thread, `THREAD_WAKEUP` per waiting one)
+//! into a fresh tracker and checks the rebuilt state is consistent —
+//! including that stale in-flight messages cannot regress it — across
+//! seeds 0..64.
 
 use ghost_chaos::for_seeds;
 use ghost_chaos::rand::rngs::StdRng;
 use ghost_chaos::rand::Rng;
 use ghost_core::msg::{Message, MsgType};
-use ghost_core::ThreadSnapshot;
+use ghost_policies::kernel::RunQueue;
 use ghost_policies::tracker::ThreadTracker;
 use ghost_sim::thread::Tid;
 use ghost_sim::topology::CpuId;
@@ -96,26 +98,28 @@ fn tracker_rebuilds_consistent_state_after_drops() {
             }
         }
 
-        // MSG_QUEUE_OVERFLOW noticed: rebuild from ground truth (here
-        // the reference stands in for re-reading the status words).
-        let scan: Vec<ThreadSnapshot> = reference
+        // MSG_QUEUE_OVERFLOW noticed: a fresh tracker folds the scan's
+        // replay (the reference stands in for re-reading the status
+        // words; no thread is on a CPU here).
+        let created = reference
             .iter()
-            .map(|(tid, t)| ThreadSnapshot {
-                tid,
-                seq: t.seq,
-                runnable: t.runnable,
-                on_cpu: false,
-                last_cpu: t.last_cpu,
-                cookie: 0,
-            })
-            .collect();
-        let waiting = lossy.resync(&scan).count();
+            .map(|(tid, t)| Message::thread(MsgType::ThreadCreated, tid, t.seq, t.last_cpu, 0));
+        let woken = reference
+            .iter()
+            .filter(|(_, t)| t.runnable)
+            .map(|(tid, t)| Message::thread(MsgType::ThreadWakeup, tid, t.seq, t.last_cpu, 0));
+        let replay: Vec<Message> = created.chain(woken).collect();
+        let mut lossy = ThreadTracker::new();
+        let mut rq = RunQueue::default();
+        for m in &replay {
+            lossy.fold(m, &mut rq);
+        }
         assert_eq!(
-            waiting,
-            scan.iter().filter(|s| s.runnable).count(),
-            "every runnable, off-CPU thread must be handed back for queueing"
+            rq.len(),
+            reference.iter().filter(|(_, t)| t.runnable).count(),
+            "every runnable, off-CPU thread must be queued"
         );
-        assert_eq!(snapshot(&lossy), snapshot(&reference), "resync mismatch");
+        assert_eq!(snapshot(&lossy), snapshot(&reference), "replay mismatch");
         assert_eq!(
             lossy.len(),
             reference.len(),
@@ -165,7 +169,7 @@ fn tracker_rebuilds_consistent_state_after_drops() {
         assert_eq!(
             snapshot(&lossy),
             snapshot(&reference),
-            "post-resync divergence"
+            "post-replay divergence"
         );
     });
 }

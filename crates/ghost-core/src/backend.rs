@@ -46,7 +46,8 @@ pub struct BackendThread {
     pub cookie: u64,
     /// When the thread last became runnable (for starvation detection).
     pub runnable_since: Nanos,
-    /// Total work completed, in backend time.
+    /// Total work completed, in backend time, counting a running
+    /// thread's in-progress stint up to now.
     pub total_work: Nanos,
 }
 
@@ -106,10 +107,6 @@ pub trait GhostBackend {
 
     /// Snapshot of a CPU, or `None` if `cpu` names no CPU of this machine.
     fn cpu(&self, cpu: CpuId) -> Option<BackendCpu>;
-
-    /// Folds any in-progress stint into the thread's `total_work` so a
-    /// subsequent [`GhostBackend::thread`] snapshot is current.
-    fn sync_runtime(&mut self, tid: Tid);
 
     /// Makes a blocked thread runnable (no-op if already active/dead).
     fn wake(&mut self, tid: Tid);
@@ -183,6 +180,11 @@ impl GhostBackend for KernelState {
 
     fn thread(&self, tid: Tid) -> Option<BackendThread> {
         let t = self.threads.get(tid.index())?;
+        // A running thread's in-progress stint counts as if it ended now.
+        let stint = match t.state {
+            ThreadState::Running => ((self.now() - t.stint_start) as f64 * t.rate) as Nanos,
+            _ => 0,
+        };
         Some(BackendThread {
             state: t.state,
             kind: t.kind,
@@ -193,7 +195,7 @@ impl GhostBackend for KernelState {
             nice: t.nice,
             cookie: t.cookie,
             runnable_since: t.runnable_since,
-            total_work: t.total_work,
+            total_work: t.total_work + stint,
         })
     }
 
@@ -204,10 +206,6 @@ impl GhostBackend for KernelState {
             idle: c.is_idle(),
             cfs_queued: c.cfs_queued,
         })
-    }
-
-    fn sync_runtime(&mut self, tid: Tid) {
-        KernelState::sync_runtime(self, tid);
     }
 
     fn wake(&mut self, tid: Tid) {

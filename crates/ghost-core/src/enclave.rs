@@ -53,11 +53,6 @@ pub struct EnclaveConfig {
     /// Enable the BPF `pick_next_task` fast path with this per-node ring
     /// capacity (§3.2/§5). `None` disables it.
     pub pnt_ring_capacity: Option<usize>,
-    /// Degraded-mode failover (§3.4): when an agent crashes with no staged
-    /// policy, threads transiently fall back to CFS while a standby agent
-    /// respawns and reconstructs from status words. `None` keeps the
-    /// crash-destroys-the-enclave behaviour.
-    pub standby: Option<crate::recovery::StandbyConfig>,
     /// Byzantine strike budget: quarantine (destroy → CFS fallback) the
     /// enclave after this many rejected ABI calls that no benign race
     /// can produce ([`crate::abi::AbiError::byzantine`]). `None`
@@ -75,7 +70,6 @@ impl EnclaveConfig {
             deliver_ticks: false,
             watchdog_timeout: None,
             pnt_ring_capacity: None,
-            standby: None,
             abi_strike_budget: None,
         }
     }
@@ -89,7 +83,6 @@ impl EnclaveConfig {
             deliver_ticks: true,
             watchdog_timeout: None,
             pnt_ring_capacity: None,
-            standby: None,
             abi_strike_budget: None,
         }
     }
@@ -103,7 +96,6 @@ impl EnclaveConfig {
             deliver_ticks: false,
             watchdog_timeout: None,
             pnt_ring_capacity: None,
-            standby: None,
             abi_strike_budget: None,
         }
     }
@@ -132,12 +124,6 @@ impl EnclaveConfig {
     /// Enables or disables tick delivery.
     pub fn with_ticks(mut self, deliver: bool) -> Self {
         self.deliver_ticks = deliver;
-        self
-    }
-
-    /// Enables degraded-mode failover with a standby agent.
-    pub fn with_standby(mut self, standby: crate::recovery::StandbyConfig) -> Self {
-        self.standby = Some(standby);
         self
     }
 
@@ -249,8 +235,9 @@ pub struct Enclave {
     /// predecessor's backlog (and reaped a second time).
     pub upgraded_at: Option<Nanos>,
     /// Set when an incoming agent (staged upgrade or respawned standby)
-    /// must rebuild its view with a status-word scan before its next
-    /// activation consumes messages (§3.4).
+    /// must discover the enclave's threads with a status-word scan,
+    /// replayed to its policy as messages, before its next activation
+    /// consumes queued ones (§3.4).
     pub needs_reconstruct: bool,
     /// Degraded-mode failover in flight (crash happened, standby not yet
     /// re-absorbed every thread). `None` when healthy.
@@ -269,16 +256,6 @@ pub struct Enclave {
     /// and byzantine strikes alike) — the per-enclave reject pressure
     /// the resource manager samples each epoch.
     pub abi_rejects: u64,
-    /// CPUs granted to this enclave (lease grant or lease return) whose
-    /// policy has not yet been told via
-    /// [`crate::policy::GhostPolicy::on_cpu_grant`]. Drained at the
-    /// start of the next agent activation.
-    pub pending_grants: Vec<CpuId>,
-    /// CPUs taken from this enclave (lent away or lease revoked) whose
-    /// policy has not yet been told via
-    /// [`crate::policy::GhostPolicy::on_cpu_revoke`]. Drained at the
-    /// start of the next agent activation.
-    pub pending_revokes: Vec<CpuId>,
 }
 
 impl Enclave {

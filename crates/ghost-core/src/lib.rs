@@ -63,7 +63,7 @@ pub use lease::{Lease, LeaseStats, LeaseTable, RevokeReason};
 pub use msg::{Message, MsgType};
 pub use policy::{CpuView, GhostPolicy, PolicyCtx, ThreadView};
 pub use queue::MessageQueue;
-pub use recovery::{CommitGovernor, StaleVerdict, StandbyConfig, ThreadSnapshot};
+pub use recovery::{CommitGovernor, StaleVerdict, StandbyConfig};
 pub use rm::{EnclaveHealth, RmConfig, RmDecision, RmState, RmStats};
 pub use runtime::{EnclaveHandle, GhostRuntime, GhostStats};
 pub use status::StatusWord;

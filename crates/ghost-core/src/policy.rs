@@ -145,14 +145,9 @@ impl<'a> PolicyCtx<'a> {
 
     /// Snapshot of a managed thread, or `None` if it is not (or no
     /// longer) in this enclave.
-    pub fn thread_view(&mut self, tid: Tid) -> Option<ThreadView> {
-        let info = self.enclave.threads.get(tid)?;
-        // Sync runtime so `total_runtime` reflects in-progress stints.
-        let tseq = info.tseq;
-        self.k.sync_runtime(tid);
-        let Some(t) = &self.k.thread(tid) else {
-            return None;
-        };
+    pub fn thread_view(&self, tid: Tid) -> Option<ThreadView> {
+        let tseq = self.enclave.threads.get(tid)?.tseq;
+        let t = self.k.thread(tid)?;
         Some(ThreadView {
             tid,
             runnable: t.state == ThreadState::Runnable,
@@ -407,49 +402,22 @@ impl<'a> PolicyCtx<'a> {
 ///
 /// One activation = drain the agent's queue (the harness calls
 /// [`GhostPolicy::on_msg`] per message, charging dequeue costs), then
-/// [`GhostPolicy::schedule`] to make decisions.
+/// [`GhostPolicy::schedule`] to make decisions. A policy's state is the
+/// fold of its messages: an instance that takes over an enclave with
+/// threads (in-place upgrade, standby respawn) has never run, and its
+/// first activation folds the status-word scan as messages (§3.4).
 pub trait GhostPolicy: Send {
     /// Debug name.
     fn name(&self) -> &str;
 
-    /// A message drained from the agent's queue.
+    /// A message drained from the agent's queue — or, at an incoming
+    /// agent's first activation and ahead of any queued message, one of
+    /// the scan's discovery messages: `THREAD_CREATED` with the scanned
+    /// `Tseq` and last CPU for every managed thread, in tid order, then
+    /// `THREAD_WAKEUP` for each runnable thread that is off-CPU. A later
+    /// message with a lower `seq` is a pre-scan leftover.
     fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>);
 
     /// Make scheduling decisions (inspect idle CPUs, commit transactions).
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>);
-
-    /// State reconstruction (§3.4): called once, before any message of the
-    /// activation, when this policy takes over an enclave that already has
-    /// threads — after an in-place upgrade, or when a respawned standby
-    /// agent reclaims degraded threads. `snapshot` is the status-word scan
-    /// (one entry per managed thread, sorted by tid); the policy must
-    /// rebuild its runqueues/trackers from it and treat later messages
-    /// with sequence numbers below the scanned `seq` as stale. The default
-    /// ignores the scan, which is only correct for stateless policies.
-    fn on_reconstruct(
-        &mut self,
-        snapshot: &[crate::recovery::ThreadSnapshot],
-        ctx: &mut PolicyCtx<'_>,
-    ) {
-        let _ = (snapshot, ctx);
-    }
-
-    /// Core lending: `cpu` just joined this enclave's partition (borrowed
-    /// under a lease, or permanently adopted when a lender died). Called
-    /// at the start of the next activation after the grant. The default
-    /// ignores it, which is correct for policies that discover CPUs
-    /// through `ctx.enclave_cpus()` / `ctx.idle_cpus()` each round.
-    fn on_cpu_grant(&mut self, cpu: CpuId, ctx: &mut PolicyCtx<'_>) {
-        let _ = (cpu, ctx);
-    }
-
-    /// Core lending: `cpu` just left this enclave's partition (returned,
-    /// deadline-expired, or forcibly reclaimed). Any commit the policy
-    /// had in flight for it has already been recalled; per-CPU state
-    /// (local queues, per-CPU bookkeeping) should be dropped or
-    /// migrated. The default ignores it, correct for the same policies
-    /// as `on_cpu_grant`.
-    fn on_cpu_revoke(&mut self, cpu: CpuId, ctx: &mut PolicyCtx<'_>) {
-        let _ = (cpu, ctx);
-    }
 }

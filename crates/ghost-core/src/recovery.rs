@@ -5,14 +5,17 @@
 //! reconstructs the enclave state by scanning the status words of the
 //! threads in the enclave" — absorbing 50k threads in ~105 ms (Fig. 9).
 //!
-//! Three pieces live here:
+//! The scan itself is not a separate interface: the runtime performs it
+//! under an `Aseq` barrier at the incoming agent's first activation and
+//! hands its fresh policy the result as messages through
+//! [`crate::policy::GhostPolicy::on_msg`] — a `THREAD_CREATED` per
+//! managed thread, a `THREAD_WAKEUP` per waiting one — so recovery is
+//! the same fold as steady state. Stale in-flight messages (older
+//! seqnums still sitting in queues) are discarded by the policy-side
+//! trackers when they compare sequence numbers.
 //!
-//! * [`ThreadSnapshot`]: one entry of the status-word scan a joining or
-//!   upgraded agent performs. The runtime collects the scan under an
-//!   `Aseq` barrier and hands it to
-//!   [`crate::policy::GhostPolicy::on_reconstruct`]; stale in-flight
-//!   messages (older seqnums still sitting in queues) are discarded by
-//!   the policy-side trackers when they compare sequence numbers.
+//! Two pieces live here:
+//!
 //! * [`StandbyConfig`] + [`RecoveryState`]: degraded-mode failover. When
 //!   an agent dies with no staged successor, the enclave's threads fall
 //!   back to CFS *transiently* while a standby agent respawns,
@@ -35,10 +38,9 @@ use ghost_sim::topology::CpuId;
 /// spaces disjoint.
 pub(crate) const RESPAWN_TIMER_FLAG: u64 = 1 << 63;
 
-/// Degraded-mode failover knobs. Attached to
-/// [`crate::enclave::EnclaveConfig::standby`]; `None` there keeps the
-/// pre-failover behaviour (agent crash without a staged policy destroys
-/// the enclave).
+/// Degraded-mode failover knobs, registered with a policy factory by
+/// [`crate::runtime::EnclaveHandle::set_standby`]. Without one an agent
+/// crash with no staged policy destroys the enclave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StandbyConfig {
     /// Respawn attempts before the enclave is destroyed for good.
@@ -60,26 +62,6 @@ impl Default for StandbyConfig {
             recovery_slo: 10_000_000, // 10 ms
         }
     }
-}
-
-/// One entry of the status-word scan: everything an incoming agent can
-/// learn about a thread without having seen its message history (§3.4).
-#[derive(Debug, Clone, Copy)]
-pub struct ThreadSnapshot {
-    /// The thread.
-    pub tid: Tid,
-    /// The status word's sequence number (`Tseq`). Messages still in
-    /// flight with `seq` below this are pre-scan leftovers and must be
-    /// discarded by the consumer.
-    pub seq: u64,
-    /// `SW_RUNNABLE`: waiting for an agent decision.
-    pub runnable: bool,
-    /// `SW_ONCPU`: running right now.
-    pub on_cpu: bool,
-    /// Last CPU the thread ran on (locality seed).
-    pub last_cpu: CpuId,
-    /// Grouping cookie (VM id, Snap/batch marker, …).
-    pub cookie: u64,
 }
 
 /// In-flight degraded-mode failover bookkeeping, held by the enclave
@@ -161,12 +143,6 @@ impl CommitGovernor {
     /// Forgets a thread entirely (it died or left the enclave).
     pub fn forget(&mut self, tid: Tid) {
         self.stale.remove(tid);
-    }
-
-    /// Drops all streaks (after a reconstruction the old view — and its
-    /// failures — are meaningless).
-    pub fn reset(&mut self) {
-        self.stale.clear();
     }
 
     /// Consecutive stale failures currently recorded for `tid`.

@@ -5,8 +5,9 @@
 use super::{core_key_of, Core, GhostStats};
 use crate::backend::GhostBackend;
 use crate::enclave::{AgentMode, Enclave, EnclaveId, QueueId, WakeMode};
+use crate::msg::{Message, MsgType};
 use crate::policy::PolicyCtx;
-use crate::recovery::{RecoveryState, ThreadSnapshot};
+use crate::recovery::RecoveryState;
 use crate::status::{SW_ONCPU, SW_RUNNABLE};
 use ghost_sim::agent::AgentOutcome;
 use ghost_sim::thread::Tid;
@@ -203,11 +204,6 @@ impl Core {
             return None;
         };
         enclave.loop_armed = false;
-        // Core-lending notifications staged by lend/reclaim, delivered at
-        // the next activation (empty on every non-lending run, so digests
-        // of single-enclave scenarios are untouched).
-        let grants = std::mem::take(&mut enclave.pending_grants);
-        let revokes = std::mem::take(&mut enclave.pending_revokes);
         let aseq = enclave.agents.get(agent_cpu).map_or(0, |a| a.status.seq());
         k.trace()
             .emit(k.now(), agent_cpu.0, || TraceEvent::AgentActivationBegin {
@@ -233,34 +229,14 @@ impl Core {
             }
         }
         // §3.4 state reconstruction: an incoming agent (staged upgrade or
-        // respawned standby) rebuilds its view by scanning the enclave's
-        // status-word table before consuming any message. The scan runs
-        // under the Aseq barrier raised at promotion time, so commits
-        // prepared against the predecessor's view fail `ESTALE`; stale
-        // in-flight messages are discarded downstream by seqnum.
-        let scan: Option<Vec<ThreadSnapshot>> = if enclave.needs_reconstruct {
-            enclave.needs_reconstruct = false;
-            let mut snaps: Vec<ThreadSnapshot> = enclave
-                .threads
-                .iter()
-                .map(|(t, info)| {
-                    let th = &k.tracked(t);
-                    ThreadSnapshot {
-                        tid: t,
-                        seq: info.status.seq(),
-                        runnable: info.status.has_flags(SW_RUNNABLE),
-                        on_cpu: info.status.has_flags(SW_ONCPU),
-                        last_cpu: th.last_cpu.unwrap_or(CpuId(0)),
-                        cookie: th.cookie,
-                    }
-                })
-                .collect();
-            // Deterministic scan order (the slab iterates in handle order).
-            snaps.sort_by_key(|s| s.tid.0);
-            Some(snaps)
-        } else {
-            None
-        };
+        // respawned standby) discovers the enclave's threads by scanning
+        // the status-word table and replays what it finds as messages,
+        // before consuming any drained one. The scan runs under the Aseq
+        // barrier raised at promotion time, so commits prepared against
+        // the predecessor's view fail `ESTALE`; stale in-flight messages
+        // are discarded downstream by seqnum.
+        let discovered =
+            std::mem::take(&mut enclave.needs_reconstruct).then(|| discovery_messages(enclave, k));
         let smt_scale = k
             .topo()
             .sibling(agent_cpu)
@@ -281,12 +257,14 @@ impl Core {
         if msgs.is_empty() {
             ctx.stats.empty_activations += 1;
         }
-        if let Some(snaps) = &scan {
-            let cost = ctx.k.costs().reconstruction_scan(snaps.len() as u64);
+        if let Some((replay, threads)) = &discovered {
+            let cost = ctx.k.costs().reconstruction_scan(*threads as u64);
             ctx.charge(cost);
-            policy.on_reconstruct(snaps, &mut ctx);
+            for m in replay {
+                policy.on_msg(m, &mut ctx);
+            }
             ctx.stats.reconstructions += 1;
-            let threads = snaps.len() as u32;
+            let threads = *threads;
             let at = ctx.k.now() + ctx.busy;
             ctx.k
                 .trace()
@@ -295,14 +273,6 @@ impl Core {
                     threads,
                     agent_tid: agent_tid.0,
                 });
-        }
-        // Revokes before grants: a policy must stop targeting a departed
-        // CPU before it starts placing work on a fresh one.
-        for cpu in revokes {
-            policy.on_cpu_revoke(cpu, &mut ctx);
-        }
-        for cpu in grants {
-            policy.on_cpu_grant(cpu, &mut ctx);
         }
         let dequeue = ctx.k.costs().msg_dequeue;
         for m in &msgs {
@@ -322,7 +292,7 @@ impl Core {
         let wakeup = ctx.wakeup_request.map(|at| at.max(ctx.k.now() + busy));
         ctx.stats.agent_busy_ns += busy;
         self.policies[eid.0 as usize] = Some(policy);
-        if let Some(e) = self.enclaves.get_mut(eid).filter(|_| scan.is_some()) {
+        if let Some(e) = self.enclaves.get_mut(eid).filter(|_| discovered.is_some()) {
             // A reconstruction just ran; if no stashed thread or pending
             // respawn remains, the degraded-mode failover is complete.
             if e.recovery.as_ref().is_some_and(RecoveryState::finished) {
@@ -353,4 +323,33 @@ impl Core {
         self.drain_buf = msgs;
         Some((busy, wakeup))
     }
+}
+
+/// Task discovery (§3.4): the status-word scan as the messages a kernel
+/// posts for every discovered thread, in tid order — one
+/// `THREAD_CREATED` per managed thread, then a `THREAD_WAKEUP` for each
+/// one that is runnable and off-CPU, each stamped with the scanned
+/// `Tseq` and last CPU. Returns the messages and the number of threads
+/// scanned.
+fn discovery_messages(enclave: &Enclave, k: &dyn GhostBackend) -> (Vec<Message>, u32) {
+    let now = k.now();
+    let mut found: Vec<(Tid, u64, CpuId, bool)> = enclave
+        .threads
+        .iter()
+        .map(|(t, info)| {
+            let waiting = info.status.has_flags(SW_RUNNABLE) && !info.status.has_flags(SW_ONCPU);
+            let cpu = k.tracked(t).last_cpu.unwrap_or(CpuId(0));
+            (t, info.status.seq(), cpu, waiting)
+        })
+        .collect();
+    // Deterministic scan order (the slab iterates in handle order).
+    found.sort_by_key(|f| f.0 .0);
+    let created = found
+        .iter()
+        .map(|&(t, seq, cpu, _)| Message::thread(MsgType::ThreadCreated, t, seq, cpu, now));
+    let woken = found
+        .iter()
+        .filter(|f| f.3)
+        .map(|&(t, seq, cpu, _)| Message::thread(MsgType::ThreadWakeup, t, seq, cpu, now));
+    (created.chain(woken).collect(), found.len() as u32)
 }

@@ -2,7 +2,7 @@
 //! policy staging and in-place upgrade, hints, status-word access. Each
 //! has one validated entry point returning a typed [`AbiError`].
 
-use super::{Core, PolicyFactory};
+use super::{Core, Standby};
 use crate::abi::AbiError;
 use crate::backend::GhostBackend;
 use crate::enclave::{Enclave, EnclaveConfig, EnclaveId, QueueId, WakeMode};
@@ -59,15 +59,13 @@ impl Core {
             abi_strikes: 0,
             respawn_attempts: 0,
             abi_rejects: 0,
-            pending_grants: Vec::new(),
-            pending_revokes: Vec::new(),
             config,
         };
         enclave.add_queue(WakeMode::Polled);
         self.enclaves.0.push(Some(enclave));
         self.policies.push(Some(policy));
         self.staged.push(None);
-        self.standby_factories.push(None);
+        self.standbys.push(None);
         Ok(id)
     }
 
@@ -108,9 +106,9 @@ impl Core {
         Ok(())
     }
 
-    pub(super) fn set_standby_policy(&mut self, eid: EnclaveId, factory: PolicyFactory) {
+    pub(super) fn set_standby(&mut self, eid: EnclaveId, standby: Standby) {
         match self.check_enclave(eid) {
-            Ok(()) => self.standby_factories[eid.0 as usize] = Some(factory),
+            Ok(()) => self.standbys[eid.0 as usize] = Some(standby),
             Err(e) => {
                 self.note_reject(e);
             }

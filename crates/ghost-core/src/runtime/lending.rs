@@ -31,18 +31,6 @@ impl Core {
         self.agent_enclave.get(global).map(|&(_, c)| c)
     }
 
-    /// Records that `cpu` joined (`granted`) or left `eid`'s partition,
-    /// for its policy to hear at the next activation.
-    fn note_cpu_change(&mut self, eid: EnclaveId, cpu: CpuId, granted: bool) {
-        if let Some(e) = self.enclaves.get_mut(eid).filter(|e| !e.destroyed) {
-            if granted {
-                e.pending_grants.push(cpu);
-            } else {
-                e.pending_revokes.push(cpu);
-            }
-        }
-    }
-
     /// The donor CPU the RM would lend next: the highest-numbered CPU
     /// that is not already leased, not the centralized global agent's
     /// seat, and not the donor's last CPU. Deterministic by
@@ -107,9 +95,7 @@ impl Core {
             deadline_ns: deadline,
         });
         self.lease_detach_cpu(k, lender, cpu);
-        self.note_cpu_change(lender, cpu, false);
         self.lease_attach_cpu(k, borrower, cpu);
-        self.note_cpu_change(borrower, cpu, true);
         // A lender thread still running there is preempted
         // (THREAD_PREEMPTED routes to the lender via `thread_enclave`).
         resched_ipi(k, cpu);
@@ -173,10 +159,8 @@ impl Core {
         let holding = self.enclave_of_cpu(cpu) == Some(lease.borrower);
         if holding {
             self.lease_detach_cpu(k, lease.borrower, cpu);
-            self.note_cpu_change(lease.borrower, cpu, false);
         }
         self.lease_attach_cpu(k, lease.lender, cpu);
-        self.note_cpu_change(lease.lender, cpu, true);
         if holding || self.check_enclave(lease.borrower).is_err() {
             resched_ipi(k, cpu);
         }

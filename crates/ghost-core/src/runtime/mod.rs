@@ -38,6 +38,7 @@ use crate::enclave::{Enclave, EnclaveConfig, EnclaveId};
 use crate::lease::{Lease, LeaseStats, LeaseTable};
 use crate::msg::Message;
 use crate::policy::GhostPolicy;
+use crate::recovery::StandbyConfig;
 use crate::rm::{RmConfig, RmState, RmStats};
 use crate::slab::TidMap;
 use ghost_sim::agent::AgentOutcome;
@@ -52,6 +53,10 @@ use std::sync::{Arc, Mutex};
 
 /// Builds a fresh policy instance for a standby agent respawn.
 type PolicyFactory = Box<dyn Fn() -> Box<dyn GhostPolicy> + Send>;
+
+/// Degraded-mode failover registration: the knobs and the factory every
+/// standby agent's policy comes from.
+type Standby = (StandbyConfig, PolicyFactory);
 
 /// The enclave table: one slot per [`EnclaveId`] ever issued. A field of
 /// its own so a borrowed enclave leaves the rest of `Core` usable.
@@ -71,10 +76,10 @@ impl Enclaves {
 struct Core {
     enclaves: Enclaves,
     /// Per-enclave policy slots, indexed like `enclaves`: the running
-    /// policy, the one staged for upgrade, and the standby factory.
+    /// policy, the one staged for upgrade, and the standby registration.
     policies: Vec<Option<Box<dyn GhostPolicy>>>,
     staged: Vec<Option<Box<dyn GhostPolicy>>>,
-    standby_factories: Vec<Option<PolicyFactory>>,
+    standbys: Vec<Option<Standby>>,
     thread_enclave: TidMap<EnclaveId>,
     pending_attach: TidMap<EnclaveId>,
     agent_enclave: TidMap<(EnclaveId, CpuId)>,
@@ -175,7 +180,7 @@ impl GhostRuntime {
                 enclaves: Enclaves::default(),
                 policies: Vec::new(),
                 staged: Vec::new(),
-                standby_factories: Vec::new(),
+                standbys: Vec::new(),
                 thread_enclave: TidMap::new(),
                 pending_attach: TidMap::new(),
                 agent_enclave: TidMap::new(),
@@ -566,25 +571,31 @@ impl EnclaveHandle {
         self.runtime.with(|c| c.try_stage_upgrade(self.id, policy))
     }
 
-    /// Promotes the staged policy right now (§3.4): it takes over and
-    /// rebuilds its view by scanning the status words of the enclave's
-    /// threads at its next activation — no synthetic message replay —
-    /// under an `Aseq` barrier on every agent. Rejects dead or unknown
-    /// enclaves and upgrades with nothing staged with a typed
+    /// Promotes the staged policy right now (§3.4): at its next
+    /// activation it discovers the enclave's threads by scanning their
+    /// status words, which reach it as `THREAD_CREATED` (plus
+    /// `THREAD_WAKEUP` for each waiting thread) ahead of any queued
+    /// message, under an `Aseq` barrier on every agent. Rejects dead or
+    /// unknown enclaves and upgrades with nothing staged with a typed
     /// [`AbiError`].
     pub fn try_upgrade_now(&self, k: &mut dyn GhostBackend) -> Result<(), AbiError> {
         self.runtime.with(|c| c.try_upgrade_now(k, self.id))
     }
 
-    /// Registers a policy factory for standby respawns in degraded-mode
-    /// failover (§3.4): each respawned agent starts from a fresh policy
-    /// instance and rebuilds purely from the status-word scan. Without a
-    /// factory the surviving in-memory policy object is re-seeded in
-    /// place (the reconstruction still runs). On a dead or unknown
-    /// enclave the factory is dropped and the rejection counted.
-    pub fn set_standby_policy(&self, factory: impl Fn() -> Box<dyn GhostPolicy> + Send + 'static) {
+    /// Enables degraded-mode failover (§3.4): when an agent crashes with
+    /// no staged policy, the enclave's threads transiently fall back to
+    /// CFS while a standby agent respawns under `standby`'s knobs. Each
+    /// standby starts from a fresh `factory()` instance that rebuilds
+    /// its view from the status-word scan. Without this call an agent
+    /// crash destroys the enclave. On a dead or unknown enclave the
+    /// factory is dropped and the rejection counted.
+    pub fn set_standby(
+        &self,
+        standby: StandbyConfig,
+        factory: impl Fn() -> Box<dyn GhostPolicy> + Send + 'static,
+    ) {
         self.runtime
-            .with(|c| c.set_standby_policy(self.id, Box::new(factory)));
+            .with(|c| c.set_standby(self.id, (standby, Box::new(factory))));
     }
 
     /// Destroys the enclave: threads fall back to CFS, agents die.

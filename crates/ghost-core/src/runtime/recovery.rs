@@ -232,6 +232,9 @@ impl Core {
                 .as_ref()
                 .is_some_and(|r| !r.stashed.is_empty())
             {
+                self.policies[eid.0 as usize] = self.standbys[eid.0 as usize]
+                    .as_ref()
+                    .map(|(_, factory)| factory());
                 reclaim_stashed(enclave, &mut self.pending_attach, k);
                 self.notify_agents(k, eid);
             } else {
@@ -268,10 +271,10 @@ impl Core {
                 enclave.core_active.insert(core_key_of(k, cpu), tid);
             }
         }
-        // A fresh policy process, when a factory is registered; either way
-        // the incoming agent reconstructs from status words and gets
-        // watchdog grace for the backlog it inherits.
-        if let Some(factory) = self.standby_factories[eid.0 as usize].as_ref() {
+        // A fresh policy process: the incoming agent rebuilds its view
+        // from the status-word scan and gets watchdog grace for the
+        // backlog it inherits.
+        if let Some((_, factory)) = self.standbys[eid.0 as usize].as_ref() {
             self.policies[eid.0 as usize] = Some(factory());
         }
         reclaim_stashed(enclave, &mut self.pending_attach, k);
@@ -407,7 +410,7 @@ impl Core {
             v.sort();
             v
         };
-        if let Some(standby) = enclave.config.standby {
+        if let Some(&(standby, _)) = self.standbys[eid.0 as usize].as_ref() {
             self.begin_degraded_failover(k, eid, cpu, standby, victims);
         } else if whole {
             // Fault isolation: the whole enclave falls back to CFS.

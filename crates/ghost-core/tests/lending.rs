@@ -20,15 +20,17 @@ use ghost_trace::{check, TraceEvent, TraceSink};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-/// Grant/revoke callbacks observed by a policy, shared with the test.
+/// CPUs a policy saw join and leave its partition, shared with the test.
 type LendNotes = Arc<Mutex<(Vec<CpuId>, Vec<CpuId>)>>;
 
-/// Centralized FIFO that also records grant/revoke callbacks.
+/// Centralized FIFO that also records the grants and revokes it sees by
+/// diffing `ctx.enclave_cpus()` between activations.
 #[derive(Default)]
 struct FifoPolicy {
     rq: VecDeque<Tid>,
     queued: HashSet<Tid>,
     seqs: HashMap<Tid, u64>,
+    cpus: Option<CpuSet>,
     notes: LendNotes,
 }
 
@@ -72,31 +74,13 @@ impl GhostPolicy for FifoPolicy {
         }
     }
 
-    fn on_reconstruct(
-        &mut self,
-        snapshot: &[ghost_core::ThreadSnapshot],
-        _ctx: &mut PolicyCtx<'_>,
-    ) {
-        self.rq.clear();
-        self.queued.clear();
-        self.seqs.clear();
-        for s in snapshot {
-            self.seqs.insert(s.tid, s.seq);
-            if s.runnable && !s.on_cpu {
-                self.enqueue(s.tid);
-            }
-        }
-    }
-
-    fn on_cpu_grant(&mut self, cpu: CpuId, _ctx: &mut PolicyCtx<'_>) {
-        self.notes.lock().unwrap().0.push(cpu);
-    }
-
-    fn on_cpu_revoke(&mut self, cpu: CpuId, _ctx: &mut PolicyCtx<'_>) {
-        self.notes.lock().unwrap().1.push(cpu);
-    }
-
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
+        let now = ctx.enclave_cpus();
+        if let Some(before) = self.cpus.replace(now) {
+            let mut notes = self.notes.lock().unwrap();
+            notes.1.extend(before.iter().filter(|&c| !now.contains(c)));
+            notes.0.extend(now.iter().filter(|&c| !before.contains(c)));
+        }
         let idle = ctx.idle_cpus();
         let mut txns = Vec::new();
         for cpu in idle.iter() {
@@ -299,8 +283,8 @@ fn manual_lend_and_reclaim_moves_cpu_between_enclaves() {
     s.kernel.run_until(60 * MILLIS);
     no_stranded_leases(&s);
 
-    // Both sides saw the matching policy callbacks: the borrower a
-    // grant then a revoke, the lender a revoke then a grant.
+    // Both sides saw their partition change: the borrower a grant then a
+    // revoke, the lender a revoke then a grant.
     let (pg, pr) = s.p_notes.lock().unwrap().clone();
     assert_eq!(pg, vec![CpuId(7)]);
     assert_eq!(pr, vec![CpuId(7)]);
@@ -629,10 +613,10 @@ fn standby_recovery_with_lease_respawns_only_owned_cpus() {
     let protected = runtime.launch_enclave(
         &mut kernel,
         p_cpus,
-        EnclaveConfig::centralized("protected").with_standby(standby),
+        EnclaveConfig::centralized("protected"),
         Box::new(FifoPolicy::default()),
     );
-    protected.set_standby_policy(|| Box::new(FifoPolicy::default()));
+    protected.set_standby(standby, || Box::new(FifoPolicy::default()));
     let donor = runtime.launch_enclave(
         &mut kernel,
         d_cpus,

@@ -60,22 +60,6 @@ impl GhostPolicy for FifoPolicy {
         }
     }
 
-    fn on_reconstruct(
-        &mut self,
-        snapshot: &[ghost_core::ThreadSnapshot],
-        _ctx: &mut PolicyCtx<'_>,
-    ) {
-        self.rq.clear();
-        self.queued.clear();
-        self.seqs.clear();
-        for s in snapshot {
-            self.seqs.insert(s.tid, s.seq);
-            if s.runnable && !s.on_cpu {
-                self.enqueue(s.tid);
-            }
-        }
-    }
-
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
         let idle = ctx.idle_cpus();
         let mut txns = Vec::new();
@@ -913,8 +897,8 @@ fn upgrade_reconstructs_without_synthetic_messages() {
         .expect("upgrade");
     s.kernel.run_until(100 * MILLIS);
     let stats = s.runtime.stats();
-    // The incoming agent seeds itself from the status-word scan: no
-    // synthetic THREAD_CREATED replay (the pre-reconstruction hack).
+    // The incoming agent's discovery messages go straight to its policy:
+    // no THREAD_CREATED is posted to a queue or counted.
     assert_eq!(
         stats.posted(MsgType::ThreadCreated),
         created_before,
@@ -930,6 +914,169 @@ fn upgrade_reconstructs_without_synthetic_messages() {
     assert_ne!(s.kernel.state.thread(s.threads[0]).class, CLASS_CFS);
 }
 
+/// What an incoming policy saw in its first activation: every message,
+/// and each managed thread's `(tid, Tseq, last CPU, waiting)` read when
+/// the first message arrived (the activation is atomic in virtual time,
+/// so this is the state the scan saw).
+#[derive(Default)]
+struct FirstActivation {
+    msgs: Vec<Message>,
+    threads: Vec<(Tid, u64, CpuId, bool)>,
+    done: bool,
+}
+
+/// A FIFO that records its first activation into [`FirstActivation`]
+/// and charges nothing in it.
+struct ReplayProbe {
+    tids: Vec<Tid>,
+    seen: Arc<Mutex<FirstActivation>>,
+    fifo: FifoPolicy,
+}
+
+impl GhostPolicy for ReplayProbe {
+    fn name(&self) -> &str {
+        "replay-probe"
+    }
+
+    fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>) {
+        let mut seen = self.seen.lock().unwrap();
+        if !seen.done {
+            if seen.msgs.is_empty() {
+                let views = self.tids.iter().filter_map(|&t| ctx.thread_view(t));
+                seen.threads = views
+                    .map(|v| (v.tid, v.tseq, v.last_cpu.unwrap_or(CpuId(0)), v.runnable))
+                    .collect();
+            }
+            seen.msgs.push(*msg);
+        }
+        self.fifo.on_msg(msg, ctx);
+    }
+
+    fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
+        if std::mem::replace(&mut self.seen.lock().unwrap().done, true) {
+            self.fifo.schedule(ctx);
+        }
+    }
+}
+
+#[test]
+fn upgrade_replays_the_scan_before_any_queued_message() {
+    let sink = TraceSink::recording(1, 1 << 18);
+    let mut s = centralized_setup_traced(
+        Topology::test_small(4),
+        24,
+        2 * MILLIS,
+        MILLIS,
+        EnclaveConfig::centralized("test"),
+        Box::new(FifoPolicy::default()),
+        sink.clone(),
+    );
+    s.kernel.run_until(20 * MILLIS);
+    // A thread attached just before the upgrade still has its messages
+    // queued when the incoming agent first runs.
+    let spec = ThreadSpec::workload("late", &s.kernel.state.topo).app(s.app);
+    let late = s.kernel.spawn(spec);
+    s.enclave.attach_thread(&mut s.kernel.state, late);
+    let mut tids = s.threads.clone();
+    tids.push(late);
+    let seen = Arc::new(Mutex::new(FirstActivation::default()));
+    let probe = ReplayProbe {
+        tids: tids.clone(),
+        seen: Arc::clone(&seen),
+        fifo: FifoPolicy::default(),
+    };
+    s.enclave.try_stage_upgrade(Box::new(probe)).expect("stage");
+    s.enclave
+        .try_upgrade_now(&mut s.kernel.state)
+        .expect("upgrade");
+    s.kernel.run_until(40 * MILLIS);
+    let seen = seen.lock().unwrap();
+    assert!(seen.done, "the incoming policy ran");
+
+    // THREAD_CREATED for every thread in tid order, then THREAD_WAKEUP
+    // for each waiting one, stamped with the status word's Tseq and the
+    // thread's last CPU.
+    let mut threads = seen.threads.clone();
+    threads.sort_by_key(|t| t.0);
+    assert_eq!(threads.len(), tids.len());
+    let created = threads
+        .iter()
+        .map(|&(t, seq, cpu, _)| (MsgType::ThreadCreated, t, seq, cpu));
+    let woken = threads
+        .iter()
+        .filter(|t| t.3)
+        .map(|&(t, seq, cpu, _)| (MsgType::ThreadWakeup, t, seq, cpu));
+    let replay: Vec<_> = created.chain(woken).collect();
+    let waiting = replay.len() - threads.len();
+    assert!(
+        waiting > 0 && waiting < threads.len(),
+        "the scan must see waiting and non-waiting threads ({waiting})"
+    );
+    let got: Vec<_> = seen
+        .msgs
+        .iter()
+        .map(|m| (m.ty, m.tid, m.seq, m.cpu))
+        .collect();
+    assert_eq!(got[..replay.len()], replay[..], "replay shape");
+
+    // Every later message is a drained one, in dequeue order; the replay
+    // itself is never dequeued.
+    let records = sink.snapshot();
+    let done = records
+        .iter()
+        .position(|r| matches!(r.event, TraceEvent::ReconstructDone { .. }))
+        .expect("reconstruction traced");
+    let agent_cpu = records[done].cpu;
+    let mine = |r: &&ghost_trace::TraceRecord| r.cpu == agent_cpu;
+    let begin = records[..done]
+        .iter()
+        .rev()
+        .filter(mine)
+        .find(|r| matches!(r.event, TraceEvent::AgentActivationBegin { .. }))
+        .expect("activation begin");
+    let end = records[done..]
+        .iter()
+        .filter(mine)
+        .find(|r| matches!(r.event, TraceEvent::AgentActivationEnd { .. }))
+        .expect("activation end");
+    let dequeued: Vec<(Tid, u64)> = records
+        .iter()
+        .filter(|r| r.seq > begin.seq && r.seq < end.seq && r.cpu == agent_cpu)
+        .filter_map(|r| match r.event {
+            TraceEvent::MsgDequeued { tid, seq, .. } => Some((Tid(tid), seq)),
+            _ => None,
+        })
+        .collect();
+    let drained: Vec<(Tid, u64)> = seen.msgs[replay.len()..]
+        .iter()
+        .map(|m| (m.tid, m.seq))
+        .collect();
+    assert!(
+        !drained.is_empty(),
+        "the late thread's messages were queued"
+    );
+    assert_eq!(drained, dequeued, "drained messages follow the replay");
+    let TraceEvent::AgentActivationEnd { msgs, .. } = end.event else {
+        unreachable!()
+    };
+    assert_eq!(msgs as usize, drained.len());
+
+    // Busy time: the scan (up to ReconstructDone), then one dequeue per
+    // drained message; the probe itself charges nothing. Charges scale
+    // alike when the agent's SMT sibling is busy.
+    let costs = &s.kernel.state.costs;
+    let scan = costs.reconstruction_scan(threads.len() as u64);
+    let scan_busy = records[done].ts - begin.ts;
+    let smt = scan_busy != scan;
+    assert!(!smt || scan_busy == costs.smt_scaled(scan), "scan cost");
+    let dequeue = if smt {
+        costs.smt_scaled(costs.msg_dequeue)
+    } else {
+        costs.msg_dequeue
+    };
+    assert_eq!(end.ts - records[done].ts, dequeue * drained.len() as u64);
+}
+
 #[test]
 fn standby_failover_recovers_within_slo() {
     let standby = ghost_core::StandbyConfig::default();
@@ -939,12 +1086,12 @@ fn standby_failover_recovers_within_slo() {
         3,
         100 * MICROS,
         MILLIS,
-        EnclaveConfig::centralized("test").with_standby(standby),
+        EnclaveConfig::centralized("test"),
         Box::new(FifoPolicy::default()),
         sink.clone(),
     );
     s.enclave
-        .set_standby_policy(|| Box::new(FifoPolicy::default()));
+        .set_standby(standby, || Box::new(FifoPolicy::default()));
     s.kernel.run_until(20 * MILLIS);
     let global = s.enclave.global_agent().expect("global agent");
     s.kernel.kill(global);
@@ -999,11 +1146,11 @@ fn respawn_exhaustion_destroys_enclave() {
         2,
         100 * MICROS,
         MILLIS,
-        EnclaveConfig::centralized("test").with_standby(standby),
+        EnclaveConfig::centralized("test"),
         Box::new(FifoPolicy::default()),
     );
     s.enclave
-        .set_standby_policy(|| Box::new(FifoPolicy::default()));
+        .set_standby(standby, || Box::new(FifoPolicy::default()));
     s.kernel.run_until(20 * MILLIS);
     // Keep killing whichever agent is in charge: the respawn budget is
     // finite, so the enclave is eventually torn down for good.

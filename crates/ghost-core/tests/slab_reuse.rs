@@ -7,16 +7,16 @@
 //!
 //! * a dead tid can never reach a recycled slot (no stale-handle
 //!   aliasing — the forged id misses, the ABI rejects it), and
-//! * the status-word scan a respawned agent performs sees exactly the
-//!   live thread population, never a ghost of the previous occupant of
-//!   a recycled handle.
+//! * the status-word scan a respawned agent replays as `THREAD_CREATED`
+//!   messages covers exactly the live thread population, never a ghost
+//!   of the previous occupant of a recycled handle.
 
 use ghost_core::enclave::EnclaveConfig;
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::runtime::GhostRuntime;
 use ghost_core::txn::Transaction;
-use ghost_core::{AbiError, StandbyConfig, ThreadSnapshot};
+use ghost_core::{AbiError, StandbyConfig};
 use ghost_sim::app::{App, Next};
 use ghost_sim::kernel::{Kernel, KernelConfig, KernelState, ThreadSpec};
 use ghost_sim::thread::Tid;
@@ -49,14 +49,15 @@ impl App for YieldApp {
 /// Shared observers the respawned policy instance reports into.
 #[derive(Default, Clone)]
 struct Observers {
-    /// Tid sets of every reconstruction snapshot, in order.
-    snapshots: Arc<Mutex<Vec<BTreeSet<u32>>>>,
+    /// Tids of every replayed `THREAD_CREATED` (one past the thread's
+    /// first `Tseq`, which only a status-word scan produces).
+    discovered: Arc<Mutex<Vec<u32>>>,
     /// Every tid the policy successfully committed.
     committed: Arc<Mutex<HashSet<u32>>>,
 }
 
-/// Minimal centralized FIFO that records reconstruction snapshots and
-/// committed tids into [`Observers`].
+/// Minimal centralized FIFO that records discovered and committed tids
+/// into [`Observers`].
 #[derive(Default)]
 struct RecordingFifo {
     rq: VecDeque<Tid>,
@@ -95,29 +96,15 @@ impl GhostPolicy for RecordingFifo {
         if msg.ty.is_thread_msg() {
             self.seqs.insert(msg.tid, msg.seq);
         }
+        if msg.ty == MsgType::ThreadCreated && msg.seq > 1 {
+            self.obs.discovered.lock().unwrap().push(msg.tid.0);
+        }
         match msg.ty {
             MsgType::ThreadWakeup | MsgType::ThreadPreempted | MsgType::ThreadYield => {
                 self.enqueue(msg.tid)
             }
             MsgType::ThreadBlocked | MsgType::ThreadDead => self.remove(msg.tid),
             _ => {}
-        }
-    }
-
-    fn on_reconstruct(&mut self, snapshot: &[ThreadSnapshot], _ctx: &mut PolicyCtx<'_>) {
-        self.obs
-            .snapshots
-            .lock()
-            .unwrap()
-            .push(snapshot.iter().map(|s| s.tid.0).collect());
-        self.rq.clear();
-        self.queued.clear();
-        self.seqs.clear();
-        for s in snapshot {
-            self.seqs.insert(s.tid, s.seq);
-            if s.runnable && !s.on_cpu {
-                self.enqueue(s.tid);
-            }
         }
     }
 
@@ -162,11 +149,13 @@ fn churn_setup() -> Churn {
     let enclave = runtime.launch_enclave(
         &mut kernel,
         cpus,
-        EnclaveConfig::centralized("slab-reuse").with_standby(StandbyConfig::default()),
+        EnclaveConfig::centralized("slab-reuse"),
         Box::new(RecordingFifo::new(obs.clone())),
     );
     let factory_obs = obs.clone();
-    enclave.set_standby_policy(move || Box::new(RecordingFifo::new(factory_obs.clone())));
+    enclave.set_standby(StandbyConfig::default(), move || {
+        Box::new(RecordingFifo::new(factory_obs.clone()))
+    });
     let app = kernel.state.next_app_id();
     kernel.add_app(Box::new(YieldApp));
     Churn {
@@ -265,8 +254,8 @@ fn reconstruction_after_churn_sees_only_live_threads() {
     c.kernel.run_until(at);
     let live: BTreeSet<u32> = prev.iter().map(|t| t.0).collect();
 
-    // Crash the agent; the standby respawns and reconstructs from the
-    // status-word scan.
+    // Crash the agent; the standby respawns and rebuilds its view from
+    // the status-word scan's replay.
     let global = c.enclave.global_agent().expect("global agent");
     c.kernel.kill(global);
     c.kernel.run_until(at + 30 * MILLIS);
@@ -274,11 +263,16 @@ fn reconstruction_after_churn_sees_only_live_threads() {
     assert_eq!(stats.respawns, 1, "one standby respawn");
     assert_eq!(stats.reconstructions, 1);
 
-    // The scan must contain exactly the live wave — a recycled handle
-    // must never resurrect its previous occupant into the snapshot.
-    let snapshots = c.obs.snapshots.lock().unwrap().clone();
-    assert_eq!(snapshots.len(), 1, "exactly one reconstruction");
-    assert_eq!(snapshots[0], live, "snapshot is exactly the live threads");
+    // The replay must cover exactly the live wave, once each — a
+    // recycled handle must never resurrect its previous occupant.
+    let discovered = c.obs.discovered.lock().unwrap().clone();
+    assert_eq!(
+        discovered.len(),
+        live.len(),
+        "one THREAD_CREATED per thread"
+    );
+    let discovered: BTreeSet<u32> = discovered.into_iter().collect();
+    assert_eq!(discovered, live, "replay is exactly the live threads");
 
     // The respawned agent schedules the live wave — and only it.
     c.obs.committed.lock().unwrap().clear();

@@ -242,14 +242,11 @@ impl LendingScenario {
         let p_cpus: CpuSet = (1..3u16).map(CpuId).collect();
         let d_cpus: CpuSet = (3..8u16).map(CpuId).collect();
 
-        let mut p_config = self.policy.enclave_config("protected");
-        if self.fault == LendingFault::RevokeDuringReconstruct {
-            p_config = p_config.with_standby(StandbyConfig::default());
-        }
+        let p_config = self.policy.enclave_config("protected");
         let protected = runtime.launch_enclave(&mut kernel, p_cpus, p_config, self.policy.build());
         if self.fault == LendingFault::RevokeDuringReconstruct {
             let pk = self.policy;
-            protected.set_standby_policy(move || pk.build());
+            protected.set_standby(StandbyConfig::default(), move || pk.build());
         }
         let donor = runtime.launch_enclave(
             &mut kernel,

@@ -318,9 +318,6 @@ impl Scenario {
         if let Some(w) = self.watchdog {
             config = config.with_watchdog(w);
         }
-        if self.standby {
-            config = config.with_standby(StandbyConfig::default());
-        }
         let enclave = runtime.launch_enclave(&mut kernel, cpus, config, self.policy.build());
         if self.stage_upgrade {
             enclave
@@ -329,7 +326,7 @@ impl Scenario {
         }
         if self.standby {
             let policy = self.policy;
-            enclave.set_standby_policy(move || policy.build());
+            enclave.set_standby(StandbyConfig::default(), move || policy.build());
         }
 
         let (threads, completions) = attach_workload(

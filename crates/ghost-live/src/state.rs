@@ -695,6 +695,11 @@ impl GhostBackend for LiveState {
 
     fn thread(&self, tid: Tid) -> Option<ghost_core::BackendThread> {
         let t = self.threads.get(tid.index())?;
+        // A running thread's in-progress stint counts as if it ended now.
+        let stint = match t.state {
+            ThreadState::Running => self.clock.now().saturating_sub(t.stint_start),
+            _ => 0,
+        };
         Some(ghost_core::BackendThread {
             state: t.state,
             kind: t.kind,
@@ -705,7 +710,7 @@ impl GhostBackend for LiveState {
             nice: t.nice,
             cookie: t.cookie,
             runnable_since: t.runnable_since,
-            total_work: t.total_work,
+            total_work: t.total_work + stint,
         })
     }
 
@@ -718,15 +723,6 @@ impl GhostBackend for LiveState {
             // run on the host scheduler, so hot-handoff pressure is 0.
             cfs_queued: 0,
         })
-    }
-
-    fn sync_runtime(&mut self, tid: Tid) {
-        let now = self.clock.now();
-        let t = &mut self.threads[tid.index()];
-        if t.state == ThreadState::Running {
-            t.total_work += now.saturating_sub(t.stint_start);
-            t.stint_start = now;
-        }
     }
 
     fn wake(&mut self, tid: Tid) {

@@ -459,13 +459,15 @@ fn live_stale_seqnum_gets_estale() {
 #[test]
 fn des_agent_crash_reconstructs_and_recovers() {
     let mut s = des_setup(
-        EnclaveConfig::centralized("conf-des-crash").with_standby(StandbyConfig::default()),
+        EnclaveConfig::centralized("conf-des-crash"),
         Box::new(CentralizedFifo::new()),
         3,
         FaultPlan::none(),
     );
-    s.enclave
-        .set_standby_policy(|| Box::new(CentralizedFifo::new()));
+    s.enclave.set_standby(
+        StandbyConfig::default(),
+        || Box::new(CentralizedFifo::new()),
+    );
     s.kernel.run_until(20 * MILLIS);
 
     let old = s.enclave.global_agent().expect("global agent");
@@ -493,13 +495,15 @@ fn des_agent_crash_reconstructs_and_recovers() {
 #[test]
 fn live_agent_crash_reconstructs_and_recovers() {
     let s = live_setup(
-        EnclaveConfig::centralized("conf-live-crash").with_standby(StandbyConfig::default()),
+        EnclaveConfig::centralized("conf-live-crash"),
         Box::new(CentralizedFifo::new()),
         20_000,
         FaultPlan::none(),
     );
-    s.enclave
-        .set_standby_policy(|| Box::new(CentralizedFifo::new()));
+    s.enclave.set_standby(
+        StandbyConfig::default(),
+        || Box::new(CentralizedFifo::new()),
+    );
 
     // Let the first agent demonstrably schedule...
     assert!(

@@ -304,21 +304,6 @@ impl GhostPolicy for CoreSchedPolicy {
         }
     }
 
-    fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        self.vms.clear();
-        self.cookie_of.clear();
-        self.core_vm.clear();
-        for s in snapshot {
-            self.cookie_of.insert(s.tid, s.cookie);
-        }
-        // VM membership is the cookie, so the scan rebuilds the runqueues
-        // and deadlines completely; every VM restarts its period at `now`.
-        let deadline = ctx.now() + PERIOD;
-        for s in self.k.tracker.resync(snapshot) {
-            enqueue(&mut self.vms, s.tid, s.cookie, deadline);
-        }
-    }
-
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
         self.schedule_core(ctx);
         // Work remains but this core cannot take it: hand it to peer

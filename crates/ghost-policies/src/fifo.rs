@@ -7,7 +7,7 @@
 use crate::kernel::{PolicyKernel, RunQueue};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::{CommitGovernor, ThreadSnapshot};
+use ghost_core::CommitGovernor;
 
 /// Centralized FIFO over all managed threads.
 #[derive(Default)]
@@ -65,13 +65,5 @@ impl GhostPolicy for CentralizedFifo {
                     rq.push(tid);
                 }
             });
-    }
-
-    fn on_reconstruct(&mut self, snapshot: &[ThreadSnapshot], _ctx: &mut PolicyCtx<'_>) {
-        self.rq.clear();
-        self.governor.reset();
-        for s in self.k.tracker.resync(snapshot) {
-            self.rq.push(s.tid);
-        }
     }
 }

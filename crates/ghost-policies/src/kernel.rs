@@ -11,7 +11,8 @@
 //! * [`SliceClock`] — per-worker slice bookkeeping for the preemptive
 //!   (Shinjuku-family) policies.
 //!
-//! The message fold and reconstruction live on [`ThreadTracker`].
+//! The message fold lives on [`ThreadTracker`]; recovery is the same fold
+//! over the status-word scan's replay, so nothing here is specific to it.
 
 use crate::tracker::{ThreadTracker, Transition};
 use ghost_core::policy::PolicyCtx;
@@ -72,12 +73,6 @@ impl RunQueue {
     /// The head, without popping it.
     pub fn front(&self) -> Option<Tid> {
         self.q.front().copied()
-    }
-
-    /// Empties the queue.
-    pub fn clear(&mut self) {
-        self.q.clear();
-        self.member.clear();
     }
 
     /// Number of queued threads.
@@ -249,11 +244,6 @@ impl SliceClock {
     /// True while `tid` has a slice running.
     pub fn is_running(&self, tid: Tid) -> bool {
         self.running_since.contains(tid)
-    }
-
-    /// Forgets every slice.
-    pub fn clear(&mut self) {
-        self.running_since.clear();
     }
 
     /// Workers a commit could displace right now that have run for at

@@ -111,21 +111,21 @@ mod tests {
         run_script(
             "shinjuku",
             ShinjukuPolicy::new(),
-            |p, m| p.track(m),
+            |p, m| p.track(m, || None),
             |p| p.rq.iter().collect(),
             true,
         );
         run_script(
             "shinjuku-shenango",
             ShinjukuShenangoPolicy::new(),
-            |p, m| p.lc.track(m),
+            |p, m| p.lc.track(m, || None),
             |p| p.lc.rq.iter().collect(),
             true,
         );
         run_script(
             "shinjuku-adaptive",
             ShinjukuAdaptivePolicy::new(),
-            |p, m| p.inner.track(m),
+            |p, m| p.inner.track(m, || None),
             |p| p.inner.rq.iter().collect(),
             true,
         );

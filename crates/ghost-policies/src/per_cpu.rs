@@ -7,7 +7,7 @@
 //! `ASSOCIATE_QUEUE()` — the thread-to-queue re-routing of §3.1.
 
 use crate::kernel::{PolicyKernel, RunQueue};
-use crate::tracker::Transition;
+use crate::tracker::{discovered, Transition};
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::slab::{CpuMap, TidMap};
@@ -96,7 +96,13 @@ impl GhostPolicy for PerCpuPolicy {
             return;
         };
         if msg.ty == MsgType::ThreadCreated {
-            self.place_new_thread(msg.tid, ctx);
+            // Keep a discovered thread's locality: home it to the CPU it
+            // last ran on when the enclave still owns it.
+            if discovered(msg) && ctx.enclave_cpus().contains(msg.cpu) {
+                self.rehome(msg.tid, msg.cpu, ctx);
+            } else {
+                self.place_new_thread(msg.tid, ctx);
+            }
             return;
         }
         let home = *self.home.or_insert(msg.tid, ctx.local_cpu());
@@ -120,26 +126,6 @@ impl GhostPolicy for PerCpuPolicy {
         // "Txn failed. Move thread to end of runqueue."
         let rq = self.rqs.or_insert(cpu, RunQueue::default());
         self.k.commit_one(ctx, txn, rq);
-    }
-
-    fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        self.rqs.clear();
-        self.home.clear();
-        let cpus = ctx.enclave_cpus();
-        for s in snapshot {
-            // Keep locality: re-home each thread to the CPU it last ran
-            // on when the enclave still owns it, else place it fresh.
-            if cpus.contains(s.last_cpu) {
-                self.rehome(s.tid, s.last_cpu, ctx);
-            } else {
-                self.place_new_thread(s.tid, ctx);
-            }
-        }
-        for s in self.k.tracker.resync(snapshot) {
-            if let Some(&home) = self.home.get(s.tid) {
-                self.rq(home).push(s.tid);
-            }
-        }
     }
 }
 

@@ -201,15 +201,6 @@ impl GhostPolicy for SearchPolicy {
         self.track(msg, || ctx.thread_view(msg.tid));
     }
 
-    fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        self.heap.clear();
-        self.queued.clear();
-        self.pending_since.clear();
-        for s in self.k.tracker.resync(snapshot) {
-            self.enqueue(s.tid, ctx);
-        }
-    }
-
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
         let now = ctx.now();
         let mut idle = ctx.idle_cpus();

@@ -8,9 +8,8 @@
 //! would otherwise block 4 µs requests behind them.
 
 use crate::kernel::{PolicyKernel, RunQueue, SliceClock};
-use ghost_core::msg::Message;
+use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::ThreadSnapshot;
 use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS};
 use ghost_sim::topology::CpuId;
@@ -20,6 +19,14 @@ use ghost_sim::topology::CpuId;
 pub(crate) const TIMESLICE: Nanos = 30 * MICROS;
 /// Per-decision compute cost (ns).
 const DECISION_COST: Nanos = 60;
+
+/// `now` if the thread of `msg` is running on the CPU the message names:
+/// how a worker discovered by a status-word scan (§3.4) is told apart
+/// from a blocked one.
+pub(crate) fn running_now(msg: &Message, ctx: &PolicyCtx<'_>) -> Option<Nanos> {
+    let view = ctx.cpu_view(msg.cpu)?;
+    (view.running == Some(msg.tid)).then(|| ctx.now())
+}
 
 /// The centralized preemptive Shinjuku policy. Wrappers (the Shenango
 /// batch tier, the self-tuning variant) drive the same parts and hook
@@ -56,10 +63,17 @@ impl ShinjukuPolicy {
     }
 
     /// The message fold: any fresh message about a worker also ends its
-    /// running slice (it blocked, was preempted, or died).
-    pub(crate) fn track(&mut self, msg: &Message) {
+    /// running slice (it blocked, was preempted, or died) — except that a
+    /// `THREAD_CREATED` for a worker already running starts a fresh slice
+    /// at the time `running_since` reports.
+    pub(crate) fn track(&mut self, msg: &Message, running_since: impl FnOnce() -> Option<Nanos>) {
         if self.k.tracker.fold(msg, &mut self.rq).is_some() {
             self.clock.stop(msg.tid);
+            if msg.ty == MsgType::ThreadCreated {
+                if let Some(now) = running_since() {
+                    self.clock.start(msg.tid, now);
+                }
+            }
         }
     }
 
@@ -138,27 +152,6 @@ impl ShinjukuPolicy {
             self.clock.arm(ctx, self.timeslice);
         }
     }
-
-    /// Reseeds the policy from a status-word scan (§3.4): the tracker is
-    /// resynced over the whole snapshot, then queues and slice bookkeeping
-    /// are rebuilt for the threads `lc` claims for this policy (wrappers
-    /// like Shinjuku+Shenango filter out their batch-tier threads).
-    pub(crate) fn reseed_from(
-        &mut self,
-        snapshot: &[ThreadSnapshot],
-        now: Nanos,
-        lc: impl Fn(&ThreadSnapshot) -> bool,
-    ) {
-        self.rq.clear();
-        self.clock.clear();
-        for s in self.k.tracker.resync(snapshot).filter(|s| lc(s)) {
-            self.rq.push(s.tid);
-        }
-        // Already running: a fresh slice from now.
-        for s in snapshot.iter().filter(|s| s.on_cpu && lc(s)) {
-            self.clock.start(s.tid, now);
-        }
-    }
 }
 
 impl GhostPolicy for ShinjukuPolicy {
@@ -166,19 +159,14 @@ impl GhostPolicy for ShinjukuPolicy {
         "shinjuku"
     }
 
-    fn on_msg(&mut self, msg: &Message, _ctx: &mut PolicyCtx<'_>) {
-        self.track(msg);
+    fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>) {
+        self.track(msg, || running_now(msg, ctx));
     }
 
     fn schedule(&mut self, ctx: &mut PolicyCtx<'_>) {
         self.fill_idle(ctx, &mut |_, _| {});
         self.preempt_expired(ctx);
         self.arm_slice_timer(ctx);
-    }
-
-    fn on_reconstruct(&mut self, snapshot: &[ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        let now = ctx.now();
-        self.reseed_from(snapshot, now, |_| true);
     }
 }
 

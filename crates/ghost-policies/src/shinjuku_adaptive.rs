@@ -22,6 +22,7 @@
 //! knob trajectory itself is a deterministic artifact that tests pin.
 
 use crate::shinjuku::{self, ShinjukuPolicy};
+use crate::tracker::discovered;
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::slab::TidMap;
@@ -175,7 +176,11 @@ impl GhostPolicy for ShinjukuAdaptivePolicy {
     }
 
     fn on_msg(&mut self, msg: &Message, ctx: &mut PolicyCtx<'_>) {
-        self.inner.track(msg);
+        // Taking over a running enclave: the first epoch starts now.
+        if discovered(msg) {
+            self.epoch_start = ctx.now();
+        }
+        self.inner.track(msg, || shinjuku::running_now(msg, ctx));
         // Mirror the queue state into wait bookkeeping: a thread sitting
         // in the FIFO is waiting; anything else is not.
         if self.inner.rq.contains(msg.tid) {
@@ -214,20 +219,6 @@ impl GhostPolicy for ShinjukuAdaptivePolicy {
             }
         }
         inner.arm_slice_timer(ctx);
-    }
-
-    fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        let now = ctx.now();
-        self.inner.reseed_from(snapshot, now, |_| true);
-        // Knobs survive recovery — the load did not change because the
-        // agent died — but in-flight wait samples are re-based at the
-        // reconstruction point.
-        self.waiting_since.clear();
-        for tid in self.inner.rq.iter() {
-            self.waiting_since.insert(tid, now);
-        }
-        self.epoch_waits.reset();
-        self.epoch_start = now;
     }
 }
 

@@ -9,7 +9,7 @@
 //! work needs the CPU.
 
 use crate::kernel::RunQueue;
-use crate::shinjuku::ShinjukuPolicy;
+use crate::shinjuku::{running_now, ShinjukuPolicy};
 use crate::tracker::Transition;
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
@@ -48,7 +48,7 @@ impl GhostPolicy for ShinjukuShenangoPolicy {
             self.batch_threads.insert(msg.tid, ());
         }
         if !self.batch_threads.contains(msg.tid) {
-            return self.lc.track(msg);
+            return self.lc.track(msg, || running_now(msg, ctx));
         }
         // Batch bookkeeping shares the LC tracker, with its own queue.
         if self.lc.k.tracker.fold(msg, &mut self.batch_rq) == Some(Transition::Dead) {
@@ -95,22 +95,6 @@ impl GhostPolicy for ShinjukuShenangoPolicy {
                 break;
             }
             self.batch_commits += 1;
-        }
-    }
-
-    fn on_reconstruct(&mut self, snapshot: &[ghost_core::ThreadSnapshot], ctx: &mut PolicyCtx<'_>) {
-        // Tier membership is the cookie, so the scan rebuilds both the
-        // LC and batch halves without message history.
-        self.batch_threads.clear();
-        self.batch_rq.clear();
-        let now = ctx.now();
-        self.lc
-            .reseed_from(snapshot, now, |s| s.cookie != BATCH_COOKIE);
-        for s in snapshot.iter().filter(|s| s.cookie == BATCH_COOKIE) {
-            self.batch_threads.insert(s.tid, ());
-            if s.runnable && !s.on_cpu {
-                self.batch_rq.push(s.tid);
-            }
         }
     }
 }

@@ -113,28 +113,6 @@ impl GhostPolicy for SnapPolicy {
             self.k.commit_one(ctx, txn, &mut self.batch_rq);
         }
     }
-
-    fn on_reconstruct(
-        &mut self,
-        snapshot: &[ghost_core::ThreadSnapshot],
-        _ctx: &mut PolicyCtx<'_>,
-    ) {
-        self.snap_rq.clear();
-        self.batch_rq.clear();
-        // The Snap/antagonist split comes from the cookie, not message
-        // history, so the scan recovers it completely.
-        self.snap_threads.clear();
-        for s in snapshot.iter().filter(|s| s.cookie == SNAP_COOKIE) {
-            self.snap_threads.insert(s.tid, ());
-        }
-        for s in self.k.tracker.resync(snapshot) {
-            if s.cookie == SNAP_COOKIE {
-                self.snap_rq.push(s.tid);
-            } else {
-                self.batch_rq.push(s.tid);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -3,15 +3,24 @@
 //! Agents "operate on the system's state as observed via messages"
 //! (§3.1): this tracker folds the message stream into a per-thread view
 //! (runnable?, latest `Tseq`, last CPU) that policies consult instead of
-//! kernel structures. The fold and the status-word reconstruction are
-//! written here once; a policy matches on the [`Transition`] it gets back.
+//! kernel structures. The fold is written here once; a policy matches on
+//! the [`Transition`] it gets back. Reconstruction (§3.4) is the same
+//! fold: an incoming agent's fresh tracker receives the status-word scan
+//! as `THREAD_CREATED` / `THREAD_WAKEUP` messages, and `discovered`
+//! tells those apart from a new thread's.
 
 use crate::kernel::RunQueue;
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::slab::TidMap;
-use ghost_core::ThreadSnapshot;
 use ghost_sim::thread::Tid;
 use ghost_sim::topology::CpuId;
+
+/// True for a `THREAD_CREATED` past its thread's first `Tseq`: only the
+/// status-word scan of an incoming agent (§3.4) produces one, so a
+/// policy can tell a discovered thread from a new one.
+pub(crate) fn discovered(msg: &Message) -> bool {
+    msg.ty == MsgType::ThreadCreated && msg.seq > 1
+}
 
 /// Per-thread knowledge derived from messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,33 +112,6 @@ impl ThreadTracker {
         let t = self.apply(msg)?;
         rq.track(msg.tid, t);
         Some(t)
-    }
-
-    /// Reconstruction (§3.4) and `MSG_QUEUE_OVERFLOW` recovery (§3.1):
-    /// once the agent restarts or the kernel reports dropped messages,
-    /// the message-derived view can no longer be trusted, so the tracker
-    /// is rebuilt from the status-word scan. Threads absent from the
-    /// snapshot (they died while messages were being dropped) are
-    /// forgotten; messages still in flight with older sequence numbers
-    /// cannot regress the rebuilt state because [`ThreadTracker::apply`]
-    /// discards them outright. Returns the entries a policy must queue
-    /// again: runnable and not on a CPU.
-    pub fn resync<'a>(
-        &mut self,
-        snapshot: &'a [ThreadSnapshot],
-    ) -> impl Iterator<Item = &'a ThreadSnapshot> + 'a {
-        self.threads.clear();
-        for s in snapshot {
-            self.threads.insert(
-                s.tid,
-                TrackedThread {
-                    seq: s.seq,
-                    runnable: s.runnable,
-                    last_cpu: s.last_cpu,
-                },
-            );
-        }
-        snapshot.iter().filter(|s| s.runnable && !s.on_cpu)
     }
 
     /// Marks a thread as scheduled (no longer waiting): called after a
@@ -229,25 +211,19 @@ mod tests {
         assert_eq!(t.seq(Tid(1)), 5);
     }
 
-    fn snap(tid: u32, seq: u64, runnable: bool, on_cpu: bool, cpu: u16) -> ThreadSnapshot {
-        ThreadSnapshot {
-            tid: Tid(tid),
-            seq,
-            runnable,
-            on_cpu,
-            last_cpu: CpuId(cpu),
-            cookie: 0,
-        }
+    fn at(ty: MsgType, tid: u32, seq: u64, cpu: u16) -> Message {
+        Message::thread(ty, Tid(tid), seq, CpuId(cpu), 0)
     }
 
     /// Regression: a stale message must not apply its state transition.
     /// Previously only the seq was clamped — the out-of-order WAKEUP below
-    /// still flipped `runnable`, resurrecting a thread the tracker (or a
-    /// status-word resync) already knew had moved on.
+    /// still flipped `runnable`, resurrecting a thread the tracker (here
+    /// seeded by a discovery `THREAD_CREATED`) already knew had moved on.
     #[test]
     fn stale_message_transition_is_discarded() {
         let mut t = ThreadTracker::new();
-        assert_eq!(t.resync(&[snap(1, 10, false, false, 3)]).count(), 0);
+        let v = t.apply(&at(MsgType::ThreadCreated, 1, 10, 3));
+        assert_eq!(v, Some(Transition::Blocked));
         assert!(t.apply(&m(MsgType::ThreadWakeup, 1, 4)).is_none());
         let v = *t.get(Tid(1)).unwrap();
         assert!(
@@ -262,18 +238,27 @@ mod tests {
         assert_eq!(v, Some(Transition::Runnable));
     }
 
+    /// A scan's replay — `THREAD_CREATED` for every thread, then
+    /// `THREAD_WAKEUP` for the waiting ones — queues exactly the waiting
+    /// threads and seeds every thread's `Tseq` and CPU.
     #[test]
-    fn resync_hands_back_only_the_waiting_threads() {
+    fn replay_queues_only_the_waiting_threads() {
         let mut t = ThreadTracker::new();
-        t.apply(&m(MsgType::ThreadCreated, 9, 1));
-        let scan = [
-            snap(1, 4, true, false, 0),  // waiting
-            snap(2, 7, true, true, 1),   // running
-            snap(3, 2, false, false, 2), // blocked
+        let mut rq = RunQueue::default();
+        let replay = [
+            at(MsgType::ThreadCreated, 1, 4, 0), // waiting
+            at(MsgType::ThreadCreated, 2, 7, 1), // running
+            at(MsgType::ThreadCreated, 3, 2, 2), // blocked
+            at(MsgType::ThreadWakeup, 1, 4, 0),
         ];
-        let waiting: Vec<Tid> = t.resync(&scan).map(|s| s.tid).collect();
-        assert_eq!(waiting, vec![Tid(1)]);
-        assert_eq!(t.len(), 3, "threads absent from the scan are forgotten");
+        for msg in &replay {
+            t.fold(msg, &mut rq);
+        }
+        assert_eq!(rq.iter().collect::<Vec<_>>(), vec![Tid(1)]);
+        assert_eq!(t.len(), 3);
         assert_eq!(t.seq(Tid(2)), 7);
+        assert_eq!(t.get(Tid(3)).unwrap().last_cpu, CpuId(2));
+        assert!(discovered(&replay[0]));
+        assert!(!discovered(&m(MsgType::ThreadCreated, 4, 1)));
     }
 }

@@ -1,7 +1,7 @@
 //! `RunQueue` reference model: the FIFO with dense membership must behave
 //! exactly like the obvious model — a plain `VecDeque` for order and a
 //! `BTreeSet` for membership, kept in step by hand — for arbitrary
-//! interleavings of `push`, `remove`, `pop` and `clear`.
+//! interleavings of `push`, `remove` and `pop`.
 
 use ghost_policies::RunQueue;
 use ghost_sim::thread::Tid;
@@ -67,11 +67,7 @@ fn random_ops_match_the_vecdeque_and_set_model() {
             for _ in 0..800 {
                 let tid = Tid(rng.gen_range(0..tids));
                 match rng.gen_range(0..100u32) {
-                    0 => {
-                        rq.clear();
-                        model = Model::default();
-                    }
-                    1..=45 => {
+                    0..=45 => {
                         rq.push(tid);
                         model.push(tid);
                     }

@@ -279,27 +279,6 @@ impl KernelState {
         self.threads.push(t);
         tid
     }
-
-    /// Accrues the in-progress stint of a running thread up to `now`,
-    /// without taking the thread off CPU. Lets observers (agents) read
-    /// up-to-date `total_work`.
-    pub fn sync_runtime(&mut self, tid: Tid) {
-        if self.threads[tid.index()].state != ThreadState::Running {
-            return;
-        }
-        let now = self.now;
-        let t = &mut self.threads[tid.index()];
-        let wall = now - t.stint_start;
-        if wall == 0 {
-            return;
-        }
-        let work = (wall as f64 * t.rate) as Nanos;
-        t.total_oncpu += wall;
-        let done = work.min(t.remaining);
-        t.total_work += work;
-        t.remaining -= done;
-        t.stint_start = now;
-    }
 }
 
 /// The simulator.
