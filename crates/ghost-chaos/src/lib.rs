@@ -54,6 +54,8 @@
 //! `repro.json` by its `"kind"`; on failure it writes the (shrunk) repro
 //! plus a Chrome trace.
 
+#![forbid(unsafe_code)]
+
 pub mod byzantine;
 pub mod case;
 pub mod codec;

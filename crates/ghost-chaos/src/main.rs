@@ -9,6 +9,8 @@
 //! cargo run -p ghost-chaos -- --replay repro.json   # replay by "kind"
 //! ```
 
+#![forbid(unsafe_code)]
+
 use ghost_chaos::{rerun_file, Family, Opts, PolicyKind, FAMILIES};
 use std::process::ExitCode;
 

@@ -9,7 +9,7 @@ use crate::msg::Message;
 use crate::pnt::PntRings;
 use crate::queue::MessageQueue;
 use crate::slab::{CpuMap, TidMap, TidSlab};
-use crate::status::{StatusWord, StatusWordRef, SW_ATTACHED};
+use crate::status::{StatusWord, SW_ATTACHED};
 use ghost_sim::cpuset::CpuSet;
 use ghost_sim::thread::Tid;
 use ghost_sim::time::Nanos;
@@ -150,7 +150,7 @@ pub enum WakeMode {
 
 /// A queue plus its wakeup configuration.
 pub struct QueueState {
-    /// The shared-memory ring.
+    /// The message queue.
     pub queue: MessageQueue,
     /// Wakeup behaviour.
     pub wake: WakeMode,
@@ -165,8 +165,8 @@ pub struct ThreadInfo {
     /// Messages for this thread produced but not yet consumed; a nonzero
     /// count fails `ASSOCIATE_QUEUE()` per §3.1.
     pub pending_msgs: u32,
-    /// Shared status word (seq + on-CPU/runnable flags).
-    pub status: StatusWordRef,
+    /// Status word (seq + on-CPU/runnable flags), inline in the slab slot.
+    pub status: StatusWord,
     /// Set while a committed-but-not-yet-run transaction references the
     /// thread, so a second transaction cannot double-schedule it.
     pub picked: bool,
@@ -190,7 +190,7 @@ pub struct AgentSlot {
     /// The CPU this agent is pinned to.
     pub cpu: CpuId,
     /// The agent's status word; its seq is `Aseq`.
-    pub status: StatusWordRef,
+    pub status: StatusWord,
 }
 
 /// An enclave: a CPU partition managed by one policy.

@@ -13,7 +13,7 @@
 //! Communication follows §3 of the paper exactly:
 //!
 //! * **Kernel → agent** ([`msg`], [`queue`], [`status`]): thread state
-//!   changes are posted as [`msg::Message`]s into shared-memory
+//!   changes are posted as [`msg::Message`]s into
 //!   [`queue::MessageQueue`]s; sequence numbers (`Aseq` per agent, `Tseq`
 //!   per thread) are exposed through [`status::StatusWord`]s.
 //! * **Agent → kernel** ([`txn`]): scheduling decisions are
@@ -40,6 +40,8 @@
 //! destroys enclaves whose agents stop scheduling runnable threads, agent
 //! crashes fall back to CFS, and a staged policy can take over in place.
 //! The BPF `pick_next_task` fast path (§3.2/§5) is modelled by [`pnt`].
+
+#![forbid(unsafe_code)]
 
 pub mod abi;
 pub mod backend;

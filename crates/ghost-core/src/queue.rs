@@ -1,18 +1,17 @@
-//! Shared-memory message queues.
+//! Message queues.
 //!
 //! The paper: "we opted to use custom queues in shared memory to
 //! efficiently handle agent wakeups ... fast lockless ring buffers that
-//! synchronize consumer/producer access" (§3.1). This is a bounded
-//! multi-producer/multi-consumer ring (Vyukov's algorithm): producers are
-//! the kernel contexts of every CPU posting thread-state messages;
-//! consumers are agents. In the simulator both run on one OS thread, but
-//! the implementation is a real lock-free queue and is benchmarked
-//! cross-thread in `ghost-bench`.
+//! synchronize consumer/producer access" (§3.1). Here the producers (the
+//! ghOSt class's hooks) and the consumer (the agent driver) run under one
+//! owner, the DES kernel's checked-out runtime state or ghost-live's state
+//! lock, so a queue is a single-owner bounded FIFO. Like a trace ring, it
+//! commits storage as messages arrive: an enclave queue sized for a
+//! 65,536-message burst costs nothing until the burst comes.
 
 use crate::msg::Message;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 
 /// Error returned when producing into a full queue.
 ///
@@ -21,14 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
-struct Slot {
-    /// Sequence stamp: `pos` when free for writing round k, `pos + 1`
-    /// when readable.
-    seq: AtomicU64,
-    value: UnsafeCell<MaybeUninit<Message>>,
-}
-
-/// A bounded lock-free MPMC queue of [`Message`]s.
+/// A bounded FIFO of [`Message`]s.
 ///
 /// # Examples
 ///
@@ -45,153 +37,82 @@ struct Slot {
 /// assert_eq!(q.pop(), Some(m));
 /// assert_eq!(q.pop(), None);
 /// ```
+///
+/// A queue has one owner at a time and cannot be shared across threads:
+///
+/// ```compile_fail,E0277
+/// fn shared<T: Sync>() {}
+/// shared::<ghost_core::queue::MessageQueue>();
+/// ```
+#[derive(Debug)]
 pub struct MessageQueue {
-    slots: Box<[Slot]>,
-    mask: u64,
-    head: AtomicU64,
-    tail: AtomicU64,
-    /// Messages rejected because the ring was full, cumulative over the
+    msgs: RefCell<VecDeque<Message>>,
+    cap: usize,
+    /// Messages rejected because the queue was full, cumulative over the
     /// queue's lifetime (the overflow signal the watchdog and the
     /// `ghost_queue_overflow` tracepoint report).
-    dropped: AtomicU64,
+    dropped: Cell<u64>,
 }
-
-// SAFETY: `MessageQueue` synchronizes all access to slot values through
-// the per-slot `seq` stamps with acquire/release ordering (Vyukov MPMC):
-// a value is written only after the writer claimed the slot via CAS on
-// `tail`, published by the release store of `seq`, and read only after an
-// acquire load observes that store. `Message` is `Copy` and `Send`.
-unsafe impl Send for MessageQueue {}
-// SAFETY: See `Send`; all shared mutation is CAS/stamp protected.
-unsafe impl Sync for MessageQueue {}
 
 impl MessageQueue {
     /// Creates a queue with capacity rounded up to a power of two (min 2).
+    /// Nothing is reserved up front.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(2);
-        let slots: Vec<Slot> = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicU64::new(i as u64),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
         Self {
-            slots: slots.into_boxed_slice(),
-            mask: (cap - 1) as u64,
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            msgs: RefCell::new(VecDeque::new()),
+            cap: capacity.next_power_of_two().max(2),
+            dropped: Cell::new(0),
         }
     }
 
     /// Capacity (always a power of two).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.cap
     }
 
-    /// Produces a message. Fails with [`QueueFull`] when the ring has no
-    /// free slot.
+    /// Produces a message. Fails with [`QueueFull`] when the queue holds
+    /// [`MessageQueue::capacity`] messages.
     pub fn push(&self, msg: Message) -> Result<(), QueueFull> {
-        let mut pos = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            match seq.cmp(&pos) {
-                std::cmp::Ordering::Equal => {
-                    match self.tail.compare_exchange_weak(
-                        pos,
-                        pos + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: The CAS above gave this thread
-                            // exclusive ownership of the slot for round
-                            // `pos`; no other producer can claim it until
-                            // `seq` advances, and no consumer reads it
-                            // until the release store below.
-                            unsafe { (*slot.value.get()).write(msg) };
-                            slot.seq.store(pos + 1, Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(actual) => pos = actual,
-                    }
-                }
-                std::cmp::Ordering::Less => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    return Err(QueueFull);
-                }
-                std::cmp::Ordering::Greater => {
-                    pos = self.tail.load(Ordering::Relaxed);
-                }
-            }
+        let mut msgs = self.msgs.borrow_mut();
+        if msgs.len() == self.cap {
+            self.note_dropped();
+            return Err(QueueFull);
         }
+        msgs.push_back(msg);
+        Ok(())
     }
 
     /// Cumulative count of messages rejected by [`MessageQueue::push`]
-    /// because the ring was full.
+    /// because the queue was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 
     /// Records a drop that happened outside [`MessageQueue::push`] (fault
-    /// injection rejecting a message before it reaches the ring), keeping
+    /// injection rejecting a message before it reaches the queue), keeping
     /// the cumulative counter consistent for overflow-resync logic.
     pub fn note_dropped(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
+        self.dropped.set(self.dropped.get() + 1);
     }
 
     /// Consumes the oldest message, if any.
     pub fn pop(&self) -> Option<Message> {
-        let mut pos = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let expected = pos + 1;
-            match seq.cmp(&expected) {
-                std::cmp::Ordering::Equal => {
-                    match self.head.compare_exchange_weak(
-                        pos,
-                        pos + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => {
-                            // SAFETY: The CAS gave this thread exclusive
-                            // read ownership of the slot for round `pos`,
-                            // and the acquire load of `seq` ordered after
-                            // the producer's write of the value.
-                            let msg = unsafe { (*slot.value.get()).assume_init_read() };
-                            slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                            return Some(msg);
-                        }
-                        Err(actual) => pos = actual,
-                    }
-                }
-                std::cmp::Ordering::Less => return None,
-                std::cmp::Ordering::Greater => {
-                    pos = self.head.load(Ordering::Relaxed);
-                }
-            }
-        }
+        self.msgs.borrow_mut().pop_front()
     }
 
-    /// Approximate number of queued messages.
+    /// Number of queued messages.
     pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
-        tail.saturating_sub(head) as usize
+        self.msgs.borrow().len()
     }
 
-    /// True if no messages are queued (approximate under concurrency,
-    /// exact single-threaded).
+    /// True if no messages are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Drains all currently queued messages into a vector.
     pub fn drain(&self) -> Vec<Message> {
-        let mut out = Vec::with_capacity(self.len());
+        let mut out = Vec::new();
         self.drain_into(&mut out);
         out
     }
@@ -200,10 +121,7 @@ impl MessageQueue {
     /// hot-path form: a reused buffer means a group commit's worth of
     /// messages moves without a per-activation allocation.
     pub fn drain_into(&self, out: &mut Vec<Message>) {
-        out.reserve(self.len());
-        while let Some(m) = self.pop() {
-            out.push(m);
-        }
+        out.extend(self.msgs.borrow_mut().drain(..));
     }
 }
 
@@ -282,52 +200,6 @@ mod tests {
         }
         let v = q.drain();
         assert_eq!(v.len(), 5);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn concurrent_producers_single_consumer() {
-        use std::sync::Arc;
-        let q = Arc::new(MessageQueue::new(1024));
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u32 {
-                        let m = msg(p * 1_000_000 + i);
-                        loop {
-                            if q.push(m).is_ok() {
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                })
-            })
-            .collect();
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut seen = [0u32; 4];
-                let mut total = 0;
-                while total < 40_000 {
-                    if let Some(m) = q.pop() {
-                        let p = (m.tid.0 / 1_000_000) as usize;
-                        let i = m.tid.0 % 1_000_000;
-                        // Per-producer FIFO.
-                        assert_eq!(i, seen[p]);
-                        seen[p] += 1;
-                        total += 1;
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            })
-        };
-        for h in producers {
-            h.join().unwrap();
-        }
-        consumer.join().unwrap();
         assert!(q.is_empty());
     }
 }

@@ -1,15 +1,17 @@
-//! Status words: per-thread and per-agent state shared between kernel and
-//! agents through (simulated) shared memory.
+//! Status words: per-thread and per-agent state the kernel publishes for
+//! agents to poll.
 //!
 //! "ghOSt allows agents to efficiently poll auxiliary information about
 //! thread and CPU state through status words, mapped into the agent's
-//! address space" (§3.1). We implement them with real atomics so the same
-//! type is sound if the agent runs in a different OS thread than the
-//! simulated kernel (the `ghost-bench` Criterion microbenchmarks exercise
-//! exactly that).
+//! address space" (§3.1). Here the kernel and every agent that reads a
+//! word run under one owner (the DES kernel's checked-out runtime state,
+//! or ghost-live's state lock), so a word is two plain [`Cell`]s stored
+//! inline in its thread's or agent's slab slot. The slab is the
+//! status-word table the §3.4 reconstruction scan walks. `Cell` also
+//! makes the type `!Sync`: the ABI's single-writer contract is a
+//! compile-time fact, not a runtime check.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
 
 /// Flag bit: the thread is on a CPU right now.
 pub const SW_ONCPU: u64 = 1 << 0;
@@ -18,11 +20,7 @@ pub const SW_RUNNABLE: u64 = 1 << 1;
 /// Flag bit: the enclave/agent considers this entity attached and live.
 pub const SW_ATTACHED: u64 = 1 << 2;
 
-/// A shared status word holding a sequence number and state flags.
-///
-/// The kernel publishes with [`StatusWord::publish`]; agents read with
-/// acquire loads, so a read of the sequence number orders after the state
-/// change it describes.
+/// A status word holding a sequence number and state flags.
 ///
 /// # Examples
 ///
@@ -34,34 +32,34 @@ pub const SW_ATTACHED: u64 = 1 << 2;
 /// assert_eq!(sw.seq(), 1);
 /// assert!(sw.has_flags(SW_RUNNABLE));
 /// ```
+///
+/// The kernel is the only writer, and a word cannot be shared across
+/// threads:
+///
+/// ```compile_fail,E0277
+/// fn shared<T: Sync>() {}
+/// shared::<ghost_core::status::StatusWord>();
+/// ```
 #[derive(Debug, Default)]
 pub struct StatusWord {
-    /// Packed as two u64s to keep reads cheap and tear-free.
-    seq: AtomicU64,
-    flags: AtomicU64,
-    /// Debug-build guard enforcing the single-publisher contract of
-    /// [`StatusWord::publish`]. Absent in release builds.
-    #[cfg(debug_assertions)]
-    publishing: AtomicU64,
+    seq: Cell<u64>,
+    flags: Cell<u64>,
 }
-
-/// Shared handle to a status word.
-pub type StatusWordRef = Arc<StatusWord>;
 
 impl StatusWord {
     /// Creates a zeroed status word.
-    pub fn new() -> StatusWordRef {
-        Arc::new(Self::default())
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Current sequence number (acquire).
+    /// Current sequence number.
     pub fn seq(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
+        self.seq.get()
     }
 
-    /// Current flags (acquire).
+    /// Current flags.
     pub fn flags(&self) -> u64 {
-        self.flags.load(Ordering::Acquire)
+        self.flags.get()
     }
 
     /// True if all bits of `mask` are set.
@@ -69,52 +67,23 @@ impl StatusWord {
         self.flags() & mask == mask
     }
 
-    /// Kernel-side update: applies `f` to `(seq, flags)` and publishes the
-    /// result with release ordering (flags first, then seq, so an agent
-    /// that observes the new seq also observes the new flags).
-    ///
-    /// # Single-writer contract
-    ///
-    /// The relaxed load → modify → release store is **not** an atomic RMW:
-    /// two concurrent publishers can interleave and lose an update. That is
-    /// by design — like the real ghOSt ABI, a status word has exactly one
-    /// writer (the kernel), and readers (agents) only ever poll. Keeping
-    /// the write path free of CAS loops is what makes status words cheap
-    /// enough to update on every context switch. Callers that need a
-    /// multi-writer counter must use [`StatusWord::bump_seq`] /
-    /// [`StatusWord::set_flags`] / [`StatusWord::clear_flags`], which are
-    /// genuine atomic RMWs. Debug builds enforce the contract: a second
-    /// publisher entering while one is in flight panics.
+    /// Kernel-side update: applies `f` to `(seq, flags)` and stores the
+    /// result.
     pub fn publish<F: FnOnce(u64, u64) -> (u64, u64)>(&self, f: F) {
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            self.publishing.swap(1, Ordering::AcqRel),
-            0,
-            "StatusWord::publish: concurrent publishers — the kernel must be \
-             the only writer (see the single-writer contract)"
-        );
-        let seq = self.seq.load(Ordering::Relaxed);
-        let flags = self.flags.load(Ordering::Relaxed);
-        let (nseq, nflags) = f(seq, flags);
-        self.flags.store(nflags, Ordering::Release);
-        self.seq.store(nseq, Ordering::Release);
-        #[cfg(debug_assertions)]
-        self.publishing.store(0, Ordering::Release);
+        let (seq, flags) = f(self.seq(), self.flags());
+        self.seq.set(seq);
+        self.flags.set(flags);
     }
 
     /// Increments the sequence number, returning the new value.
     pub fn bump_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::AcqRel) + 1
+        self.seq.set(self.seq() + 1);
+        self.seq()
     }
 
     /// Sets flag bits.
     pub fn set_flags(&self, mask: u64) {
-        self.flags.fetch_or(mask, Ordering::AcqRel);
-    }
-
-    /// Clears flag bits.
-    pub fn clear_flags(&self, mask: u64) {
-        self.flags.fetch_and(!mask, Ordering::AcqRel);
+        self.flags.set(self.flags() | mask);
     }
 }
 
@@ -137,9 +106,10 @@ mod tests {
         assert_eq!(sw.bump_seq(), 2);
         sw.set_flags(SW_ONCPU | SW_RUNNABLE);
         assert!(sw.has_flags(SW_ONCPU));
-        sw.clear_flags(SW_ONCPU);
+        sw.publish(|s, f| (s, f & !SW_ONCPU));
         assert!(!sw.has_flags(SW_ONCPU));
         assert!(sw.has_flags(SW_RUNNABLE));
+        assert_eq!(sw.seq(), 2);
     }
 
     #[test]
@@ -148,56 +118,5 @@ mod tests {
         sw.publish(|s, f| (s + 10, f | SW_ATTACHED));
         assert_eq!(sw.seq(), 10);
         assert!(sw.has_flags(SW_ATTACHED));
-    }
-
-    #[test]
-    fn cross_thread_visibility() {
-        let sw = StatusWord::new();
-        let sw2 = Arc::clone(&sw);
-        let h = std::thread::spawn(move || {
-            for _ in 0..10_000 {
-                sw2.publish(|s, f| (s + 1, f ^ SW_RUNNABLE));
-            }
-        });
-        // Reader: seq must be monotone.
-        let mut last = 0;
-        while last < 10_000 {
-            let s = sw.seq();
-            assert!(s >= last);
-            last = last.max(s);
-        }
-        h.join().unwrap();
-        assert_eq!(sw.seq(), 10_000);
-    }
-
-    /// Loom-style interleaving probe for the single-writer contract: one
-    /// publisher parks *inside* `publish` (its closure blocks on a
-    /// barrier), a second publisher then enters and must be rejected.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn publish_detects_second_publisher() {
-        use std::sync::Barrier;
-
-        let sw = StatusWord::new();
-        let barrier = Arc::new(Barrier::new(2));
-        let (sw_hold, b_hold) = (Arc::clone(&sw), Arc::clone(&barrier));
-        let holder = std::thread::spawn(move || {
-            sw_hold.publish(|s, f| {
-                b_hold.wait(); // publisher is now mid-publish
-                b_hold.wait(); // held open until the intruder has panicked
-                (s + 1, f)
-            });
-        });
-        barrier.wait();
-        let sw_intruder = Arc::clone(&sw);
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // keep the expected panic quiet
-        let intruder = std::thread::spawn(move || sw_intruder.publish(|s, f| (s + 1, f)));
-        let outcome = intruder.join();
-        std::panic::set_hook(prev_hook);
-        assert!(outcome.is_err(), "second concurrent publisher must panic");
-        barrier.wait();
-        holder.join().unwrap();
-        assert_eq!(sw.seq(), 1);
     }
 }

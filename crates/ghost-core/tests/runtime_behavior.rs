@@ -1312,6 +1312,92 @@ fn handle_call_inside_a_run_panics() {
     s.kernel.run_until(5 * MILLIS);
 }
 
+fn traced_fifo(trace: TraceSink) -> Setup {
+    centralized_setup_traced(
+        Topology::test_small(2),
+        3,
+        100 * MICROS,
+        MILLIS,
+        EnclaveConfig::centralized("test"),
+        Box::new(FifoPolicy::default()),
+        trace,
+    )
+}
+
+/// `Kernel::run_until` checks the trace recorder out for the run and back
+/// in after it, so a handle reading between slices sees what a handle
+/// reading only at the end sees: the records emitted by setup before any
+/// run, the same survivors in the same `seq` order, and the same drops.
+#[test]
+fn trace_reads_between_runs_match_a_trace_read_only_at_the_end() {
+    // Rings big enough to keep every record, then small enough to wrap.
+    for capacity in [1 << 16, 64] {
+        let (sliced_sink, whole_sink) = (
+            TraceSink::recording(4, capacity),
+            TraceSink::recording(4, capacity),
+        );
+        let mut sliced = traced_fifo(sliced_sink.clone());
+        let mut whole = traced_fifo(whole_sink.clone());
+        let setup = sliced_sink.snapshot();
+        assert!(!setup.is_empty(), "setup emits before any run");
+        assert_eq!(setup, whole_sink.snapshot());
+        let mut last_seq = None;
+        for slice in 1..=10 {
+            sliced.kernel.run_until(slice * 2 * MILLIS);
+            let records = sliced_sink.snapshot();
+            assert!(records.windows(2).all(|w| w[0].seq < w[1].seq));
+            assert!(
+                records.last().map(|r| r.seq) > last_seq,
+                "slice {slice} recorded"
+            );
+            last_seq = records.last().map(|r| r.seq);
+        }
+        whole.kernel.run_until(20 * MILLIS);
+        let end = whole_sink.snapshot();
+        assert_eq!(sliced_sink.snapshot(), end, "capacity {capacity}");
+        assert_eq!(sliced_sink.dropped(), whole_sink.dropped());
+        if capacity == 64 {
+            assert!(whole_sink.dropped() > 0, "the small rings wrapped");
+        } else {
+            assert_eq!(whole_sink.dropped(), 0);
+            assert_eq!(end[..setup.len()], setup[..], "setup records survive");
+        }
+    }
+}
+
+/// Reads the trace through a shared handle from inside a run.
+struct TraceProbe(TraceSink);
+
+impl App for TraceProbe {
+    fn as_any(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+
+    fn name(&self) -> &str {
+        "trace-probe"
+    }
+
+    fn on_timer(&mut self, _key: u64, _k: &mut KernelState) {
+        let _ = self.0.snapshot();
+    }
+
+    fn on_segment_end(&mut self, _tid: Tid, _k: &mut KernelState) -> Next {
+        Next::Block
+    }
+}
+
+/// Inside a run the kernel holds the recorder, so a shared handle finds
+/// its cell empty and panics instead of reading an empty trace.
+#[test]
+#[should_panic(expected = "trace recorder is checked out by a running kernel")]
+fn trace_read_inside_a_run_panics() {
+    let sink = TraceSink::recording(4, 1 << 12);
+    let mut s = traced_fifo(sink.clone());
+    let probe = s.kernel.add_app(Box::new(TraceProbe(sink)));
+    s.kernel.state.arm_app_timer(MILLIS, probe, 0);
+    s.kernel.run_until(5 * MILLIS);
+}
+
 /// Hooks fired by setup code outside any run (spawn, settle, wake) take
 /// the lock and work; the run that follows schedules what they set up.
 #[test]

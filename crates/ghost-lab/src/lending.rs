@@ -24,7 +24,7 @@
 
 use crate::cache::{fnv64_debug_lines, fnv64_lines};
 use crate::engine::{Experiment, ExperimentResult};
-use crate::scenario::{attach_workload, PolicyKind, Scenario, WorkloadSpec};
+use crate::scenario::{attach_workload, Completions, PolicyKind, Scenario, WorkloadSpec};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime};
 use ghost_core::{RmConfig, StandbyConfig};
 use ghost_sim::kernel::Kernel;
@@ -33,7 +33,6 @@ use ghost_sim::time::{Nanos, MICROS, MILLIS};
 use ghost_sim::topology::CpuId;
 use ghost_sim::CpuSet;
 use ghost_trace::{check, derive::TraceMetrics, TraceSink};
-use std::sync::{Arc, Mutex};
 
 /// Workload shape on the protected (borrowing) enclave. The donor
 /// always runs a light standard pulse load — it must have spare CPUs,
@@ -180,20 +179,20 @@ pub struct LendingRun {
     pub donor: EnclaveHandle,
     pub p_threads: Vec<Tid>,
     pub d_threads: Vec<Tid>,
-    p_completions: Arc<Mutex<u64>>,
-    d_completions: Arc<Mutex<u64>>,
+    p_completions: Completions,
+    d_completions: Completions,
     pub sink: TraceSink,
 }
 
 impl LendingRun {
     /// Protected-enclave pulse segments completed so far.
     pub fn p_completions(&self) -> u64 {
-        *self.p_completions.lock().unwrap()
+        self.p_completions.get()
     }
 
     /// Donor-enclave pulse segments completed so far.
     pub fn d_completions(&self) -> u64 {
-        *self.d_completions.lock().unwrap()
+        self.d_completions.get()
     }
 }
 

@@ -46,6 +46,8 @@
 //! assert_eq!(report.items.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod engine;
 pub mod lending;
@@ -59,8 +61,8 @@ pub use lending::{
     LendingScenario, LendingWorkload,
 };
 pub use scenario::{
-    attach_workload, GhostSim, LabRun, PolicyCaps, PolicyEntry, PolicyKind, RunSummary, Scenario,
-    ScenarioBuilder, TopologySpec, WorkloadSpec,
+    attach_workload, Completions, GhostSim, LabRun, PolicyCaps, PolicyEntry, PolicyKind,
+    RunSummary, Scenario, ScenarioBuilder, TopologySpec, WorkloadSpec,
 };
 pub use tournament::{
     fault_matrix, league_table, run_tournament, scenario_library, FaultCell, LeagueStanding,

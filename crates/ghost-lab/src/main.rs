@@ -11,6 +11,8 @@
 //! run is byte-identical to the serial one, and a rerun against the same
 //! `--cache` executes no cell (CI checks both).
 
+#![forbid(unsafe_code)]
+
 use ghost_lab::scenario::PolicyKind;
 use ghost_lab::tournament::{league_table, run_tournament, TournamentOpts};
 use ghost_lab::Cache;

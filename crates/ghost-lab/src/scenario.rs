@@ -34,8 +34,8 @@ use ghost_sim::CpuSet;
 use ghost_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The policy vocabulary, re-exported from the `ghost-policies`
 /// registry (its original home was this module; `ghost-chaos` in turn
@@ -571,8 +571,8 @@ pub struct LabRun {
     pub sim: GhostSim,
     /// Workload thread ids, in spawn order.
     pub threads: Vec<Tid>,
-    /// Shared completion counter (pulse workload segments finished).
-    completions: Arc<Mutex<u64>>,
+    /// Pulse workload segments finished.
+    completions: Completions,
     /// The scenario horizon.
     pub horizon: Nanos,
 }
@@ -585,7 +585,7 @@ impl LabRun {
 
     /// Workload segments completed so far.
     pub fn completions(&self) -> u64 {
-        *self.completions.lock().unwrap()
+        self.completions.get()
     }
 
     /// Summarizes the observable outcome into stable, hashable lines:
@@ -635,21 +635,20 @@ pub struct RunSummary {
 /// tests and harnesses that build a bespoke policy instance through
 /// [`ScenarioBuilder::build_with`] (e.g. to attach a knob probe) can
 /// still drive the canonical workloads. Returns the workload tids in
-/// spawn order and the shared segment-completion counter.
+/// spawn order and the segment-completion counter.
 pub fn attach_workload(
     kernel: &mut Kernel,
     enclave: &EnclaveHandle,
     workload: &WorkloadSpec,
     seed: u64,
     policy: PolicyKind,
-) -> (Vec<Tid>, Arc<Mutex<u64>>) {
-    let completions = Arc::new(Mutex::new(0u64));
+) -> (Vec<Tid>, Completions) {
+    let completions = Completions::default();
     if matches!(workload, WorkloadSpec::None) {
         return (Vec::new(), completions);
     }
     let app = kernel.state.next_app_id();
-    let mut conf = HashMap::new();
-    let mut antagonists = HashSet::new();
+    let mut conf = PulseConf::default();
     let mut burst_at_opt = None;
     let mut tids = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0C0F_FEE0);
@@ -668,7 +667,7 @@ pub fn attach_workload(
                 let tid = spawn_workload_thread(kernel, app, policy, i);
                 let s = rng.gen_range(seg.0..seg.1);
                 let p = rng.gen_range(period.0..period.1);
-                conf.insert(tid, (s, p, p));
+                conf.insert(tid, Pulse::new(s, p, p, false));
                 tids.push(tid);
             }
         }
@@ -684,12 +683,11 @@ pub fn attach_workload(
                 if i < *pulse {
                     let s = rng.gen_range(seg.0..seg.1);
                     let p = rng.gen_range(period.0..period.1);
-                    conf.insert(tid, (s, p, p));
+                    conf.insert(tid, Pulse::new(s, p, p, false));
                 } else {
                     // Hogs run back to back; the long re-arm period only
                     // matters if a fault ever blocks one.
-                    conf.insert(tid, (*slice, 10 * MILLIS, 10 * MILLIS));
-                    antagonists.insert(tid);
+                    conf.insert(tid, Pulse::new(*slice, 10 * MILLIS, 10 * MILLIS, true));
                 }
                 tids.push(tid);
             }
@@ -707,16 +705,15 @@ pub fn attach_workload(
                 let s = rng.gen_range(seg.0..seg.1);
                 let q = rng.gen_range(quiet.0..quiet.1);
                 let b = rng.gen_range(burst.0..burst.1);
-                conf.insert(tid, (s, q, b));
+                conf.insert(tid, Pulse::new(s, q, b, false));
                 tids.push(tid);
             }
         }
     }
     kernel.add_app(Box::new(PulseApp {
         conf,
-        antagonists,
         burst_at: burst_at_opt,
-        completions: Arc::clone(&completions),
+        completions: completions.clone(),
     }));
     for &tid in &tids {
         enclave.attach_thread(&mut kernel.state, tid);
@@ -742,6 +739,63 @@ fn spawn_workload_thread(
     )
 }
 
+/// A count of finished pulse segments, shared between the workload app
+/// that counts and the harness that reads it. The app is its only
+/// writer, so counting is a load and a store, not a locked
+/// read-modify-write.
+#[derive(Debug, Clone, Default)]
+pub struct Completions(Arc<AtomicU64>);
+
+impl Completions {
+    /// Segments finished so far.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn count_one(&self) {
+        self.0.store(self.get() + 1, Ordering::Relaxed);
+    }
+}
+
+/// One pulse thread's shape.
+#[derive(Debug, Clone, Copy)]
+struct Pulse {
+    seg: Nanos,
+    /// Re-arm period before the flash crowd's `burst_at`, and after it.
+    quiet: Nanos,
+    burst: Nanos,
+    /// An antagonist: yields between back-to-back segments, never counts.
+    hog: bool,
+}
+
+impl Pulse {
+    fn new(seg: Nanos, quiet: Nanos, burst: Nanos, hog: bool) -> Self {
+        Pulse {
+            seg,
+            quiet,
+            burst,
+            hog,
+        }
+    }
+}
+
+/// Pulse shapes indexed by dense tid.
+#[derive(Default)]
+struct PulseConf(Vec<Option<Pulse>>);
+
+impl PulseConf {
+    fn insert(&mut self, tid: Tid, pulse: Pulse) {
+        if self.0.len() <= tid.index() {
+            self.0.resize(tid.index() + 1, None);
+        }
+        self.0[tid.index()] = Some(pulse);
+    }
+
+    fn get(&self, tid: Tid) -> Option<Pulse> {
+        self.0.get(tid.index()).copied().flatten()
+    }
+}
+
 /// The pulse workload app: each thread repeatedly runs a segment then
 /// blocks, re-armed by a periodic timer. Tolerant of fault-induced
 /// weirdness (spurious wakeups may leave a thread non-blocked when its
@@ -750,10 +804,9 @@ fn spawn_workload_thread(
 /// workloads switch every thread's re-arm period from `quiet` to
 /// `burst` once the virtual clock passes `burst_at`.
 struct PulseApp {
-    conf: HashMap<Tid, (Nanos, Nanos, Nanos)>, // (segment, quiet period, burst period)
-    antagonists: HashSet<Tid>,
+    conf: PulseConf,
     burst_at: Option<Nanos>,
-    completions: Arc<Mutex<u64>>,
+    completions: Completions,
 }
 
 impl App for PulseApp {
@@ -767,30 +820,31 @@ impl App for PulseApp {
 
     fn on_timer(&mut self, key: u64, k: &mut KernelState) {
         let tid = Tid(key as u32);
-        let Some(&(seg, quiet, burst)) = self.conf.get(&tid) else {
+        let Some(pulse) = self.conf.get(tid) else {
             return;
         };
         if k.thread(tid).state == ThreadState::Blocked {
-            k.thread_mut(tid).remaining = seg;
+            k.thread_mut(tid).remaining = pulse.seg;
             k.wake(tid);
         }
         let app = k.thread(tid).app.expect("pulse threads have an app");
         let period = match self.burst_at {
-            Some(at) if k.now >= at => burst,
-            _ => quiet,
+            Some(at) if k.now >= at => pulse.burst,
+            _ => pulse.quiet,
         };
         k.arm_app_timer(k.now + period, app, key);
     }
 
     fn on_segment_end(&mut self, tid: Tid, _k: &mut KernelState) -> Next {
-        if self.antagonists.contains(&tid) {
+        match self.conf.get(tid) {
             // Hogs do not count toward workload throughput; they exist
             // to squeeze it.
-            let slice = self.conf.get(&tid).map_or(MILLIS, |c| c.0);
-            return Next::Yield { dur: slice };
+            Some(pulse) if pulse.hog => Next::Yield { dur: pulse.seg },
+            _ => {
+                self.completions.count_one();
+                Next::Block
+            }
         }
-        *self.completions.lock().unwrap() += 1;
-        Next::Block
     }
 }
 

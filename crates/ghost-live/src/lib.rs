@@ -4,9 +4,10 @@
 //! `ghost-sim` runs the runtime against a discrete-event kernel,
 //! `ghost-live` runs the *same unmodified runtime and policies* against
 //! real `std::thread` workers, a monotonic wall clock, per-thread command
-//! mailboxes, and the same `AtomicU64`-seqlock status words — the
-//! paper's claim that scheduling logic lives entirely in userspace,
-//! demonstrated by swapping the machine out from underneath it.
+//! mailboxes, and the same status words and message queues, reached
+//! under the state lock — the paper's claim that scheduling logic lives
+//! entirely in userspace, demonstrated by swapping the machine out from
+//! underneath it.
 //!
 //! | piece | DES (`ghost-sim`) | live (this crate) |
 //! |---|---|---|
@@ -16,7 +17,7 @@
 //! | preemption | resched event | preempt flag at request boundary |
 //! | timers | event heap | timer thread over a deadline heap |
 //! | agent kick | agent-loop event | `Run` post to its mailbox ([`worker::WorkerCtl`]) |
-//! | status words | `ghost_core::status` | the same type, genuinely shared |
+//! | status words | `ghost_core::status`, owned by the checked-out `Core` | the same type, reached under the state lock |
 //!
 //! Scheduling semantics are kept aligned with the DES by construction:
 //! `LiveState::settle` applies deferred operations in the DES's

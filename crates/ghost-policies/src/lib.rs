@@ -24,6 +24,8 @@
 //! | [`kernel`] | [`RunQueue`] (FIFO with membership), [`PolicyKernel`] (transaction builder, commit-settle step, commit counters), [`SliceClock`] (time-slice bookkeeping) |
 //! | [`registry`] | every policy as data: stable names, capability flags, factories, enclave shapes |
 
+#![forbid(unsafe_code)]
+
 pub mod core_sched;
 pub mod fifo;
 pub mod kernel;

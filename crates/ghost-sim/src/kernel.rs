@@ -466,9 +466,12 @@ impl Kernel {
     }
 
     /// Runs the event loop until virtual time `until` (inclusive of events
-    /// at exactly `until`), bracketed by the ghOSt slot's
-    /// [`SchedClass::enter`] / [`SchedClass::leave`].
+    /// at exactly `until`), bracketed by the trace sink's
+    /// [`TraceSink::check_out`] / [`TraceSink::check_in`] and the ghOSt
+    /// slot's [`SchedClass::enter`] / [`SchedClass::leave`]: inside a run
+    /// neither a tracepoint nor a ghOSt hook takes a lock.
     pub fn run_until(&mut self, until: Nanos) {
+        self.state.cfg.trace.check_out();
         self.classes[CLASS_GHOST as usize].enter();
         self.settle();
         while let Some((at, ev)) = self.state.events.pop_until(until) {
@@ -480,6 +483,7 @@ impl Kernel {
         }
         self.state.now = self.state.now.max(until);
         self.classes[CLASS_GHOST as usize].leave();
+        self.state.cfg.trace.check_in();
     }
 
     /// Runs for `dur` more nanoseconds of virtual time.

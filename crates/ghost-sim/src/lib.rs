@@ -29,6 +29,8 @@
 //! Everything is single-threaded and deterministic: given the same seed and
 //! configuration, a simulation replays event-for-event.
 
+#![forbid(unsafe_code)]
+
 pub mod agent;
 pub mod app;
 pub mod cfs;

@@ -25,7 +25,10 @@
 //! simulator types so this crate sits below `ghost-sim` in the dependency
 //! graph.
 
-use std::sync::{Arc, Mutex};
+#![forbid(unsafe_code)]
+
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 pub mod check;
 pub mod chrome;
@@ -358,32 +361,64 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
+/// Panic message of a shared-handle access made while a run holds the
+/// recorder.
+const CHECKED_OUT: &str =
+    "trace recorder is checked out by a running kernel: read the sink between `run_until` calls";
+
+/// The cell a recorder lives in between runs: `None` while checked out.
+type Home = Arc<Mutex<Option<TraceRecorder>>>;
+
 /// Where tracepoints go. The default, [`TraceSink::Null`], discards
 /// everything without constructing the event.
-#[derive(Debug, Clone, Default)]
+///
+/// A recording sink is a handle on one [`TraceRecorder`], and clones are
+/// handles on the same recorder. It lives behind `Arc<Mutex<..>>` so a
+/// whole simulation (kernel, runtime and sink) is `Send` and can run on
+/// a `ghost-lab` worker thread, and so ghost-live's emitters, which are
+/// real threads, can share it. A DES run does not share it: for the
+/// length of a run the kernel checks the recorder out of the cell
+/// ([`TraceSink::check_out`]) and records into it with no lock, then
+/// checks it back in. A shared handle used while the recorder is checked
+/// out panics; it never reads an empty stand-in.
+#[derive(Debug, Default)]
 pub enum TraceSink {
     /// Tracing off: `emit` is one branch, the closure never runs.
     #[default]
     Null,
-    /// Tracing on: events land in a shared [`TraceRecorder`].
-    ///
-    /// The recorder is behind `Arc<Mutex<..>>` (not `Rc<RefCell<..>>`) so
-    /// a whole simulation — kernel, runtime, and sink — is `Send` and can
-    /// be executed on a `ghost-lab` worker thread. Each simulation is
-    /// still single-threaded, so the lock is never contended.
-    Recorder(Arc<Mutex<TraceRecorder>>),
+    /// Tracing on: events land in the recorder in the shared cell.
+    Recorder(Home),
+    /// Tracing on, recorder checked out of `home` by a running kernel.
+    CheckedOut {
+        rec: RefCell<TraceRecorder>,
+        home: Home,
+    },
+}
+
+impl Clone for TraceSink {
+    /// Another handle on the same recorder.
+    fn clone(&self) -> Self {
+        match self {
+            TraceSink::Null => TraceSink::Null,
+            TraceSink::Recorder(home) | TraceSink::CheckedOut { home, .. } => {
+                TraceSink::Recorder(Arc::clone(home))
+            }
+        }
+    }
 }
 
 impl TraceSink {
     /// A sink recording into per-CPU rings of `capacity` records each.
     pub fn recording(num_cpus: usize, capacity: usize) -> Self {
-        TraceSink::Recorder(Arc::new(Mutex::new(TraceRecorder::new(num_cpus, capacity))))
+        TraceSink::Recorder(Arc::new(Mutex::new(Some(TraceRecorder::new(
+            num_cpus, capacity,
+        )))))
     }
 
     /// True when events are being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        matches!(self, TraceSink::Recorder(_))
+        !matches!(self, TraceSink::Null)
     }
 
     /// Records the event produced by `f`. With [`TraceSink::Null`], `f` is
@@ -391,20 +426,66 @@ impl TraceSink {
     /// tracepoints cost only this branch.
     #[inline]
     pub fn emit(&self, ts: Nanos, cpu: u16, f: impl FnOnce() -> TraceEvent) {
-        if let TraceSink::Recorder(rec) = self {
-            rec.lock().unwrap().record(ts, cpu, f());
+        match self {
+            TraceSink::Null => {}
+            TraceSink::Recorder(home) => {
+                lock(home).as_mut().expect(CHECKED_OUT).record(ts, cpu, f())
+            }
+            TraceSink::CheckedOut { rec, .. } => rec.borrow_mut().record(ts, cpu, f()),
+        }
+    }
+
+    /// Moves the recorder out of the shared cell into this sink, so
+    /// `emit` takes no lock until [`TraceSink::check_in`]. A no-op unless
+    /// the sink is a [`TraceSink::Recorder`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if another sink has the recorder checked out.
+    pub fn check_out(&mut self) {
+        match std::mem::take(self) {
+            TraceSink::Recorder(home) => {
+                let rec = lock(&home).take().expect(CHECKED_OUT);
+                *self = TraceSink::CheckedOut {
+                    rec: RefCell::new(rec),
+                    home,
+                };
+            }
+            other => *self = other,
+        }
+    }
+
+    /// Puts a checked-out recorder back in the shared cell, where every
+    /// handle sees its records. A no-op unless checked out.
+    pub fn check_in(&mut self) {
+        match std::mem::take(self) {
+            TraceSink::CheckedOut { rec, home } => {
+                *lock(&home) = Some(rec.into_inner());
+                *self = TraceSink::Recorder(home);
+            }
+            other => *self = other,
         }
     }
 
     /// Runs `f` over the surviving records, merged across rings in global
     /// `seq` order and borrowed from the recorder, together with the drop
     /// count of the same instant. Empty and 0 for [`TraceSink::Null`].
-    /// The recorder is locked while `f` runs, so `f` must not emit.
+    /// The recorder is borrowed while `f` runs, so `f` must not emit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shared handle while a running kernel has the recorder
+    /// checked out.
     pub fn with_records<R>(&self, f: impl FnOnce(Replay<'_>, u64) -> R) -> R {
         match self {
             TraceSink::Null => f(Replay::default(), 0),
-            TraceSink::Recorder(rec) => {
-                let rec = rec.lock().unwrap();
+            TraceSink::Recorder(home) => {
+                let cell = lock(home);
+                let rec = cell.as_ref().expect(CHECKED_OUT);
+                f(rec.replay(), rec.dropped())
+            }
+            TraceSink::CheckedOut { rec, .. } => {
+                let rec = rec.borrow();
                 f(rec.replay(), rec.dropped())
             }
         }
@@ -417,11 +498,15 @@ impl TraceSink {
 
     /// Total records overwritten across all rings (0 for `Null`).
     pub fn dropped(&self) -> u64 {
-        match self {
-            TraceSink::Null => 0,
-            TraceSink::Recorder(rec) => rec.lock().unwrap().dropped(),
-        }
+        self.with_records(|_, dropped| dropped)
     }
+}
+
+/// Locks a recorder cell. A panic under the lock (a checked-out cell, an
+/// event closure, a reader) comes before or after a record is stored,
+/// never part-way, so a poisoned recorder is still valid and is read.
+fn lock(home: &Home) -> MutexGuard<'_, Option<TraceRecorder>> {
+    home.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -463,5 +548,21 @@ mod tests {
         let clone = sink.clone();
         clone.emit(5, 0, || TraceEvent::TickDelivered { cpu: 0 });
         assert_eq!(sink.snapshot().len(), 1);
+    }
+
+    #[test]
+    fn check_in_hands_checked_out_records_to_every_handle() {
+        let handle = TraceSink::recording(1, 8);
+        let mut owner = handle.clone();
+        owner.emit(1, 0, || TraceEvent::TickDelivered { cpu: 0 });
+        owner.check_out();
+        owner.emit(2, 0, || TraceEvent::TickDelivered { cpu: 0 });
+        assert_eq!(owner.snapshot().len(), 2, "the owner reads in place");
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.snapshot()));
+        assert!(read.is_err(), "a handle read while checked out panics");
+        owner.check_in();
+        owner.emit(3, 0, || TraceEvent::TickDelivered { cpu: 0 });
+        let seqs: Vec<u64> = handle.snapshot().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
     }
 }

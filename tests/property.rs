@@ -80,30 +80,60 @@ fn histogram_percentiles_bound_error() {
     });
 }
 
-/// The lock-free message queue is FIFO and loss-free under any
-/// push/pop interleaving (single-threaded model check).
+/// The message queue is a FIFO bounded at its power-of-two capacity:
+/// under any interleaving of push, pop, fault-injected drops and drains
+/// into a non-empty buffer, it holds, returns and counts exactly what a
+/// VecDeque model does. The overflow point decides `msgs_dropped` and
+/// the `QueueOverflow` records, so the model pins it to the message.
 #[test]
 fn message_queue_matches_vecdeque() {
     for_seeds!(0x9E5B, 200, |rng: &mut StdRng| {
-        let q = MessageQueue::new(64);
+        let requested = rng.gen_range(0usize..100);
+        let q = MessageQueue::new(requested);
+        let cap = requested.next_power_of_two().max(2);
+        assert_eq!(q.capacity(), cap, "capacity of {requested}");
         let mut model: VecDeque<u32> = VecDeque::new();
+        let mut dropped = 0u64;
         let mut next = 0u32;
         for _ in 0..rng.gen_range(1usize..400) {
-            if rng.gen_bool(0.5) {
-                let m = Message::thread(MsgType::ThreadWakeup, Tid(next), 0, CpuId(0), 0);
-                let ok = q.push(m).is_ok();
-                let model_ok = model.len() < 64;
-                assert_eq!(ok, model_ok, "capacity divergence");
-                if ok {
-                    model.push_back(next);
+            match rng.gen_range(0u32..20) {
+                0..=9 => {
+                    let m = Message::thread(MsgType::ThreadWakeup, Tid(next), 0, CpuId(0), 0);
+                    let ok = q.push(m).is_ok();
+                    assert_eq!(ok, model.len() < cap, "capacity divergence");
+                    if ok {
+                        model.push_back(next);
+                    } else {
+                        dropped += 1;
+                    }
+                    next += 1;
                 }
-                next += 1;
-            } else {
-                let got = q.pop().map(|m| m.tid.0);
-                assert_eq!(got, model.pop_front());
+                10..=16 => assert_eq!(q.pop().map(|m| m.tid.0), model.pop_front()),
+                17 => {
+                    q.note_dropped();
+                    dropped += 1;
+                }
+                _ => {
+                    let held = rng.gen_range(0u32..4);
+                    let mut buf: Vec<Message> = (0..held)
+                        .map(|i| {
+                            Message::thread(MsgType::ThreadYield, Tid(u32::MAX - i), 0, CpuId(0), 0)
+                        })
+                        .collect();
+                    q.drain_into(&mut buf);
+                    let (kept, drained) = buf.split_at(held as usize);
+                    assert!(
+                        kept.iter().all(|m| m.ty == MsgType::ThreadYield),
+                        "prefix kept"
+                    );
+                    let drained: Vec<u32> = drained.iter().map(|m| m.tid.0).collect();
+                    assert_eq!(drained, model.drain(..).collect::<Vec<_>>());
+                }
             }
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.is_empty(), model.is_empty());
+            assert_eq!(q.dropped(), dropped);
         }
-        assert_eq!(q.len(), model.len());
     });
 }
 
