@@ -14,7 +14,7 @@
 #![forbid(unsafe_code)]
 
 use ghost_lab::scenario::PolicyKind;
-use ghost_lab::tournament::{league_table, run_tournament, TournamentOpts};
+use ghost_lab::tournament::{league_table, run_tournament, CellScore, TournamentOpts};
 use ghost_lab::Cache;
 use ghost_sim::time::{MICROS, MILLIS};
 use std::process::ExitCode;
@@ -28,7 +28,9 @@ fn usage() -> ! {
          \n\
          tournament: runs every registered policy over the scenario x fault\n\
          matrix, prints the ranked league table, and exits 1 if any cell\n\
-         violated a trace invariant or dropped trace records.\n\
+         violated a trace invariant (INVARIANT-FAIL) or dropped trace\n\
+         records because one simulated millisecond overflowed its trace\n\
+         ring (TRACE-DROPPED).\n\
          \n\
          --jobs N        worker threads (default 1)\n\
          --seed S        shared cell seed (default 1)\n\
@@ -109,14 +111,20 @@ fn tournament_main(mut args: impl Iterator<Item = String>) -> ExitCode {
             .recovery_ns
             .map(|ns| format!("  recovery {:.2} ms", ns as f64 / 1e6))
             .unwrap_or_default();
+        let mut failures = String::new();
+        if c.score.invariant_violations > 0 {
+            failures += "  INVARIANT-FAIL";
+        }
+        if c.score.trace_dropped > 0 {
+            failures += "  TRACE-DROPPED";
+        }
         println!(
-            "{:>44}  p99 {:>9} ns  slo-viol {:>6}  compl {:>6}  pts {:>2}  {src}{recovery}{}",
+            "{:>44}  p99 {:>9} ns  slo-viol {:>6}  compl {:>6}  pts {:>2}  {src}{recovery}{failures}",
             c.label,
             c.score.p99_ns,
             c.score.slo_violations,
             c.score.completions,
             c.points,
-            if c.pass { "" } else { "  INVARIANT-FAIL" },
         );
     }
     println!();
@@ -139,7 +147,15 @@ fn tournament_main(mut args: impl Iterator<Item = String>) -> ExitCode {
     if report.all_passed() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("tournament FAILED: at least one cell violated a trace invariant");
+        let cells = |failed: fn(&CellScore) -> bool| {
+            report.cells.iter().filter(|c| failed(&c.score)).count()
+        };
+        eprintln!(
+            "tournament FAILED: {} cell(s) violated a trace invariant (INVARIANT-FAIL), \
+             {} cell(s) dropped trace records (TRACE-DROPPED)",
+            cells(|s| s.invariant_violations > 0),
+            cells(|s| s.trace_dropped > 0),
+        );
         ExitCode::FAILURE
     }
 }

@@ -146,6 +146,16 @@ pub fn fault_matrix(horizon: Nanos, bounded: bool) -> Vec<FaultCell> {
     cells
 }
 
+/// Trace ring capacity of every cell's scenario. A cell drains its ring
+/// every [`TRACE_SLICE`], so the ring only has to hold one slice; the
+/// capacity is sized for a whole run because `cell.scenario` is also
+/// launched and read after the horizon by callers outside the cell.
+const TRACE_CAPACITY: usize = 1 << 20;
+
+/// Simulated time between two drains of a cell's trace into its fold.
+/// The ring's high-water mark is the records of one slice.
+const TRACE_SLICE: Nanos = MILLIS;
+
 /// Tournament parameters. The defaults are the committed-league
 /// configuration; tests shrink `horizon`/`policies` and set `bounded`.
 #[derive(Debug, Clone)]
@@ -161,8 +171,6 @@ pub struct TournamentOpts {
     pub slo: Nanos,
     /// Run only the bounded fault subset (CI / determinism tests).
     pub bounded: bool,
-    /// Trace ring capacity per cell.
-    pub trace_capacity: usize,
 }
 
 impl Default for TournamentOpts {
@@ -173,7 +181,6 @@ impl Default for TournamentOpts {
             horizon: 60 * MILLIS,
             slo: MILLIS,
             bounded: false,
-            trace_capacity: 1 << 20,
         }
     }
 }
@@ -214,7 +221,7 @@ pub fn tournament_cells(opts: &TournamentOpts) -> Vec<TournamentCell> {
                     .watchdog(opts.horizon / 3)
                     .standby(fc.standby)
                     .faults(fc.plan.clone())
-                    .trace_capacity(opts.trace_capacity)
+                    .trace_capacity(TRACE_CAPACITY)
                     .build();
                 cells.push(TournamentCell {
                     policy,
@@ -248,17 +255,24 @@ impl Experiment for TournamentCell {
 
     fn execute(&self) -> ExperimentResult {
         let mut run = self.scenario.launch();
-        run.run_to_horizon();
-        // Derive and check in one pass over the borrowed trace; `dropped`
-        // comes from the same lock acquisition.
-        let (metrics, violations, dropped) = run.sim.sink.with_records(|records, dropped| {
-            let (mut derive, mut checker) = (Deriver::default(), Checker::new(DEFAULT_GRACE_NS));
-            for rec in records {
+        // Derive and check as the run goes: after every slice the ring is
+        // drained into the fold, which sees the records in the same `seq`
+        // order a whole-run read would. `dropped` is cumulative, so the
+        // last drain's count covers the run.
+        let (mut derive, mut checker) = (Deriver::default(), Checker::new(DEFAULT_GRACE_NS));
+        let mut now = 0;
+        let dropped = loop {
+            now = (now + TRACE_SLICE).min(run.horizon);
+            run.sim.kernel.run_until(now);
+            let dropped = run.sim.sink.drain(|rec| {
                 derive.observe(rec);
                 checker.observe(rec);
+            });
+            if now == run.horizon {
+                break dropped;
             }
-            (derive.finish(), checker.finish(), dropped)
-        });
+        };
+        let (metrics, violations) = (derive.finish(), checker.finish());
         let tail = metrics.wakeup_to_run.tail_summary();
         let slo_violations = metrics.wakeup_to_run.count_above(self.slo);
         let lines = vec![
@@ -310,6 +324,9 @@ pub struct CellScore {
     pub recovery_ns: Option<u64>,
     /// Trace-invariant violations (0 on a passing cell).
     pub invariant_violations: u64,
+    /// Trace records the ring overwrote before the fold read them (0 on
+    /// a passing cell).
+    pub trace_dropped: u64,
 }
 
 fn line_value<'a>(lines: &'a [String], key: &str) -> Option<&'a str> {
@@ -342,6 +359,7 @@ impl CellScore {
                 .filter(|v| *v != "none")
                 .and_then(|v| v.parse().ok()),
             invariant_violations: line_u64(lines, "invariant-violations"),
+            trace_dropped: line_u64(lines, "trace-dropped"),
         }
     }
 }
@@ -626,6 +644,7 @@ mod tests {
             "slo-violations 3".into(),
             "recovery-ns none".into(),
             "invariant-violations 0".into(),
+            "trace-dropped 0".into(),
         ]
     }
 
@@ -635,8 +654,13 @@ mod tests {
         let s = CellScore::from_lines(&lines);
         assert_eq!(s.p99_ns, 250);
         assert_eq!(s.recovery_ns, None);
+        assert_eq!((s.invariant_violations, s.trace_dropped), (0, 0));
         lines[7] = "recovery-ns 42".into();
         assert_eq!(CellScore::from_lines(&lines).recovery_ns, Some(42));
+        lines[8] = "invariant-violations 2".into();
+        lines[9] = "trace-dropped 17".into();
+        let s = CellScore::from_lines(&lines);
+        assert_eq!((s.invariant_violations, s.trace_dropped), (2, 17));
     }
 
     #[test]

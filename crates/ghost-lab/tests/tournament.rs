@@ -1,10 +1,12 @@
 //! Tournament determinism and the self-tuning policy's win condition.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! * The league table — every cell hash, every point award, the
 //!   rendered standings — is byte-identical between a serial
 //!   (`jobs=1`) and a parallel (`jobs=4`) run of the same matrix.
+//! * A cell's result does not depend on its trace ring holding the
+//!   whole run: the cell folds its trace as it runs.
 //! * The adaptive policy's knob trajectory is a deterministic artifact
 //!   of the scenario seed: same seed, same trajectory, sample for
 //!   sample; and the knobs actually move under queue pressure.
@@ -13,8 +15,9 @@
 //!   the shrunken quantum pays), and never loses a cell by more than
 //!   the tie margin elsewhere is *not* required — only the win is.
 
+use ghost_lab::engine::Experiment;
 use ghost_lab::scenario::{attach_workload, PolicyKind, Scenario, WorkloadSpec};
-use ghost_lab::tournament::{league_table, run_tournament, TournamentOpts};
+use ghost_lab::tournament::{league_table, run_tournament, tournament_cells, TournamentOpts};
 use ghost_policies::{KnobProbe, KnobSample, ShinjukuAdaptivePolicy};
 use ghost_sim::time::{MICROS, MILLIS};
 use std::sync::{Arc, Mutex};
@@ -33,7 +36,6 @@ fn small_opts() -> TournamentOpts {
         horizon: 20 * MILLIS,
         slo: MILLIS,
         bounded: true,
-        trace_capacity: 1 << 18,
     }
 }
 
@@ -86,6 +88,23 @@ fn all_policy_matrix_digest_is_frozen() {
     );
 }
 
+/// A cell folds its trace one simulated millisecond at a time, so its
+/// ring only has to hold one slice, not the run: at 1 << 14 records every
+/// cell of the small matrix still passes with the result lines of the
+/// default ring. The worst 1 ms slice of the bounded matrix writes 9,418
+/// records; the worst whole 20 ms run here writes 160,067, so six of
+/// these cells fail on this ring if the trace is read only at the end.
+#[test]
+fn a_cell_needs_a_ring_of_one_slice_not_one_run() {
+    for cell in tournament_cells(&small_opts()) {
+        let mut small = cell.clone();
+        small.scenario.trace_capacity = 1 << 14;
+        let (want, got) = (cell.execute(), small.execute());
+        assert!(got.pass, "{} fails on a 1 << 14 ring", cell.label());
+        assert_eq!(got.lines, want.lines, "{}", cell.label());
+    }
+}
+
 #[test]
 fn adaptive_beats_static_shinjuku_on_p99_in_at_least_one_cell() {
     let opts = TournamentOpts {
@@ -94,7 +113,6 @@ fn adaptive_beats_static_shinjuku_on_p99_in_at_least_one_cell() {
         horizon: 40 * MILLIS,
         slo: MILLIS,
         bounded: true,
-        trace_capacity: 1 << 19,
     };
     let report = run_tournament(&opts, 2, None);
     assert!(report.all_passed());

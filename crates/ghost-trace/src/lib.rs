@@ -11,7 +11,8 @@
 //! records arrive, up to its capacity (see [`recorder`]).
 //!
 //! A recorded stream is read in place through [`TraceSink::with_records`]
-//! (or copied out with [`TraceSink::snapshot`]) and can be:
+//! (or copied out with [`TraceSink::snapshot`], or consumed piecewise with
+//! [`TraceSink::drain`]) and can be:
 //! - exported as Chrome `trace_event` JSON ([`chrome::export`]), loadable in
 //!   Perfetto or `chrome://tracing`;
 //! - folded into derived metrics ([`derive::TraceMetrics`]): wakeup-to-run
@@ -491,6 +492,32 @@ impl TraceSink {
         }
     }
 
+    /// Hands every surviving record to `f` in global `seq` order, then
+    /// empties the rings with [`TraceRecorder::clear`]: the consuming read
+    /// of ftrace's `trace_pipe`. The `seq` stamp and the drop counts
+    /// survive the clear, so a stream drained in pieces reads as one
+    /// whole-run read would, and a ring only has to hold the records
+    /// written between two drains. Returns the cumulative drop count;
+    /// 0, with `f` never called, for [`TraceSink::Null`]. The recorder is
+    /// borrowed while `f` runs, so `f` must not emit.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shared handle while a running kernel has the recorder
+    /// checked out.
+    pub fn drain(&self, mut f: impl FnMut(&TraceRecord)) -> u64 {
+        let mut consume = |rec: &mut TraceRecorder| {
+            rec.replay().for_each(&mut f);
+            rec.clear();
+            rec.dropped()
+        };
+        match self {
+            TraceSink::Null => 0,
+            TraceSink::Recorder(home) => consume(lock(home).as_mut().expect(CHECKED_OUT)),
+            TraceSink::CheckedOut { rec, .. } => consume(&mut rec.borrow_mut()),
+        }
+    }
+
     /// A copy of the surviving records, in global `seq` order.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
         self.with_records(|records, _| records.to_vec())
@@ -564,5 +591,64 @@ mod tests {
         owner.emit(3, 0, || TraceEvent::TickDelivered { cpu: 0 });
         let seqs: Vec<u64> = handle.snapshot().iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
+    }
+
+    fn drained_seqs(sink: &TraceSink) -> (Vec<u64>, u64) {
+        let mut seqs = Vec::new();
+        let dropped = sink.drain(|r| seqs.push(r.seq));
+        (seqs, dropped)
+    }
+
+    #[test]
+    fn drain_consumes_in_seq_order_and_keeps_the_stamp() {
+        let sink = TraceSink::recording(2, 8);
+        for (ts, cpu) in [(1, 1), (2, 0), (3, 0), (4, 1)] {
+            sink.emit(ts, cpu, || TraceEvent::TickDelivered { cpu });
+        }
+        assert_eq!(drained_seqs(&sink), (vec![0, 1, 2, 3], 0));
+        assert!(sink.snapshot().is_empty(), "a drain empties the rings");
+        for (ts, cpu) in [(5, 0), (6, 1)] {
+            sink.emit(ts, cpu, || TraceEvent::TickDelivered { cpu });
+        }
+        assert_eq!(drained_seqs(&sink), (vec![4, 5], 0));
+        assert_eq!(drained_seqs(&sink), (vec![], 0));
+    }
+
+    #[test]
+    fn drain_returns_the_cumulative_drop_count() {
+        let sink = TraceSink::recording(1, 4);
+        for ts in 0..10 {
+            sink.emit(ts, 0, || TraceEvent::TickDelivered { cpu: 0 });
+        }
+        assert_eq!(drained_seqs(&sink), (vec![6, 7, 8, 9], 6));
+        for ts in 10..16 {
+            sink.emit(ts, 0, || TraceEvent::TickDelivered { cpu: 0 });
+        }
+        assert_eq!(drained_seqs(&sink), (vec![12, 13, 14, 15], 8));
+        assert_eq!(drained_seqs(&sink), (vec![], 8));
+        assert_eq!(sink.dropped(), 8);
+    }
+
+    #[test]
+    fn drain_of_a_null_sink_is_a_no_op() {
+        let mut called = false;
+        assert_eq!(TraceSink::Null.drain(|_| called = true), 0);
+        assert!(!called);
+    }
+
+    #[test]
+    fn drain_follows_the_checkout_rules() {
+        let handle = TraceSink::recording(1, 8);
+        let mut owner = handle.clone();
+        owner.emit(1, 0, || TraceEvent::TickDelivered { cpu: 0 });
+        owner.check_out();
+        owner.emit(2, 0, || TraceEvent::TickDelivered { cpu: 0 });
+        assert_eq!(drained_seqs(&owner), (vec![0, 1], 0), "the owner drains");
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.drain(|_| {})));
+        let msg = read.expect_err("a handle drain while checked out panics");
+        assert_eq!(msg.downcast_ref::<String>().unwrap(), CHECKED_OUT);
+        owner.emit(3, 0, || TraceEvent::TickDelivered { cpu: 0 });
+        owner.check_in();
+        assert_eq!(drained_seqs(&handle), (vec![2], 0));
     }
 }
