@@ -37,20 +37,19 @@ use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime, GhostStats};
 use ghost_core::txn::{Transaction, TxnStatus};
 use ghost_core::{AbiError, StandbyConfig};
-use ghost_lab::PolicyKind;
+use ghost_lab::{EnclaveSpec, GhostSim, PolicyKind, Scenario, WorkloadSpec};
 use ghost_policies::CentralizedFifo;
-use ghost_sim::app::{App, Next};
 use ghost_sim::faults::{FaultKind, FaultPlan};
-use ghost_sim::kernel::{Kernel, KernelConfig, KernelState, ThreadSpec};
-use ghost_sim::thread::{ThreadState, Tid};
+use ghost_sim::kernel::KernelState;
+use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
-use ghost_sim::topology::{CpuId, Topology};
+use ghost_sim::topology::CpuId;
 use ghost_sim::CpuSet;
 use ghost_trace::json::Json;
 use ghost_trace::TraceSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
@@ -258,6 +257,35 @@ impl ByzCombo {
     /// never stored — so a replayed `repro.json` rebuilds it.
     pub fn strike_budget(&self) -> Option<u32> {
         self.seed.is_multiple_of(2).then_some(4)
+    }
+
+    /// The machine as a declarative `ghost-lab` scenario. Enclave 0 is
+    /// the victim on CPUs 1–3: watchdog, hot standby, four pulse
+    /// threads, and an agent crash at 30 ms that its standby must
+    /// recover from *while* the neighbour hammers the ABI. Enclave 1 is
+    /// the hostile one on CPUs 4–5, with two pulse threads of its own;
+    /// its policy is swapped for the byzantine agent at launch.
+    fn scenario(&self) -> Scenario {
+        let crash = (30 * MILLIS, FaultKind::AgentCrash { cpu: CpuId(1) });
+        Scenario::builder()
+            .name(self.label())
+            .cpus(8)
+            .seed(self.seed)
+            .horizon(BYZ_HORIZON)
+            .faults(FaultPlan::from_events([crash]))
+            .trace_capacity(1 << 18)
+            .policy(self.victim)
+            .enclave_cpus([1, 2, 3])
+            .workload(WorkloadSpec::pulse(4))
+            .watchdog(WATCHDOG)
+            .standby(true)
+            .enclave(EnclaveSpec {
+                enclave_cpus: Some(vec![4, 5]),
+                workload: WorkloadSpec::pulse(2),
+                watchdog: Some(WATCHDOG),
+                ..EnclaveSpec::default()
+            })
+            .build()
     }
 }
 
@@ -547,133 +575,40 @@ fn run_runtime_op(
     }
 }
 
-/// The victim/byzantine pulse workload: every thread repeatedly runs a
-/// seed-derived segment then blocks until its periodic timer re-arms it.
-/// Completions are tracked per tid so victim progress can be judged
-/// separately from byzantine-enclave noise.
-struct SplitPulseApp {
-    conf: HashMap<Tid, (Nanos, Nanos)>, // (segment, period)
-    completions: Arc<Mutex<HashMap<Tid, u64>>>,
-}
-
-impl App for SplitPulseApp {
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn name(&self) -> &str {
-        "byz-pulse"
-    }
-
-    fn on_timer(&mut self, key: u64, k: &mut KernelState) {
-        let tid = Tid(key as u32);
-        let Some(&(seg, period)) = self.conf.get(&tid) else {
-            return;
-        };
-        if k.thread(tid).state == ThreadState::Blocked {
-            k.thread_mut(tid).remaining = seg;
-            k.wake(tid);
-        }
-        let app = k.thread(tid).app.expect("pulse threads have an app");
-        k.arm_app_timer(k.now + period, app, key);
-    }
-
-    fn on_segment_end(&mut self, tid: Tid, _k: &mut KernelState) -> Next {
-        *self.completions.lock().unwrap().entry(tid).or_insert(0) += 1;
-        Next::Block
-    }
-}
-
-/// The run proper: two enclaves, the hostile op schedule, the verdict.
+/// The run proper: the combo's scenario with the hostile policy in
+/// enclave 1, the runtime-layer op schedule, the verdict.
 fn run_unguarded(combo: &ByzCombo) -> (CaseReport, GhostStats) {
-    let sink = TraceSink::recording(1, 1 << 18);
-    // The victim also absorbs an agent crash mid-run: its hot standby
-    // must recover within the SLO *while* the byzantine neighbour is
-    // hammering the ABI.
-    let plan = FaultPlan::from_events([(30 * MILLIS, FaultKind::AgentCrash { cpu: CpuId(1) })]);
-    let config = KernelConfig {
-        seed: combo.seed,
-        trace: sink.clone(),
-        faults: plan,
-        ..KernelConfig::default()
-    };
-    let mut kernel = Kernel::new(Topology::test_small(4), config);
-    let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
-
-    // Victim enclave on CPUs 1–3, watchdog + hot standby armed.
-    let victim_kind = combo.victim;
-    let victim_cfg = victim_kind.enclave_config("victim").with_watchdog(WATCHDOG);
-    let victim = runtime.launch_enclave(
-        &mut kernel,
-        [1u16, 2, 3].into_iter().map(CpuId).collect(),
-        victim_cfg,
-        victim_kind.build(),
-    );
-    victim.set_standby(StandbyConfig::default(), move || victim_kind.build());
-
-    // Byzantine enclave on CPUs 4–5.
     let ledger = Arc::new(Mutex::new(Ledger::default()));
     let (policy_ops, runtime_ops): (Vec<ByzOp>, Vec<ByzOp>) =
         combo.ops.iter().partition(|o| o.is_policy_op());
-    let ops_queue = Arc::new(Mutex::new(VecDeque::from(policy_ops)));
-    let mut byz_cfg = EnclaveConfig::centralized("byzantine").with_watchdog(WATCHDOG);
-    if let Some(budget) = combo.strike_budget() {
-        byz_cfg = byz_cfg.with_abi_strikes(budget);
-    }
-    let byz = runtime.launch_enclave(
-        &mut kernel,
-        [4u16, 5].into_iter().map(CpuId).collect(),
-        byz_cfg,
-        Box::new(ByzantinePolicy {
-            inner: CentralizedFifo::new(),
-            ops: ops_queue,
-            ledger: Arc::clone(&ledger),
-        }),
-    );
-
-    // Workload: four victim threads, two byzantine-enclave threads.
-    let completions = Arc::new(Mutex::new(HashMap::new()));
-    let app = kernel.state.next_app_id();
-    let mut conf = HashMap::new();
-    let mut rng = StdRng::seed_from_u64(combo.seed ^ 0x0C0F_FEE0);
-    let mut spawn = |kernel: &mut Kernel, name: String, cookie: u64| {
-        let tid = kernel.spawn(
-            ThreadSpec::workload(&name, &kernel.state.topo)
-                .app(app)
-                .cookie(cookie),
-        );
-        let seg = rng.gen_range(20 * MICROS..200 * MICROS);
-        let period = rng.gen_range(500 * MICROS..2 * MILLIS);
-        conf.insert(tid, (seg, period));
-        tid
-    };
-    let victim_tids: Vec<Tid> = (0..4)
-        .map(|i| spawn(&mut kernel, format!("v{i}"), victim_kind.cookie_for(i)))
-        .collect();
-    let byz_tids: Vec<Tid> = (0..2)
-        .map(|i| spawn(&mut kernel, format!("b{i}"), 0))
-        .collect();
-    kernel.add_app(Box::new(SplitPulseApp {
-        conf,
-        completions: Arc::clone(&completions),
-    }));
-    for &tid in &victim_tids {
-        victim.attach_thread(&mut kernel.state, tid);
-    }
-    for &tid in &byz_tids {
-        byz.attach_thread(&mut kernel.state, tid);
-    }
-    for (i, &tid) in victim_tids.iter().chain(byz_tids.iter()).enumerate() {
-        kernel
-            .state
-            .arm_app_timer((i as u64 + 1) * 10_000, app, tid.0 as u64);
-    }
+    let ops = Arc::new(Mutex::new(VecDeque::from(policy_ops)));
+    let mut run = combo.scenario().launch_with(|i, config| match i {
+        0 => (config, combo.victim.build()),
+        _ => {
+            let config = match combo.strike_budget() {
+                Some(budget) => config.with_abi_strikes(budget),
+                None => config,
+            };
+            let policy = ByzantinePolicy {
+                inner: CentralizedFifo::new(),
+                ops: Arc::clone(&ops),
+                ledger: Arc::clone(&ledger),
+            };
+            (config, Box::new(policy))
+        }
+    });
+    let GhostSim {
+        kernel,
+        runtime,
+        enclaves,
+        ..
+    } = &mut run.sim;
 
     // Run, issuing runtime-layer ops at deterministic breakpoints.
     for (i, op) in runtime_ops.iter().enumerate() {
         kernel.run_until((8 + 9 * i as u64) * MILLIS);
         let mut led = ledger.lock().unwrap();
-        run_runtime_op(op, &mut kernel.state, &runtime, &byz, &mut led);
+        run_runtime_op(op, &mut kernel.state, runtime, &enclaves[1], &mut led);
     }
     kernel.run_until(BYZ_HORIZON);
 
@@ -698,21 +633,16 @@ fn run_unguarded(combo: &ByzCombo) -> (CaseReport, GhostStats) {
             ),
         });
     }
-    let victim_completions: u64 = {
-        let c = completions.lock().unwrap();
-        victim_tids
-            .iter()
-            .map(|t| c.get(t).copied().unwrap_or(0))
-            .sum()
-    };
-    let trace_records = sink.with_records(|records, dropped| {
+    let victim_completions = run.enclave_completions(0);
+    let sim = &run.sim;
+    let trace_records = sim.sink.with_records(|records, dropped| {
         failures.extend(oracle::evaluate(
             records.clone(),
             dropped,
-            &kernel.state,
-            &runtime,
-            victim.id(),
-            &victim_tids,
+            &sim.kernel.state,
+            &sim.runtime,
+            sim.enclaves[0].id(),
+            &run.threads[0],
             victim_completions,
             Some(StandbyConfig::default().recovery_slo),
         ));
@@ -728,7 +658,7 @@ fn run_unguarded(combo: &ByzCombo) -> (CaseReport, GhostStats) {
             format!("txns-committed {}", stats.txns_committed),
             format!("trace-records {trace_records}"),
         ],
-        trace: sink,
+        trace: run.sim.sink,
     };
     (report, stats)
 }

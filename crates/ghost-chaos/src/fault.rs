@@ -129,8 +129,8 @@ impl<const RECOVERY: bool> FaultCase<RECOVERY> {
                 dropped,
                 &run.sim.kernel.state,
                 &run.sim.runtime,
-                run.sim.enclave.id(),
-                &run.threads,
+                run.sim.enclaves[0].id(),
+                &run.threads[0],
                 run.completions(),
                 recovery_slo,
             )

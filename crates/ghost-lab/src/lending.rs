@@ -1,12 +1,13 @@
 //! Multi-enclave core-lending experiments.
 //!
-//! A [`LendingScenario`] wires *two* enclaves onto one simulated
-//! machine — a latency-sensitive **protected** enclave on CPUs {1,2}
-//! and a batch **donor** enclave on CPUs {3..8} — starts the in-process
-//! resource manager, and (optionally) injects one control-plane fault
-//! mid-run. It implements [`Experiment`], so the same `run_sweep`
-//! engine that drives chaos recovery sweeps drives lending sweeps, with
-//! the same serial-vs-parallel digest contract.
+//! A [`LendingScenario`] is a two-enclave [`Scenario`] on one 8-CPU
+//! simulated machine — a latency-sensitive **protected** enclave 0 on
+//! CPUs 1–2 and a batch **donor** enclave 1 on CPUs 3–7 — plus the
+//! in-process resource manager, started after launch, and (optionally)
+//! one control-plane fault injected mid-run. It implements
+//! [`Experiment`], so the same `run_sweep` engine that drives chaos
+//! recovery sweeps drives lending sweeps, with the same
+//! serial-vs-parallel digest contract.
 //!
 //! The three workload shapes mirror the lending motivation:
 //!
@@ -24,15 +25,20 @@
 
 use crate::cache::{fnv64_debug_lines, fnv64_lines};
 use crate::engine::{Experiment, ExperimentResult};
-use crate::scenario::{attach_workload, Completions, PolicyKind, Scenario, WorkloadSpec};
+use crate::scenario::{EnclaveSpec, GhostSim, LabRun, PolicyKind, Scenario, WorkloadSpec};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime};
-use ghost_core::{RmConfig, StandbyConfig};
+use ghost_core::RmConfig;
 use ghost_sim::kernel::Kernel;
-use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
 use ghost_sim::topology::CpuId;
-use ghost_sim::CpuSet;
 use ghost_trace::{check, derive::TraceMetrics, TraceSink};
+
+/// Policy on the donor enclave.
+const DONOR_POLICY: PolicyKind = PolicyKind::CentralizedFifo;
+
+/// Trace ring capacity of every lending run: big enough that the lease
+/// spans are never dropped at the sweep horizons.
+const LENDING_TRACE_CAPACITY: usize = 1 << 19;
 
 /// Workload shape on the protected (borrowing) enclave. The donor
 /// always runs a light standard pulse load — it must have spare CPUs,
@@ -156,8 +162,6 @@ pub struct LendingScenario {
     pub name: String,
     /// Policy on the protected (borrowing) enclave.
     pub policy: PolicyKind,
-    /// Policy on the donor enclave.
-    pub donor_policy: PolicyKind,
     /// Protected-enclave workload shape.
     pub workload: LendingWorkload,
     /// Injected control-plane fault.
@@ -166,37 +170,33 @@ pub struct LendingScenario {
     pub seed: u64,
     /// Virtual run length.
     pub horizon: Nanos,
-    /// Trace ring capacity (0 disables tracing — but lease-latency
-    /// metrics then vanish, so the library default records).
-    pub trace_capacity: usize,
-}
-
-/// A launched lending scenario: the wired machine plus both enclaves.
-pub struct LendingRun {
-    pub kernel: Kernel,
-    pub runtime: GhostRuntime,
-    pub protected: EnclaveHandle,
-    pub donor: EnclaveHandle,
-    pub p_threads: Vec<Tid>,
-    pub d_threads: Vec<Tid>,
-    p_completions: Completions,
-    d_completions: Completions,
-    pub sink: TraceSink,
-}
-
-impl LendingRun {
-    /// Protected-enclave pulse segments completed so far.
-    pub fn p_completions(&self) -> u64 {
-        self.p_completions.get()
-    }
-
-    /// Donor-enclave pulse segments completed so far.
-    pub fn d_completions(&self) -> u64 {
-        self.d_completions.get()
-    }
 }
 
 impl LendingScenario {
+    /// The canonical sweep point for `(policy, workload, fault, seed)`,
+    /// with its standard label.
+    pub fn new(
+        policy: PolicyKind,
+        workload: LendingWorkload,
+        fault: LendingFault,
+        seed: u64,
+        horizon: Nanos,
+    ) -> LendingScenario {
+        LendingScenario {
+            name: format!(
+                "lend/{}/{}+{}/seed={seed}",
+                policy.name(),
+                workload.name(),
+                fault.name()
+            ),
+            policy,
+            workload,
+            fault,
+            seed,
+            horizon,
+        }
+    }
+
     /// The RM configuration for this scenario's fault arm.
     fn rm_config(&self) -> RmConfig {
         RmConfig {
@@ -219,74 +219,52 @@ impl LendingScenario {
             "ghost-lab lending v1\nprotected {}\ndonor {}\nworkload {}\nfault {}\n\
              seed {}\nhorizon {}\ntrace-capacity {}\n",
             self.policy.name(),
-            self.donor_policy.name(),
+            DONOR_POLICY.name(),
             self.workload.name(),
             self.fault.name(),
             self.seed,
             self.horizon,
-            self.trace_capacity
+            LENDING_TRACE_CAPACITY
         )
     }
 
-    /// Builds the two-enclave machine without running it: an 8-CPU
-    /// small topology, protected on {1,2}, donor on {3..8}, workloads
-    /// attached, RM started.
-    pub fn launch(&self) -> LendingRun {
-        let (mut kernel, sink) = Scenario::builder()
+    /// The machine: protected enclave 0 on CPUs 1–2 running this
+    /// scenario's workload (with a hot standby on the
+    /// revoke-during-reconstruct arm), donor enclave 1 on CPUs 3–7
+    /// running a light standard pulse load.
+    fn scenario(&self) -> Scenario {
+        Scenario::builder()
+            .name(self.name.clone())
             .cpus(8)
             .seed(self.seed)
-            .trace_capacity(self.trace_capacity)
-            .build_kernel();
-        let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
-        let p_cpus: CpuSet = (1..3u16).map(CpuId).collect();
-        let d_cpus: CpuSet = (3..8u16).map(CpuId).collect();
+            .horizon(self.horizon)
+            .trace_capacity(LENDING_TRACE_CAPACITY)
+            .policy(self.policy)
+            .enclave_cpus([1, 2])
+            .workload(self.workload.protected_spec(self.horizon))
+            .standby(self.fault == LendingFault::RevokeDuringReconstruct)
+            .enclave(EnclaveSpec {
+                policy: DONOR_POLICY,
+                enclave_cpus: Some((3..8).collect()),
+                workload: WorkloadSpec::pulse(4),
+                ..EnclaveSpec::default()
+            })
+            .build()
+    }
 
-        let p_config = self.policy.enclave_config("protected");
-        let protected = runtime.launch_enclave(&mut kernel, p_cpus, p_config, self.policy.build());
-        if self.fault == LendingFault::RevokeDuringReconstruct {
-            let pk = self.policy;
-            protected.set_standby(StandbyConfig::default(), move || pk.build());
-        }
-        let donor = runtime.launch_enclave(
-            &mut kernel,
-            d_cpus,
-            self.donor_policy.enclave_config("donor"),
-            self.donor_policy.build(),
-        );
-
-        let (p_threads, p_completions) = attach_workload(
-            &mut kernel,
-            &protected,
-            &self.workload.protected_spec(self.horizon),
-            self.seed,
-            self.policy,
-        );
-        let (d_threads, d_completions) = attach_workload(
-            &mut kernel,
-            &donor,
-            &WorkloadSpec::pulse(4),
-            self.seed ^ 0xD0_1104,
-            self.donor_policy,
-        );
-
-        runtime.rm_start(
-            &mut kernel.state,
-            self.rm_config(),
-            protected.id(),
-            donor.id(),
-        );
-
-        LendingRun {
+    /// Launches [`LendingScenario::scenario`] and starts the RM, which
+    /// lends from the donor to the protected enclave.
+    fn start(&self) -> LabRun {
+        let mut run = self.scenario().launch();
+        let GhostSim {
             kernel,
             runtime,
-            protected,
-            donor,
-            p_threads,
-            d_threads,
-            p_completions,
-            d_completions,
-            sink,
-        }
+            enclaves,
+            ..
+        } = &mut run.sim;
+        let (protected, donor) = (enclaves[0].id(), enclaves[1].id());
+        runtime.rm_start(&mut kernel.state, self.rm_config(), protected, donor);
+        run
     }
 
     /// Launches, drives the fault schedule, and checks the lending
@@ -299,61 +277,57 @@ impl LendingScenario {
     /// Like [`LendingScenario::run`], but also hands back the sink holding
     /// the recorded trace (for Chrome export of failing chaos combos).
     pub fn run_traced(&self) -> (ExperimentResult, TraceSink) {
-        let mut run = self.launch();
+        let mut run = self.start();
         let h = self.horizon;
-        match self.fault {
-            LendingFault::None | LendingFault::DeadlineStress => {
-                run.kernel.run_until(h);
+        let GhostSim {
+            kernel,
+            runtime,
+            enclaves,
+            ..
+        } = &mut run.sim;
+        let (protected, donor) = (&enclaves[0], &enclaves[1]);
+        let kill_protected_agent = |kernel: &mut Kernel| {
+            let agent = protected
+                .global_agent()
+                .or_else(|| protected.agent_tids().first().copied());
+            if let Some(a) = agent {
+                kernel.kill(a);
             }
+        };
+        match self.fault {
+            LendingFault::None | LendingFault::DeadlineStress => {}
             LendingFault::RmCrash => {
-                run.kernel.run_until(h * 2 / 5);
-                run.runtime.rm_crash();
-                run.kernel.run_until(h * 7 / 10);
-                run.runtime.rm_restart(&mut run.kernel.state);
-                run.kernel.run_until(h);
+                kernel.run_until(h * 2 / 5);
+                runtime.rm_crash();
+                kernel.run_until(h * 7 / 10);
+                runtime.rm_restart(&mut kernel.state);
             }
             LendingFault::BorrowerCrash => {
-                run.kernel.run_until(h / 2);
-                let agent = run
-                    .protected
-                    .global_agent()
-                    .or_else(|| run.protected.agent_tids().first().copied());
-                if let Some(a) = agent {
-                    run.kernel.kill(a);
-                }
-                run.kernel.run_until(h);
+                kernel.run_until(h / 2);
+                kill_protected_agent(kernel);
             }
             LendingFault::RevokeDuringReconstruct => {
-                run.kernel.run_until(h * 2 / 5);
+                kernel.run_until(h * 2 / 5);
                 // Guarantee a short lease is outstanding when the agent
                 // dies, so its deadline lands mid-recovery.
-                if run.protected.borrowed_cpus().is_empty() {
-                    for &cpu in run.donor.cpus().iter().rev() {
-                        let k = &mut run.kernel.state;
-                        if run
-                            .donor
-                            .try_lend_cpu(k, &run.protected, cpu, 20 * MILLIS)
-                            .is_ok()
-                        {
+                if protected.borrowed_cpus().is_empty() {
+                    for &cpu in donor.cpus().iter().rev() {
+                        let k = &mut kernel.state;
+                        if donor.try_lend_cpu(k, protected, cpu, 20 * MILLIS).is_ok() {
                             break;
                         }
                     }
                 }
-                run.kernel.run_until(h * 2 / 5 + 5 * MILLIS);
-                let agent = run
-                    .protected
-                    .global_agent()
-                    .or_else(|| run.protected.agent_tids().first().copied());
-                if let Some(a) = agent {
-                    run.kernel.kill(a);
-                }
-                run.kernel.run_until(h);
+                kernel.run_until(h * 2 / 5 + 5 * MILLIS);
+                kill_protected_agent(kernel);
             }
         }
+        kernel.run_until(h);
 
         let mut failures = self.check_oracles(&run);
+        let sim = &run.sim;
         let (violations, metrics, trace_records, trace_hash) =
-            run.sink.with_records(|records, _| {
+            sim.sink.with_records(|records, _| {
                 (
                     check::check(records.clone()),
                     TraceMetrics::from_records(records.clone()),
@@ -364,18 +338,18 @@ impl LendingScenario {
         for v in violations {
             failures.push(format!("oracle-fail trace-invariant {v:?}"));
         }
-        let stats = run.runtime.lease_stats();
-        let rm = run.runtime.rm_stats();
+        let stats = sim.runtime.lease_stats();
+        let rm = sim.runtime.rm_stats();
 
         let mut lines = vec![
-            format!("p-completions {}", run.p_completions()),
-            format!("d-completions {}", run.d_completions()),
+            format!("p-completions {}", run.enclave_completions(0)),
+            format!("d-completions {}", run.enclave_completions(1)),
             format!("leases-granted {}", stats.granted),
             format!("leases-returned {}", stats.returned),
             format!("leases-expired {}", stats.expired),
             format!("lease-borrower-deaths {}", stats.borrower_deaths),
             format!("lease-lender-deaths {}", stats.lender_deaths),
-            format!("leases-outstanding {}", run.runtime.leases().len()),
+            format!("leases-outstanding {}", sim.runtime.leases().len()),
             format!("rm-epochs {}", rm.map(|r| r.epochs).unwrap_or_default()),
             format!("rm-restarts {}", rm.map(|r| r.restarts).unwrap_or_default()),
             format!("rm-failovers {}", metrics.rm_failovers),
@@ -385,8 +359,8 @@ impl LendingScenario {
                     .lease_reclaim_p99_ns()
                     .map_or_else(|| "none".into(), |p| p.to_string())
             ),
-            format!("protected-alive {}", u8::from(run.protected.alive())),
-            format!("donor-alive {}", u8::from(run.donor.alive())),
+            format!("protected-alive {}", u8::from(sim.enclaves[0].alive())),
+            format!("donor-alive {}", u8::from(sim.enclaves[1].alive())),
             format!("trace-records {trace_records}"),
             format!("trace-hash {trace_hash:016x}"),
         ];
@@ -398,20 +372,24 @@ impl LendingScenario {
                 hash,
                 lines,
             },
-            run.sink,
+            run.sim.sink,
         )
     }
 
     /// The lending oracles: the lease verdicts plus forward progress on
     /// both sides (the donor's light load always fits; the protected
     /// side ran at least until the injected fault).
-    fn check_oracles(&self, run: &LendingRun) -> Vec<String> {
-        let cpus = run.kernel.state.topo.num_cpus();
-        let mut fails = lease_verdicts(self.fault, &run.runtime, &run.protected, &run.donor, cpus);
-        if run.d_completions() == 0 {
+    fn check_oracles(&self, run: &LabRun) -> Vec<String> {
+        let sim = &run.sim;
+        let cpus = sim.kernel.state.topo.num_cpus();
+        let [protected, donor] = &sim.enclaves[..] else {
+            unreachable!("a lending machine has two enclaves")
+        };
+        let mut fails = lease_verdicts(self.fault, &sim.runtime, protected, donor, cpus);
+        if run.enclave_completions(1) == 0 {
             fails.push("oracle-fail donor-no-progress".into());
         }
-        if run.p_completions() == 0 {
+        if run.enclave_completions(0) == 0 {
             fails.push("oracle-fail protected-no-progress".into());
         }
         fails
@@ -523,72 +501,6 @@ impl Experiment for LendingScenario {
     }
 }
 
-/// Default trace capacity for lending runs: big enough that the lease
-/// spans are never dropped at the library horizons.
-const LENDING_TRACE_CAPACITY: usize = 1 << 19;
-
-impl LendingScenario {
-    /// The canonical sweep point for `(policy, workload, fault, seed)`:
-    /// centralized-FIFO donor, standard label, recording trace.
-    pub fn new(
-        policy: PolicyKind,
-        workload: LendingWorkload,
-        fault: LendingFault,
-        seed: u64,
-        horizon: Nanos,
-    ) -> LendingScenario {
-        LendingScenario {
-            name: format!(
-                "lend/{}/{}+{}/seed={seed}",
-                policy.name(),
-                workload.name(),
-                fault.name()
-            ),
-            policy,
-            donor_policy: PolicyKind::CentralizedFifo,
-            workload,
-            fault,
-            seed,
-            horizon,
-            trace_capacity: LENDING_TRACE_CAPACITY,
-        }
-    }
-}
-
-/// The fault-free lending library: every workload shape under every
-/// given protected-enclave policy.
-pub fn lending_library(policies: &[PolicyKind], seed: u64, horizon: Nanos) -> Vec<LendingScenario> {
-    let mut out = Vec::new();
-    for &p in policies {
-        for w in [
-            LendingWorkload::Diurnal,
-            LendingWorkload::FlashCrowd,
-            LendingWorkload::Antagonist,
-        ] {
-            let sc = LendingScenario::new(p, w, LendingFault::None, seed, horizon);
-            out.push(sc);
-        }
-    }
-    out
-}
-
-/// The control-plane fault matrix: every [`LendingFault`] under every
-/// given policy, on the diurnal (always-borrowing) workload.
-pub fn lending_fault_matrix(
-    policies: &[PolicyKind],
-    seed: u64,
-    horizon: Nanos,
-) -> Vec<LendingScenario> {
-    let mut out = Vec::new();
-    for &p in policies {
-        for f in LendingFault::all() {
-            let sc = LendingScenario::new(p, LendingWorkload::Diurnal, f, seed, horizon);
-            out.push(sc);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,9 +544,9 @@ mod tests {
         // The quiet phase may see an incidental startup borrow, but the
         // crowd's arrival must drive sustained additional lending: run a
         // truncated copy to just before the burst and compare.
-        let mut pre = sc.launch();
-        pre.kernel.run_until(sc.horizon / 4);
-        let pre_granted = pre.runtime.lease_stats().granted;
+        let mut pre = sc.start();
+        pre.sim.kernel.run_until(sc.horizon / 4);
+        let pre_granted = pre.sim.runtime.lease_stats().granted;
         let r = sc.run();
         assert!(r.pass, "oracles failed:\n{}", r.lines.join("\n"));
         let granted: u64 = r
@@ -674,7 +586,13 @@ mod tests {
 
     #[test]
     fn fault_matrix_passes_and_is_parallel_deterministic() {
-        let sweep = lending_fault_matrix(&policies(), 11, 120 * MILLIS);
+        let sweep: Vec<LendingScenario> = policies()
+            .into_iter()
+            .flat_map(|p| {
+                LendingFault::all()
+                    .map(|f| LendingScenario::new(p, LendingWorkload::Diurnal, f, 11, 120 * MILLIS))
+            })
+            .collect();
         let serial = run_sweep(&sweep, 1, None);
         let parallel = run_sweep(&sweep, 4, None);
         assert_eq!(serial.digest(), parallel.digest(), "serial ≡ parallel");
@@ -702,9 +620,12 @@ mod tests {
                 3,
                 horizon,
             );
-            let mut run = sc.launch();
-            run.kernel.run_until(horizon);
-            let m = run.sink.with_records(|r, _| TraceMetrics::from_records(r));
+            let mut run = sc.start();
+            run.run_to_horizon();
+            let m = run
+                .sim
+                .sink
+                .with_records(|r, _| TraceMetrics::from_records(r));
             let name = p.name();
             assert!(m.lease_revokes() >= 1, "{name}: no reclaims measured");
             let p99 = m.lease_reclaim_p99_ns().expect("reclaim spans");

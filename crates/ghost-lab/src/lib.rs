@@ -6,9 +6,10 @@
 //! it at scale:
 //!
 //! * [`scenario::Scenario`] — a *value* that fully describes one
-//!   simulation (topology, policy, workload, faults, trace knobs,
-//!   seed). Built with [`scenario::ScenarioBuilder`], the repo-wide
-//!   canonical setup path.
+//!   simulation (topology, a list of enclaves each with its policy,
+//!   CPUs and workload, faults, trace knobs, seed). Built with
+//!   [`scenario::ScenarioBuilder`]; [`scenario::Scenario::launch`] is
+//!   the one path that turns a description into a running DES machine.
 //! * [`engine::run_sweep`] — executes a matrix of experiments on a
 //!   `std::thread` worker pool. Each simulation stays single-threaded,
 //!   so a parallel sweep is byte-identical to a serial one; the
@@ -17,8 +18,8 @@
 //!   and crate version: re-running an unchanged sweep executes zero
 //!   simulations.
 //! * [`tournament`] — every registered policy over a scenario × fault
-//!   matrix, scored into a league table; [`lending`] — two-enclave core
-//!   lending under control-plane faults. Both are experiments on the
+//!   matrix, scored into a league table; [`lending`] — core lending
+//!   between a scenario's two enclaves under control-plane faults. Both are experiments on the
 //!   same engine; the `ghost-lab` binary is the tournament's CLI.
 //!
 //! Wall-clock performance is measured by the repo benchmark
@@ -56,13 +57,10 @@ pub mod tournament;
 
 pub use cache::{fnv64, fnv64_debug_lines, fnv64_lines, Cache};
 pub use engine::{run_cases, run_sweep, Experiment, ExperimentResult, SweepItem, SweepReport};
-pub use lending::{
-    lease_verdicts, lending_fault_matrix, lending_library, LendingFault, LendingRun,
-    LendingScenario, LendingWorkload,
-};
+pub use lending::{lease_verdicts, LendingFault, LendingScenario, LendingWorkload};
 pub use scenario::{
-    attach_workload, Completions, GhostSim, LabRun, PolicyCaps, PolicyEntry, PolicyKind,
-    RunSummary, Scenario, ScenarioBuilder, TopologySpec, WorkloadSpec,
+    EnclaveSpec, GhostSim, LabRun, PolicyCaps, PolicyEntry, PolicyKind, RunSummary, Scenario,
+    ScenarioBuilder, TopologySpec, WorkloadSpec,
 };
 pub use tournament::{
     fault_matrix, league_table, run_tournament, scenario_library, FaultCell, LeagueStanding,

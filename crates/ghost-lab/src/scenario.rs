@@ -1,7 +1,8 @@
 //! Declarative experiment descriptions.
 //!
 //! A [`Scenario`] is a *value* that fully describes one simulation:
-//! topology, policy, workload, fault plan, trace knobs, and the seed.
+//! topology, the enclaves that partition the machine (each with its
+//! policy, CPUs and workload), fault plan, trace knobs, and the seed.
 //! Same scenario, same result — always, on any thread. That property is
 //! what lets the [`crate::engine`] run scenarios concurrently while
 //! each simulation stays single-threaded and byte-identical to its
@@ -10,13 +11,12 @@
 //!
 //! Construction goes through [`ScenarioBuilder`]
 //! (`Scenario::builder().cpus(8).policy(..).workload(..).seed(s).build()`),
-//! which is also the repo-wide canonical setup path: benches, examples,
-//! and tests that need a bespoke workload use the builder's low-level
-//! finishers [`ScenarioBuilder::build_kernel`] /
-//! [`ScenarioBuilder::build_with`] instead of hand-rolling
-//! `Kernel::new` + `GhostRuntime::new` + install/create/spawn call
-//! chains, so every setup routes through
-//! [`GhostRuntime::launch_enclave`].
+//! and [`Scenario::launch`] is the one path from a description to a
+//! running DES machine: one-enclave runs, two-enclave core lending
+//! ([`crate::lending`]), the chaos families and the examples all go
+//! through it. A caller with a bespoke policy instance (a probe, a
+//! hostile agent) uses [`Scenario::launch_with`]; a run with no ghOSt at
+//! all takes [`ScenarioBuilder::build_kernel`].
 
 use crate::cache::{fnv64_debug_lines, fnv64_lines};
 use crate::engine::{Experiment, ExperimentResult};
@@ -227,42 +227,93 @@ fn fault_spec_line(fe: &FaultEvent) -> String {
     format!("fault at={} {body}", fe.at)
 }
 
-/// A complete, self-contained experiment description. Pure data: two
-/// equal scenarios produce byte-identical runs.
+/// One enclave of a [`Scenario`]: its policy, CPUs, workload and §3.4
+/// arming. Pure data, like the scenario that holds it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scenario {
-    /// Label for reports and digests.
-    pub name: String,
-    /// The simulated machine.
-    pub topology: TopologySpec,
+pub struct EnclaveSpec {
     /// Policy under test.
     pub policy: PolicyKind,
+    /// Enclave CPUs; `None` = the policy's default placement.
+    pub enclave_cpus: Option<Vec<u16>>,
     /// Workload attached to the enclave.
     pub workload: WorkloadSpec,
-    /// Seed for the kernel RNG and the workload shape.
-    pub seed: u64,
-    /// Virtual run length for [`Scenario::run`].
-    pub horizon: Nanos,
-    /// Deterministic fault schedule (empty = no perturbation).
-    pub faults: FaultPlan,
     /// Enclave watchdog timeout (`None` = watchdog off).
     pub watchdog: Option<Nanos>,
     /// Pre-stage a second policy version for in-place upgrade (§3.4).
     pub stage_upgrade: bool,
     /// Arm a hot standby with a respawn factory (§3.4 failover).
     pub standby: bool,
+}
+
+impl Default for EnclaveSpec {
+    /// Centralized FIFO on its default CPUs, no workload, nothing armed.
+    fn default() -> Self {
+        EnclaveSpec {
+            policy: PolicyKind::CentralizedFifo,
+            enclave_cpus: None,
+            workload: WorkloadSpec::None,
+            watchdog: None,
+            stage_upgrade: false,
+            standby: false,
+        }
+    }
+}
+
+impl EnclaveSpec {
+    /// The enclave's spec lines: policy, workload, watchdog,
+    /// stage-upgrade, standby, cpus.
+    fn spec_lines(&self) -> [String; 6] {
+        let cpus = match &self.enclave_cpus {
+            Some(cpus) => cpus
+                .iter()
+                .map(u16::to_string)
+                .collect::<Vec<_>>()
+                .join(","),
+            None => "default".into(),
+        };
+        [
+            format!("policy {}", self.policy.name()),
+            self.workload.spec_line(),
+            match self.watchdog {
+                Some(w) => format!("watchdog {w}"),
+                None => "watchdog none".into(),
+            },
+            format!("stage-upgrade {}", u8::from(self.stage_upgrade)),
+            format!("standby {}", u8::from(self.standby)),
+            format!("cpus {cpus}"),
+        ]
+    }
+}
+
+/// A complete, self-contained experiment description: one machine and
+/// the enclaves that partition it (§3). Pure data: two equal scenarios
+/// produce byte-identical runs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scenario {
+    /// Label for reports and digests.
+    pub name: String,
+    /// The simulated machine.
+    pub topology: TopologySpec,
+    /// The enclaves, launched and then given their workloads in this
+    /// order. There is at least one: [`ScenarioBuilder`] starts with
+    /// enclave 0, which its per-enclave setters configure.
+    pub enclaves: Vec<EnclaveSpec>,
+    /// Seed for the kernel RNG and the workload shapes.
+    pub seed: u64,
+    /// Virtual run length for [`Scenario::run`].
+    pub horizon: Nanos,
+    /// Deterministic fault schedule (empty = no perturbation).
+    pub faults: FaultPlan,
     /// Trace ring capacity per CPU; 0 disables tracing.
     pub trace_capacity: usize,
-    /// Enclave CPUs; `None` = the policy's default placement.
-    pub enclave_cpus: Option<Vec<u16>>,
     /// Timer-tick period (`None` = the kernel default; 0 = tickless).
     pub tick_ns: Option<Nanos>,
 }
 
 impl Scenario {
-    /// Starts building a scenario. Defaults: 8-CPU small machine,
-    /// centralized FIFO, no workload, seed 1, 100 ms horizon, no
-    /// faults, no watchdog, tracing off.
+    /// Starts building a scenario. Defaults: 8-CPU small machine, one
+    /// centralized-FIFO enclave with no workload, seed 1, 100 ms
+    /// horizon, no faults, no watchdog, tracing off.
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder::default()
     }
@@ -270,78 +321,105 @@ impl Scenario {
     /// The canonical spec string: every field that affects the outcome,
     /// one per line, in fixed order. This is the cache key input and
     /// the determinism contract — if two scenarios render the same
-    /// spec, they must produce the same result.
+    /// spec, they must produce the same result. Enclave 0's lines sit
+    /// where the one-enclave format has always put them, so the keys of
+    /// one-enclave scenarios never change; each further enclave adds an
+    /// `enclave <i>` block.
     pub fn spec_string(&self) -> String {
-        let mut s = String::from("ghost-lab scenario v1\n");
-        s.push_str(&format!("topology {}\n", self.topology.label()));
-        s.push_str(&format!("policy {}\n", self.policy.name()));
-        s.push_str(&format!("{}\n", self.workload.spec_line()));
-        s.push_str(&format!("seed {}\n", self.seed));
-        s.push_str(&format!("horizon {}\n", self.horizon));
-        match self.watchdog {
-            Some(w) => s.push_str(&format!("watchdog {w}\n")),
-            None => s.push_str("watchdog none\n"),
+        let [policy, workload, watchdog, upgrade, standby, cpus] = self
+            .enclaves
+            .first()
+            .expect("a scenario has at least one enclave")
+            .spec_lines();
+        let mut lines = vec![
+            "ghost-lab scenario v1".to_string(),
+            format!("topology {}", self.topology.label()),
+            policy,
+            workload,
+            format!("seed {}", self.seed),
+            format!("horizon {}", self.horizon),
+            watchdog,
+            upgrade,
+            standby,
+            format!("trace-capacity {}", self.trace_capacity),
+            match self.tick_ns {
+                Some(t) => format!("tick {t}"),
+                None => "tick default".into(),
+            },
+            cpus,
+        ];
+        for (i, enclave) in self.enclaves.iter().enumerate().skip(1) {
+            lines.push(format!("enclave {i}"));
+            lines.extend(enclave.spec_lines());
         }
-        s.push_str(&format!("stage-upgrade {}\n", u8::from(self.stage_upgrade)));
-        s.push_str(&format!("standby {}\n", u8::from(self.standby)));
-        s.push_str(&format!("trace-capacity {}\n", self.trace_capacity));
-        match self.tick_ns {
-            Some(t) => s.push_str(&format!("tick {t}\n")),
-            None => s.push_str("tick default\n"),
-        }
-        match &self.enclave_cpus {
-            Some(cpus) => {
-                let list: Vec<String> = cpus.iter().map(u16::to_string).collect();
-                s.push_str(&format!("cpus {}\n", list.join(",")));
-            }
-            None => s.push_str("cpus default\n"),
-        }
-        for fe in &self.faults.events {
-            s.push_str(&fault_spec_line(fe));
-            s.push('\n');
-        }
-        s
+        lines.extend(self.faults.events.iter().map(fault_spec_line));
+        lines.push(String::new());
+        lines.join("\n")
     }
 
-    /// Builds and wires the whole simulation — kernel, runtime, enclave,
-    /// workload — without running it. Callers that need to poke at the
-    /// half-way state (inject crashes, check agents) run the kernel
-    /// themselves from here.
+    /// Builds and wires the whole simulation — kernel, runtime,
+    /// enclaves, workloads — without running it. Callers that need to
+    /// poke at the half-way state (inject crashes, check agents, start
+    /// an RM) run the kernel themselves from here.
     pub fn launch(&self) -> LabRun {
+        self.launch_with(|i, config| (config, self.enclaves[i].policy.build()))
+    }
+
+    /// [`Scenario::launch`] with a hook for bespoke policies:
+    /// `enclave(i, config)` gets enclave `i`'s index and the config its
+    /// spec implies, and returns the config and policy instance to
+    /// launch it with. A staged upgrade or standby respawn still builds
+    /// the spec's [`PolicyKind`].
+    ///
+    /// Order, which the digests pin: each enclave in list order is
+    /// launched, its upgrade staged and its standby armed; then each
+    /// enclave's workload is attached in list order, with its own app,
+    /// its own timers from 10 µs, and its own stream seeded
+    /// `seed ^ i·0xD0_1104`.
+    pub fn launch_with(
+        &self,
+        mut enclave: impl FnMut(usize, EnclaveConfig) -> (EnclaveConfig, Box<dyn GhostPolicy>),
+    ) -> LabRun {
         let (mut kernel, sink) = self.new_kernel();
         let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
-        let cpus: CpuSet = match &self.enclave_cpus {
-            Some(list) => list.iter().copied().map(CpuId).collect(),
-            None => self.policy.enclave_cpus(&kernel.state.topo),
-        };
-        let mut config = self.policy.enclave_config(&self.name);
-        if let Some(w) = self.watchdog {
-            config = config.with_watchdog(w);
+        let mut enclaves = Vec::with_capacity(self.enclaves.len());
+        for (i, spec) in self.enclaves.iter().enumerate() {
+            let cpus: CpuSet = match &spec.enclave_cpus {
+                Some(list) => list.iter().copied().map(CpuId).collect(),
+                None => spec.policy.enclave_cpus(&kernel.state.topo),
+            };
+            let mut config = spec.policy.enclave_config(&self.name);
+            if let Some(w) = spec.watchdog {
+                config = config.with_watchdog(w);
+            }
+            let (config, policy) = enclave(i, config);
+            let handle = runtime.launch_enclave(&mut kernel, cpus, config, policy);
+            if spec.stage_upgrade {
+                handle
+                    .try_stage_upgrade(spec.policy.build())
+                    .expect("stage upgrade");
+            }
+            if spec.standby {
+                let policy = spec.policy;
+                handle.set_standby(StandbyConfig::default(), move || policy.build());
+            }
+            enclaves.push(handle);
         }
-        let enclave = runtime.launch_enclave(&mut kernel, cpus, config, self.policy.build());
-        if self.stage_upgrade {
-            enclave
-                .try_stage_upgrade(self.policy.build())
-                .expect("stage upgrade");
-        }
-        if self.standby {
-            let policy = self.policy;
-            enclave.set_standby(StandbyConfig::default(), move || policy.build());
-        }
-
-        let (threads, completions) = attach_workload(
-            &mut kernel,
-            &enclave,
-            &self.workload,
-            self.seed,
-            self.policy,
-        );
-
+        let (threads, completions) = self
+            .enclaves
+            .iter()
+            .zip(&enclaves)
+            .enumerate()
+            .map(|(i, (spec, handle))| {
+                let seed = self.seed ^ (i as u64 * 0xD0_1104);
+                attach_workload(&mut kernel, handle, spec, seed)
+            })
+            .unzip();
         LabRun {
             sim: GhostSim {
                 kernel,
                 runtime,
-                enclave,
+                enclaves,
                 sink,
             },
             threads,
@@ -398,9 +476,8 @@ impl Experiment for Scenario {
     }
 }
 
-/// Builds [`Scenario`] values, and doubles as the repo's canonical
-/// low-level setup path via [`ScenarioBuilder::build_kernel`] and
-/// [`ScenarioBuilder::build_with`].
+/// Builds [`Scenario`] values. The per-enclave setters configure
+/// enclave 0; [`ScenarioBuilder::enclave`] appends another.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
     scenario: Scenario,
@@ -412,16 +489,11 @@ impl Default for ScenarioBuilder {
             scenario: Scenario {
                 name: "scenario".into(),
                 topology: TopologySpec::Small { cores: 4 },
-                policy: PolicyKind::CentralizedFifo,
-                workload: WorkloadSpec::None,
+                enclaves: vec![EnclaveSpec::default()],
                 seed: 1,
                 horizon: 100 * MILLIS,
                 faults: FaultPlan::none(),
-                watchdog: None,
-                stage_upgrade: false,
-                standby: false,
                 trace_capacity: 0,
-                enclave_cpus: None,
                 tick_ns: None,
             },
         }
@@ -429,6 +501,10 @@ impl Default for ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
+    fn first(&mut self) -> &mut EnclaveSpec {
+        &mut self.scenario.enclaves[0]
+    }
+
     /// Report label.
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.scenario.name = name.into();
@@ -450,15 +526,15 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Policy under test.
+    /// Enclave 0's policy.
     pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.scenario.policy = policy;
+        self.first().policy = policy;
         self
     }
 
-    /// Workload attached to the enclave.
+    /// Enclave 0's workload.
     pub fn workload(mut self, workload: WorkloadSpec) -> Self {
-        self.scenario.workload = workload;
+        self.first().workload = workload;
         self
     }
 
@@ -480,21 +556,22 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enclave watchdog timeout.
+    /// Enclave 0's watchdog timeout.
     pub fn watchdog(mut self, timeout: Nanos) -> Self {
-        self.scenario.watchdog = Some(timeout);
+        self.first().watchdog = Some(timeout);
         self
     }
 
-    /// Pre-stage a second policy version for in-place upgrade.
+    /// Pre-stage a second version of enclave 0's policy for in-place
+    /// upgrade.
     pub fn stage_upgrade(mut self, yes: bool) -> Self {
-        self.scenario.stage_upgrade = yes;
+        self.first().stage_upgrade = yes;
         self
     }
 
-    /// Arm a hot standby with a respawn factory.
+    /// Arm a hot standby for enclave 0.
     pub fn standby(mut self, yes: bool) -> Self {
-        self.scenario.standby = yes;
+        self.first().standby = yes;
         self
     }
 
@@ -504,9 +581,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Explicit enclave CPUs (default: the policy's placement).
+    /// Enclave 0's CPUs (default: the policy's placement).
     pub fn enclave_cpus(mut self, cpus: impl IntoIterator<Item = u16>) -> Self {
-        self.scenario.enclave_cpus = Some(cpus.into_iter().collect());
+        self.first().enclave_cpus = Some(cpus.into_iter().collect());
         self
     }
 
@@ -516,63 +593,46 @@ impl ScenarioBuilder {
         self
     }
 
+    /// Appends an enclave after those already described.
+    pub fn enclave(mut self, spec: EnclaveSpec) -> Self {
+        self.scenario.enclaves.push(spec);
+        self
+    }
+
     /// Finishes the declarative description.
     pub fn build(self) -> Scenario {
         self.scenario
     }
 
-    /// Low-level finisher: just the kernel (topology + seed + faults +
-    /// trace sink), no runtime or enclave. For baselines and tests that
-    /// do not use ghOSt at all. The sink is also reachable later via
-    /// [`GhostSim::sink`]-style cloning from `kernel.state.trace`.
+    /// Just the kernel (topology + seed + faults + trace sink), no
+    /// runtime or enclave: for baselines and tests that do not use
+    /// ghOSt at all.
     pub fn build_kernel(self) -> (Kernel, TraceSink) {
         self.scenario.new_kernel()
     }
-
-    /// Low-level finisher for bespoke policies and enclave shapes:
-    /// builds the kernel, the runtime, and one enclave via the
-    /// canonical [`GhostRuntime::launch_enclave`] path. The caller
-    /// attaches its own workload.
-    pub fn build_with(self, config: EnclaveConfig, policy: Box<dyn GhostPolicy>) -> GhostSim {
-        let cpus_spec = self.scenario.enclave_cpus.clone();
-        let (mut kernel, sink) = self.build_kernel();
-        let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
-        let cpus: CpuSet = match cpus_spec {
-            Some(list) => list.into_iter().map(CpuId).collect(),
-            None => kernel.state.topo.all_cpus_set(),
-        };
-        let enclave = runtime.launch_enclave(&mut kernel, cpus, config, policy);
-        GhostSim {
-            kernel,
-            runtime,
-            enclave,
-            sink,
-        }
-    }
 }
 
-/// A wired simulation: kernel + runtime + one live enclave. What the
-/// builder's low-level finisher returns; `Send`, so it can run on a
-/// worker thread.
+/// A wired simulation: kernel + runtime + the live enclaves. `Send`,
+/// so it can run on a worker thread.
 pub struct GhostSim {
     /// The simulated kernel.
     pub kernel: Kernel,
     /// The ghOSt runtime installed into it.
     pub runtime: GhostRuntime,
-    /// The enclave created at build time.
-    pub enclave: EnclaveHandle,
+    /// The enclaves, in [`Scenario::enclaves`] order.
+    pub enclaves: Vec<EnclaveHandle>,
     /// The trace sink (snapshot it after running).
     pub sink: TraceSink,
 }
 
-/// A launched scenario: the wired simulation plus its workload.
+/// A launched scenario: the wired simulation plus its workloads.
 pub struct LabRun {
     /// The wired simulation.
     pub sim: GhostSim,
-    /// Workload thread ids, in spawn order.
-    pub threads: Vec<Tid>,
-    /// Pulse workload segments finished.
-    completions: Completions,
+    /// Each enclave's workload thread ids, in spawn order.
+    pub threads: Vec<Vec<Tid>>,
+    /// Each enclave's finished pulse segments.
+    completions: Vec<Completions>,
     /// The scenario horizon.
     pub horizon: Nanos,
 }
@@ -583,9 +643,14 @@ impl LabRun {
         self.sim.kernel.run_until(self.horizon);
     }
 
-    /// Workload segments completed so far.
+    /// Workload segments completed so far, over all enclaves.
     pub fn completions(&self) -> u64 {
-        self.completions.get()
+        self.completions.iter().map(Completions::get).sum()
+    }
+
+    /// Workload segments enclave `i` completed so far.
+    pub fn enclave_completions(&self, i: usize) -> u64 {
+        self.completions[i].get()
     }
 
     /// Summarizes the observable outcome into stable, hashable lines:
@@ -599,6 +664,7 @@ impl LabRun {
             .sim
             .sink
             .with_records(|records, dropped| (records.len(), dropped, fnv64_debug_lines(records)));
+        let alive = self.sim.enclaves.iter().filter(|e| e.alive()).count();
         let lines = vec![
             format!("completions {}", self.completions()),
             format!("activations {}", stats.activations),
@@ -611,7 +677,7 @@ impl LabRun {
             format!("fallbacks {}", stats.fallbacks),
             format!("reconstructions {}", stats.reconstructions),
             format!("watchdog-destroys {}", stats.watchdog_destroys),
-            format!("enclave-alive {}", u8::from(self.sim.enclave.alive())),
+            format!("enclave-alive {alive}"),
             format!("trace-records {trace_records}"),
             format!("trace-dropped {trace_dropped}"),
             format!("trace-hash {trace_hash:016x}"),
@@ -630,21 +696,18 @@ pub struct RunSummary {
     pub hash: u64,
 }
 
-/// Spawns and attaches the threads of `workload` to an already-launched
-/// enclave on `kernel`, exactly as [`Scenario::launch`] does. Public so
-/// tests and harnesses that build a bespoke policy instance through
-/// [`ScenarioBuilder::build_with`] (e.g. to attach a knob probe) can
-/// still drive the canonical workloads. Returns the workload tids in
-/// spawn order and the segment-completion counter.
-pub fn attach_workload(
+/// Spawns the threads of `spec`'s workload and attaches them to its
+/// already-launched `enclave`, with their own app and a stream seeded
+/// from `seed`. Returns the workload tids in spawn order and the
+/// segment-completion counter.
+fn attach_workload(
     kernel: &mut Kernel,
     enclave: &EnclaveHandle,
-    workload: &WorkloadSpec,
+    spec: &EnclaveSpec,
     seed: u64,
-    policy: PolicyKind,
 ) -> (Vec<Tid>, Completions) {
     let completions = Completions::default();
-    if matches!(workload, WorkloadSpec::None) {
+    if matches!(spec.workload, WorkloadSpec::None) {
         return (Vec::new(), completions);
     }
     let app = kernel.state.next_app_id();
@@ -652,23 +715,31 @@ pub fn attach_workload(
     let mut burst_at_opt = None;
     let mut tids = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0C0F_FEE0);
+    let mut spawn = |kernel: &mut Kernel, i: usize| {
+        let tid = kernel.spawn(
+            ThreadSpec::workload(&format!("w{i}"), &kernel.state.topo)
+                .app(app)
+                .cookie(spec.policy.cookie_for(i)),
+        );
+        tids.push(tid);
+        tid
+    };
     // One spawn + one conf insert per thread, in index order: the rng
     // consumption order here is part of the determinism contract (the
     // `Pulse` arm must consume exactly two samples per thread, as it
     // always has — digest_freeze pins the resulting traces).
-    match workload {
+    match spec.workload {
         WorkloadSpec::None => unreachable!(),
         WorkloadSpec::Pulse {
             threads,
             seg,
             period,
         } => {
-            for i in 0..*threads {
-                let tid = spawn_workload_thread(kernel, app, policy, i);
+            for i in 0..threads {
+                let tid = spawn(kernel, i);
                 let s = rng.gen_range(seg.0..seg.1);
                 let p = rng.gen_range(period.0..period.1);
                 conf.insert(tid, Pulse::new(s, p, p, false));
-                tids.push(tid);
             }
         }
         WorkloadSpec::Antagonist {
@@ -679,17 +750,16 @@ pub fn attach_workload(
             slice,
         } => {
             for i in 0..pulse + hogs {
-                let tid = spawn_workload_thread(kernel, app, policy, i);
-                if i < *pulse {
+                let tid = spawn(kernel, i);
+                if i < pulse {
                     let s = rng.gen_range(seg.0..seg.1);
                     let p = rng.gen_range(period.0..period.1);
                     conf.insert(tid, Pulse::new(s, p, p, false));
                 } else {
                     // Hogs run back to back; the long re-arm period only
                     // matters if a fault ever blocks one.
-                    conf.insert(tid, Pulse::new(*slice, 10 * MILLIS, 10 * MILLIS, true));
+                    conf.insert(tid, Pulse::new(slice, 10 * MILLIS, 10 * MILLIS, true));
                 }
-                tids.push(tid);
             }
         }
         WorkloadSpec::FlashCrowd {
@@ -699,14 +769,13 @@ pub fn attach_workload(
             burst,
             burst_at,
         } => {
-            burst_at_opt = Some(*burst_at);
-            for i in 0..*threads {
-                let tid = spawn_workload_thread(kernel, app, policy, i);
+            burst_at_opt = Some(burst_at);
+            for i in 0..threads {
+                let tid = spawn(kernel, i);
                 let s = rng.gen_range(seg.0..seg.1);
                 let q = rng.gen_range(quiet.0..quiet.1);
                 let b = rng.gen_range(burst.0..burst.1);
                 conf.insert(tid, Pulse::new(s, q, b, false));
-                tids.push(tid);
             }
         }
     }
@@ -726,29 +795,16 @@ pub fn attach_workload(
     (tids, completions)
 }
 
-fn spawn_workload_thread(
-    kernel: &mut Kernel,
-    app: ghost_sim::app::AppId,
-    policy: PolicyKind,
-    i: usize,
-) -> Tid {
-    kernel.spawn(
-        ThreadSpec::workload(&format!("w{i}"), &kernel.state.topo)
-            .app(app)
-            .cookie(policy.cookie_for(i)),
-    )
-}
-
 /// A count of finished pulse segments, shared between the workload app
 /// that counts and the harness that reads it. The app is its only
 /// writer, so counting is a load and a store, not a locked
 /// read-modify-write.
 #[derive(Debug, Clone, Default)]
-pub struct Completions(Arc<AtomicU64>);
+struct Completions(Arc<AtomicU64>);
 
 impl Completions {
     /// Segments finished so far.
-    pub fn get(&self) -> u64 {
+    fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 
@@ -852,6 +908,19 @@ impl App for PulseApp {
 mod tests {
     use super::*;
 
+    /// A two-enclave machine: enclave 0 as `one` has it, and a per-CPU
+    /// enclave with its own pulse workload on CPUs 4–5.
+    fn two_enclaves(one: ScenarioBuilder) -> Scenario {
+        one.enclave_cpus([1, 2, 3])
+            .enclave(EnclaveSpec {
+                policy: PolicyKind::PerCpu,
+                enclave_cpus: Some(vec![4, 5]),
+                workload: WorkloadSpec::pulse(2),
+                ..EnclaveSpec::default()
+            })
+            .build()
+    }
+
     #[test]
     fn spec_string_is_total() {
         let s = Scenario::builder()
@@ -884,23 +953,81 @@ mod tests {
             ..s.clone()
         };
         assert_eq!(spec, renamed.spec_string());
+
+        // Every field of a second enclave is part of the outcome too.
+        let two = two_enclaves(Scenario::builder().cpus(8));
+        let edits: [fn(&mut EnclaveSpec); 6] = [
+            |e| e.policy = PolicyKind::CentralizedFifo,
+            |e| e.enclave_cpus = Some(vec![4]),
+            |e| e.workload = WorkloadSpec::pulse(3),
+            |e| e.watchdog = Some(MILLIS),
+            |e| e.stage_upgrade = true,
+            |e| e.standby = true,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut other = two.clone();
+            edit(&mut other.enclaves[1]);
+            assert_ne!(two.spec_string(), other.spec_string(), "edit {i}");
+        }
+    }
+
+    /// A one-enclave scenario with every field set renders exactly the
+    /// bytes it always has, so cached results stay valid.
+    #[test]
+    fn one_enclave_spec_string_is_pinned() {
+        let s = Scenario::builder()
+            .name("pinned")
+            .topology(TopologySpec::Rome256)
+            .policy(PolicyKind::ShinjukuAdaptive)
+            .workload(WorkloadSpec::antagonist(3, 2))
+            .seed(11)
+            .horizon(50 * MILLIS)
+            .faults(FaultPlan::from_events([
+                (MILLIS, FaultKind::AgentCrash { cpu: CpuId(1) }),
+                (2 * MILLIS, FaultKind::Upgrade),
+            ]))
+            .watchdog(20 * MILLIS)
+            .stage_upgrade(true)
+            .standby(true)
+            .trace_capacity(4096)
+            .enclave_cpus([1, 2, 3])
+            .tick(500 * MICROS)
+            .build();
+        assert_eq!(
+            s.spec_string(),
+            "ghost-lab scenario v1\n\
+             topology rome-256\n\
+             policy shinjuku-adaptive\n\
+             workload antagonist pulse=3 hogs=2 seg=20000..200000 period=500000..2000000 slice=1000000\n\
+             seed 11\n\
+             horizon 50000000\n\
+             watchdog 20000000\n\
+             stage-upgrade 1\n\
+             standby 1\n\
+             trace-capacity 4096\n\
+             tick 500000\n\
+             cpus 1,2,3\n\
+             fault at=1000000 agent-crash cpu=1\n\
+             fault at=2000000 upgrade\n"
+        );
     }
 
     #[test]
     fn same_scenario_same_summary() {
-        let s = Scenario::builder()
+        let one = Scenario::builder()
             .name("det")
             .cpus(8)
             .policy(PolicyKind::PerCpu)
             .workload(WorkloadSpec::pulse(4))
             .seed(3)
             .horizon(20 * MILLIS)
-            .trace_capacity(1 << 14)
-            .build();
-        let a = s.run();
-        let b = s.run();
-        assert_eq!(a, b, "same scenario must produce identical summaries");
-        assert!(a.lines.iter().any(|l| l.starts_with("completions ")));
+            .trace_capacity(1 << 14);
+        for s in [one.clone().build(), two_enclaves(one)] {
+            let a = s.run();
+            let b = s.run();
+            assert_eq!(a, b, "same scenario must produce identical summaries");
+            assert!(a.lines.iter().any(|l| l.starts_with("completions ")));
+        }
     }
 
     #[test]
@@ -911,5 +1038,22 @@ mod tests {
         assert_send::<GhostSim>();
         assert_send::<LabRun>();
         assert_send::<Scenario>();
+        // A launched two-enclave machine runs on another thread exactly
+        // as it does on this one.
+        let s = two_enclaves(
+            Scenario::builder()
+                .cpus(8)
+                .workload(WorkloadSpec::pulse(3))
+                .horizon(10 * MILLIS),
+        );
+        let mut run = s.launch();
+        let moved = std::thread::spawn(move || {
+            run.run_to_horizon();
+            (run.summary(), run.enclave_completions(1))
+        })
+        .join()
+        .unwrap();
+        assert_eq!(moved.0, s.run());
+        assert!(moved.1 > 0, "enclave 1's workload never ran");
     }
 }

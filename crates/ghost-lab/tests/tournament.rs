@@ -16,7 +16,7 @@
 //!   the tie margin elsewhere is *not* required — only the win is.
 
 use ghost_lab::engine::Experiment;
-use ghost_lab::scenario::{attach_workload, PolicyKind, Scenario, WorkloadSpec};
+use ghost_lab::scenario::{PolicyKind, Scenario, WorkloadSpec};
 use ghost_lab::tournament::{league_table, run_tournament, tournament_cells, TournamentOpts};
 use ghost_policies::{KnobProbe, KnobSample, ShinjukuAdaptivePolicy};
 use ghost_sim::time::{MICROS, MILLIS};
@@ -141,22 +141,24 @@ fn adaptive_beats_static_shinjuku_on_p99_in_at_least_one_cell() {
 /// trajectory.
 fn probed_trajectory(seed: u64) -> Vec<KnobSample> {
     let probe: KnobProbe = Arc::new(Mutex::new(Vec::new()));
-    let policy = ShinjukuAdaptivePolicy::new().with_probe(Arc::clone(&probe));
-    let kind = PolicyKind::ShinjukuAdaptive;
-    let workload = WorkloadSpec::Pulse {
-        threads: 24,
-        seg: (50 * MICROS, 150 * MICROS),
-        period: (200 * MICROS, 400 * MICROS),
-    };
-    let mut sim = Scenario::builder()
+    let mut run = Scenario::builder()
         .name(format!("probe/seed={seed}"))
         .cpus(8)
+        .policy(PolicyKind::ShinjukuAdaptive)
+        .workload(WorkloadSpec::Pulse {
+            threads: 24,
+            seg: (50 * MICROS, 150 * MICROS),
+            period: (200 * MICROS, 400 * MICROS),
+        })
         .seed(seed)
+        .horizon(30 * MILLIS)
         .enclave_cpus(1..8)
-        .build_with(kind.enclave_config("probe"), Box::new(policy));
-    let (_tids, _completions) =
-        attach_workload(&mut sim.kernel, &sim.enclave, &workload, seed, kind);
-    sim.kernel.run_until(30 * MILLIS);
+        .build()
+        .launch_with(|_, config| {
+            let policy = ShinjukuAdaptivePolicy::new().with_probe(Arc::clone(&probe));
+            (config, Box::new(policy))
+        });
+    run.run_to_horizon();
     let out = probe.lock().unwrap().clone();
     out
 }

@@ -2,7 +2,7 @@
 //! against BOTH backends — the discrete-event simulator (`ghost-sim`)
 //! and the live real-thread kernel (`ghost-live`).
 //!
-//! Three contracts, each verified per backend:
+//! Eight contracts, each verified per backend:
 //!
 //! 1. **Scheduling invariants** — an unmodified policy drives a workload
 //!    and the recorded trace passes `ghost-trace`'s invariant checker:
@@ -45,23 +45,22 @@
 use ghost_core::enclave::{AgentMode, EnclaveConfig};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
-use ghost_core::runtime::{EnclaveHandle, GhostRuntime};
+use ghost_core::runtime::EnclaveHandle;
 use ghost_core::txn::{Transaction, TxnStatus};
 use ghost_core::StandbyConfig;
+use ghost_lab::{Scenario, ScenarioBuilder, WorkloadSpec};
 use ghost_live::{await_completion, KvService, LiveConfig, LiveKernel};
 use ghost_policies::CentralizedFifo;
-use ghost_sim::app::{App, Next};
 use ghost_sim::faults::{FaultKind, FaultPlan};
-use ghost_sim::kernel::{Kernel, KernelConfig, KernelState, ThreadSpec};
-use ghost_sim::thread::{ThreadState, Tid};
+use ghost_sim::thread::Tid;
 use ghost_sim::time::{Nanos, MICROS, MILLIS, SECS};
-use ghost_sim::topology::{CpuId, Topology};
+use ghost_sim::topology::CpuId;
 use ghost_sim::CpuSet;
 use ghost_trace::check::LIVE_GRACE_NS;
 use ghost_trace::{check, TraceEvent, TraceRecord, TraceSink};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-request service-time floor for the live KV workload.
@@ -140,104 +139,22 @@ impl GhostPolicy for StaleProbe {
 }
 
 // ---------------------------------------------------------------------
-// DES harness (the txn_races.rs pulse-workload idiom).
+// DES harness: a ghost-lab scenario.
 // ---------------------------------------------------------------------
 
-/// Workload app: each thread runs a fixed segment then blocks; a
-/// per-thread periodic timer re-arms the work.
-struct PulseApp {
-    conf: HashMap<Tid, (Nanos, Nanos)>, // (segment, period)
-    completions: Arc<Mutex<HashMap<Tid, u64>>>,
-}
-
-impl App for PulseApp {
-    fn as_any(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn name(&self) -> &str {
-        "pulse"
-    }
-
-    fn on_timer(&mut self, key: u64, k: &mut KernelState) {
-        let tid = Tid(key as u32);
-        let (seg, period) = self.conf[&tid];
-        if k.threads[tid.index()].state == ThreadState::Blocked {
-            k.thread_mut(tid).remaining = seg;
-            k.wake(tid);
-        }
-        let app = k.thread(tid).app.expect("pulse thread has app");
-        k.arm_app_timer(k.now + period, app, key);
-    }
-
-    fn on_segment_end(&mut self, tid: Tid, _k: &mut KernelState) -> Next {
-        *self.completions.lock().unwrap().entry(tid).or_insert(0) += 1;
-        Next::Block
-    }
-}
-
-struct DesSetup {
-    kernel: Kernel,
-    runtime: GhostRuntime,
-    enclave: EnclaveHandle,
-    threads: Vec<Tid>,
-    completions: Arc<Mutex<HashMap<Tid, u64>>>,
-    sink: TraceSink,
-}
-
-fn des_setup(
-    config: EnclaveConfig,
-    policy: Box<dyn GhostPolicy>,
-    n: usize,
-    faults: FaultPlan,
-) -> DesSetup {
-    let sink = TraceSink::recording(1, 1 << 17);
-    let mut kernel = Kernel::new(
-        Topology::test_small(2), // 4 CPUs.
-        KernelConfig {
-            trace: sink.clone(),
-            faults,
-            ..KernelConfig::default()
-        },
-    );
-    let ncpus = kernel.state.topo.num_cpus();
-    let runtime = GhostRuntime::new(ncpus);
-    let cpus: CpuSet = (1..ncpus as u16).map(CpuId).collect();
-    let enclave = runtime.launch_enclave(&mut kernel, cpus, config, policy);
-
-    let app = kernel.state.next_app_id();
-    let completions = Arc::new(Mutex::new(HashMap::new()));
-    let mut conf = HashMap::new();
-    let mut threads = Vec::new();
-    for i in 0..n {
-        let tid = kernel.spawn(ThreadSpec::workload(&format!("w{i}"), &kernel.state.topo).app(app));
-        conf.insert(tid, (100 * MICROS, MILLIS));
-        threads.push(tid);
-    }
-    kernel.add_app(Box::new(PulseApp {
-        conf,
-        completions: Arc::clone(&completions),
-    }));
-    for &tid in &threads {
-        enclave.attach_thread(&mut kernel.state, tid);
-    }
-    for (i, &tid) in threads.iter().enumerate() {
-        kernel
-            .state
-            .arm_app_timer((i as u64 + 1) * 10_000, app, tid.0 as u64);
-    }
-    DesSetup {
-        kernel,
-        runtime,
-        enclave,
-        threads,
-        completions,
-        sink,
-    }
-}
-
-fn des_total_completions(s: &DesSetup) -> u64 {
-    s.completions.lock().unwrap().values().sum()
+/// A 4-CPU machine with one centralized-FIFO enclave on CPUs 1–3 and `n`
+/// pulse threads, each running exactly 100 µs every 1 ms (one-nanosecond
+/// ranges) and traced.
+fn des_scenario(n: usize) -> ScenarioBuilder {
+    Scenario::builder()
+        .cpus(4)
+        .enclave_cpus(1..4)
+        .workload(WorkloadSpec::Pulse {
+            threads: n,
+            seg: (100 * MICROS, 100 * MICROS + 1),
+            period: (MILLIS, MILLIS + 1),
+        })
+        .trace_capacity(1 << 17)
 }
 
 // ---------------------------------------------------------------------
@@ -308,17 +225,12 @@ fn live_drive_until(s: &LiveSetup, target: u64, deadline: Duration) -> bool {
 
 #[test]
 fn des_invariants_and_commit_pairing_hold() {
-    let mut s = des_setup(
-        EnclaveConfig::centralized("conf-des"),
-        Box::new(CentralizedFifo::new()),
-        3,
-        FaultPlan::none(),
-    );
-    s.kernel.run_until(200 * MILLIS);
+    let mut run = des_scenario(3).build().launch();
+    run.sim.kernel.run_until(200 * MILLIS);
 
-    assert!(des_total_completions(&s) >= 100, "workload barely ran");
-    assert_eq!(s.sink.dropped(), 0);
-    let records = s.sink.snapshot();
+    assert!(run.completions() >= 100, "workload barely ran");
+    assert_eq!(run.sim.sink.dropped(), 0);
+    let records = run.sim.sink.snapshot();
     let switches = count(&records, |e| matches!(e, TraceEvent::SchedSwitch { .. }));
     let armed = count(&records, |e| matches!(e, TraceEvent::TxnArmed { .. }));
     let ok = count(&records, |e| matches!(e, TraceEvent::TxnCommitOk { .. }));
@@ -383,26 +295,24 @@ fn live_invariants_and_commit_pairing_hold() {
 fn des_stale_seqnum_gets_estale() {
     let stale_seen = Arc::new(AtomicBool::new(false));
     let wrong = Arc::new(AtomicBool::new(false));
-    let mut s = des_setup(
-        EnclaveConfig::centralized("conf-des-stale"),
-        Box::new(StaleProbe::new(Arc::clone(&stale_seen), Arc::clone(&wrong))),
-        2,
-        FaultPlan::none(),
-    );
-    s.kernel.run_until(100 * MILLIS);
+    let mut run = des_scenario(2).build().launch_with(|_, config| {
+        let probe = StaleProbe::new(Arc::clone(&stale_seen), Arc::clone(&wrong));
+        (config, Box::new(probe))
+    });
+    run.sim.kernel.run_until(100 * MILLIS);
 
     assert!(stale_seen.load(Ordering::SeqCst), "probe never got ESTALE");
     assert!(
         !wrong.load(Ordering::SeqCst),
         "a stale-seq commit was accepted"
     );
-    let stats = s.runtime.stats();
+    let stats = run.sim.runtime.stats();
     assert!(stats.txns_stale >= 1, "stale commits: {}", stats.txns_stale);
     // Scheduling recovered after the rejection.
-    assert!(des_total_completions(&s) >= 50, "no progress after ESTALE");
-    assert!(s.enclave.alive());
+    assert!(run.completions() >= 50, "no progress after ESTALE");
+    assert!(run.sim.enclaves[0].alive());
     // The rejected commit armed nothing: pairing still holds.
-    let records = s.sink.snapshot();
+    let records = run.sim.sink.snapshot();
     assert!(
         count(&records, |e| matches!(
             e,
@@ -458,38 +368,29 @@ fn live_stale_seqnum_gets_estale() {
 
 #[test]
 fn des_agent_crash_reconstructs_and_recovers() {
-    let mut s = des_setup(
-        EnclaveConfig::centralized("conf-des-crash"),
-        Box::new(CentralizedFifo::new()),
-        3,
-        FaultPlan::none(),
-    );
-    s.enclave.set_standby(
-        StandbyConfig::default(),
-        || Box::new(CentralizedFifo::new()),
-    );
-    s.kernel.run_until(20 * MILLIS);
+    let mut run = des_scenario(3).standby(true).build().launch();
+    let enclave = &run.sim.enclaves[0];
+    run.sim.kernel.run_until(20 * MILLIS);
 
-    let old = s.enclave.global_agent().expect("global agent");
-    s.kernel.kill(old);
-    s.kernel.run_until(60 * MILLIS);
+    let old = enclave.global_agent().expect("global agent");
+    run.sim.kernel.kill(old);
+    run.sim.kernel.run_until(60 * MILLIS);
 
-    let stats = s.runtime.stats();
-    assert!(s.enclave.alive(), "enclave survives the crash");
+    let stats = run.sim.runtime.stats();
+    assert!(enclave.alive(), "enclave survives the crash");
     assert_eq!(stats.respawns, 1, "one standby respawn");
     assert_eq!(stats.recoveries, 1, "recovery completed");
     assert!(stats.reconstructions >= 1, "status words reconstructed");
     assert_eq!(stats.fallbacks, 0, "no CFS fallback");
-    let new = s.enclave.global_agent().expect("respawned agent");
+    let new = enclave.global_agent().expect("respawned agent");
     assert_ne!(new, old, "a fresh agent took over");
     // Progress continues under the respawned agent.
-    let before = des_total_completions(&s);
-    s.kernel.run_until(160 * MILLIS);
+    let before = run.completions();
+    run.sim.kernel.run_until(160 * MILLIS);
     assert!(
-        des_total_completions(&s) > before + 50,
+        run.completions() > before + 50,
         "respawned agent is not scheduling"
     );
-    let _ = &s.threads;
 }
 
 #[test]
@@ -553,31 +454,26 @@ fn des_agent_hang_freezes_scheduling_then_recovers() {
             },
         )
     }));
-    let mut s = des_setup(
-        EnclaveConfig::centralized("conf-des-hang"),
-        Box::new(CentralizedFifo::new()),
-        3,
-        hang,
-    );
-    s.kernel.run_until(10 * MILLIS);
-    let before = des_total_completions(&s);
+    let mut run = des_scenario(3).faults(hang).build().launch();
+    run.sim.kernel.run_until(10 * MILLIS);
+    let before = run.completions();
     assert!(before >= 10, "no progress before the hang");
-    s.kernel.run_until(40 * MILLIS);
-    let during = des_total_completions(&s);
+    run.sim.kernel.run_until(40 * MILLIS);
+    let during = run.completions();
     // In-flight segments may finish, but the hung agent dispatches
     // nothing new: at most one completion per enclave CPU.
     assert!(
         during - before <= 3,
         "agent scheduled while hung: {before} -> {during}"
     );
-    s.kernel.run_until(200 * MILLIS);
-    let after = des_total_completions(&s);
+    run.sim.kernel.run_until(200 * MILLIS);
+    let after = run.completions();
     assert!(
         after > during + 100,
         "scheduling never resumed after the hang: {during} -> {after}"
     );
-    assert!(s.enclave.alive());
-    check::assert_clean(&s.sink.snapshot());
+    assert!(run.sim.enclaves[0].alive());
+    check::assert_clean(&run.sim.sink.snapshot());
 }
 
 #[test]
@@ -627,14 +523,9 @@ fn live_agent_hang_stalls_wall_clock_then_completes() {
 #[test]
 fn des_agent_slow_throttles_dispatch_rate() {
     let run = |faults: FaultPlan| {
-        let mut s = des_setup(
-            EnclaveConfig::centralized("conf-des-slow"),
-            Box::new(CentralizedFifo::new()),
-            3,
-            faults,
-        );
-        s.kernel.run_until(200 * MILLIS);
-        (des_total_completions(&s), s.sink.snapshot())
+        let mut run = des_scenario(3).faults(faults).build().launch();
+        run.sim.kernel.run_until(200 * MILLIS);
+        (run.completions(), run.sim.sink.snapshot())
     };
     let (base_done, _) = run(FaultPlan::none());
 
@@ -711,29 +602,29 @@ fn des_queue_overflow_recovers_via_watchdog_upgrade() {
     // status-word resync re-enqueues them.
     let plan =
         FaultPlan::from_events([(20 * MILLIS, FaultKind::QueueOverflow { dur: 10 * MILLIS })]);
-    let mut s = des_setup(
-        EnclaveConfig::centralized("conf-des-ovf").with_watchdog(15 * MILLIS),
-        Box::new(CentralizedFifo::new()),
-        3,
-        plan,
-    );
-    s.enclave
-        .try_stage_upgrade(Box::new(CentralizedFifo::new()))
-        .expect("stage upgrade");
-    s.kernel.run_until(200 * MILLIS);
+    let mut run = des_scenario(3)
+        .faults(plan)
+        .watchdog(15 * MILLIS)
+        .stage_upgrade(true)
+        .build()
+        .launch();
+    run.sim.kernel.run_until(200 * MILLIS);
 
-    let stats = s.runtime.stats();
+    let stats = run.sim.runtime.stats();
     assert!(stats.msgs_dropped >= 1, "overflow window dropped nothing");
     assert!(
         stats.upgrades >= 1,
         "watchdog never promoted the staged policy"
     );
-    assert!(s.enclave.alive(), "enclave destroyed instead of upgraded");
     assert!(
-        des_total_completions(&s) >= 100,
+        run.sim.enclaves[0].alive(),
+        "enclave destroyed instead of upgraded"
+    );
+    assert!(
+        run.completions() >= 100,
         "no progress after overflow recovery"
     );
-    let records = s.sink.snapshot();
+    let records = run.sim.sink.snapshot();
     assert!(
         count(&records, |e| matches!(e, TraceEvent::QueueOverflow { .. })) >= 1,
         "drops were not traced"
@@ -875,14 +766,17 @@ fn launch_enclave_wires_agents_the_same_on_both_backends() {
         EnclaveConfig::per_core("wiring"),
     ] {
         let mode = config.mode;
-        let mut des = Kernel::new(Topology::test_small(2), KernelConfig::default());
-        let runtime = GhostRuntime::new(des.state.topo.num_cpus());
-        let on_des = runtime.launch_enclave(&mut des, set(), config.clone(), Box::new(Idle));
+        let des = Scenario::builder()
+            .cpus(4)
+            .enclave_cpus(1..4)
+            .build()
+            .launch_with(|_, _| (config.clone(), Box::new(Idle)));
+        let on_des = &des.sim.enclaves[0];
         let live = LiveKernel::new(LiveConfig::default());
         let on_live = live.launch_enclave(set(), config, Box::new(Idle));
 
         let want_global = (mode == AgentMode::Centralized).then_some(0);
-        for (backend, e) in [("des", &on_des), ("live", &on_live)] {
+        for (backend, e) in [("des", on_des), ("live", &on_live)] {
             assert_eq!(
                 wiring(e, &cpus),
                 (vec![true; cpus.len()], want_global, true),
@@ -930,14 +824,9 @@ fn msg_queue_waits(records: &[TraceRecord]) -> Vec<Nanos> {
 /// it fires for at most a tenth of the dispatches (a count, not a time).
 #[test]
 fn polled_queue_post_reaches_the_spinning_global_agent() {
-    let mut des = des_setup(
-        EnclaveConfig::centralized("conf-des-kick"),
-        Box::new(CentralizedFifo::new()),
-        3,
-        FaultPlan::none(),
-    );
-    des.kernel.run_until(200 * MILLIS);
-    let waits = msg_queue_waits(&des.sink.snapshot());
+    let mut des = des_scenario(3).build().launch();
+    des.sim.kernel.run_until(200 * MILLIS);
+    let waits = msg_queue_waits(&des.sim.sink.snapshot());
     assert!(waits.len() >= 1_000, "{} DES messages", waits.len());
     let worst = waits.iter().max().copied().unwrap_or(0);
     assert!(worst <= MICROS, "DES message waited {worst} ns");

@@ -10,10 +10,8 @@
 //! exported as a Chrome `trace_event` JSON file — open it in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
-use ghost::core::enclave::EnclaveConfig;
 use ghost::core::msg::MsgType;
-use ghost::lab::Scenario;
-use ghost::policies::CentralizedFifo;
+use ghost::lab::{GhostSim, Scenario};
 use ghost::sim::app::{App, Next};
 use ghost::sim::kernel::{KernelState, ThreadSpec};
 use ghost::sim::thread::Tid;
@@ -74,21 +72,20 @@ fn main() {
     //    stays with CFS). The scenario builder is the canonical setup
     //    path: it installs the runtime, creates the enclave, and spawns
     //    its agents in one call.
-    let sim = Scenario::builder()
+    let GhostSim {
+        mut kernel,
+        runtime,
+        enclaves,
+        sink,
+    } = Scenario::builder()
         .name("quickstart")
         .cpus(8)
         .trace_capacity(if trace_path.is_some() { 1 << 21 } else { 0 })
         .enclave_cpus(1..8)
-        .build_with(
-            EnclaveConfig::centralized("quickstart"),
-            Box::new(CentralizedFifo::new()),
-        );
-    let ghost::lab::GhostSim {
-        mut kernel,
-        runtime,
-        enclave,
-        sink,
-    } = sim;
+        .build()
+        .launch()
+        .sim;
+    let enclave = &enclaves[0];
 
     // 3. Spawn workload threads and hand them to ghOSt.
     let app_id = kernel.state.next_app_id();

@@ -6,9 +6,7 @@
 //! cargo run --release --example secure_vms
 //! ```
 
-use ghost::core::enclave::EnclaveConfig;
-use ghost::lab::{GhostSim, Scenario};
-use ghost::policies::core_sched::CoreSchedPolicy;
+use ghost::lab::{GhostSim, PolicyKind, Scenario};
 use ghost::sim::kernel::ThreadSpec;
 use ghost::sim::time::{MILLIS, SECS};
 use ghost::sim::topology::CpuId;
@@ -18,12 +16,16 @@ fn main() {
     // 8 physical cores, 16 CPUs; 3 VMs with 4 vCPUs each.
     let GhostSim {
         mut kernel,
-        enclave,
+        enclaves,
         ..
-    } = Scenario::builder().name("secure-vms").cpus(16).build_with(
-        EnclaveConfig::per_core("secure-vms").with_ticks(true),
-        Box::new(CoreSchedPolicy::new()),
-    );
+    } = Scenario::builder()
+        .name("secure-vms")
+        .cpus(16)
+        .policy(PolicyKind::CoreSched)
+        .build()
+        .launch()
+        .sim;
+    let enclave = &enclaves[0];
 
     let cfg = VmConfig {
         vms: 3,

@@ -5,7 +5,6 @@
 //! cargo run --release --example upgrade_and_crash
 //! ```
 
-use ghost::core::enclave::EnclaveConfig;
 use ghost::lab::{GhostSim, Scenario};
 use ghost::policies::CentralizedFifo;
 use ghost::sim::app::{App, Next};
@@ -41,16 +40,17 @@ fn main() {
     let GhostSim {
         mut kernel,
         runtime,
-        enclave,
+        enclaves,
         ..
     } = Scenario::builder()
         .name("demo")
         .cpus(8)
         .enclave_cpus(1..8)
-        .build_with(
-            EnclaveConfig::centralized("demo").with_watchdog(50 * MILLIS),
-            Box::new(CentralizedFifo::new()),
-        );
+        .watchdog(50 * MILLIS)
+        .build()
+        .launch()
+        .sim;
+    let enclave = &enclaves[0];
 
     let app_id = kernel.state.next_app_id();
     let mut tids = Vec::new();

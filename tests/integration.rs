@@ -8,7 +8,7 @@ use ghost::core::enclave::EnclaveConfig;
 use ghost::core::runtime::GhostRuntime;
 use ghost::policies::shinjuku::ShinjukuPolicy;
 use ghost::policies::snap::SNAP_COOKIE;
-use ghost::policies::{CentralizedFifo, PerCpuPolicy, SnapPolicy};
+use ghost::policies::SnapPolicy;
 use ghost::sim::kernel::{Kernel, KernelConfig, ThreadSpec};
 use ghost::sim::thread::ThreadState;
 use ghost::sim::time::{MICROS, MILLIS, SECS};
@@ -109,16 +109,17 @@ fn per_cpu_policy_schedules_locally() {
     let ghost::lab::GhostSim {
         mut kernel,
         runtime,
-        enclave,
+        enclaves,
         ..
     } = ghost::lab::Scenario::builder()
         .name("percpu")
         .cpus(4)
         .enclave_cpus(0..4)
-        .build_with(
-            EnclaveConfig::per_cpu("percpu"),
-            Box::new(PerCpuPolicy::new()),
-        );
+        .policy(ghost::lab::PolicyKind::PerCpu)
+        .build()
+        .launch()
+        .sim;
+    let enclave = &enclaves[0];
     let app_id = kernel.state.next_app_id();
     let mut tids = Vec::new();
     for i in 0..4 {
@@ -314,16 +315,16 @@ fn centralized_fifo_is_deterministic() {
         let ghost::lab::GhostSim {
             mut kernel,
             runtime,
-            enclave,
+            enclaves,
             ..
         } = ghost::lab::Scenario::builder()
             .name("det")
             .cpus(8)
             .enclave_cpus(1..8)
-            .build_with(
-                EnclaveConfig::centralized("det"),
-                Box::new(CentralizedFifo::new()),
-            );
+            .build()
+            .launch()
+            .sim;
+        let enclave = &enclaves[0];
         let app_id = kernel.state.next_app_id();
         let mut tids = Vec::new();
         for i in 0..6 {
@@ -358,17 +359,17 @@ fn trace_export_is_deterministic_valid_json() {
         let ghost::lab::GhostSim {
             mut kernel,
             runtime,
-            enclave,
+            enclaves,
             sink,
         } = ghost::lab::Scenario::builder()
             .name("trace")
             .cpus(8)
             .trace_capacity(1 << 18)
             .enclave_cpus(1..8)
-            .build_with(
-                EnclaveConfig::centralized("trace"),
-                Box::new(CentralizedFifo::new()),
-            );
+            .build()
+            .launch()
+            .sim;
+        let enclave = &enclaves[0];
         let app_id = kernel.state.next_app_id();
         let mut tids = Vec::new();
         for i in 0..5 {
