@@ -60,7 +60,7 @@ impl SchedClass for KernelCoreSched {
         // Wake placement: an idle CPU whose sibling runs a matching
         // cookie (or is idle).
         let cookie = k.threads[tid.index()].cookie;
-        let affinity = k.threads[tid.index()].affinity;
+        let affinity = *k.affinity(tid);
         for c in affinity.iter() {
             if !k.cpus[c.index()].is_idle() {
                 continue;
@@ -81,7 +81,7 @@ impl SchedClass for KernelCoreSched {
         let constraint = self.sibling_cookie(cpu, k);
         let pos = self.rq.iter().position(|&t| {
             let th = &k.threads[t.index()];
-            th.affinity.contains(cpu)
+            k.affinity(t).contains(cpu)
                 && th.state == ThreadState::Runnable
                 && constraint.is_none_or(|c| th.cookie == c)
         });
@@ -121,9 +121,7 @@ impl SchedClass for KernelCoreSched {
     }
 
     fn has_runnable(&self, cpu: CpuId, k: &KernelState) -> bool {
-        self.rq
-            .iter()
-            .any(|&t| k.threads[t.index()].affinity.contains(cpu))
+        self.rq.iter().any(|&t| k.affinity(t).contains(cpu))
     }
 
     fn on_detach(&mut self, tid: Tid, k: &mut KernelState) {
@@ -180,7 +178,7 @@ mod tests {
             let th = kernel.state.thread(t);
             // Never co-ran with the other VM → full-rate execution.
             let rate = th.total_work as f64 / th.total_oncpu.max(1) as f64;
-            assert!(rate > 0.95, "{} ran SMT-degraded: rate {rate}", th.name);
+            assert!(rate > 0.95, "{t} ran SMT-degraded: rate {rate}");
             // Fair rotation: roughly half the second each.
             let share = th.total_oncpu as f64 / SECS as f64;
             assert!((0.35..=0.65).contains(&share), "share {share}");
@@ -210,9 +208,9 @@ mod tests {
         for t in [a, b] {
             let th = kernel.state.thread(t);
             let share = th.total_oncpu as f64 / SECS as f64;
-            assert!(share > 0.9, "{} should run ~continuously: {share}", th.name);
+            assert!(share > 0.9, "{t} should run ~continuously: {share}");
             let rate = th.total_work as f64 / th.total_oncpu as f64;
-            assert!(rate < 0.75, "{} should see SMT contention: {rate}", th.name);
+            assert!(rate < 0.75, "{t} should see SMT contention: {rate}");
         }
     }
 }

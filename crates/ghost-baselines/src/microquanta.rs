@@ -78,18 +78,18 @@ impl MicroQuanta {
     }
 
     fn select_cpu(&self, tid: Tid, k: &KernelState) -> CpuId {
-        let t = &k.threads[tid.index()];
-        if let Some(prev) = t.last_cpu {
-            if t.affinity.contains(prev) && k.cpus[prev.index()].is_idle() {
+        let affinity = k.affinity(tid);
+        if let Some(prev) = k.threads[tid.index()].last_cpu {
+            if affinity.contains(prev) && k.cpus[prev.index()].is_idle() {
                 return prev;
             }
         }
-        for c in t.affinity.iter() {
+        for c in affinity.iter() {
             if k.cpus[c.index()].is_idle() {
                 return c;
             }
         }
-        t.affinity
+        affinity
             .iter()
             .min_by_key(|c| self.rq[c.index()].len())
             .expect("non-empty affinity")

@@ -10,7 +10,9 @@
 //!
 //! A last row runs the point at scale — one million threads on the
 //! 1,024-CPU Zen machine — and reports how fast the simulator gets
-//! through it: wall seconds, and simulated seconds per wall second.
+//! through it (wall seconds, and simulated seconds per wall second) and
+//! what it costs in memory: the process's peak RSS (`VmHWM`), which this
+//! point sets.
 
 use ghost_bench::fig5;
 use ghost_metrics::Table;
@@ -48,15 +50,31 @@ fn run_at_scale() {
     let point =
         fig5::run_point_with_threads(topo, scheduled, 1_000_000, MILLIS, warmup, measure, true);
     let wall_s = started.elapsed().as_secs_f64();
-    let mut t = Table::new(vec!["point", "M txns/s", "wall s", "sim-s/s"])
-        .with_title("Fig. 5 at scale: 1,024 CPUs, 1 M threads");
+    let mut t = Table::new(vec![
+        "point",
+        "M txns/s",
+        "wall s",
+        "sim-s/s",
+        "peak RSS MiB",
+    ])
+    .with_title("Fig. 5 at scale: 1,024 CPUs, 1 M threads");
     t.row(vec![
         "fig5-zen-1024-1m".to_string(),
         format!("{:.3}", point.txns_per_sec / 1e6),
         format!("{wall_s:.2}"),
         format!("{:.2}", (warmup + measure) as f64 / 1e9 / wall_s),
+        peak_rss_mib().map_or("n/a".into(), |m| format!("{m:.1}")),
     ]);
     t.print();
+}
+
+/// This process's peak resident set so far (`VmHWM` in
+/// `/proc/self/status`), or `None` where there is no procfs.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 fn main() {

@@ -191,7 +191,7 @@ impl GhostBackend for KernelState {
             class: t.class,
             cpu: t.cpu,
             last_cpu: t.last_cpu,
-            affinity: t.affinity,
+            affinity: *self.affinity(tid),
             nice: t.nice,
             cookie: t.cookie,
             runnable_since: t.runnable_since,

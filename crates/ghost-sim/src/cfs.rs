@@ -134,11 +134,11 @@ impl CfsClass {
     }
 
     fn select_cpu(&self, tid: Tid, k: &KernelState) -> CpuId {
-        let t = &k.threads[tid.index()];
+        let (t, affinity) = (&k.threads[tid.index()], k.affinity(tid));
         // 1. Previous CPU if it is idle and its sibling is free too (a
         //    warm idle core beats everything).
         if let Some(prev) = t.last_cpu {
-            if t.affinity.contains(prev)
+            if affinity.contains(prev)
                 && k.cpus[prev.index()].is_idle()
                 && !k
                     .topo
@@ -155,14 +155,14 @@ impl CfsClass {
         let llc = t
             .last_cpu
             .map(|p| k.topo.ccx_cpus(k.topo.info(p).ccx))
-            .unwrap_or_else(|| t.affinity);
+            .unwrap_or(*affinity);
         let mut best_idle: Option<(bool, u8, CpuId)> = None;
         // 3. A CPU running only lower-class work (e.g. a ghOSt thread),
         //    which CFS will preempt.
         let mut best_lower: Option<CpuId> = None;
         // 4. Least-loaded CFS runqueue in the LLC.
         let mut least: Option<(u32, CpuId)> = None;
-        for c in llc.and(&t.affinity).iter() {
+        for c in llc.and(affinity).iter() {
             let cs = &k.cpus[c.index()];
             if cs.is_idle() {
                 let sibling_busy = k
@@ -197,10 +197,10 @@ impl CfsClass {
         }
         // LLC fully outside the affinity mask (e.g. after an affinity
         // change): fall back to any allowed CPU, idle first.
-        t.affinity
+        affinity
             .iter()
             .find(|&c| k.cpus[c.index()].is_idle())
-            .or_else(|| t.affinity.first())
+            .or_else(|| affinity.first())
             .expect("thread must have a non-empty affinity")
     }
 
@@ -281,7 +281,7 @@ impl CfsClass {
             .queue
             .iter()
             .rev()
-            .find(|(_, t)| k.threads[t.index()].affinity.contains(thief))
+            .find(|(_, t)| k.affinity(*t).contains(thief))
             .copied()?;
         Some(self.detach_queued(busiest, cand, k))
     }
@@ -308,7 +308,7 @@ impl CfsClass {
             .queue
             .iter()
             .rev()
-            .find(|(_, t)| k.threads[t.index()].affinity.contains(cpu))
+            .find(|(_, t)| k.affinity(*t).contains(cpu))
             .copied();
         if let Some(key) = cand {
             let tid = self.detach_queued(busiest, key, k);
@@ -405,7 +405,7 @@ impl SchedClass for CfsClass {
         let t = &k.threads[tid.index()];
         let cpu = t
             .last_cpu
-            .or_else(|| t.affinity.first())
+            .or_else(|| k.affinity(tid).first())
             .unwrap_or(CpuId(0));
         let vr = self.rqs[cpu.index()].min_vruntime;
         self.tasks.insert(
@@ -427,7 +427,7 @@ impl SchedClass for CfsClass {
     fn on_affinity_changed(&mut self, tid: Tid, k: &mut KernelState) {
         // Requeue a queued task if its runqueue is no longer allowed.
         if let Some(task) = self.tasks.get(&tid) {
-            if task.on_rq && !k.threads[tid.index()].affinity.contains(task.cpu) {
+            if task.on_rq && !k.affinity(tid).contains(task.cpu) {
                 self.remove_queued(tid, k);
                 let cpu = self.select_cpu(tid, k);
                 self.enqueue_on(tid, cpu, k);
@@ -495,10 +495,8 @@ mod tests {
 #[cfg(test)]
 mod balance_model {
     use super::*;
-    use crate::class::CLASS_CFS;
     use crate::cpuset::CpuSet;
-    use crate::kernel::{Kernel, KernelConfig};
-    use crate::thread::SimThread;
+    use crate::kernel::{Kernel, KernelConfig, ThreadSpec};
     use crate::topology::Topology;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -513,7 +511,7 @@ mod balance_model {
             .queue
             .iter()
             .rev()
-            .find(|(_, t)| k.threads[t.index()].affinity.contains(thief))
+            .find(|(_, t)| k.affinity(*t).contains(thief))
             .map(|&(_, t)| (busiest, t))
     }
 
@@ -530,7 +528,7 @@ mod balance_model {
             .queue
             .iter()
             .rev()
-            .find(|(_, t)| k.threads[t.index()].affinity.contains(cpu))
+            .find(|(_, t)| k.affinity(*t).contains(cpu))
             .map(|&(_, t)| t)
     }
 
@@ -556,9 +554,8 @@ mod balance_model {
         let mut k = Kernel::new(topo, KernelConfig::default()).state;
         let mut c = CfsClass::new(n);
         for i in 0..threads {
-            let mask = random_mask(&mut rng, &k.topo);
-            k.threads
-                .push(SimThread::new(Tid(i), format!("t{i}"), CLASS_CFS, mask));
+            let spec = ThreadSpec::workload("t", &k.topo).affinity(random_mask(&mut rng, &k.topo));
+            assert_eq!(k.add_thread(spec), Tid(i));
         }
         let mut attached = vec![false; threads as usize];
         let mut current: Vec<Option<Tid>> = vec![None; n];
@@ -591,7 +588,7 @@ mod balance_model {
                 // (every CPU is idle, so `select_cpu` keeps `last_cpu`),
                 // which piles tasks onto a few runqueues.
                 2 if attached[t.index()] && !queued && on_cpu.is_none() => {
-                    let allowed: Vec<CpuId> = k.threads[t.index()].affinity.iter().collect();
+                    let allowed: Vec<CpuId> = k.affinity(t).iter().collect();
                     let span = if rng.gen_bool(0.7) { 2 } else { allowed.len() };
                     let prev = allowed[rng.gen_range(0..span.min(allowed.len()))];
                     k.threads[t.index()].last_cpu = Some(prev);
@@ -636,7 +633,8 @@ mod balance_model {
                     );
                 }
                 7 if queued => {
-                    k.threads[t.index()].affinity = random_mask(&mut rng, &k.topo);
+                    let mask = random_mask(&mut rng, &k.topo);
+                    k.set_affinity(t, mask);
                     c.on_affinity_changed(t, &mut k);
                 }
                 _ => {}

@@ -13,6 +13,13 @@
 //! heap — earliest time first, FIFO on ties — and simulation digests are
 //! byte-identical to the pre-wheel queue (pinned by `ghost-lab`'s
 //! digest-freeze suite and the heap-vs-wheel equivalence property test).
+//!
+//! A slot is a linked list through one shared entry arena, with a free
+//! list (the intrusive layout of Varghese & Lauck's hashed wheels and of
+//! Linux's `kernel/time/timer.c`). Order inside a slot is free, because
+//! a loaded slot is sorted; so the wheel's storage is bounded by the
+//! peak number of pending entries, not by the largest burst each of its
+//! 576 slots ever held.
 
 use crate::app::AppId;
 use crate::thread::Tid;
@@ -56,6 +63,9 @@ struct Entry {
     ev: Ev,
 }
 
+/// The end of a slot's list or of the free list.
+const NIL: u32 = u32::MAX;
+
 /// log2 of the level-0 slot width: 1024 ns per slot.
 const SHIFT0: u32 = 10;
 /// log2 of the slots per level.
@@ -90,8 +100,16 @@ pub struct EventQueue {
     /// level-0 slot. Cleared (and `head` reset) once fully consumed.
     near: Vec<Entry>,
     head: usize,
-    /// `LEVELS * SLOTS` buckets; level `k` slot `i` is `slots[k*SLOTS+i]`.
-    slots: Vec<Vec<Entry>>,
+    /// The arena: every entry in a wheel slot, and the free nodes
+    /// between them. `links[n]` is the node after `n` in its slot's list
+    /// or in the free list.
+    nodes: Vec<Entry>,
+    links: Vec<u32>,
+    /// Head of the free list.
+    free: u32,
+    /// `LEVELS * SLOTS` lists by first node; level `k` slot `i` is
+    /// `slots[k*SLOTS+i]`.
+    slots: Vec<u32>,
     /// One occupancy bitmap word per level.
     occ: [u64; LEVELS],
     /// Start of the level-0 slot the `near` run currently represents.
@@ -114,7 +132,10 @@ impl EventQueue {
         Self {
             near: Vec::new(),
             head: 0,
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
+            slots: vec![NIL; LEVELS * SLOTS],
             occ: [0; LEVELS],
             cur: 0,
             len: 0,
@@ -141,17 +162,37 @@ impl EventQueue {
         }
     }
 
-    /// Buckets a future entry (strictly after the near window). The level
-    /// is the highest bit group in which `at` differs from `cur`; because
-    /// `at > cur`, the entry's slot index at that level is strictly ahead
-    /// of `cur`'s, so a forward scan always finds it.
+    /// Buckets a future entry (strictly after the near window) in a free
+    /// node.
     fn place(&mut self, e: Entry) {
-        let diff = (e.at >> SHIFT0) ^ (self.cur >> SHIFT0);
+        let n = if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "wheel arena full");
+            self.nodes.push(e);
+            self.links.push(NIL);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = self.links[n as usize];
+            self.nodes[n as usize] = e;
+            n
+        };
+        self.link(n, e.at);
+    }
+
+    /// Prepends node `n`, due at `at`, to its slot's list. The level is
+    /// the highest bit group in which `at` differs from `cur`; because
+    /// `at` is after `cur`'s level-0 slot, the entry's slot index at that
+    /// level is strictly ahead of `cur`'s, so a forward scan always finds
+    /// it.
+    fn link(&mut self, n: u32, at: Nanos) {
+        let diff = (at >> SHIFT0) ^ (self.cur >> SHIFT0);
         debug_assert!(diff != 0);
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
-        let idx = ((e.at >> (SHIFT0 + LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.slots[level * SLOTS + idx].push(e);
+        let idx = ((at >> (SHIFT0 + LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         self.occ[level] |= 1 << idx;
+        let slot = &mut self.slots[level * SLOTS + idx];
+        self.links[n as usize] = *slot;
+        *slot = n;
     }
 
     /// Advances `cur` to the next occupied slot: loads it into `near` if
@@ -183,25 +224,23 @@ impl EventQueue {
                 };
                 self.cur = high | ((idx as u64) << shift);
                 self.occ[level] &= !(1 << idx);
-                let slot = level * SLOTS + idx as usize;
-                if level == 0 {
-                    // Copy rather than swap, so every bucket keeps only
-                    // the capacity its own batches need.
-                    self.near.extend_from_slice(&self.slots[slot]);
-                    self.slots[slot].clear();
-                } else {
-                    let mut batch = std::mem::take(&mut self.slots[slot]);
-                    for e in batch.drain(..) {
-                        if (e.at >> SHIFT0) == (self.cur >> SHIFT0) {
-                            self.near.push(e);
-                        } else {
-                            self.place(e);
-                        }
+                // Entries of the new level-0 slot join the run and free
+                // their nodes; the rest relink a level or more down.
+                let mut n = std::mem::replace(&mut self.slots[level * SLOTS + idx as usize], NIL);
+                let cur0 = self.cur >> SHIFT0;
+                while n != NIL {
+                    let (e, next) = (self.nodes[n as usize], self.links[n as usize]);
+                    if (e.at >> SHIFT0) == cur0 {
+                        self.near.push(e);
+                        self.links[n as usize] = self.free;
+                        self.free = n;
+                    } else {
+                        self.link(n, e.at);
                     }
-                    self.slots[slot] = batch;
-                    if self.near.is_empty() {
-                        continue 'outer;
-                    }
+                    n = next;
+                }
+                if self.near.is_empty() {
+                    continue 'outer;
                 }
                 self.near.sort_unstable_by_key(|e| (e.at, e.seq));
                 return;
@@ -371,6 +410,30 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, Ev::Wake { tid: Tid(2) });
         assert_eq!(q.pop().unwrap().1, Ev::Wake { tid: Tid(3) });
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn storage_is_bounded_by_one_burst_not_by_slots() {
+        // Bursts of same-slot entries, each pushed from far enough back
+        // to land a level up and cascade, and drained before the next:
+        // bucket vectors would keep every burst's capacity in every slot
+        // they passed through (about 3 MiB here).
+        const BURST: usize = 400;
+        let mut q = EventQueue::new();
+        for b in 0..200u64 {
+            let at = (b + 1) * 3_000_000 + (b % 7) * 70_000;
+            for i in 0..BURST as u64 {
+                q.push(at + i % 1000, Ev::Wake { tid: Tid(i as u32) });
+            }
+            while q.pop().is_some() {}
+        }
+        let entry = std::mem::size_of::<Entry>();
+        let retained = (q.nodes.capacity() + q.near.capacity()) * entry + q.links.capacity() * 4;
+        let burst = BURST * (2 * entry + 4);
+        assert!(
+            retained <= 2 * burst,
+            "{retained} B retained, one burst is {burst} B"
+        );
     }
 
     #[test]

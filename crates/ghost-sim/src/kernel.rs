@@ -86,6 +86,9 @@ pub struct KernelState {
     pub cfg: KernelConfig,
     /// All threads ever spawned, indexed by [`Tid`].
     pub threads: Vec<SimThread>,
+    /// Every distinct affinity mask a thread has held, indexed by
+    /// `SimThread::mask`: a million threads share a handful of masks.
+    masks: Vec<CpuSet>,
     /// Per-CPU state, indexed by [`CpuId`].
     pub cpus: Vec<CpuState>,
     /// Machine-wide counters.
@@ -118,6 +121,39 @@ impl KernelState {
     /// Mutable access to a thread.
     pub fn thread_mut(&mut self, tid: Tid) -> &mut SimThread {
         &mut self.threads[tid.index()]
+    }
+
+    /// The CPUs `tid` may run on.
+    pub fn affinity(&self, tid: Tid) -> &CpuSet {
+        &self.masks[self.threads[tid.index()].mask as usize]
+    }
+
+    /// The id of `mask` in the mask table, added if new. Threads are
+    /// spawned in runs that share a mask, so the last thread's is tried
+    /// first.
+    fn intern(&mut self, mask: CpuSet) -> u32 {
+        assert!(!mask.is_empty(), "affinity mask must not be empty");
+        let last = self.threads.last().map(|t| t.mask as usize);
+        let id = last
+            .filter(|&id| self.masks[id] == mask)
+            .or_else(|| self.masks.iter().rposition(|m| *m == mask))
+            .unwrap_or_else(|| {
+                self.masks.push(mask);
+                self.masks.len() - 1
+            });
+        id as u32
+    }
+
+    /// Appends a [`ThreadState::Blocked`] thread built from `spec`.
+    pub(crate) fn add_thread(&mut self, spec: ThreadSpec) -> Tid {
+        let tid = Tid(self.threads.len() as u32);
+        let mut t = SimThread::new(tid, spec.class, self.intern(spec.affinity));
+        t.nice = spec.nice;
+        t.app = spec.app;
+        t.kind = spec.kind;
+        t.cookie = spec.cookie;
+        self.threads.push(t);
+        tid
     }
 
     /// Immutable access to a CPU.
@@ -164,8 +200,7 @@ impl KernelState {
     ///
     /// Panics if the mask is empty.
     pub fn set_affinity(&mut self, tid: Tid, mask: CpuSet) {
-        assert!(!mask.is_empty(), "affinity mask must not be empty");
-        self.threads[tid.index()].affinity = mask;
+        self.threads[tid.index()].mask = self.intern(mask);
         self.pending_affinity.push_back(tid);
     }
 
@@ -269,15 +304,7 @@ impl KernelState {
             ThreadKind::Agent,
             "only agent threads can be spawned from driver context"
         );
-        assert!(!spec.affinity.is_empty(), "affinity mask must not be empty");
-        let tid = Tid(self.threads.len() as u32);
-        let mut t = SimThread::new(tid, spec.name, spec.class, spec.affinity);
-        t.nice = spec.nice;
-        t.app = spec.app;
-        t.kind = spec.kind;
-        t.cookie = spec.cookie;
-        self.threads.push(t);
-        tid
+        self.add_thread(spec)
     }
 }
 
@@ -292,8 +319,6 @@ pub struct Kernel {
 /// Specification for spawning a thread.
 #[derive(Debug, Clone)]
 pub struct ThreadSpec {
-    /// Debug name.
-    pub name: String,
     /// Initial scheduling class.
     pub class: ClassId,
     /// Nice value.
@@ -309,10 +334,10 @@ pub struct ThreadSpec {
 }
 
 impl ThreadSpec {
-    /// A workload thread in CFS with full affinity over `topo`.
-    pub fn workload(name: &str, topo: &Topology) -> Self {
+    /// A workload thread in CFS with full affinity over `topo`. The name
+    /// labels the call site only: the kernel knows a thread by its [`Tid`].
+    pub fn workload(_name: &str, topo: &Topology) -> Self {
         Self {
-            name: name.to_string(),
             class: CLASS_CFS,
             nice: 0,
             affinity: topo.all_cpus_set(),
@@ -389,6 +414,7 @@ impl Kernel {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             threads: Vec::new(),
+            masks: Vec::new(),
             cpus: vec![CpuState::default(); n],
             stats: SimStats::default(),
             offcpu_reason: OffCpuReason::Block,
@@ -448,15 +474,9 @@ impl Kernel {
 
     /// Spawns a thread. It starts [`ThreadState::Blocked`]; wake it to run.
     pub fn spawn(&mut self, spec: ThreadSpec) -> Tid {
-        let tid = Tid(self.state.threads.len() as u32);
-        assert!(!spec.affinity.is_empty(), "affinity mask must not be empty");
-        let mut t = SimThread::new(tid, spec.name, spec.class, spec.affinity);
-        t.nice = spec.nice;
-        t.app = spec.app;
-        t.kind = spec.kind;
-        t.cookie = spec.cookie;
-        self.state.threads.push(t);
-        self.classes[spec.class as usize].on_attach(tid, &mut self.state);
+        let class = spec.class;
+        let tid = self.state.add_thread(spec);
+        self.classes[class as usize].on_attach(tid, &mut self.state);
         tid
     }
 
@@ -534,7 +554,7 @@ impl Kernel {
                     .find(|t| {
                         t.kind == ThreadKind::Agent
                             && t.state != ThreadState::Dead
-                            && t.affinity.contains(cpu)
+                            && self.state.affinity(t.tid).contains(cpu)
                     })
                     .map(|t| t.tid);
                 if let Some(tid) = victim {
@@ -590,7 +610,7 @@ impl Kernel {
                 let t = &self.state.threads[tid.index()];
                 if t.state == ThreadState::Running {
                     if let Some(cpu) = t.cpu {
-                        if !t.affinity.contains(cpu) {
+                        if !self.state.affinity(tid).contains(cpu) {
                             self.state.request_resched(cpu);
                         }
                     }
@@ -907,30 +927,37 @@ impl Kernel {
             t.total_wait += now - t.runnable_since;
             t.class
         };
-        if self.state.cfg.trace.is_enabled() {
-            // No recorded switch-out means the CPU was idle before.
-            let (prev_tid, prev_class, prev_state) = self.state.cpus[cpu.index()]
-                .trace_prev
-                .take()
-                .unwrap_or((NO_TID, crate::class::CLASS_IDLE, PREV_RUNNABLE));
-            let prev_state = if prev_tid != NO_TID {
-                self.resolve_prev_state(prev_tid, prev_state)
-            } else {
-                prev_state
-            };
-            self.state
-                .cfg
-                .trace
-                .emit(now, cpu.0, || TraceEvent::SchedSwitch {
-                    cpu: cpu.0,
-                    prev_tid,
-                    prev_class,
-                    prev_state,
-                    next_tid: tid.0,
-                    next_class,
-                });
-        }
+        self.trace_switch_in(cpu, tid, next_class);
         self.begin_stint(tid, cpu);
+    }
+
+    /// Emits the `sched_switch` that lands `next` on `cpu`, paired with
+    /// the switch-out `record_switch_out` deferred (none means
+    /// the CPU was idle).
+    fn trace_switch_in(&mut self, cpu: CpuId, next: Tid, next_class: ClassId) {
+        if !self.state.cfg.trace.is_enabled() {
+            return;
+        }
+        let (prev_tid, prev_class, prev_state) = self.state.cpus[cpu.index()]
+            .trace_prev
+            .take()
+            .unwrap_or((NO_TID, crate::class::CLASS_IDLE, PREV_RUNNABLE));
+        let prev_state = if prev_tid != NO_TID {
+            self.resolve_prev_state(prev_tid, prev_state)
+        } else {
+            prev_state
+        };
+        self.state
+            .cfg
+            .trace
+            .emit(self.state.now, cpu.0, || TraceEvent::SchedSwitch {
+                cpu: cpu.0,
+                prev_tid,
+                prev_class,
+                prev_state,
+                next_tid: next.0,
+                next_class,
+            });
     }
 
     /// (Re)starts an on-CPU stint for a thread already chosen to run on
@@ -1227,6 +1254,17 @@ impl Kernel {
                 let class = self.state.threads[tid.index()].class;
                 self.classes[class as usize].dequeue(tid, &mut self.state);
                 self.state.threads[tid.index()].state = ThreadState::Dead;
+                // Picked and mid-switch: the switch would land and run a
+                // dead thread, so cancel it and let the CPU pick again. The
+                // trace shows what Linux does in this window: the thread
+                // is switched in and leaves as it exits.
+                if let Some(cpu) = self.switching_to(tid) {
+                    self.trace_switch_in(cpu, tid, class);
+                    self.record_switch_out(cpu, tid, PREV_DEAD);
+                    self.state.cpus[cpu.index()].resched_after_switch = false;
+                    self.go_idle(cpu);
+                    self.state.request_resched(cpu);
+                }
             }
             ThreadState::Blocked => {
                 self.state.threads[tid.index()].state = ThreadState::Dead;

@@ -2,7 +2,6 @@
 
 use crate::app::AppId;
 use crate::class::ClassId;
-use crate::cpuset::CpuSet;
 use crate::time::Nanos;
 use crate::topology::CpuId;
 
@@ -52,16 +51,16 @@ pub enum ThreadKind {
 pub struct SimThread {
     /// This thread's id.
     pub tid: Tid,
-    /// Debug name.
-    pub name: String,
     /// Lifecycle state.
     pub state: ThreadState,
     /// Scheduling class the thread currently belongs to.
     pub class: ClassId,
     /// Nice value (-20..=19), used by CFS weighting.
     pub nice: i8,
-    /// CPUs this thread may run on (`sched_setaffinity`).
-    pub affinity: CpuSet,
+    /// CPUs this thread may run on (`sched_setaffinity`), as an id into
+    /// the kernel's table of distinct masks: read it with
+    /// [`crate::kernel::KernelState::affinity`].
+    pub(crate) mask: u32,
     /// Owning application, if any.
     pub app: Option<AppId>,
     /// Workload vs agent.
@@ -113,14 +112,13 @@ pub struct SimThread {
 
 impl SimThread {
     /// Creates a new thread in the [`ThreadState::Blocked`] state.
-    pub fn new(tid: Tid, name: String, class: ClassId, affinity: CpuSet) -> Self {
+    pub(crate) fn new(tid: Tid, class: ClassId, mask: u32) -> Self {
         Self {
             tid,
-            name,
             state: ThreadState::Blocked,
             class,
             nice: 0,
-            affinity,
+            mask,
             app: None,
             kind: ThreadKind::Workload,
             cpu: None,
@@ -143,11 +141,6 @@ impl SimThread {
         }
     }
 
-    /// True if the thread can run on `cpu`.
-    pub fn can_run_on(&self, cpu: CpuId) -> bool {
-        self.affinity.contains(cpu)
-    }
-
     /// True if the thread is runnable or running.
     pub fn is_active(&self) -> bool {
         matches!(self.state, ThreadState::Runnable | ThreadState::Running)
@@ -161,16 +154,14 @@ mod tests {
 
     #[test]
     fn new_thread_starts_blocked() {
-        let t = SimThread::new(Tid(1), "t".into(), CLASS_CFS, CpuSet::first_n(4));
+        let t = SimThread::new(Tid(1), CLASS_CFS, 0);
         assert_eq!(t.state, ThreadState::Blocked);
         assert!(!t.is_active());
-        assert!(t.can_run_on(CpuId(3)));
-        assert!(!t.can_run_on(CpuId(4)));
     }
 
     #[test]
     fn active_states() {
-        let mut t = SimThread::new(Tid(1), "t".into(), CLASS_CFS, CpuSet::first_n(1));
+        let mut t = SimThread::new(Tid(1), CLASS_CFS, 0);
         t.state = ThreadState::Runnable;
         assert!(t.is_active());
         t.state = ThreadState::Running;

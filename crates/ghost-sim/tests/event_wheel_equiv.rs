@@ -13,7 +13,8 @@
 //! cases drive the wheel's sorted near run through the shapes the
 //! simulator produces: group-commit bursts at one deadline, pushes that
 //! land mid-run or behind the consumed prefix, sparse events that
-//! cascade down from levels 1–3, and bounded pops.
+//! cascade down from levels 1–3, a machine-wide instant pushed from every
+//! level's distance, and bounded pops.
 
 use ghost_chaos::for_seeds;
 use ghost_sim::event::{Ev, EventQueue};
@@ -314,6 +315,39 @@ fn pop_until_matches_peek_then_pop() {
             for _ in 0..rng.gen_range(0usize..8) {
                 let at = draw_time(rng, q.now);
                 q.push(at);
+            }
+        }
+        q.drain();
+    });
+}
+
+/// A 256-CPU machine's events at one instant (a tick or a group commit's
+/// IPIs on every CPU), pushed in batches of 256 while the clock stands a
+/// level-3, level-2, level-1 and level-0 distance before it, then at it:
+/// the batches sit in slots of different levels and cascade together,
+/// and every tie must still pop in push order.
+#[test]
+fn a_machine_wide_instant_ties_across_levels() {
+    for_seeds!(0x2560, 40, |rng: &mut StdRng| {
+        let mut q = Pair::new();
+        let instant: Nanos = rng.gen_range(1u64 << 34..1 << 40);
+        let mut stations: Vec<Nanos> = [28u32, 22, 16, 10]
+            .iter()
+            .map(|&bits| instant - rng.gen_range(1u64 << bits..1 << (bits + 2)))
+            .collect();
+        stations.push(instant);
+        for station in stations {
+            // Move the clock (and the wheel) to the station.
+            q.push(station);
+            while q.now < station {
+                q.pop();
+            }
+            for _ in 0..256 {
+                q.push(instant);
+                if rng.gen_bool(0.05) {
+                    let at = station + rng.gen_range(0u64..1 << 12);
+                    q.push(at);
+                }
             }
         }
         q.drain();

@@ -2,6 +2,7 @@
 //! class-priority preemption, SMT contention, and accounting.
 
 use ghost_sim::app::{App, AppId, Next};
+use ghost_sim::cpu::CpuRunState;
 use ghost_sim::kernel::{Kernel, KernelConfig, KernelState, ThreadSpec};
 use ghost_sim::thread::{ThreadState, Tid};
 use ghost_sim::time::{MILLIS, SECS};
@@ -251,8 +252,7 @@ fn load_spreads_across_cpus() {
         let th = kernel.state.thread(t);
         assert!(
             th.total_oncpu > 900 * MILLIS,
-            "{}: oncpu {}",
-            th.name,
+            "{t}: oncpu {}",
             th.total_oncpu
         );
     }
@@ -326,6 +326,35 @@ fn kill_removes_running_thread() {
             kernel.state.cpu(ghost_sim::topology::CpuId(0)).is_idle()
         }
     );
+}
+
+/// A kill that lands while the victim's CPU is switching to it: the
+/// thread is picked and on no runqueue, so the switch must be cancelled,
+/// or it lands and runs a dead thread.
+#[test]
+fn kill_mid_switch_cancels_the_switch() {
+    let mut kernel = Kernel::new(Topology::new("uni", 1, 1, 1, 1), KernelConfig::default());
+    let app_id = kernel.state.next_app_id();
+    let mut app = LoopApp::new();
+    let victim = spin_forever(&mut kernel, app_id, "victim", 0);
+    let next = spin_forever(&mut kernel, app_id, "next", 0);
+    app.conf.insert(victim, (MILLIS, 0));
+    app.conf.insert(next, (MILLIS, 0));
+    kernel.add_app(Box::new(app));
+    let cpu = ghost_sim::topology::CpuId(0);
+    kernel.assign_and_wake(victim, MILLIS);
+    assert_eq!(kernel.state.cpu(cpu).run_state, CpuRunState::Switching);
+    assert_eq!(kernel.state.cpu(cpu).current, Some(victim));
+    kernel.kill(victim);
+    kernel.run_until(MILLIS / 2);
+    let t = kernel.state.thread(victim);
+    assert_eq!(t.state, ThreadState::Dead);
+    assert_eq!((t.stint, t.total_oncpu), (0, 0), "the dead thread ran");
+    assert_ne!(kernel.state.cpu(cpu).current, Some(victim));
+    // The CPU is free for the next thread.
+    kernel.assign_and_wake(next, MILLIS);
+    kernel.run_until(MILLIS);
+    assert_eq!(kernel.state.thread(next).state, ThreadState::Running);
 }
 
 #[test]
@@ -412,7 +441,7 @@ fn cfs_spreads_across_idle_cores_before_smt() {
     for &t in &tids {
         let th = kernel.state.thread(t);
         let rate = th.total_work as f64 / th.total_oncpu as f64;
-        assert!(rate > 0.95, "{}: SMT-degraded rate {rate}", th.name);
+        assert!(rate > 0.95, "{t}: SMT-degraded rate {rate}");
     }
 }
 

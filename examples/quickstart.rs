@@ -122,7 +122,7 @@ fn main() {
         let t = kernel.state.thread(tid);
         println!(
             "  {:<9} ran {:>6} µs over {} stints",
-            t.name,
+            tid.to_string(),
             t.total_work / 1_000,
             t.stint
         );
